@@ -67,7 +67,9 @@ def rep_hom_dim(q: Quiver, a: Rep, b: Rep) -> int:
     """Dimension of the space of intertwiners a -> b (the matrix oracle).
 
     Unknowns are the per-vertex matrices f_v; each quiver arrow u -> v
-    imposes b_arrow . f_u = f_v . a_arrow.
+    imposes b_arrow . f_u = f_v . a_arrow.  Each equation is one sparse
+    row {unknown: coefficient} holding only its nonzero entries; ``rank``
+    scales the rows to integers and eliminates without fractions.
     """
     n = q.vertex_count
     offsets = []
@@ -82,21 +84,19 @@ def rep_hom_dim(q: Quiver, a: Rep, b: Rep) -> int:
         # entry (i, j) of f_v, which is b.dims[v] x a.dims[v]
         return offsets[v] + i * a.dims[v] + j
 
-    rows: Mat = []
+    rows = []
     for idx, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
         bm, am = b.maps[idx], a.maps[idx]
         for i in range(b.dims[t]):
             for j in range(a.dims[s]):
-                row = [ZERO] * total
-                for k in range(b.dims[s]):
-                    row[unknown(s, k, j)] += bm[i][k]
-                for k in range(a.dims[t]):
-                    row[unknown(t, i, k)] -= am[k][j]
-                if any(row):
+                # s != t, so the two sums touch disjoint unknowns
+                row = {unknown(s, k, j): bm[i][k] for k in range(b.dims[s]) if bm[i][k]}
+                row.update((unknown(t, i, k), -am[k][j]) for k in range(a.dims[t]) if am[k][j])
+                if row:
                     rows.append(row)
-    return total - rank(rows, total)
+    return total - rank(rows)
 
 
 def rep_direct_sum(q: Quiver, reps: list[Rep]) -> tuple[Rep, list[list[int]]]:
@@ -236,7 +236,7 @@ class ARQuiver:
         m_rep = self.reps[a - 1]
         n_rep = self.reps[b - 1]
         p0, cover = self._projective_cover(a)
-        kernel = _kernel_subrep(q, p0, cover, m_rep)
+        kernel = _kernel_subrep(q, p0, cover, m_rep, f"{self.dynkin}: projective cover of m{a}")
         return (
             rep_hom_dim(q, kernel, n_rep)
             - rep_hom_dim(q, p0, n_rep)
@@ -344,27 +344,28 @@ class ARQuiver:
                     ready = mid
                     break
             if ready is None:
-                raise KnittingError("no mesh ready; knitting stuck")
+                raise self._error(f"no mesh ready; {len(pending)} pending from m{min(pending)}")
             self._complete_mesh(ready, inj_dv)
             pending.discard(ready)
             new_id = self.tau_inverse[ready]
             if not self.modules[new_id - 1].is_injective:
                 pending.add(new_id)
             if len(self.modules) > expected:
-                raise KnittingError("catalog exceeded the positive root count")
+                raise self._error(f"mesh at m{ready} exceeded the positive root count {expected}")
 
         if len(self.modules) != expected:
-            raise KnittingError(
-                f"knitted {len(self.modules)} modules, expected {expected}"
-            )
+            raise self._error(f"knitted {len(self.modules)} modules, expected {expected}")
         if len(self.injectives) != n or len(self.projectives) != n:
-            raise KnittingError("projective/injective count mismatch")
+            raise self._error("projective/injective count mismatch")
         if len(self._dim_index) != len(self.modules):
-            raise KnittingError("duplicate dimension vectors in catalog")
+            raise self._error("duplicate dimension vectors in catalog")
+
+    def _error(self, text: str) -> KnittingError:
+        return KnittingError(f"{self.dynkin}: {text}")
 
     def _add_arrow(self, src: int, tgt: int, vertex_maps: list[Mat]) -> None:
         if (src, tgt) in self._irr_maps:
-            raise KnittingError(f"multiple arrows {src} -> {tgt}; not multiplicity-free")
+            raise self._error(f"multiple arrows m{src} -> m{tgt}; not multiplicity-free")
         self.arrows.append((src, tgt))
         self._out[src].append(tgt)
         self._in[tgt].append(src)
@@ -376,7 +377,7 @@ class ARQuiver:
         n = q.vertex_count
         middles = sorted(self._out[nid])
         if len(set(middles)) != len(middles):
-            raise KnittingError("mesh middle with multiplicity > 1 in ADE type")
+            raise self._error(f"mesh at m{nid} has a middle with multiplicity > 1")
         n_rep = self.reps[nid - 1]
         n_dv = self.modules[nid - 1].dim_vector
         middle_reps = [self.reps[e - 1] for e in middles]
@@ -385,7 +386,7 @@ class ARQuiver:
             sum(r.dims[v] for r in middle_reps) - n_dv[v] for v in range(n)
         )
         if any(d < 0 for d in new_dv) or not any(new_dv):
-            raise KnittingError(f"mesh at m{nid} produced dimension vector {new_dv}")
+            raise self._error(f"mesh at m{nid} produced dimension vector {new_dv}")
 
         # combined source map f: N -> big, stacked per vertex
         quotients: list[QuotientSpace] = []
@@ -399,7 +400,7 @@ class ARQuiver:
             columns = [[f_v[i][j] for i in range(big.dims[v])] for j in range(n_rep.dims[v])]
             quo = QuotientSpace(columns, big.dims[v])
             if quo.dim != new_dv[v]:
-                raise KnittingError(f"mesh map at m{nid} not injective at vertex {v + 1}")
+                raise self._error(f"mesh map at m{nid} not injective at vertex {v + 1}")
             quotients.append(quo)
 
         maps = []
@@ -438,7 +439,7 @@ class ARQuiver:
             self._add_arrow(e, new_id, proj_maps)
 
         if rep_hom_dim(q, new_rep, new_rep) != 1:
-            raise KnittingError(f"mesh cokernel at m{nid} is decomposable")
+            raise self._error(f"mesh cokernel at m{nid} is decomposable")
 
 
 def knit_ar_quiver(q: Quiver) -> ARQuiver:
@@ -482,14 +483,14 @@ def _projective_irr_map(q: Quiver, src_support: set[int], tgt_support: set[int])
     return maps
 
 
-def _kernel_subrep(q: Quiver, big: Rep, cover: list[Mat], m_rep: Rep) -> Rep:
+def _kernel_subrep(q: Quiver, big: Rep, cover: list[Mat], m_rep: Rep, label: str) -> Rep:
     """Kernel of the cover map as an explicit subrepresentation."""
     n = q.vertex_count
     kernels: list[KernelSpace] = []
     for v in range(n):
         kernels.append(KernelSpace(cover[v], big.dims[v]))
         if kernels[v].dim != big.dims[v] - m_rep.dims[v]:
-            raise KnittingError("projective cover is not surjective")
+            raise KnittingError(f"{label} is not surjective")
     dims = tuple(k.dim for k in kernels)
     maps = []
     for idx, (s, t) in enumerate(q.arrows):

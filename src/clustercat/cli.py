@@ -2,8 +2,8 @@
 
 Subcommands: ar, ind, hom, tilting, graph, endo, verify.  Exit status is
 0 on success, 1 when the verification battery fails, 2 on usage or
-ingestion errors.  All outputs are deterministic; JSON payloads carry a
-top-level schema_version field.
+ingestion errors, 3 on internal errors (one ``error:`` line each).  All
+outputs are deterministic; JSON payloads carry a top-level schema_version.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except QuiverError as exc:
+    except (QuiverError, ObjectSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ObjectSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # noqa: BLE001 - a bug, reported without a traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,17 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra.
 
-Dense list-of-rows matrices with Fraction entries.  Every system in this
-package is tiny (representation spaces of Dynkin quivers), so plain
-Gaussian elimination is all that is needed; shapes with zero rows or
-columns are legal everywhere and must be passed explicitly where they
-cannot be inferred.
+``rank`` takes sparse rows, ``{column: value}`` dicts of ints or
+Fractions.  It scales each row once to integers by the lcm of its
+denominators and eliminates fraction-free, dividing every reduced row by
+the gcd of its entries.  ``rref``, ``KernelSpace`` and ``QuotientSpace``
+take dense lists of Fraction rows, since their callers need rational
+coordinates; shapes with zero rows or columns are legal everywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Row = list[Fraction]
 Mat = list[Row]
@@ -18,33 +20,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac_matrix(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def zero_matrix(nrows: int, ncols: int) -> Mat:
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def mat_mul(a: Mat, b: Mat, b_cols: int) -> Mat:
-    """a @ b where b has b_cols columns (explicit for empty b)."""
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO) for j in range(b_cols)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(a: Mat, v: Row) -> Row:
     return [sum((row[t] * v[t] for t in range(len(v))), ZERO) for row in a]
-
-
-def vstack(blocks: list[Mat], ncols: int) -> Mat:
-    out: Mat = []
-    for block in blocks:
-        for row in block:
-            assert len(row) == ncols
-            out.append(list(row))
-    return out
 
 
 def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
@@ -71,8 +48,28 @@ def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: Mat, width: int) -> int:
-    return len(rref(rows, width)[1])
+def rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of sparse rows, each a {column: value} dict.
+
+    Each row is reduced at its leading column against the pivot rows so
+    far, until it vanishes or opens a new pivot.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        r = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        while r:
+            g = gcd(*r.values())
+            if g > 1:
+                r = {c: x // g for c, x in r.items()}
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
+                break
+            a, b = p[lead], r[lead]
+            r = {c: v for c in r.keys() | p.keys() if (v := a * r.get(c, 0) - b * p.get(c, 0))}
+    return len(pivots)
 
 
 class KernelSpace:

@@ -160,12 +160,6 @@ class OrbitCategory:
         pos = self._positions
         return [[self.hom_table[i][pos[s.rep]] for s in shifted] for i in range(len(cat))]
 
-    def hom_at(self, i: int, j: int) -> int:
-        return self.hom_table[i][j]
-
-    def ext_at(self, i: int, j: int) -> int:
-        return self.ext_table[i][j]
-
     # -- functors ----------------------------------------------------------
 
     def project(self, x: OrbitObject) -> OrbitObject:

@@ -108,6 +108,9 @@ def load_quiver(path) -> Quiver:
 
 def validate_quiver(q: Quiver) -> DynkinClass:
     """Check acyclicity, connectivity and Dynkin shape; return the class."""
+    if len(q.arrows) < q.vertex_count - 1:  # too few arrows to connect; no O(n) work yet
+        n, k = q.vertex_count, len(q.arrows)
+        raise DisconnectedQuiverError(f"{n} vertices, {k} arrows: some unreachable from vertex 1")
     _check_acyclic(q)
     _check_connected(q)
     return classify_dynkin(q)
@@ -132,8 +135,8 @@ def _check_acyclic(q: Quiver) -> None:
             if indeg[w] == 0:
                 queue.append(w)
     if seen != q.vertex_count:
-        cyclic = sorted(v for v in indeg if indeg[v] > 0)
-        raise QuiverCycleError(f"oriented cycle through vertices {cyclic}")
+        cyclic = [v for v in indeg if indeg[v] > 0]
+        raise QuiverCycleError(f"oriented cycle through vertices {_few(cyclic)}")
 
 
 def _check_connected(q: Quiver) -> None:
@@ -151,8 +154,15 @@ def _check_connected(q: Quiver) -> None:
                 seen.add(w)
                 stack.append(w)
     if len(seen) != q.vertex_count:
-        missing = sorted(set(adj) - seen)
-        raise DisconnectedQuiverError(f"vertices {missing} unreachable from vertex 1")
+        missing = [v for v in adj if v not in seen]
+        raise DisconnectedQuiverError(f"vertices {_few(missing)} unreachable from vertex 1")
+
+
+def _few(vertices: list[int], shown: int = 8) -> str:
+    """The first few of an ascending vertex list, and how many there are."""
+    if len(vertices) <= shown:
+        return str(vertices)
+    return f"{str(vertices[:shown])[:-1]}, ...] ({len(vertices)} in all)"
 
 
 def classify_dynkin(q: Quiver) -> DynkinClass:

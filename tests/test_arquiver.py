@@ -174,3 +174,51 @@ def test_knitting_is_deterministic():
     assert [m.dim_vector for m in first.modules] == [m.dim_vector for m in second.modules]
     assert first.arrows == second.arrows
     assert first.tau == second.tau
+
+
+# One orientation each of E6, E7, E8.  Expected values come from the root
+# systems: the positive root counts are 36/63/120, and the highest root
+# has height h - 1 for the Coxeter numbers h = 12/18/30.
+E_TYPES = {
+    "E6": ("vertices 6\narrow 2 1\narrow 2 3\narrow 4 3\narrow 4 5\narrow 3 6\n", 36, 12),
+    "E7": (
+        "vertices 7\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 5 6\narrow 3 7\n",
+        63,
+        18,
+    ),
+    "E8": (
+        "vertices 8\narrow 2 1\narrow 3 2\narrow 3 4\narrow 5 4\narrow 5 6\narrow 7 6\narrow 8 3\n",
+        120,
+        30,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def e_type_ar():
+    return {name: cc.knit_ar_quiver(cc.parse_quiver(spec[0])) for name, spec in E_TYPES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(E_TYPES))
+def test_e_type_catalog_is_the_positive_roots(e_type_ar, name):
+    _, roots, coxeter = E_TYPES[name]
+    ar = e_type_ar[name]
+    n = ar.quiver.vertex_count
+    assert str(ar.dynkin) == name
+    assert len(ar.modules) == roots
+    assert len(ar.projectives) == n and len(ar.injectives) == n
+    dims = [m.dim_vector for m in ar.modules]
+    assert len(set(dims)) == roots
+    assert all(cc.euler_form(ar.quiver, d, d) == 1 for d in dims)
+    assert max(sum(d) for d in dims) == coxeter - 1
+
+
+def test_e6_mesh_hom_matches_matrix_oracle(e_type_ar):
+    ar = e_type_ar["E6"]
+    ids = [m.id for m in ar.modules]
+    assert [[ar.matrix_hom_dim(a, b) for b in ids] for a in ids] == ar.hom_table
+
+
+def test_e8_modules_are_rigid_bricks(e_type_ar):
+    ar = e_type_ar["E8"]
+    assert all(ar.hom_dim(m, m) == 1 and ar.ext_dim(m, m) == 0 for m in ar.modules)

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+from clustercat import arquiver
 from clustercat.cli import main
 
 from conftest import A2, A3
@@ -222,3 +224,39 @@ def test_out_flag_writes_file(tmp_path, capsys, a2_path):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["schema_version"] == 1
+
+
+def test_huge_vertex_count_fails_fast_in_one_line(capsys, tmp_path):
+    p = tmp_path / "huge.quiver"
+    p.write_text("vertices 1000000\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "ar", "--quiver", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "unreachable" in err
+    assert len(err.encode()) < 200
+    assert peak < 4 * 2**20
+
+
+def test_knitting_error_exits_3_naming_type_and_mesh(capsys, a2_path, monkeypatch):
+    # a brick check that always fails; on A2 the first mesh is at m2 = P_2
+    monkeypatch.setattr(arquiver, "rep_hom_dim", lambda q, a, b: 2)
+    code, out, err = run(capsys, "ar", "--quiver", a2_path)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: KnittingError: A2: mesh cokernel at m2 is decomposable\n"
+
+
+def test_unexpected_exception_exits_3_without_traceback(capsys, a3_path, monkeypatch):
+    def broken(self, nid, inj_dv):
+        raise ZeroDivisionError("division by zero\nin a mesh")
+
+    monkeypatch.setattr(arquiver.ARQuiver, "_complete_mesh", broken)
+    code, out, err = run(capsys, "tilting", "--quiver", a3_path)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: ZeroDivisionError: division by zero in a mesh\n"

@@ -210,3 +210,28 @@ def test_quadratic_form_positive_and_counts_roots(text):
         if value == 1:
             unit += 1
     assert unit == 2 * cc.positive_root_count(cc.classify_dynkin(q))
+
+
+def test_cycle_message_lists_a_few_vertices_and_the_total():
+    text = "vertices 20\n" + "".join(f"arrow {i} {i % 20 + 1}\n" for i in range(1, 21))
+    with pytest.raises(QuiverCycleError) as info:
+        cc.parse_quiver(text)
+    assert str(info.value) == (
+        "oriented cycle through vertices [1, 2, 3, 4, 5, 6, 7, 8, ...] (20 in all)"
+    )
+
+
+def test_disconnected_message_lists_a_few_vertices_and_the_total():
+    # two 15-vertex paths, plus a chord 1 -> 3 so there are n - 1 arrows
+    arrows = [(i, i + 1) for i in range(1, 15)] + [(i, i + 1) for i in range(16, 30)] + [(1, 3)]
+    text = "vertices 30\n" + "".join(f"arrow {s} {t}\n" for s, t in arrows)
+    with pytest.raises(DisconnectedQuiverError) as info:
+        cc.parse_quiver(text)
+    assert str(info.value) == (
+        "vertices [16, 17, 18, 19, 20, 21, 22, 23, ...] (15 in all) unreachable from vertex 1"
+    )
+
+
+def test_too_few_arrows_rejected_before_other_checks():
+    with pytest.raises(DisconnectedQuiverError, match="unreachable"):
+        cc.validate_quiver(cc.Quiver(50_000_000, ()))
