@@ -28,7 +28,11 @@ from .exact import (
     mat_vec,
     rank,
 )
-from .quiver import Quiver, DynkinClass, classify_dynkin, euler_form, positive_root_count
+from .quiver import Quiver, DynkinClass, QuiverTooLargeError, classify_dynkin, positive_root_count
+
+# catalog size cap: E8 has 120 modules, A31 496; the Hom/Ext tables grow as
+# its square and knitting faster still (A40 takes seconds, A80 minutes)
+MAX_MODULES = 500
 
 
 class KnittingError(RuntimeError):
@@ -129,6 +133,11 @@ class ARQuiver:
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.dynkin: DynkinClass = classify_dynkin(quiver)
+        if positive_root_count(self.dynkin) > MAX_MODULES:
+            raise QuiverTooLargeError(
+                f"{self.dynkin} has {positive_root_count(self.dynkin)} indecomposables;"
+                f" at most {MAX_MODULES} are supported"
+            )
         self.modules: list[IndModule] = []
         self.reps: list[Rep] = []
         self.arrows: list[tuple[int, int]] = []
@@ -208,12 +217,23 @@ class ARQuiver:
         b = b.id if isinstance(b, IndModule) else b
         return self.hom_table[a - 1][b - 1]
 
+    @cached_property
+    def ext_table(self) -> list[list[int]]:
+        """ext_table[a-1][b-1] = dim Ext^1(M_a, M_b): hom minus the Euler form
+        <d, e> = d . w(e), where w(e)_s = e_s - (sum of e_t over arrows s -> t)."""
+        weights = [list(m.dim_vector) for m in self.modules]
+        for w, m in zip(weights, self.modules):
+            for s, t in self.quiver.arrows:
+                w[s - 1] -= m.dim_vector[t - 1]
+        return [
+            [h - sum(x * y for x, y in zip(a.dim_vector, w)) for h, w in zip(row, weights)]
+            for a, row in zip(self.modules, self.hom_table)
+        ]
+
     def ext_dim(self, a, b) -> int:
         a = a.id if isinstance(a, IndModule) else a
         b = b.id if isinstance(b, IndModule) else b
-        da = self.modules[a - 1].dim_vector
-        db = self.modules[b - 1].dim_vector
-        return self.hom_table[a - 1][b - 1] - euler_form(self.quiver, da, db)
+        return self.ext_table[a - 1][b - 1]
 
     # -- independent oracles -------------------------------------------
 
@@ -281,7 +301,7 @@ class ARQuiver:
         """Image of the coord-th basis vector of M_v under the path v -> w."""
         vec = [ZERO] * m_rep.dims[v - 1]
         vec[coord] = ONE
-        for arrow_idx in self._tree_path(v, w):
+        for arrow_idx in self._path_steps[(v, w)]:
             vec = mat_vec(m_rep.maps[arrow_idx], vec)
         return vec
 
@@ -299,9 +319,6 @@ class ARQuiver:
                         paths[(v, t)] = paths[(v, u)] + [idx]
                         frontier.append(t)
         return paths
-
-    def _tree_path(self, v: int, w: int) -> list[int]:
-        return self._path_steps[(v, w)]
 
     # -- knitting -------------------------------------------------------
 

@@ -17,7 +17,7 @@ from .derived import DerivedCategory, ObjectSyntaxError
 from .endo import block_pattern_report, endo_profile
 from .orbit import OrbitCategory
 from .quiver import QuiverError, load_quiver
-from .tilting import build_tilting_graph, enumerate_cluster_tilting, is_connected, lift
+from .tilting import enumerate_cluster_tilting, is_connected, lift
 from .verify import DIAGRAMS, run_verification
 
 SCHEMA_VERSION = 1
@@ -165,9 +165,7 @@ def _cmd_ar(args, parser) -> int:
                 for s, t, mult in ar.arrow_multiplicities()
             ],
             "hom": ar.hom_table,
-            "ext": [
-                [ar.ext_dim(a.id, b.id) for b in ar.modules] for a in ar.modules
-            ],
+            "ext": ar.ext_table,
         }
         _emit(args, _dumps(payload))
         return 0
@@ -192,8 +190,7 @@ def _cmd_ar(args, parser) -> int:
     lines.append("")
     lines += _tsv_matrix("hom", ids, ar.hom_table)
     lines.append("")
-    ext = [[ar.ext_dim(a.id, b.id) for b in ar.modules] for a in ar.modules]
-    lines += _tsv_matrix("ext", ids, ext)
+    lines += _tsv_matrix("ext", ids, ar.ext_table)
     _emit(args, "\n".join(lines))
     return 0
 
@@ -267,8 +264,7 @@ def _cmd_hom(args, parser) -> int:
 
 
 def _vertices(cat: OrbitCategory):
-    tiltings = enumerate_cluster_tilting(cat.derived.orbit(1))
-    return [lift(t, cat) for t in tiltings]
+    return [lift(t, cat) for t in enumerate_cluster_tilting(cat.derived.orbit(1))]
 
 
 def _members_sorted(cat, gct) -> list[str]:
@@ -301,7 +297,7 @@ def _cmd_tilting(args, parser) -> int:
 def _cmd_graph(args, parser) -> int:
     _check_format(args, parser)
     cat = _category(args)
-    graph = build_tilting_graph(cat)
+    graph = cat.tilting_graph
     names = [f"T{i + 1}" for i in range(len(graph.vertices))]
     if args.format == "json":
         payload = {

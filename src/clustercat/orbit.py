@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .derived import DerivedCategory, DObject
 
@@ -182,6 +182,21 @@ class OrbitCategory:
         pos = self._positions
         return [pos[self.twist_action(x).rep] for x in self.catalog]
 
+    @cached_property
+    def twist_orbits(self) -> list[tuple[int, ...]]:
+        """Catalog positions split into twist-orbits, each sorted, by least member."""
+        perm = self.twist_permutation
+        orbits, seen = [], set()
+        for start in range(len(perm)):
+            cycle, j = [], start
+            while j not in seen:
+                seen.add(j)
+                cycle.append(j)
+                j = perm[j]
+            if cycle:
+                orbits.append(tuple(sorted(cycle)))
+        return orbits
+
     # -- twist-stable objects ------------------------------------------------
 
     def build_twist_stable(self, generator: Iterable[OrbitObject]) -> TwistStableObject:
@@ -202,32 +217,92 @@ class OrbitCategory:
     @cached_property
     def ext_zero_out(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[i], cat[j]) == 0."""
-        table = self.ext_table
-        size = len(self.catalog)
-        out = []
-        for i in range(size):
-            mask = 0
-            for j in range(size):
-                if table[i][j] == 0:
-                    mask |= 1 << j
-            out.append(mask)
-        return out
+        return [_mask(j for j, e in enumerate(row) if e == 0) for row in self.ext_table]
 
     @cached_property
     def ext_zero_in(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[j], cat[i]) == 0."""
-        table = self.ext_table
-        size = len(self.catalog)
-        out = []
-        for i in range(size):
-            mask = 0
-            for j in range(size):
-                if table[j][i] == 0:
-                    mask |= 1 << j
-            out.append(mask)
-        return out
+        return [_mask(j for j, e in enumerate(col) if e == 0) for col in zip(*self.ext_table)]
 
     @cached_property
     def compat_mask(self) -> list[int]:
         """Bit j set in entry i iff ext1 vanishes both ways (including i == j)."""
         return [a & b for a, b in zip(self.ext_zero_out, self.ext_zero_in)]
+
+    def rigid_position_sets(self, limit: int) -> Iterator[tuple[int, ...]]:
+        """Every nonempty rigid set of at most limit positions, ascending
+        tuples in depth-first (hence lexicographic) order."""
+        compat = self.compat_mask
+
+        def extend(chosen: tuple[int, ...], candidates: int):
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                j = low.bit_length() - 1
+                grown = chosen + (j,)
+                yield grown
+                if len(grown) < limit:
+                    yield from extend(grown, candidates & compat[j])
+
+        yield from extend((), sum(1 << j for j, c in enumerate(compat) if c >> j & 1))
+
+    @cached_property
+    def tilting_sets(self) -> list[tuple[int, ...]]:
+        """Position sets of the cluster tilting objects: the rigid n-sets,
+        each checked to be maximal.  Modulus 1 only."""
+        if self.modulus != 1:
+            raise ValueError("enumeration runs in the modulus-1 category")
+        n = self.ar.quiver.vertex_count
+        compat = self.compat_mask
+        found = [chosen for chosen in self.rigid_position_sets(n) if len(chosen) == n]
+        for chosen in found:
+            outside = _mask(chosen) ^ ((1 << len(compat)) - 1)
+            for p in chosen:
+                outside &= compat[p]
+            if outside:
+                raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
+        return found
+
+    @cached_property
+    def exchange_edges(self) -> list[tuple[int, int]]:
+        """Index pairs (i < k) of tilting_sets that differ by one mutation.
+
+        Dropping p from a tilting set T leaves an almost complete one with
+        exactly two complements (Buan-Marsh-Reineke-Reiten-Todorov): p and
+        its partner, the single position outside T compatible with all of
+        T - p.
+        """
+        compat = self.compat_mask
+        full = (1 << len(compat)) - 1
+        masks = [_mask(t) for t in self.tilting_sets]
+        index = {mask: i for i, mask in enumerate(masks)}
+        edges = set()
+        for i, (t, mask) in enumerate(zip(self.tilting_sets, masks)):
+            for p in t:
+                partner = full & ~mask
+                for q in t:
+                    if q != p:
+                        partner &= compat[q]
+                k = index.get(mask ^ (1 << p) | partner) if partner.bit_count() == 1 else None
+                if k is None:
+                    label = f"{self.ar.dynkin} quiver {list(self.ar.quiver.arrows)}"
+                    raise RuntimeError(
+                        f"{label}: dropping {self.catalog[p].text} from T{i + 1} leaves"
+                        f" {partner.bit_count()} candidate partners, not one tilting neighbour"
+                    )
+                edges.add((min(i, k), max(i, k)))
+        return sorted(edges)
+
+    @cached_property
+    def tilting_graph(self):
+        """The exchange graph of the lifted tilting objects at this modulus."""
+        from .tilting import build_tilting_graph
+
+        return build_tilting_graph(self)
+
+
+def _mask(positions: Iterable[int]) -> int:
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask

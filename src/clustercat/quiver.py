@@ -38,6 +38,10 @@ class NotDynkinError(QuiverError):
     """The underlying graph is not one of A_n, D_n (n >= 4), E_6, E_7, E_8."""
 
 
+class QuiverTooLargeError(QuiverError):
+    """A Dynkin quiver whose module catalog exceeds the supported size."""
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertex_count: int

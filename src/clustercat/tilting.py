@@ -2,10 +2,12 @@
 
 Enumeration happens in the modulus-1 category (sets of n indecomposables
 with ext-vanishing in both directions between all members) and is
-transported to higher modulus by twist-stable expansion.  A direct
-in-category enumeration over twist-orbits doubles as an independent
-oracle at small rank.  Graph edges come from orbit-level exchanges: drop
-one twist-orbit, complete the remainder in the two possible ways.
+transported to higher modulus by twist-stable expansion.  The graph's
+edges do not depend on the modulus: they come from bitmask mutation in
+the modulus-1 category (``OrbitCategory.exchange_edges``).  The slow
+paths are the battery's oracles: ``near_complements`` re-derives every
+edge by completing each almost tilting object at modulus m, and a direct
+scan over twist-orbit unions re-derives the lifts at small rank.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .orbit import OrbitCategory, OrbitObject, TwistStableObject, distinct_count
+from .orbit import OrbitCategory, OrbitObject, TwistStableObject, _mask, distinct_count
 
 
 class NotRigidError(ValueError):
@@ -82,58 +84,14 @@ def is_connected(g: TiltingGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
-def _member_positions(cat: OrbitCategory, members) -> list[int]:
-    return [cat.position(x) for x in members]
-
-
-def _support_mask(positions) -> int:
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
-    return mask
-
-
 def _is_rigid(cat: OrbitCategory, positions) -> bool:
-    mask = _support_mask(positions)
-    compat = cat.compat_mask
-    return all(mask & ~compat[p] == 0 for p in set(positions))
+    mask = _mask(positions)
+    return all(mask & ~cat.compat_mask[p] == 0 for p in set(positions))
 
 
 def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[ClusterTilting]:
     """All cluster tilting objects of the modulus-1 category, canonical order."""
-    if cat1.modulus != 1:
-        raise ValueError("enumeration runs in the modulus-1 category")
-    cached = getattr(cat1, "_tilting_cache", None)
-    if cached is not None:
-        return cached
-    n = cat1.ar.quiver.vertex_count
-    size = len(cat1.catalog)
-    compat = cat1.compat_mask
-    full = (1 << size) - 1
-    found: list[tuple[int, ...]] = []
-
-    def extend(chosen: tuple[int, ...], candidates: int, start: int) -> None:
-        if len(chosen) == n:
-            found.append(chosen)
-            return
-        for j in range(start, size):
-            bit = 1 << j
-            if candidates & bit and compat[j] & bit:
-                extend(chosen + (j,), candidates & compat[j], j + 1)
-
-    extend((), full, 0)
-
-    results = []
-    for chosen in sorted(found):
-        # maximality: nothing outside is compatible with every member
-        outside = full & ~_support_mask(chosen)
-        for p in chosen:
-            outside &= compat[p]
-        if outside:
-            raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
-        results.append(ClusterTilting(tuple(cat1.catalog[j] for j in chosen)))
-    cat1._tilting_cache = results
-    return results
+    return [ClusterTilting(tuple(cat1.catalog[j] for j in t)) for t in cat1.tilting_sets]
 
 
 def lift(t: ClusterTilting, cat: OrbitCategory) -> GenClusterTilting:
@@ -148,22 +106,21 @@ def lift(t: ClusterTilting, cat: OrbitCategory) -> GenClusterTilting:
 def cluster_tilting_check(
     cat: OrbitCategory, members
 ) -> tuple[bool, OrbitObject | None]:
-    """Two-sided add-characterization scan over the whole catalog.
+    """Two-sided add-characterization over the whole catalog.
 
     True iff for every indecomposable X: ext1(X, each member) all vanish
     exactly when X is a member, and likewise for ext1(each member, X).
-    Returns the first violating object otherwise.
+    Returns the first violating object, in catalog order, otherwise.
     """
-    positions = _member_positions(cat, members)
-    support = _support_mask(positions)
-    out_ok = cat.ext_zero_out
-    in_ok = cat.ext_zero_in
-    for j, x in enumerate(cat.catalog):
-        member = bool(support & (1 << j))
-        left_vanishes = support & ~out_ok[j] == 0  # ext1(X, every member) == 0
-        right_vanishes = support & ~in_ok[j] == 0  # ext1(every member, X) == 0
-        if left_vanishes != member or right_vanishes != member:
-            return False, x
+    positions = [cat.position(x) for x in members]
+    left = right = (1 << len(cat.catalog)) - 1
+    for p in positions:
+        left &= cat.ext_zero_in[p]  # X with ext1(X, every member) == 0
+        right &= cat.ext_zero_out[p]  # X with ext1(every member, X) == 0
+    support = _mask(positions)
+    bad = (left ^ support) | (right ^ support)
+    if bad:
+        return False, cat.catalog[(bad & -bad).bit_length() - 1]
     return True, None
 
 
@@ -175,7 +132,7 @@ def complements(cat: OrbitCategory, members) -> list[OrbitObject]:
     cases, which raise).
     """
     n = cat.ar.quiver.vertex_count
-    positions = _member_positions(cat, members)
+    positions = [cat.position(x) for x in members]
     expected = cat.modulus * n - 1
     if distinct_count(members) != expected:
         raise ValueError(
@@ -184,7 +141,7 @@ def complements(cat: OrbitCategory, members) -> list[OrbitObject]:
         )
     if not _is_rigid(cat, positions):
         raise NotRigidError("input is not rigid")
-    support = _support_mask(positions)
+    support = _mask(positions)
     candidates = ~support
     for p in set(positions):
         candidates &= cat.compat_mask[p]
@@ -208,7 +165,7 @@ def near_complements(
         raise ValueError(
             f"almost near tilting object needs {n - 1} orbits, got {almost.orbit_count}"
         )
-    if not _is_rigid(cat, _member_positions(cat, almost.expansion)):
+    if not _is_rigid(cat, [cat.position(x) for x in almost.expansion]):
         raise NotRigidError("input is not rigid")
     cat1 = cat.derived.orbit(1)
     gen = tuple(dict.fromkeys(almost.generator))  # distinct, order kept
@@ -228,29 +185,16 @@ def near_complements(
 
 
 def build_tilting_graph(cat: OrbitCategory) -> TiltingGraph:
-    """Vertices are all lifts; edges are single-orbit exchanges."""
-    cached = getattr(cat, "_graph_cache", None)
-    if cached is not None:
-        return cached
+    """Vertices are all lifts, each passing the modulus-m tilting check;
+    edges are the modulus-1 mutations.  ``cat.tilting_graph`` caches it."""
     cat1 = cat.derived.orbit(1)
-    tiltings = enumerate_cluster_tilting(cat1)
-    vertices = [lift(t, cat) for t in tiltings]
-    index = {v.generator: i for i, v in enumerate(vertices)}
-    edges = set()
+    vertices = [lift(t, cat) for t in enumerate_cluster_tilting(cat1)]
     for i, v in enumerate(vertices):
-        for drop in v.generator:
-            rest = tuple(g for g in v.generator if g != drop)
-            almost = cat.build_twist_stable(rest)
-            a, b = near_complements(cat, almost)
-            pair = {index[a.generator], index[b.generator]}
-            if i not in pair:
-                raise RuntimeError("exchange did not return the original vertex")
-            other = (pair - {i}).pop() if len(pair) == 2 else i
-            if other != i:
-                edges.add((min(i, other), max(i, other)))
-    graph = TiltingGraph(vertices, sorted(edges), cat.modulus)
-    cat._graph_cache = graph
-    return graph
+        ok, witness = cluster_tilting_check(cat, v.members)
+        if not ok:
+            label = f"{cat.ar.dynkin} quiver {list(cat.ar.quiver.arrows)}"
+            raise RuntimeError(f"{label}: lift T{i + 1} fails the tilting check at {witness.text}")
+    return TiltingGraph(vertices, list(cat1.exchange_edges), cat.modulus)
 
 
 def exchange_pair_ext(cat1: OrbitCategory, x1: OrbitObject, x2: OrbitObject) -> int:
@@ -277,23 +221,8 @@ def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[OrbitObjec
     """
     from itertools import combinations
 
-    n = cat.ar.quiver.vertex_count
-    perm = cat.twist_permutation
-    seen = set()
-    orbits = []
-    for start in range(len(cat.catalog)):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        j = perm[start]
-        while j != start:
-            cycle.append(j)
-            seen.add(j)
-            j = perm[j]
-        orbits.append(tuple(sorted(cycle)))
     results = []
-    for combo in combinations(orbits, n):
+    for combo in combinations(cat.twist_orbits, cat.ar.quiver.vertex_count):
         members = [cat.catalog[j] for orbit in combo for j in orbit]
         ok, _ = cluster_tilting_check(cat, members)
         if ok:

@@ -13,10 +13,9 @@ from itertools import combinations
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, distinct_count
-from .quiver import Quiver, euler_form, positive_root_count
+from .orbit import OrbitCategory, _mask, distinct_count
+from .quiver import Quiver, positive_root_count
 from .tilting import (
-    build_tilting_graph,
     cluster_tilting_check,
     complements,
     enumerate_cluster_tilting,
@@ -315,20 +314,9 @@ def _check_covering(cat: OrbitCategory) -> str | None:
 
 
 def _check_twist_orbits(cat: OrbitCategory) -> str | None:
-    perm = cat.twist_permutation
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length, j = 0, start
-        while True:
-            seen.add(j)
-            length += 1
-            j = perm[j]
-            if j == start:
-                break
-        if length != cat.modulus:
-            return f"twist orbit of size {length} != modulus {cat.modulus}"
+    for orbit in cat.twist_orbits:
+        if len(orbit) != cat.modulus:
+            return f"twist orbit of size {len(orbit)} != modulus {cat.modulus}"
     return None
 
 
@@ -426,30 +414,12 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     # twist-stable rigid objects are tilting exactly when they use n orbits
     base = cat.derived.orbit(1)
     n = cat.ar.quiver.vertex_count
-    size = len(base.catalog)
-    compat = base.compat_mask
-    rigid_sets: list[tuple[int, ...]] = []
-
-    def extend(chosen, candidates, start):
-        if chosen:
-            rigid_sets.append(chosen)
-        if len(chosen) == n:
-            return
-        for j in range(start, size):
-            bit = 1 << j
-            if candidates & bit and compat[j] & bit:
-                extend(chosen + (j,), candidates & compat[j], j + 1)
-
-    extend((), (1 << size) - 1, 0)
-    for chosen in rigid_sets:
+    for chosen in base.rigid_position_sets(n):
         gen = [base.catalog[j] for j in chosen]
         stable = cat.build_twist_stable(gen)
         positions = [cat.position(x) for x in stable.expansion]
-        mask = 0
-        for p in positions:
-            mask |= 1 << p
-        rigid = all(mask & ~cat.compat_mask[p] == 0 for p in positions)
-        if not rigid:
+        mask = _mask(positions)
+        if any(mask & ~cat.compat_mask[p] for p in positions):
             return f"expansion of a rigid generator is not rigid: {[g.text for g in gen]}"
         ok, _ = cluster_tilting_check(cat, stable.expansion)
         if ok != (stable.orbit_count == n):
@@ -475,17 +445,12 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
     compat = base.compat_mask
     brute = []
     for combo in combinations(range(size), n):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
-        if all(mask & ~compat[p] == 0 for p in combo):
-            outside = 0
-            rest = ((1 << size) - 1) & ~mask
-            for j in range(size):
-                if rest & (1 << j) and mask & ~compat[j] == 0 and compat[j] & (1 << j):
-                    outside += 1
-            if outside == 0:
-                brute.append(combo)
+        mask = _mask(combo)
+        if all(mask & ~compat[p] == 0 for p in combo) and not any(
+            not mask >> j & 1 and mask & ~compat[j] == 0 and compat[j] >> j & 1
+            for j in range(size)
+        ):
+            brute.append(combo)
     fast = [
         tuple(base.position(x) for x in t.members)
         for t in enumerate_cluster_tilting(base)
@@ -542,7 +507,13 @@ def _check_complements(cat: OrbitCategory) -> str | None:
 
 
 def _check_near_complements(cat: OrbitCategory) -> str | None:
+    # the oracle for the exchange graph: both completions of every
+    # (vertex, dropped orbit) pair, and the edge each one gives
     base = cat.derived.orbit(1)
+    graph = cat.tilting_graph
+    index = {v.generator: i for i, v in enumerate(graph.vertices)}
+    edges = set(graph.edges)
+    found = set()
     for t in enumerate_cluster_tilting(base):
         vertex = lift(t, cat)
         for drop in vertex.generator:
@@ -560,18 +531,24 @@ def _check_near_complements(cat: OrbitCategory) -> str | None:
             }
             if swapped != base_comps:
                 return f"near completions disagree with modulus-1 complements at {t.key}"
+            edge = tuple(sorted(index.get(g.generator, -1) for g in (a, b)))
+            if edge not in edges:
+                return f"exchange of {drop.text} at {t.key} is not a graph edge"
+            found.add(edge)
+    if found != edges:
+        return f"near completions give {len(found)} edges, the graph has {len(edges)}"
     return None
 
 
 def _check_graph_connected(cat: OrbitCategory) -> str | None:
-    graph = build_tilting_graph(cat)
+    graph = cat.tilting_graph
     if not is_connected(graph):
         return "tilting graph is disconnected"
     return None
 
 
 def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
-    graph = build_tilting_graph(cat)
+    graph = cat.tilting_graph
     n = cat.ar.quiver.vertex_count
     for a, b in graph.edges:
         ga = set(graph.vertices[a].generator)
@@ -592,7 +569,7 @@ def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
 
 
 def _check_exchange_layers(cat: OrbitCategory) -> str | None:
-    graph = build_tilting_graph(cat)
+    graph = cat.tilting_graph
     for a, b in graph.edges:
         va, vb = graph.vertices[a], graph.vertices[b]
         for one, two in ((va, vb), (vb, va)):
@@ -605,7 +582,7 @@ def _check_exchange_layers(cat: OrbitCategory) -> str | None:
 
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
-    graph = build_tilting_graph(cat)
+    graph = cat.tilting_graph
     for a, b in graph.edges:
         ga = set(graph.vertices[a].generator)
         gb = set(graph.vertices[b].generator)

@@ -222,3 +222,13 @@ def test_e6_mesh_hom_matches_matrix_oracle(e_type_ar):
 def test_e8_modules_are_rigid_bricks(e_type_ar):
     ar = e_type_ar["E8"]
     assert all(ar.hom_dim(m, m) == 1 and ar.ext_dim(m, m) == 0 for m in ar.modules)
+
+
+def test_ext_table_is_hom_minus_euler_form(build):
+    e6 = "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n"
+    for text in (A3, D4, e6):
+        ar = build(text).ar
+        for a in ar.modules:
+            for b in ar.modules:
+                expected = ar.hom_dim(a, b) - cc.euler_form(ar.quiver, a.dim_vector, b.dim_vector)
+                assert ar.ext_table[a.id - 1][b.id - 1] == ar.ext_dim(a, b) == expected

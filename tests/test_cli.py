@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -240,6 +241,18 @@ def test_huge_vertex_count_fails_fast_in_one_line(capsys, tmp_path):
     assert "unreachable" in err
     assert len(err.encode()) < 200
     assert peak < 4 * 2**20
+
+
+def test_oversized_dynkin_quiver_fails_fast_in_one_line(capsys, tmp_path):
+    # A80 is a valid Dynkin chain with 3240 indecomposables, far past the cap
+    p = tmp_path / "a80.quiver"
+    p.write_text("vertices 80\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 80)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ar", "--quiver", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: A80 has 3240 indecomposables; at most {arquiver.MAX_MODULES} are supported\n"
 
 
 def test_knitting_error_exits_3_naming_type_and_mesh(capsys, a2_path, monkeypatch):

@@ -1,9 +1,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercat as cc
+from clustercat import tilting
 from clustercat.tilting import NotExchangeError, NotRigidError
+from clustercat.verify import run_verification
 
 from conftest import A1, A2, A3, A4, D4
 
@@ -327,3 +331,100 @@ def test_orbit_count_criterion_a2(build):
                 stable = cat.build_twist_stable(combo)
                 ok, _ = cc.cluster_tilting_check(cat, stable.expansion)
                 assert ok == (stable.orbit_count == n)
+
+
+# Cluster numbers (Fomin-Zelevinsky, Cluster algebras II): the vertex counts
+# of the exchange graphs, which are n-regular and connected.
+E6 = "vertices 6\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5)) + "arrow 3 6\n"
+E7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 6)) + "arrow 3 7\n"
+A5 = "vertices 5\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5))
+A7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7))
+D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n"
+
+
+@pytest.mark.parametrize(
+    "text,n,vertices,m",
+    [(A5, 5, 132, 1), (D5, 5, 182, 1), (E6, 6, 833, 1), (A7, 7, 1430, 1), (E7, 7, 4160, 1),
+     (E6, 6, 833, 2)],
+    ids=["A5", "D5", "E6", "A7", "E7", "E6-m2"],
+)
+def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
+    g = cc.build_tilting_graph(build(text).orbit(m))
+    assert len(g.vertices) == vertices
+    assert len(g.edges) == n * vertices // 2
+    assert all(g.degree(i) == n for i in range(vertices))
+    assert cc.is_connected(g)
+
+
+def _near_complement_edges(cat):
+    index = {}
+    for i, t in enumerate(cc.enumerate_cluster_tilting(cat)):
+        index[cc.lift(t, cat).generator] = i
+    edges = set()
+    for generator in index:
+        for drop in generator:
+            almost = cat.build_twist_stable(g for g in generator if g != drop)
+            a, b = cc.near_complements(cat, almost)
+            edges.add(tuple(sorted((index[a.generator], index[b.generator]))))
+    return sorted(edges)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    diagram=st.sampled_from([((1, 2), (2, 3), (3, 4), (4, 5)), ((1, 2), (2, 3), (3, 4), (3, 5))]),
+    flips=st.lists(st.booleans(), min_size=4, max_size=4),
+    relabel=st.permutations(range(1, 6)),
+)
+def test_mutation_edges_equal_near_complement_edges(diagram, flips, relabel):
+    # a random orientation and vertex numbering of A5 or D5
+    arrows = tuple(
+        (relabel[b - 1], relabel[a - 1]) if flip else (relabel[a - 1], relabel[b - 1])
+        for (a, b), flip in zip(diagram, flips)
+    )
+    cat = cc.DerivedCategory(cc.ARQuiver(cc.Quiver(5, arrows))).orbit(1)
+    assert cc.build_tilting_graph(cat).edges == _near_complement_edges(cat)
+
+
+def test_battery_notices_a_missing_graph_edge(monkeypatch):
+    build_graph = tilting.build_tilting_graph
+
+    def drop_first_edge(cat):
+        graph = build_graph(cat)
+        graph.edges.pop(0)
+        return graph
+
+    monkeypatch.setattr(tilting, "build_tilting_graph", drop_first_edge)
+    report = run_verification(["A2"])
+    details = {c["name"]: c["detail"] for cell in report["cells"] for c in cell["checks"]}
+    assert "is not a graph edge" in details["near-complement-pairs"]
+    assert not report["passed"]
+
+
+def test_exchange_without_single_partner_names_quiver_and_vertex():
+    cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
+    assert len(cat1.tilting_sets) == 5
+    # every object compatible with every other: three partners per drop
+    cat1.__dict__["compat_mask"] = [(1 << len(cat1.catalog)) - 1] * len(cat1.catalog)
+    with pytest.raises(RuntimeError, match=r"A2 quiver \[\(1, 2\)\]: dropping m\d+\[\d\] from T1"):
+        cat1.exchange_edges
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tilting_check_matches_catalog_scan(build, data):
+    # reference: the add-characterization tested object by object
+    dc = build(D4)
+    cat = dc.orbit(2)
+    t = data.draw(st.sampled_from(cc.enumerate_cluster_tilting(dc.orbit(1))))
+    toggles = data.draw(st.lists(st.sampled_from(cat.catalog), max_size=2))
+    members = sorted(set(cc.lift(t, cat).members).symmetric_difference(toggles))
+    expected = (True, None)
+    for x in cat.catalog:
+        member = x in members
+        if any(
+            all(ext == 0 for ext in exts) != member
+            for exts in ([cat.ext1(x, s) for s in members], [cat.ext1(s, x) for s in members])
+        ):
+            expected = (False, x)
+            break
+    assert cc.cluster_tilting_check(cat, members) == expected
