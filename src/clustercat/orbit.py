@@ -217,22 +217,37 @@ class OrbitCategory:
     @cached_property
     def ext_zero_out(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[i], cat[j]) == 0."""
-        return [_mask(j for j, e in enumerate(row) if e == 0) for row in self.ext_table]
+        return [mask_of(j for j, e in enumerate(row) if e == 0) for row in self.ext_table]
 
     @cached_property
     def ext_zero_in(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[j], cat[i]) == 0."""
-        return [_mask(j for j, e in enumerate(col) if e == 0) for col in zip(*self.ext_table)]
+        return [mask_of(j for j, e in enumerate(col) if e == 0) for col in zip(*self.ext_table)]
 
     @cached_property
     def compat_mask(self) -> list[int]:
         """Bit j set in entry i iff ext1 vanishes both ways (including i == j)."""
         return [a & b for a, b in zip(self.ext_zero_out, self.ext_zero_in)]
 
-    def rigid_position_sets(self, limit: int) -> Iterator[tuple[int, ...]]:
-        """Every nonempty rigid set of at most limit positions, ascending
-        tuples in depth-first (hence lexicographic) order."""
+    def is_rigid(self, positions: list[int]) -> bool:
+        """True iff ext1 vanishes both ways between the given positions, each with itself too."""
+        mask = mask_of(positions)
+        return all(mask & ~self.compat_mask[p] == 0 for p in set(positions))
+
+    def compatible_with_all(self, positions: tuple[int, ...]) -> int:
+        """Mask of the positions whose ext1 with each given position vanishes
+        both ways; it contains the given ones when they are rigid."""
         compat = self.compat_mask
+        out = (1 << len(compat)) - 1
+        for p in positions:
+            out &= compat[p]
+        return out
+
+    def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
+        """Every nonempty rigid set of at most n positions (n the number of
+        vertices), ascending tuples in depth-first (hence lexicographic) order."""
+        compat = self.compat_mask
+        n = self.ar.quiver.vertex_count
 
         def extend(chosen: tuple[int, ...], candidates: int):
             while candidates:
@@ -241,7 +256,7 @@ class OrbitCategory:
                 j = low.bit_length() - 1
                 grown = chosen + (j,)
                 yield grown
-                if len(grown) < limit:
+                if len(grown) < n:
                     yield from extend(grown, candidates & compat[j])
 
         yield from extend((), sum(1 << j for j, c in enumerate(compat) if c >> j & 1))
@@ -253,15 +268,17 @@ class OrbitCategory:
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         n = self.ar.quiver.vertex_count
-        compat = self.compat_mask
-        found = [chosen for chosen in self.rigid_position_sets(n) if len(chosen) == n]
-        for chosen in found:
-            outside = _mask(chosen) ^ ((1 << len(compat)) - 1)
-            for p in chosen:
-                outside &= compat[p]
-            if outside:
-                raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
+        found = [chosen for chosen in self.rigid_position_sets() if len(chosen) == n]
+        if any(self.compatible_with_all(chosen) != mask_of(chosen) for chosen in found):
+            raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
         return found
+
+    @cached_property
+    def cluster_tiltings(self):
+        """tilting_sets as ClusterTilting objects, in the same order."""
+        from .tilting import ClusterTilting
+
+        return [ClusterTilting(tuple(self.catalog[j] for j in t)) for t in self.tilting_sets]
 
     @cached_property
     def exchange_edges(self) -> list[tuple[int, int]]:
@@ -272,17 +289,12 @@ class OrbitCategory:
         its partner, the single position outside T compatible with all of
         T - p.
         """
-        compat = self.compat_mask
-        full = (1 << len(compat)) - 1
-        masks = [_mask(t) for t in self.tilting_sets]
+        masks = [mask_of(t) for t in self.tilting_sets]
         index = {mask: i for i, mask in enumerate(masks)}
-        edges = set()
+        edges, common = set(), self.compatible_with_all
         for i, (t, mask) in enumerate(zip(self.tilting_sets, masks)):
-            for p in t:
-                partner = full & ~mask
-                for q in t:
-                    if q != p:
-                        partner &= compat[q]
+            for j, p in enumerate(t):
+                partner = common(t[:j] + t[j + 1 :]) & ~mask
                 k = index.get(mask ^ (1 << p) | partner) if partner.bit_count() == 1 else None
                 if k is None:
                     label = f"{self.ar.dynkin} quiver {list(self.ar.quiver.arrows)}"
@@ -301,7 +313,8 @@ class OrbitCategory:
         return build_tilting_graph(self)
 
 
-def _mask(positions: Iterable[int]) -> int:
+def mask_of(positions: Iterable[int]) -> int:
+    """Bitmask with bit p set for each given catalog position p."""
     mask = 0
     for p in positions:
         mask |= 1 << p

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .orbit import OrbitCategory, OrbitObject, TwistStableObject, _mask, distinct_count
+from .orbit import OrbitCategory, OrbitObject, TwistStableObject, distinct_count, mask_of
 
 
 class NotRigidError(ValueError):
@@ -84,14 +84,9 @@ def is_connected(g: TiltingGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
-def _is_rigid(cat: OrbitCategory, positions) -> bool:
-    mask = _mask(positions)
-    return all(mask & ~cat.compat_mask[p] == 0 for p in set(positions))
-
-
 def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[ClusterTilting]:
     """All cluster tilting objects of the modulus-1 category, canonical order."""
-    return [ClusterTilting(tuple(cat1.catalog[j] for j in t)) for t in cat1.tilting_sets]
+    return cat1.cluster_tiltings
 
 
 def lift(t: ClusterTilting, cat: OrbitCategory) -> GenClusterTilting:
@@ -117,7 +112,7 @@ def cluster_tilting_check(
     for p in positions:
         left &= cat.ext_zero_in[p]  # X with ext1(X, every member) == 0
         right &= cat.ext_zero_out[p]  # X with ext1(every member, X) == 0
-    support = _mask(positions)
+    support = mask_of(positions)
     bad = (left ^ support) | (right ^ support)
     if bad:
         return False, cat.catalog[(bad & -bad).bit_length() - 1]
@@ -139,9 +134,9 @@ def complements(cat: OrbitCategory, members) -> list[OrbitObject]:
             f"almost tilting object needs {expected} distinct summands,"
             f" got {distinct_count(members)}"
         )
-    if not _is_rigid(cat, positions):
+    if not cat.is_rigid(positions):
         raise NotRigidError("input is not rigid")
-    support = _mask(positions)
+    support = mask_of(positions)
     candidates = ~support
     for p in set(positions):
         candidates &= cat.compat_mask[p]
@@ -165,7 +160,7 @@ def near_complements(
         raise ValueError(
             f"almost near tilting object needs {n - 1} orbits, got {almost.orbit_count}"
         )
-    if not _is_rigid(cat, [cat.position(x) for x in almost.expansion]):
+    if not cat.is_rigid([cat.position(x) for x in almost.expansion]):
         raise NotRigidError("input is not rigid")
     cat1 = cat.derived.orbit(1)
     gen = tuple(dict.fromkeys(almost.generator))  # distinct, order kept

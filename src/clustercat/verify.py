@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, _mask, distinct_count
+from .orbit import OrbitCategory, distinct_count, mask_of
 from .quiver import Quiver, positive_root_count
 from .tilting import (
     cluster_tilting_check,
@@ -414,12 +414,11 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     # twist-stable rigid objects are tilting exactly when they use n orbits
     base = cat.derived.orbit(1)
     n = cat.ar.quiver.vertex_count
-    for chosen in base.rigid_position_sets(n):
+    for chosen in base.rigid_position_sets():
         gen = [base.catalog[j] for j in chosen]
         stable = cat.build_twist_stable(gen)
         positions = [cat.position(x) for x in stable.expansion]
-        mask = _mask(positions)
-        if any(mask & ~cat.compat_mask[p] for p in positions):
+        if not cat.is_rigid(positions):
             return f"expansion of a rigid generator is not rigid: {[g.text for g in gen]}"
         ok, _ = cluster_tilting_check(cat, stable.expansion)
         if ok != (stable.orbit_count == n):
@@ -445,12 +444,15 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
     compat = base.compat_mask
     brute = []
     for combo in combinations(range(size), n):
-        mask = _mask(combo)
-        if all(mask & ~compat[p] == 0 for p in combo) and not any(
-            not mask >> j & 1 and mask & ~compat[j] == 0 and compat[j] >> j & 1
-            for j in range(size)
-        ):
-            brute.append(combo)
+        mask = mask_of(combo)
+        if all(mask & ~compat[p] == 0 for p in combo):
+            outside = 0
+            rest = ((1 << size) - 1) & ~mask
+            for j in range(size):
+                if rest & (1 << j) and mask & ~compat[j] == 0 and compat[j] & (1 << j):
+                    outside += 1
+            if outside == 0:
+                brute.append(combo)
     fast = [
         tuple(base.position(x) for x in t.members)
         for t in enumerate_cluster_tilting(base)

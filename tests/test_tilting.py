@@ -400,6 +400,23 @@ def test_battery_notices_a_missing_graph_edge(monkeypatch):
     assert not report["passed"]
 
 
+def test_enumeration_is_cached_per_category(build):
+    # the battery enumerates each category about nine times
+    cat1 = build(A3).orbit(1)
+    first = cc.enumerate_cluster_tilting(cat1)
+    assert cc.enumerate_cluster_tilting(cat1) is first
+    assert [tuple(cat1.position(x) for x in t.members) for t in first] == cat1.tilting_sets
+
+
+def test_rigid_position_sets_stop_at_n(build):
+    cat1 = build(A3).orbit(1)
+    sets = list(cat1.rigid_position_sets())
+    assert max(map(len, sets)) == 3
+    assert [s for s in sets if len(s) == 3] == cat1.tilting_sets
+    assert sets == sorted(sets)
+    assert all(cat1.is_rigid(list(s)) for s in sets)
+
+
 def test_exchange_without_single_partner_names_quiver_and_vertex():
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
     assert len(cat1.tilting_sets) == 5
