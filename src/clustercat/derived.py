@@ -40,6 +40,8 @@ class DerivedCategory:
     def object(self, module_id: int, shift: int = 0) -> DObject:
         if not 1 <= module_id <= len(self.ar.modules):
             raise ObjectSyntaxError(f"unknown module id m{module_id}")
+        if abs(shift) > SHIFT_LIMIT:
+            raise ObjectSyntaxError(f"shift {shift} of m{module_id} exceeds limit {SHIFT_LIMIT}")
         return DObject(module_id, shift)
 
     def parse_object(self, text: str) -> DObject:

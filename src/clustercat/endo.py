@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derived import DObject
-from .orbit import OrbitCategory, OrbitObject
-from .tilting import GenClusterTilting, NotExchangeError, TwistStableObject, complements
+from .orbit import OrbitCategory, OrbitObject, mask_of
+from .tilting import GenClusterTilting, NotExchangeError, TwistStableObject
 
 
 @dataclass
@@ -46,11 +46,8 @@ def endo_profile(cat: OrbitCategory, gct: GenClusterTilting) -> EndoProfile:
     """
     m = cat.modulus
     gen = gct.generator
-    tiers = []
-    for i in range(m):
-        tiers.append(
-            [cat.canonicalize(cat.derived.twist_power(g.rep, i)) for g in gen]
-        )
+    members = gct.members  # tier-major: the twist^i of gen fills slice i
+    tiers = [list(members[i * len(gen) : (i + 1) * len(gen)]) for i in range(m)]
     block = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -134,13 +131,8 @@ def exchange_layer_dim(
     gen1 = gct1.generator
     if x2 in gen1:
         raise NotExchangeError("swapped orbit already belongs to the tilting object")
-    valid = False
-    for x1 in gen1:
-        rest = tuple(g for g in gen1 if g != x1)
-        comps = complements(cat1, rest)
-        if set(comps) == {x1, x2}:
-            valid = True
-            break
-    if not valid:
+    # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
+    clash = mask_of(cat1.position(g) for g in gen1) & ~cat1.compat_mask[cat1.position(x2)]
+    if clash.bit_count() != 1:
         raise NotExchangeError("inputs are not the two sides of an exchange edge")
     return sum(cat.ext1(s, t) for s in gct1.members for t in n2.expansion)

@@ -6,6 +6,13 @@ modulus m the domain is the union of the first m twist-tiers of that
 domain.  Hom spaces are finite sums of derived Hom spaces over all
 modulus-multiples of the twist; the sum terminates because the twist
 strictly raises shifts.
+
+Layout contract: with B = modules + n, the catalog is tier-major, so
+twist^t of base object k sits at position t*B + k and the twist acts on
+positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
+covering projection use this arithmetic instead of walking the twist; the
+battery's ``twist-free-orbits`` check asserts it against the walked
+``twist_permutation``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .derived import DerivedCategory, DObject
+from .quiver import QuiverTooLargeError
+
+# the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
+# table of side N costs about m * N^2 twist steps (D5, m = 12, N = 300: 3 s)
+MAX_CATALOG = 100_000
+MAX_TABLE_SIDE = 400
 
 
 class OrbitObject(NamedTuple):
@@ -53,6 +66,12 @@ class OrbitCategory:
     def __init__(self, derived: DerivedCategory, modulus: int):
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
+        size = modulus * (len(derived.ar.modules) + derived.ar.quiver.vertex_count)
+        if size > MAX_CATALOG:
+            raise QuiverTooLargeError(
+                f"{derived.ar.dynkin} at m={modulus} has {size} orbit objects;"
+                f" at most {MAX_CATALOG} are supported"
+            )
         self.derived = derived
         self.ar = derived.ar
         self.modulus = modulus
@@ -64,28 +83,22 @@ class OrbitCategory:
             return True
         return x.shift == 1 and self.ar.module(x.module_id).is_projective
 
-    def _twist_index(self, x: DObject) -> tuple[DObject, int]:
-        """Write x = twist^j(y) with y in the base fundamental domain."""
+    def canonicalize(self, x: DObject) -> OrbitObject:
+        """Unique representative in the tiered fundamental domain: write
+        x = twist^j(y) with y in the base domain, then take twist^(j mod m)(y)."""
         d = self.derived
-        y, j = x, 0
-        while not self._in_base_domain(y):
-            if y.shift >= 1:
-                y = d.twist_inv(y)
+        j = 0
+        while not self._in_base_domain(x):
+            if x.shift >= 1:
+                x = d.twist_inv(x)
                 j += 1
             else:
-                y = d.twist(y)
+                x = d.twist(x)
                 j -= 1
-        return y, j
-
-    def canonicalize(self, x: DObject) -> OrbitObject:
-        """Unique representative in the tiered fundamental domain."""
-        base, j = self._twist_index(x)
-        tier = j % self.modulus
-        return OrbitObject(self.derived.twist_power(base, tier), self.modulus)
+        return OrbitObject(d.twist_power(x, j % self.modulus), self.modulus)
 
     def tier_of(self, obj: OrbitObject) -> int:
-        self._check(obj)
-        return self._twist_index(obj.rep)[1]
+        return self.position(obj) // (len(self.catalog) // self.modulus)
 
     def _check(self, obj: OrbitObject) -> None:
         if obj.modulus != self.modulus:
@@ -100,11 +113,10 @@ class OrbitCategory:
         """All indecomposables: m tiers over the base domain, tier-major."""
         base = [DObject(m.id, 0) for m in self.ar.modules]
         base += [DObject(pid, 1) for v, pid in sorted(self.ar.projectives.items())]
-        out = []
-        for tier in range(self.modulus):
-            for b in base:
-                out.append(OrbitObject(self.derived.twist_power(b, tier), self.modulus))
-        return out
+        reps = list(base)
+        for _ in range(self.modulus - 1):
+            reps += [self.derived.twist(x) for x in reps[-len(base) :]]
+        return [OrbitObject(x, self.modulus) for x in reps]
 
     def position(self, obj: OrbitObject) -> int:
         self._check(obj)
@@ -151,22 +163,26 @@ class OrbitCategory:
     @cached_property
     def hom_table(self) -> list[list[int]]:
         cat = self.catalog
+        if len(cat) > MAX_TABLE_SIDE:
+            raise QuiverTooLargeError(
+                f"full Hom/Ext tables of {self.ar.dynkin} at m={self.modulus} need"
+                f" {len(cat)} objects per side; at most {MAX_TABLE_SIDE} are supported"
+            )
         return [[self._hom_raw(x, y) for y in cat] for x in cat]
 
     @cached_property
     def ext_table(self) -> list[list[int]]:
-        cat = self.catalog
-        shifted = [self.canonicalize(self.derived.shift(y.rep, 1)) for y in cat]
+        table = self.hom_table  # first, so that its size cap comes before any walk
+        shifted = [self.canonicalize(self.derived.shift(y.rep, 1)) for y in self.catalog]
         pos = self._positions
-        return [[self.hom_table[i][pos[s.rep]] for s in shifted] for i in range(len(cat))]
+        return [[row[pos[s.rep]] for s in shifted] for row in table]
 
     # -- functors ----------------------------------------------------------
 
     def project(self, x: OrbitObject) -> OrbitObject:
         """Covering projection onto the modulus-1 orbit category."""
-        self._check(x)
-        base, _ = self._twist_index(x.rep)
-        return OrbitObject(base, 1)
+        base = self.derived.orbit(1).catalog
+        return base[self.position(x) % len(base)]
 
     def twist_action(self, x: OrbitObject) -> OrbitObject:
         self._check(x)
@@ -179,23 +195,14 @@ class OrbitCategory:
 
     @cached_property
     def twist_permutation(self) -> list[int]:
-        pos = self._positions
-        return [pos[self.twist_action(x).rep] for x in self.catalog]
+        """Catalog position of the walked twist of each object: the layout's reference."""
+        return [self.position(self.twist_action(x)) for x in self.catalog]
 
     @cached_property
     def twist_orbits(self) -> list[tuple[int, ...]]:
-        """Catalog positions split into twist-orbits, each sorted, by least member."""
-        perm = self.twist_permutation
-        orbits, seen = [], set()
-        for start in range(len(perm)):
-            cycle, j = [], start
-            while j not in seen:
-                seen.add(j)
-                cycle.append(j)
-                j = perm[j]
-            if cycle:
-                orbits.append(tuple(sorted(cycle)))
-        return orbits
+        """Catalog positions split into twist-orbits {k, k + B, ..., k + (m-1)B}, by k."""
+        size, step = len(self.catalog), len(self.catalog) // self.modulus
+        return [tuple(range(k, size, step)) for k in range(step)]
 
     # -- twist-stable objects ------------------------------------------------
 
@@ -204,13 +211,11 @@ class OrbitCategory:
         for g in gen:
             if g.modulus != 1:
                 raise ValueError("generator objects must have modulus 1")
-        expansion = []
-        for tier in range(self.modulus):
-            for g in gen:
-                expansion.append(
-                    OrbitObject(self.derived.twist_power(g.rep, tier), self.modulus)
-                )
-        return TwistStableObject(gen, self.modulus, tuple(expansion))
+        base = self.derived.orbit(1)
+        size = len(base.catalog)
+        ks = [base.position(g) for g in gen]
+        expansion = tuple(self.catalog[t * size + k] for t in range(self.modulus) for k in ks)
+        return TwistStableObject(gen, self.modulus, expansion)
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 

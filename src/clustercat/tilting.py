@@ -198,12 +198,11 @@ def exchange_pair_ext(cat1: OrbitCategory, x1: OrbitObject, x2: OrbitObject) -> 
         raise ValueError("exchange pairs live in the modulus-1 category")
     if x1 == x2:
         raise NotExchangeError("an exchange pair consists of two distinct objects")
-    for t in enumerate_cluster_tilting(cat1):
-        if x1 in t.members:
-            rest = tuple(m for m in t.members if m != x1)
-            comps = complements(cat1, rest)
-            if set(comps) == {x1, x2}:
-                return cat1.ext1(x1, x2)
+    # x2 replaces x1 in T iff x1 is the only member whose ext1 with x2 is nonzero
+    p1, p2 = cat1.position(x1), cat1.position(x2)
+    for t in cat1.tilting_sets:
+        if mask_of(t) & ~cat1.compat_mask[p2] == 1 << p1:
+            return cat1.ext1(x1, x2)
     raise NotExchangeError(f"{x1.text}, {x2.text} do not exchange")
 
 

@@ -314,9 +314,12 @@ def _check_covering(cat: OrbitCategory) -> str | None:
 
 
 def _check_twist_orbits(cat: OrbitCategory) -> str | None:
-    for orbit in cat.twist_orbits:
-        if len(orbit) != cat.modulus:
-            return f"twist orbit of size {len(orbit)} != modulus {cat.modulus}"
+    # the walked twist must shift catalog positions by one tier, so that each
+    # orbit is {k, k + B, ..., k + (m - 1)B}: the layout lifts and tiers read
+    size = len(cat.catalog)
+    for i, j in enumerate(cat.twist_permutation):
+        if j != (i + size // cat.modulus) % size:
+            return f"twist sends catalog position {i} to {j}, not one tier on"
     return None
 
 
@@ -336,8 +339,7 @@ def _check_end_dims(cat: OrbitCategory) -> str | None:
 
 
 def _check_serre_orbit(cat: OrbitCategory) -> str | None:
-    pos = {o.rep: i for i, o in enumerate(cat.catalog)}
-    serre_idx = [pos[cat.serre(x).rep] for x in cat.catalog]
+    serre_idx = [cat.position(cat.serre(x)) for x in cat.catalog]
     table = cat.hom_table
     for i in range(len(cat.catalog)):
         for j in range(len(cat.catalog)):
@@ -363,14 +365,13 @@ def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
 
 def _check_fractional_cy(cat: OrbitCategory) -> str | None:
     # the double shift by the modulus equals the modulus-th Serre power
-    pos = {o.rep: i for i, o in enumerate(cat.catalog)}
-    serre_idx = [pos[cat.serre(x).rep] for x in cat.catalog]
+    serre_idx = [cat.position(cat.serre(x)) for x in cat.catalog]
     for i, x in enumerate(cat.catalog):
         j = i
         for _ in range(cat.modulus):
             j = serre_idx[j]
         direct = cat.canonicalize(cat.derived.shift(x.rep, 2 * cat.modulus))
-        if pos[direct.rep] != j:
+        if cat.position(direct) != j:
             return f"fractional CY permutation fails at {x.text}"
     return None
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from clustercat import arquiver
+from clustercat import arquiver, derived, orbit
 from clustercat.cli import main
 
 from conftest import A2, A3
@@ -273,3 +273,46 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, a3_path, monkeyp
     assert code == 3
     assert out == ""
     assert err == "error: internal: ZeroDivisionError: division by zero in a mesh\n"
+
+
+def test_shift_past_the_limit_is_a_usage_error(capsys, a2_path):
+    code, out, err = run(capsys, "hom", "--quiver", a2_path, "m1[3000000]", "m2[0]")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: shift 3000000 of m1 exceeds limit {derived.SHIFT_LIMIT}\n"
+
+
+def test_large_modulus_catalog_is_linear(capsys, a2_path):
+    # 20000 tiers of 5 objects: the catalog cap exactly; each tier is one
+    # twist of the one before, so this takes seconds, not a quadratic walk
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "ind", "--quiver", a2_path, "--m", "20000")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    rows = json.loads(out)["objects"]
+    assert len(rows) == orbit.MAX_CATALOG
+    assert rows[-1]["tier"] == 19999
+
+
+def test_modulus_past_the_catalog_cap_fails_fast_in_one_line(capsys, a2_path):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ind", "--quiver", a2_path, "--m", "20001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: A2 at m=20001 has 100005 orbit objects; at most {orbit.MAX_CATALOG} are supported\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["hom", "graph"])
+def test_full_tables_past_the_side_cap_fail_fast_in_one_line(capsys, a2_path, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--quiver", a2_path, "--m", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: full Hom/Ext tables of A2 at m=100 need 500 objects per side;"
+        f" at most {orbit.MAX_TABLE_SIDE} are supported\n"
+    )

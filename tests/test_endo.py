@@ -5,7 +5,7 @@ from clustercat.derived import DObject
 from clustercat.orbit import OrbitObject
 from clustercat.tilting import NotExchangeError
 
-from conftest import A2, A3
+from conftest import A2, A3, D4
 
 
 def tilting_by_dims(dc, dims):
@@ -172,3 +172,22 @@ def test_exchange_layer_dim_rejects_non_edges(build):
     # a two-orbit stable object is not a single exchange layer
     with pytest.raises(NotExchangeError):
         cc.exchange_layer_dim(cat, gct, cat.build_twist_stable(tiltings[1].members))
+
+
+@pytest.mark.parametrize("text", [A3, D4])
+def test_exchange_layer_dim_matches_complements(build, text):
+    # oracle: x2 is swapped in iff it completes some T - x1 besides x1
+    dc = build(text)
+    base, cat = dc.orbit(1), dc.orbit(2)
+    for t in cc.enumerate_cluster_tilting(base):
+        gct = cc.lift(t, cat)
+        partners = set()
+        for x1 in t.members:
+            partners |= set(cc.complements(base, [x for x in t.members if x != x1])) - {x1}
+        for x2 in base.catalog:
+            n2 = cat.build_twist_stable([x2])
+            if x2 in partners:
+                assert cc.exchange_layer_dim(cat, gct, n2) == 2
+            else:
+                with pytest.raises(NotExchangeError):
+                    cc.exchange_layer_dim(cat, gct, n2)

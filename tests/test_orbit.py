@@ -3,6 +3,7 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject
 from clustercat.orbit import OrbitObject, distinct_count
+from clustercat.verify import _check_twist_orbits
 
 from conftest import A2, A3, D4, module_obj
 
@@ -94,6 +95,40 @@ def test_catalog_sizes(build, text, m):
     n = dc.ar.quiver.vertex_count
     assert len(cat.catalog) == m * (len(dc.ar.modules) + n)
     assert len(set(cat.catalog)) == len(cat.catalog)
+
+
+@pytest.mark.parametrize("text", [A3, D4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_catalog_positions_match_the_walked_twist(build, text, m):
+    # lifts, tiers, projections and endo tiers read catalog positions; the
+    # walked twist is the definition they must agree with
+    dc = build(text)
+    base, cat = dc.orbit(1), dc.orbit(m)
+    size = len(base.catalog)
+    for i, x in enumerate(cat.catalog):
+        t, k = divmod(i, size)
+        assert x == OrbitObject(dc.twist_power(base.catalog[k].rep, t), m)
+        assert cat.tier_of(x) == t
+        assert cat.project(x) == base.canonicalize(x.rep)
+    stable = cat.build_twist_stable(base.catalog[::-1] + base.catalog[:1])
+    assert list(stable.expansion) == [
+        cat.canonicalize(dc.twist_power(g.rep, t)) for t in range(m) for g in stable.generator
+    ]
+    for tilting in cc.enumerate_cluster_tilting(base):
+        gct = cc.lift(tilting, cat)
+        assert cc.endo_profile(cat, gct).tiers == [
+            [cat.canonicalize(dc.twist_power(g.rep, t)) for g in gct.generator] for t in range(m)
+        ]
+
+
+def test_twist_orbit_check_catches_a_shuffled_tier(build):
+    cat = cc.OrbitCategory(build(A2), 2)
+    b = len(cat.catalog) // 2
+    cat.catalog[b], cat.catalog[b + 1] = cat.catalog[b + 1], cat.catalog[b]
+    # every walked orbit still has m members, so a size check alone would pass
+    perm = cat.twist_permutation
+    assert all(perm[i] != i and perm[perm[i]] == i for i in range(len(perm)))
+    assert "not one tier on" in _check_twist_orbits(cat)
 
 
 def test_modulus_mismatch_rejected(build):

@@ -290,6 +290,25 @@ def test_exchange_pair_ext_is_one(build):
         assert cc.exchange_pair_ext(cat1, x2, x1) == 1
 
 
+@pytest.mark.parametrize("text", [A3, D4])
+def test_exchange_pair_ext_matches_complements(build, text):
+    # oracle: (x1, x2) exchange iff dropping x1 from some tilting object
+    # leaves the two complements x1 and x2
+    cat1 = build(text).orbit(1)
+    pairs = set()
+    for t in cc.enumerate_cluster_tilting(cat1):
+        for x1 in t.members:
+            comps = cc.complements(cat1, [x for x in t.members if x != x1])
+            pairs |= {(x1, x2) for x2 in comps if x2 != x1}
+    for x1 in cat1.catalog:
+        for x2 in cat1.catalog:
+            if (x1, x2) in pairs:
+                assert cc.exchange_pair_ext(cat1, x1, x2) == cat1.ext1(x1, x2)
+            else:
+                with pytest.raises(NotExchangeError):
+                    cc.exchange_pair_ext(cat1, x1, x2)
+
+
 def test_exchange_pair_rejects_compatible_objects(build):
     dc = build(A2)
     cat1 = dc.orbit(1)
