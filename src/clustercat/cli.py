@@ -356,8 +356,11 @@ def _cmd_endo(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     _check_format(args, parser)
     diagrams = None
-    if args.battery:
+    if args.battery is not None:
         diagrams = [token.strip().upper() for token in args.battery.split(",") if token.strip()]
+        if not diagrams:
+            print(f"error: --battery {args.battery!r} names no diagram", file=sys.stderr)
+            return 2
         unknown = [d for d in diagrams if d not in DIAGRAMS]
         if unknown:
             parser.error(f"unknown diagrams {unknown}; choose from {list(DIAGRAMS)}")

@@ -5,7 +5,10 @@ For a generator that is a tilting module (all summands at shift 0) the
 endomorphism algebra of its lift decomposes into m x m blocks indexed by
 twist tiers: diagonal blocks carry the module endomorphism algebra C,
 and the tier-raising positions (cyclically, including the wrap-around)
-carry E = Hom(T, twist T).  Only dimensions are computed here; no
+carry E = Hom(T, twist T).  These are the orbit category's layers
+``layers[0, 0]`` and ``layers[0, 1]`` restricted to the generator; the
+profile computes C and E from the module and derived Hom instead, so the
+block check compares two routes.  Only dimensions are computed here; no
 multiplication tables.
 """
 

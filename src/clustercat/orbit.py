@@ -3,9 +3,14 @@
 The fundamental domain of the modulus-1 orbit category consists of the
 modules at shift 0 together with the shifted projectives P_i[1]; for
 modulus m the domain is the union of the first m twist-tiers of that
-domain.  Hom spaces are finite sums of derived Hom spaces over all
-modulus-multiples of the twist; the sum terminates because the twist
-strictly raises shifts.
+domain.  Hom spaces are sums of derived Hom spaces over the modulus-multiples
+of the twist F (Keller): Hom(F^a X, F^b Y) = sum_t Hom_D(X, F^(b-a+mt) Y).
+Over the base domain only F^0 and F^1 can carry maps, and for
+Ext^1 = Hom(-, -[1]) only F^-1 and F^0: F raises shifts by 1 or 2, a derived
+Hom needs a shift gap of 0 or 1, and the gap-1 cases left over are Ext^1 out
+of a projective.  So both dimensions are read from four base-domain
+``layers`` at the tier gap b - a mod m.  The battery's ``hom-walk-oracle``
+check compares the tables with the sum walked along each twist orbit.
 
 Layout contract: with B = modules + n, the catalog is tier-major, so
 twist^t of base object k sits at position t*B + k and the twist acts on
@@ -25,7 +30,7 @@ from .derived import DerivedCategory, DObject
 from .quiver import QuiverTooLargeError
 
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
-# table of side N costs about m * N^2 twist steps (D5, m = 12, N = 300: 3 s)
+# table holds N^2 entries and its JSON grows with them, so the side is capped
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
 
@@ -66,7 +71,8 @@ class OrbitCategory:
     def __init__(self, derived: DerivedCategory, modulus: int):
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        size = modulus * (len(derived.ar.modules) + derived.ar.quiver.vertex_count)
+        self._tier_size = len(derived.ar.modules) + derived.ar.quiver.vertex_count
+        size = modulus * self._tier_size
         if size > MAX_CATALOG:
             raise QuiverTooLargeError(
                 f"{derived.ar.dynkin} at m={modulus} has {size} orbit objects;"
@@ -98,7 +104,7 @@ class OrbitCategory:
         return OrbitObject(d.twist_power(x, j % self.modulus), self.modulus)
 
     def tier_of(self, obj: OrbitObject) -> int:
-        return self.position(obj) // (len(self.catalog) // self.modulus)
+        return self.position(obj) // self._tier_size
 
     def _check(self, obj: OrbitObject) -> None:
         if obj.modulus != self.modulus:
@@ -128,61 +134,55 @@ class OrbitCategory:
 
     # -- dimensions -------------------------------------------------------
 
-    def _hom_raw(self, x: OrbitObject, y: OrbitObject) -> int:
-        d = self.derived
-        z = y.rep
-        while z.shift >= x.rep.shift:
-            z = d.twist_power(z, -self.modulus)
-        total = 0
-        while z.shift <= x.rep.shift + 1:
-            total += d.hom(x.rep, z)
-            z = d.twist_power(z, self.modulus)
-        return total
+    @cached_property
+    def layers(self) -> dict[tuple[int, int], list[list[int]]]:
+        """layers[e, s][k][l] = dim Hom_D(X_k, F^s(X_l)[e]) over the base
+        domain X_0 .. X_{B-1}; no other (e, s) is nonzero there."""
+        d, base = self.derived, [x.rep for x in self.catalog[: self._tier_size]]
+        out = {}
+        for e, s in ((0, 0), (0, 1), (1, -1), (1, 0)):
+            column = [d.shift(d.twist_power(y, s), e) for y in base]
+            out[e, s] = [[d.hom(x, z) for z in column] for x in base]
+        return out
+
+    def _dim(self, x: OrbitObject, y: OrbitObject, e: int) -> int:
+        """dim Hom(x, y[e]), e in {0, 1}: layer (e, 0) at tier gap 0 plus
+        layer (e, 1 - 2e) at tier gap 1 - 2e (mod m); both at m = 1."""
+        a, k = divmod(self.position(x), self._tier_size)
+        b, l = divmod(self.position(y), self._tier_size)
+        gap, near = (b - a) % self.modulus, 1 - 2 * e
+        total = self.layers[e, 0][k][l] if gap == 0 else 0
+        return total + (self.layers[e, near][k][l] if gap == near % self.modulus else 0)
 
     def hom(self, x: OrbitObject, y: OrbitObject) -> int:
         """Sum of derived Hom spaces over all modulus-power twists of y."""
-        self._check(x)
-        self._check(y)
-        if "hom_table" in self.__dict__:
-            i = self._positions.get(x.rep)
-            j = self._positions.get(y.rep)
-            if i is not None and j is not None:
-                return self.hom_table[i][j]
-        return self._hom_raw(x, y)
+        return self._dim(x, y, 0)
 
     def ext1(self, x: OrbitObject, y: OrbitObject) -> int:
-        self._check(x)
-        self._check(y)
-        if "ext_table" in self.__dict__:
-            i = self._positions.get(x.rep)
-            j = self._positions.get(y.rep)
-            if i is not None and j is not None:
-                return self.ext_table[i][j]
-        return self.hom(x, self.canonicalize(self.derived.shift(y.rep, 1)))
+        return self._dim(x, y, 1)
 
-    @cached_property
-    def hom_table(self) -> list[list[int]]:
+    def _table(self, e: int) -> list[list[int]]:
         cat = self.catalog
         if len(cat) > MAX_TABLE_SIDE:
             raise QuiverTooLargeError(
                 f"full Hom/Ext tables of {self.ar.dynkin} at m={self.modulus} need"
                 f" {len(cat)} objects per side; at most {MAX_TABLE_SIDE} are supported"
             )
-        return [[self._hom_raw(x, y) for y in cat] for x in cat]
+        return [[self._dim(x, y, e) for y in cat] for x in cat]
+
+    @cached_property
+    def hom_table(self) -> list[list[int]]:
+        return self._table(0)
 
     @cached_property
     def ext_table(self) -> list[list[int]]:
-        table = self.hom_table  # first, so that its size cap comes before any walk
-        shifted = [self.canonicalize(self.derived.shift(y.rep, 1)) for y in self.catalog]
-        pos = self._positions
-        return [[row[pos[s.rep]] for s in shifted] for row in table]
+        return self._table(1)
 
     # -- functors ----------------------------------------------------------
 
     def project(self, x: OrbitObject) -> OrbitObject:
         """Covering projection onto the modulus-1 orbit category."""
-        base = self.derived.orbit(1).catalog
-        return base[self.position(x) % len(base)]
+        return self.derived.orbit(1).catalog[self.position(x) % self._tier_size]
 
     def twist_action(self, x: OrbitObject) -> OrbitObject:
         self._check(x)
@@ -201,8 +201,8 @@ class OrbitCategory:
     @cached_property
     def twist_orbits(self) -> list[tuple[int, ...]]:
         """Catalog positions split into twist-orbits {k, k + B, ..., k + (m-1)B}, by k."""
-        size, step = len(self.catalog), len(self.catalog) // self.modulus
-        return [tuple(range(k, size, step)) for k in range(step)]
+        step = self._tier_size
+        return [tuple(range(k, step * self.modulus, step)) for k in range(step)]
 
     # -- twist-stable objects ------------------------------------------------
 
@@ -211,8 +211,7 @@ class OrbitCategory:
         for g in gen:
             if g.modulus != 1:
                 raise ValueError("generator objects must have modulus 1")
-        base = self.derived.orbit(1)
-        size = len(base.catalog)
+        base, size = self.derived.orbit(1), self._tier_size
         ks = [base.position(g) for g in gen]
         expansion = tuple(self.catalog[t * size + k] for t in range(self.modulus) for k in ks)
         return TwistStableObject(gen, self.modulus, expansion)

@@ -149,6 +149,7 @@ def _orbit_checks(name: str, cat: OrbitCategory) -> list[dict]:
     run("catalog-size-orbit", lambda: _check_orbit_count(cat))
     run("covering-fibers", lambda: _check_covering(cat))
     run("twist-free-orbits", lambda: _check_twist_orbits(cat))
+    run("hom-walk-oracle", lambda: _check_hom_walk(cat))
     run("self-ext-vanishing", lambda: _check_self_ext(cat))
     run("end-dim-one", lambda: _check_end_dims(cat))
     run("serre-orbit", lambda: _check_serre_orbit(cat))
@@ -320,6 +321,32 @@ def _check_twist_orbits(cat: OrbitCategory) -> str | None:
     for i, j in enumerate(cat.twist_permutation):
         if j != (i + size // cat.modulus) % size:
             return f"twist sends catalog position {i} to {j}, not one tier on"
+    return None
+
+
+def _check_hom_walk(cat: OrbitCategory) -> str | None:
+    # the definition the layered tables must match: Hom(x, y) sums Hom_D(x, w)
+    # over the F^m-orbit of y, walked once per y across the catalog's shift
+    # window; Ext^1(x, y) is Hom(x, y[1]), read from the column of y[1]
+    d, m = cat.derived, cat.modulus
+    low = min(x.rep.shift for x in cat.catalog)
+    high = max(x.rep.shift for x in cat.catalog) + 1
+    walked = []
+    for y in cat.catalog:
+        w, orbit = y.rep, []
+        while w.shift >= low:
+            w = d.twist_power(w, -m)
+        while w.shift <= high:
+            orbit.append(w)
+            w = d.twist_power(w, m)
+        walked.append([sum(d.hom(x.rep, w) for w in orbit) for x in cat.catalog])
+    hom, ext = cat.hom_table, cat.ext_table
+    for j, y in enumerate(cat.catalog):
+        shifted = walked[cat.position(cat.canonicalize(d.shift(y.rep, 1)))]
+        for name, table, ref in (("hom", hom, walked[j]), ("ext1", ext, shifted)):
+            for i, x in enumerate(cat.catalog):
+                if table[i][j] != ref[i]:
+                    return f"{name}({x.text}, {y.text}): table {table[i][j]}, walked {ref[i]}"
     return None
 
 

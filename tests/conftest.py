@@ -3,12 +3,21 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject
 from clustercat.orbit import OrbitObject
+from clustercat.verify import DIAGRAMS, orientations
 
 A1 = "vertices 1\n"
 A2 = "vertices 2\narrow 1 2\n"
 A3 = "vertices 3\narrow 1 2\narrow 2 3\n"
 A4 = "vertices 4\narrow 1 2\narrow 2 3\narrow 3 4\n"
 D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4\n"
+D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n"
+# E_n: the chain 1 -> 2 -> ... -> n-1 plus the arrow 3 -> n
+E6 = "vertices 6\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5)) + "arrow 3 6\n"
+E7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 6)) + "arrow 3 7\n"
+E8 = "vertices 8\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7)) + "arrow 3 8\n"
+
+# the 23 labelled orientations of the default verify battery
+BATTERY_QUIVERS = dict(oriented for name in DIAGRAMS for oriented in orientations(name))
 
 _cache: dict = {}
 

@@ -60,7 +60,13 @@ def _failures(hits):
 def test_criterion_1_oracle_equivalence(report):
     hits = _collect(report, {"oracle-hom-equivalence", "oracle-ext-equivalence"})
     assert len(hits) == 2 * 23  # 23 orientations across the five diagrams
-    _criterion(1, "mesh recursion matches matrix and resolution oracles", _failures(hits))
+    walked = _collect(report, {"hom-walk-oracle"})
+    assert len(walked) == 23 * len(M_VALUES)
+    _criterion(
+        1,
+        "mesh recursion matches matrix and resolution oracles; orbit tables match the twist walk",
+        _failures(hits) + _failures(walked),
+    )
 
 
 def test_criterion_2_catalog_sizes(report, contexts):

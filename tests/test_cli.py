@@ -203,6 +203,14 @@ def test_verify_unknown_battery_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("battery", [",", " ", ""])
+def test_verify_battery_naming_no_diagram_exits_2(capsys, battery):
+    code, out, err = run(capsys, "verify", "--battery", battery)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --battery {battery!r} names no diagram\n"
+
+
 def test_m_must_be_positive(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["ind", "--quiver", a2_path, "--m", "0"])
@@ -316,3 +324,17 @@ def test_full_tables_past_the_side_cap_fail_fast_in_one_line(capsys, a2_path, co
         "error: full Hom/Ext tables of A2 at m=100 need 500 objects per side;"
         f" at most {orbit.MAX_TABLE_SIDE} are supported\n"
     )
+
+
+def test_full_tables_of_a_small_quiver_at_a_large_modulus(capsys, tmp_path):
+    # A1 at m = 150 has 300 objects per side; each entry is a lookup in the
+    # base-domain layers, not a walk of the twist over m tiers
+    p = tmp_path / "a1.quiver"
+    p.write_text("vertices 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hom", "--quiver", str(p), "--m", "150")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["ids"]) == 300
+    assert all(payload["hom"][x][x] == 1 and payload["ext"][x][x] == 0 for x in payload["ids"])

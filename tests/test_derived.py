@@ -3,7 +3,7 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject, ObjectSyntaxError, SHIFT_LIMIT
 
-from conftest import A2, A3
+from conftest import A2, A3, BATTERY_QUIVERS, E6, E7, E8
 
 
 def test_shift_group_action(build):
@@ -76,6 +76,24 @@ def test_twist_shift_step(build):
     for m in dc.ar.modules:
         step = dc.twist(DObject(m.id, 0)).shift
         assert step == (2 if m.is_injective else 1)
+
+
+COXETER_QUIVERS = {
+    **BATTERY_QUIVERS,
+    **{name: cc.parse_quiver(text) for name, text in (("E6", E6), ("E7", E7), ("E8", E8))},
+}
+
+
+@pytest.mark.parametrize("label", COXETER_QUIVERS)
+def test_coxeter_periodicity(label):
+    # F^h = [h + 2] with h the Coxeter number (Keller, math/0503240); the
+    # closed-form twist will rest on this, and h = 2 * |modules| / n
+    dc = cc.DerivedCategory(cc.knit_ar_quiver(COXETER_QUIVERS[label]))
+    h, rem = divmod(2 * len(dc.ar.modules), dc.ar.quiver.vertex_count)
+    assert rem == 0
+    for m in dc.ar.modules:
+        x = DObject(m.id, 0)
+        assert dc.twist_power(x, h) == dc.shift(x, h + 2), m.id
 
 
 def test_hom_gap_rules(build):

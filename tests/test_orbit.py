@@ -3,9 +3,9 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject
 from clustercat.orbit import OrbitObject, distinct_count
-from clustercat.verify import _check_twist_orbits
+from clustercat.verify import _check_hom_walk, _check_twist_orbits
 
-from conftest import A2, A3, D4, module_obj
+from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_obj
 
 
 # Frozen 5x5 tables for the modulus-1 orbit category of A_2 (1 -> 2), in
@@ -326,3 +326,48 @@ def test_symmetric_ext_formula_cross_check(build):
     s1 = module_obj(cat, (1, 0))
     p2 = module_obj(cat, (0, 1))
     assert cat.ext1(s1, p2) == cat.ext1(p2, s1)
+
+
+LAYERS = ((0, 0), (0, 1), (1, -1), (1, 0))
+PREMISE_QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6), "E7": cc.parse_quiver(E7)}
+
+
+@pytest.mark.parametrize("key", LAYERS)
+def test_hom_walk_oracle_catches_a_tampered_layer(build, key):
+    cat = cc.OrbitCategory(build(A2), 2)
+    b = len(cat.catalog) // 2
+    layer = cat.layers[key]
+    k, l = next((k, l) for k, row in enumerate(layer) for l, v in enumerate(row) if v)
+    layer[k][l] += 1
+    # the entry is read at tier gap 0 (s = 0) or 1 (s = +-1) modulo 2
+    gap = abs(key[1])
+    hit = {
+        (cat.catalog[a * b + k].text, cat.catalog[(a + gap) % 2 * b + l].text) for a in range(2)
+    }
+    detail = _check_hom_walk(cat)
+    name, pair = detail.split(":")[0].split("(")
+    assert name == ("hom" if key[0] == 0 else "ext1")
+    assert tuple(pair.rstrip(")").split(", ")) in hit
+
+
+@pytest.mark.parametrize(
+    "text,m",
+    [(E6, 1), (E6, 2), (E6, 3), (E7, 1), (E7, 2), (D5, 12)],
+    ids=["E6-m1", "E6-m2", "E6-m3", "E7-m1", "E7-m2", "D5-m12"],
+)
+def test_hom_walk_oracle_beyond_the_battery(build, text, m):
+    assert _check_hom_walk(build(text).orbit(m)) is None
+
+
+@pytest.mark.parametrize("label", PREMISE_QUIVERS)
+def test_only_four_layers_carry_maps(label):
+    # Hom_D(X_k, F^s(X_l)[e]) over the base domain vanishes for every other
+    # (e, s), which is why Hom and Ext^1 of C_{F^m} need no twist walk
+    dc = cc.DerivedCategory(cc.knit_ar_quiver(PREMISE_QUIVERS[label]))
+    cat = dc.orbit(1)
+    base = [x.rep for x in cat.catalog]
+    for e in (0, 1):
+        for s in range(-4, 6):
+            column = [dc.shift(dc.twist_power(y, s), e) for y in base]
+            dims = [[dc.hom(x, z) for z in column] for x in base]
+            assert dims == cat.layers.get((e, s), [[0] * len(base)] * len(base)), (e, s)

@@ -9,7 +9,7 @@ from clustercat import tilting
 from clustercat.tilting import NotExchangeError, NotRigidError
 from clustercat.verify import run_verification
 
-from conftest import A1, A2, A3, A4, D4
+from conftest import A1, A2, A3, A4, D4, D5, E6, E7
 
 
 EXPECTED_COUNTS = {A1: 2, A2: 5, A3: 14, A4: 42, D4: 50}
@@ -354,11 +354,8 @@ def test_orbit_count_criterion_a2(build):
 
 # Cluster numbers (Fomin-Zelevinsky, Cluster algebras II): the vertex counts
 # of the exchange graphs, which are n-regular and connected.
-E6 = "vertices 6\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5)) + "arrow 3 6\n"
-E7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 6)) + "arrow 3 7\n"
 A5 = "vertices 5\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5))
 A7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7))
-D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n"
 
 
 @pytest.mark.parametrize(
