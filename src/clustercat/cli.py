@@ -16,9 +16,8 @@ from .arquiver import ARQuiver
 from .derived import DerivedCategory, ObjectSyntaxError
 from .endo import block_pattern_report, endo_profile
 from .orbit import OrbitCategory
-from .quiver import QuiverError, load_quiver
+from .quiver import DIAGRAMS, QuiverError, load_quiver
 from .tilting import enumerate_cluster_tilting, is_connected, lift
-from .verify import DIAGRAMS, run_verification
 
 SCHEMA_VERSION = 1
 
@@ -264,11 +263,11 @@ def _cmd_hom(args, parser) -> int:
 
 
 def _vertices(cat: OrbitCategory):
-    return [lift(t, cat) for t in enumerate_cluster_tilting(cat.derived.orbit(1))]
+    return [lift(t, cat) for t in enumerate_cluster_tilting(cat.base)]
 
 
 def _members_sorted(cat, gct) -> list[str]:
-    return [x.text for x in sorted(gct.members, key=cat.position)]
+    return [cat.catalog[p].text for p in sorted(gct.positions)]
 
 
 def _cmd_tilting(args, parser) -> int:
@@ -354,6 +353,8 @@ def _cmd_endo(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import run_verification  # the largest module; only this command needs it
+
     _check_format(args, parser)
     diagrams = None
     if args.battery is not None:

@@ -10,6 +10,7 @@ powers get quotiented out in the orbit categories.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import NamedTuple
 
 from .arquiver import ARQuiver
@@ -35,7 +36,8 @@ class ObjectSyntaxError(ValueError):
 class DerivedCategory:
     def __init__(self, ar: ARQuiver):
         self.ar = ar
-        self._orbit_cache: dict[int, object] = {}
+        # weak, since each orbit category holds this one: no reference cycle
+        self._orbit_cache = weakref.WeakValueDictionary()
 
     def object(self, module_id: int, shift: int = 0) -> DObject:
         if not 1 <= module_id <= len(self.ar.modules):
@@ -95,9 +97,10 @@ class DerivedCategory:
         return self.shift(self.tau(x), 1)
 
     def orbit(self, modulus: int):
-        """Memoized orbit category for this modulus."""
+        """Orbit category for this modulus, memoized while anything holds it
+        (a category at modulus m > 1 holds its modulus-1 base)."""
         from .orbit import OrbitCategory
 
-        if modulus not in self._orbit_cache:
-            self._orbit_cache[modulus] = OrbitCategory(self, modulus)
-        return self._orbit_cache[modulus]
+        cache = self._orbit_cache
+        cat = cache[modulus] = cache.get(modulus) or OrbitCategory(self, modulus)
+        return cat

@@ -47,14 +47,14 @@ def endo_profile(cat: OrbitCategory, gct: GenClusterTilting) -> EndoProfile:
     block_dims[i][j] sums hom(s, t) over s in tier j and t in tier i,
     i.e. maps from tier j into tier i.
     """
-    m = cat.modulus
-    gen = gct.generator
-    members = gct.members  # tier-major: the twist^i of gen fills slice i
-    tiers = [list(members[i * len(gen) : (i + 1) * len(gen)]) for i in range(m)]
-    block = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            block[i][j] = sum(cat.hom(s, t) for s in tiers[j] for t in tiers[i])
+    m, gen, dim = cat.modulus, gct.generator, cat.dim
+    # tier-major: the twist^i of gen fills slice i
+    slices = [gct.positions[i * len(gen) : (i + 1) * len(gen)] for i in range(m)]
+    tiers = [[cat.catalog[p] for p in tier] for tier in slices]
+    block = [
+        [sum(dim(s, t, 0) for s in slices[j] for t in slices[i]) for j in range(m)]
+        for i in range(m)
+    ]
 
     module_tier = all(g.rep.shift == 0 for g in gen)
     dim_c = dim_e = None
@@ -114,11 +114,6 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
     return report
 
 
-def single_end_dim(cat: OrbitCategory, x: OrbitObject) -> int:
-    """Endomorphism dimension of one indecomposable; 1 in Dynkin type."""
-    return cat.hom(x, x)
-
-
 def exchange_layer_dim(
     cat: OrbitCategory, gct1: GenClusterTilting, n2: TwistStableObject
 ) -> int:
@@ -126,16 +121,14 @@ def exchange_layer_dim(
     exchange edge; one dimension per tier, hence equal to the modulus."""
     if n2.modulus != cat.modulus:
         raise ValueError("modulus mismatch")
-    gen2 = tuple(set(n2.generator))
-    if len(gen2) != 1:
+    if len(set(n2.generator)) != 1:
         raise NotExchangeError("swapped part must be a single twist-orbit")
-    x2 = gen2[0]
-    cat1 = cat.derived.orbit(1)
-    gen1 = gct1.generator
-    if x2 in gen1:
+    # tier 0 of a lift holds its generator's modulus-1 positions
+    x2 = n2.positions[0]
+    gen1 = mask_of(gct1.positions[: len(gct1.generator)])
+    if gen1 >> x2 & 1:
         raise NotExchangeError("swapped orbit already belongs to the tilting object")
     # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
-    clash = mask_of(cat1.position(g) for g in gen1) & ~cat1.compat_mask[cat1.position(x2)]
-    if clash.bit_count() != 1:
+    if (gen1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
         raise NotExchangeError("inputs are not the two sides of an exchange edge")
-    return sum(cat.ext1(s, t) for s in gct1.members for t in n2.expansion)
+    return sum(cat.dim(s, t, 1) for s in gct1.positions for t in n2.positions)

@@ -17,7 +17,9 @@ twist^t of base object k sits at position t*B + k and the twist acts on
 positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
 covering projection use this arithmetic instead of walking the twist; the
 battery's ``twist-free-orbits`` check asserts it against the walked
-``twist_permutation``.
+``twist_permutation``.  Below the CLI objects are catalog positions: lifts
+carry positions and a mask, ``dim`` reads by position, and ``OrbitObject``s
+appear only at the CLI and in the oracles.
 """
 
 from __future__ import annotations
@@ -48,23 +50,21 @@ class OrbitObject(NamedTuple):
 class TwistStableObject:
     """Object of the form X + twist(X) + ... + twist^{m-1}(X).
 
-    generator holds the modulus-1 pieces of X (a multiset); expansion is
-    the induced multiset of modulus-m objects, m per generator element.
+    generator holds the modulus-1 pieces of X (a multiset); expansion is the induced
+    multiset of modulus-m objects, m per generator element, tier-major; positions are their
+    catalog positions (tier 0, [:len(generator)], is the generator's own), mask their bits.
     """
 
     generator: tuple[OrbitObject, ...]
     modulus: int
     expansion: tuple[OrbitObject, ...]
+    positions: tuple[int, ...]
+    mask: int
 
     @property
     def orbit_count(self) -> int:
         """Number of distinct twist-orbits among the summands."""
         return len(set(self.generator))
-
-
-def distinct_count(objects: Iterable[OrbitObject]) -> int:
-    """Number of pairwise non-isomorphic objects in a multiset."""
-    return len(set(objects))
 
 
 class OrbitCategory:
@@ -81,6 +81,13 @@ class OrbitCategory:
         self.derived = derived
         self.ar = derived.ar
         self.modulus = modulus
+        # held here so that the derived category's weak cache keeps it
+        self._base = derived.orbit(1) if modulus > 1 else None
+
+    @property
+    def base(self) -> OrbitCategory:
+        """The modulus-1 category this one covers (itself at m = 1)."""
+        return self._base or self
 
     # -- canonical forms ------------------------------------------------
 
@@ -145,30 +152,30 @@ class OrbitCategory:
             out[e, s] = [[d.hom(x, z) for z in column] for x in base]
         return out
 
-    def _dim(self, x: OrbitObject, y: OrbitObject, e: int) -> int:
-        """dim Hom(x, y[e]), e in {0, 1}: layer (e, 0) at tier gap 0 plus
-        layer (e, 1 - 2e) at tier gap 1 - 2e (mod m); both at m = 1."""
-        a, k = divmod(self.position(x), self._tier_size)
-        b, l = divmod(self.position(y), self._tier_size)
+    def dim(self, i: int, j: int, e: int) -> int:
+        """dim Hom(X_i, X_j[e]) by catalog position, e in {0, 1}: layer (e, 0) at
+        tier gap 0 plus layer (e, 1 - 2e) at tier gap 1 - 2e (mod m); both at m = 1."""
+        a, k = divmod(i, self._tier_size)
+        b, l = divmod(j, self._tier_size)
         gap, near = (b - a) % self.modulus, 1 - 2 * e
         total = self.layers[e, 0][k][l] if gap == 0 else 0
         return total + (self.layers[e, near][k][l] if gap == near % self.modulus else 0)
 
     def hom(self, x: OrbitObject, y: OrbitObject) -> int:
         """Sum of derived Hom spaces over all modulus-power twists of y."""
-        return self._dim(x, y, 0)
+        return self.dim(self.position(x), self.position(y), 0)
 
     def ext1(self, x: OrbitObject, y: OrbitObject) -> int:
-        return self._dim(x, y, 1)
+        return self.dim(self.position(x), self.position(y), 1)
 
     def _table(self, e: int) -> list[list[int]]:
-        cat = self.catalog
-        if len(cat) > MAX_TABLE_SIDE:
+        size = len(self.catalog)
+        if size > MAX_TABLE_SIDE:
             raise QuiverTooLargeError(
                 f"full Hom/Ext tables of {self.ar.dynkin} at m={self.modulus} need"
-                f" {len(cat)} objects per side; at most {MAX_TABLE_SIDE} are supported"
+                f" {size} objects per side; at most {MAX_TABLE_SIDE} are supported"
             )
-        return [[self._dim(x, y, e) for y in cat] for x in cat]
+        return [[self.dim(i, j, e) for j in range(size)] for i in range(size)]
 
     @cached_property
     def hom_table(self) -> list[list[int]]:
@@ -182,7 +189,7 @@ class OrbitCategory:
 
     def project(self, x: OrbitObject) -> OrbitObject:
         """Covering projection onto the modulus-1 orbit category."""
-        return self.derived.orbit(1).catalog[self.position(x) % self._tier_size]
+        return self.base.catalog[self.position(x) % self._tier_size]
 
     def twist_action(self, x: OrbitObject) -> OrbitObject:
         self._check(x)
@@ -211,10 +218,11 @@ class OrbitCategory:
         for g in gen:
             if g.modulus != 1:
                 raise ValueError("generator objects must have modulus 1")
-        base, size = self.derived.orbit(1), self._tier_size
+        base, size = self.base, self._tier_size
         ks = [base.position(g) for g in gen]
-        expansion = tuple(self.catalog[t * size + k] for t in range(self.modulus) for k in ks)
-        return TwistStableObject(gen, self.modulus, expansion)
+        positions = tuple(t * size + k for t in range(self.modulus) for k in ks)
+        expansion = tuple(map(self.catalog.__getitem__, positions))
+        return TwistStableObject(gen, self.modulus, expansion, positions, mask_of(positions))
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 
@@ -235,8 +243,7 @@ class OrbitCategory:
 
     def is_rigid(self, positions: list[int]) -> bool:
         """True iff ext1 vanishes both ways between the given positions, each with itself too."""
-        mask = mask_of(positions)
-        return all(mask & ~self.compat_mask[p] == 0 for p in set(positions))
+        return mask_of(positions) & ~self.compatible_with_all(positions) == 0
 
     def compatible_with_all(self, positions: tuple[int, ...]) -> int:
         """Mask of the positions whose ext1 with each given position vanishes
@@ -267,15 +274,20 @@ class OrbitCategory:
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
-        """Position sets of the cluster tilting objects: the rigid n-sets,
-        each checked to be maximal.  Modulus 1 only."""
+        """Position sets of the cluster tilting objects: the rigid n-sets, each
+        checked to be maximal (compatible with nothing but itself).  Modulus 1 only."""
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         n = self.ar.quiver.vertex_count
         found = [chosen for chosen in self.rigid_position_sets() if len(chosen) == n]
-        if any(self.compatible_with_all(chosen) != mask_of(chosen) for chosen in found):
+        if any(self.compatible_with_all(chosen).bit_count() != n for chosen in found):
             raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
         return found
+
+    @cached_property
+    def tilting_masks(self) -> list[int]:
+        """mask_of each of tilting_sets, in the same order."""
+        return [mask_of(t) for t in self.tilting_sets]
 
     @cached_property
     def cluster_tiltings(self):
@@ -293,7 +305,7 @@ class OrbitCategory:
         its partner, the single position outside T compatible with all of
         T - p.
         """
-        masks = [mask_of(t) for t in self.tilting_sets]
+        masks = self.tilting_masks
         index = {mask: i for i, mask in enumerate(masks)}
         edges, common = set(), self.compatible_with_all
         for i, (t, mask) in enumerate(zip(self.tilting_sets, masks)):

@@ -42,6 +42,16 @@ class QuiverTooLargeError(QuiverError):
     """A Dynkin quiver whose module catalog exceeds the supported size."""
 
 
+# the diagrams of the verify battery: name -> (vertex count, edges)
+DIAGRAMS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
+    "A1": (1, ()),
+    "A2": (2, ((1, 2),)),
+    "A3": (3, ((1, 2), (2, 3))),
+    "A4": (4, ((1, 2), (2, 3), (3, 4))),
+    "D4": (4, ((1, 2), (2, 3), (2, 4))),
+}
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertex_count: int

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .orbit import OrbitCategory, OrbitObject, TwistStableObject, distinct_count, mask_of
+from .orbit import OrbitCategory, OrbitObject, TwistStableObject, mask_of
 
 
 class NotRigidError(ValueError):
@@ -50,6 +50,14 @@ class GenClusterTilting:
     @property
     def generator(self) -> tuple[OrbitObject, ...]:
         return self.stable.generator
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return self.stable.positions
+
+    @property
+    def mask(self) -> int:
+        return self.stable.mask
 
 
 @dataclass
@@ -92,60 +100,55 @@ def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[ClusterTilting]:
 def lift(t: ClusterTilting, cat: OrbitCategory) -> GenClusterTilting:
     """Twist-stable expansion of a modulus-1 cluster tilting object."""
     stable = cat.build_twist_stable(t.members)
-    n = cat.ar.quiver.vertex_count
-    if distinct_count(stable.expansion) != cat.modulus * n:
+    if stable.mask.bit_count() != cat.modulus * cat.ar.quiver.vertex_count:
         raise RuntimeError("lift does not have m*n distinct summands")
     return GenClusterTilting(stable)
 
 
-def cluster_tilting_check(
-    cat: OrbitCategory, members
-) -> tuple[bool, OrbitObject | None]:
+def cluster_tilting_check(cat: OrbitCategory, positions) -> tuple[bool, int | None]:
     """Two-sided add-characterization over the whole catalog.
 
     True iff for every indecomposable X: ext1(X, each member) all vanish
     exactly when X is a member, and likewise for ext1(each member, X).
-    Returns the first violating object, in catalog order, otherwise.
+    Members and the result are catalog positions; the first violating
+    position, in catalog order, is returned otherwise.
     """
-    positions = [cat.position(x) for x in members]
     left = right = (1 << len(cat.catalog)) - 1
+    zero_in, zero_out = cat.ext_zero_in, cat.ext_zero_out
     for p in positions:
-        left &= cat.ext_zero_in[p]  # X with ext1(X, every member) == 0
-        right &= cat.ext_zero_out[p]  # X with ext1(every member, X) == 0
+        left &= zero_in[p]  # X with ext1(X, every member) == 0
+        right &= zero_out[p]  # X with ext1(every member, X) == 0
     support = mask_of(positions)
     bad = (left ^ support) | (right ^ support)
     if bad:
-        return False, cat.catalog[(bad & -bad).bit_length() - 1]
+        return False, (bad & -bad).bit_length() - 1
     return True, None
 
 
-def complements(cat: OrbitCategory, members) -> list[OrbitObject]:
-    """All Y completing an almost tilting object to a cluster tilting one.
+def complements(cat: OrbitCategory, positions) -> list[int]:
+    """Positions of all Y completing an almost tilting object to a cluster
+    tilting one, ascending.
 
-    members must be rigid with nm-1 distinct summands; a rigid but
-    non-extendable input yields the empty list (distinct from the error
-    cases, which raise).
+    The members, given by position, must be rigid with nm-1 distinct
+    summands; a rigid but non-extendable input yields the empty list
+    (distinct from the error cases, which raise).
     """
-    n = cat.ar.quiver.vertex_count
-    positions = [cat.position(x) for x in members]
-    expected = cat.modulus * n - 1
-    if distinct_count(members) != expected:
+    support = mask_of(positions)
+    expected = cat.modulus * cat.ar.quiver.vertex_count - 1
+    if support.bit_count() != expected:
         raise ValueError(
             f"almost tilting object needs {expected} distinct summands,"
-            f" got {distinct_count(members)}"
+            f" got {support.bit_count()}"
         )
-    if not cat.is_rigid(positions):
+    common = cat.compatible_with_all(positions)
+    if support & ~common:
         raise NotRigidError("input is not rigid")
-    support = mask_of(positions)
-    candidates = ~support
-    for p in set(positions):
-        candidates &= cat.compat_mask[p]
-    out = []
-    for j in range(len(cat.catalog)):
-        if candidates & (1 << j) and cat.compat_mask[j] & (1 << j):
-            ok, _ = cluster_tilting_check(cat, list(members) + [cat.catalog[j]])
-            if ok:
-                out.append(cat.catalog[j])
+    candidates, out = common & ~support, []
+    while candidates:
+        j = (candidates & -candidates).bit_length() - 1
+        candidates ^= 1 << j
+        if cat.compat_mask[j] >> j & 1 and cluster_tilting_check(cat, [*positions, j])[0]:
+            out.append(j)
     return out
 
 
@@ -160,21 +163,22 @@ def near_complements(
         raise ValueError(
             f"almost near tilting object needs {n - 1} orbits, got {almost.orbit_count}"
         )
-    if not cat.is_rigid([cat.position(x) for x in almost.expansion]):
+    if not cat.is_rigid(almost.positions):
         raise NotRigidError("input is not rigid")
-    cat1 = cat.derived.orbit(1)
+    cat1 = cat.base
     gen = tuple(dict.fromkeys(almost.generator))  # distinct, order kept
-    comps = complements(cat1, gen)
+    comps = complements(cat1, almost.positions[: len(almost.generator)])
     if len(comps) != 2:
         raise NotExchangeError(
             f"generator is not an almost tilting object (found {len(comps)} complements)"
         )
     completions = []
     for x in comps:
-        stable = cat.build_twist_stable(gen + (x,))
-        ok, witness = cluster_tilting_check(cat, stable.expansion)
+        stable = cat.build_twist_stable(gen + (cat1.catalog[x],))
+        ok, witness = cluster_tilting_check(cat, stable.positions)
         if not ok:
-            raise RuntimeError(f"completion failed the tilting check at {witness.text}")
+            at = cat.catalog[witness].text
+            raise RuntimeError(f"completion failed the tilting check at {at}")
         completions.append(GenClusterTilting(stable))
     return completions[0], completions[1]
 
@@ -182,13 +186,14 @@ def near_complements(
 def build_tilting_graph(cat: OrbitCategory) -> TiltingGraph:
     """Vertices are all lifts, each passing the modulus-m tilting check;
     edges are the modulus-1 mutations.  ``cat.tilting_graph`` caches it."""
-    cat1 = cat.derived.orbit(1)
+    cat1 = cat.base
     vertices = [lift(t, cat) for t in enumerate_cluster_tilting(cat1)]
     for i, v in enumerate(vertices):
-        ok, witness = cluster_tilting_check(cat, v.members)
+        ok, witness = cluster_tilting_check(cat, v.positions)
         if not ok:
             label = f"{cat.ar.dynkin} quiver {list(cat.ar.quiver.arrows)}"
-            raise RuntimeError(f"{label}: lift T{i + 1} fails the tilting check at {witness.text}")
+            at = cat.catalog[witness].text
+            raise RuntimeError(f"{label}: lift T{i + 1} fails the tilting check at {at}")
     return TiltingGraph(vertices, list(cat1.exchange_edges), cat.modulus)
 
 
@@ -200,25 +205,21 @@ def exchange_pair_ext(cat1: OrbitCategory, x1: OrbitObject, x2: OrbitObject) -> 
         raise NotExchangeError("an exchange pair consists of two distinct objects")
     # x2 replaces x1 in T iff x1 is the only member whose ext1 with x2 is nonzero
     p1, p2 = cat1.position(x1), cat1.position(x2)
-    for t in cat1.tilting_sets:
-        if mask_of(t) & ~cat1.compat_mask[p2] == 1 << p1:
-            return cat1.ext1(x1, x2)
+    if any(mask & ~cat1.compat_mask[p2] == 1 << p1 for mask in cat1.tilting_masks):
+        return cat1.dim(p1, p2, 1)
     raise NotExchangeError(f"{x1.text}, {x2.text} do not exchange")
 
 
-def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[OrbitObject, ...]]:
+def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:
     """Independent oracle: scan twist-orbit unions inside the category itself.
 
     Enumerates all unions of n twist-orbits of the catalog that pass the
-    two-sided add-characterization, without using the modulus-1 detour.
-    Intended for small rank; cost grows as C(#orbits, n).
+    two-sided add-characterization, without using the modulus-1 detour,
+    as ascending position tuples.  Intended for small rank; cost grows as
+    C(#orbits, n).
     """
     from itertools import combinations
 
-    results = []
-    for combo in combinations(cat.twist_orbits, cat.ar.quiver.vertex_count):
-        members = [cat.catalog[j] for orbit in combo for j in orbit]
-        ok, _ = cluster_tilting_check(cat, members)
-        if ok:
-            results.append(tuple(sorted(members, key=cat.position)))
-    return sorted(results)
+    combos = combinations(cat.twist_orbits, cat.ar.quiver.vertex_count)
+    unions = (sorted(j for orbit in combo for j in orbit) for combo in combos)
+    return sorted(tuple(u) for u in unions if cluster_tilting_check(cat, u)[0])

@@ -13,8 +13,8 @@ from itertools import combinations
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, distinct_count, mask_of
-from .quiver import Quiver, positive_root_count
+from .orbit import OrbitCategory, mask_of
+from .quiver import DIAGRAMS, Quiver, positive_root_count
 from .tilting import (
     cluster_tilting_check,
     complements,
@@ -25,15 +25,7 @@ from .tilting import (
     lift,
     near_complements,
 )
-from .endo import block_pattern_report, endo_profile, exchange_layer_dim, single_end_dim
-
-DIAGRAMS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
-    "A1": (1, ()),
-    "A2": (2, ((1, 2),)),
-    "A3": (3, ((1, 2), (2, 3))),
-    "A4": (4, ((1, 2), (2, 3), (3, 4))),
-    "D4": (4, ((1, 2), (2, 3), (2, 4))),
-}
+from .endo import block_pattern_report, endo_profile, exchange_layer_dim
 
 TILTING_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "A4": 42, "D4": 50}
 
@@ -299,7 +291,7 @@ def _check_orbit_count(cat: OrbitCategory) -> str | None:
 
 
 def _check_covering(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
+    base = cat.base
     fibers: dict = {o.rep: 0 for o in base.catalog}
     for x in cat.catalog:
         image = cat.project(x)
@@ -359,7 +351,7 @@ def _check_self_ext(cat: OrbitCategory) -> str | None:
 
 def _check_end_dims(cat: OrbitCategory) -> str | None:
     for x in cat.catalog:
-        d = single_end_dim(cat, x)
+        d = cat.hom(x, x)
         if d != 1:
             return f"endomorphism dimension {d} at {x.text}"
     return None
@@ -406,14 +398,13 @@ def _check_fractional_cy(cat: OrbitCategory) -> str | None:
 def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
     # pairs suffice: both sides of the transfer identity are sums over
     # ordered pairs of generator summands
-    base = cat.derived.orbit(1)
-    singles = base.catalog
-    for a in singles:
-        for b in singles:
+    base, ext = cat.base, cat.ext_table
+    for i, a in enumerate(base.catalog):
+        for j, b in enumerate(base.catalog):
             sa = cat.build_twist_stable([a])
             sb = cat.build_twist_stable([b])
-            total = sum(cat.ext1(x, y) for x in sa.expansion for y in sb.expansion)
-            base_total = base.ext1(a, b)
+            total = sum(ext[x][y] for x in sa.positions for y in sb.positions)
+            base_total = base.ext_table[i][j]
             if total != cat.modulus * base_total:
                 return (
                     f"expansion ext total {total} != m * {base_total}"
@@ -425,30 +416,30 @@ def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
 
 
 def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
-    for g in base.catalog:
+    # the twist is walked (twist_permutation), not read from the layout
+    twist, hom = cat.twist_permutation, cat.hom_table
+    for g in cat.base.catalog:
         stable = cat.build_twist_stable([g])
-        for y in cat.catalog:
-            ref = sum(cat.hom(s, y) for s in stable.expansion)
+        into = [sum(col) for col in zip(*(hom[s] for s in stable.positions))]
+        for y, target in enumerate(cat.catalog):
             z = y
             for _ in range(cat.modulus - 1):
-                z = cat.twist_action(z)
-                if sum(cat.hom(s, z) for s in stable.expansion) != ref:
-                    return f"twist Hom invariance fails at generator {g.text}, y {y.text}"
+                z = twist[z]
+                if into[z] != into[y]:
+                    return f"twist Hom invariance fails at generator {g.text}, y {target.text}"
     return None
 
 
 def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     # twist-stable rigid objects are tilting exactly when they use n orbits
-    base = cat.derived.orbit(1)
+    base = cat.base
     n = cat.ar.quiver.vertex_count
     for chosen in base.rigid_position_sets():
         gen = [base.catalog[j] for j in chosen]
         stable = cat.build_twist_stable(gen)
-        positions = [cat.position(x) for x in stable.expansion]
-        if not cat.is_rigid(positions):
+        if not cat.is_rigid(stable.positions):
             return f"expansion of a rigid generator is not rigid: {[g.text for g in gen]}"
-        ok, _ = cluster_tilting_check(cat, stable.expansion)
+        ok, _ = cluster_tilting_check(cat, stable.positions)
         if ok != (stable.orbit_count == n):
             return (
                 f"orbit-count criterion fails for generator {[g.text for g in gen]}:"
@@ -458,7 +449,7 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
 
 
 def _check_tilting_count(name: str, cat: OrbitCategory) -> str | None:
-    tiltings = enumerate_cluster_tilting(cat.derived.orbit(1))
+    tiltings = enumerate_cluster_tilting(cat.base)
     expected = TILTING_COUNTS[name]
     if len(tiltings) != expected:
         return f"{len(tiltings)} tilting objects, expected {expected}"
@@ -466,7 +457,7 @@ def _check_tilting_count(name: str, cat: OrbitCategory) -> str | None:
 
 
 def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
+    base = cat.base
     n = cat.ar.quiver.vertex_count
     size = len(base.catalog)
     compat = base.compat_mask
@@ -491,24 +482,20 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
 
 
 def _check_lifts(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
-    n = cat.ar.quiver.vertex_count
-    for t in enumerate_cluster_tilting(base):
+    for t in enumerate_cluster_tilting(cat.base):
         lifted = lift(t, cat)
-        if distinct_count(lifted.members) != cat.modulus * n:
+        if len(set(lifted.positions)) != cat.modulus * cat.ar.quiver.vertex_count:
             return f"lift of {t.key} has wrong summand count"
-        ok, witness = cluster_tilting_check(cat, lifted.members)
+        ok, witness = cluster_tilting_check(cat, lifted.positions)
         if not ok:
-            return f"lift of {t.key} fails the tilting check at {witness.text}"
+            return f"lift of {t.key} fails the tilting check at {cat.catalog[witness].text}"
     return None
 
 
 def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
     direct = enumerate_stable_tilting_direct(cat)
     lifted = sorted(
-        tuple(sorted(lift(t, cat).members, key=cat.position))
-        for t in enumerate_cluster_tilting(base)
+        tuple(sorted(lift(t, cat).positions)) for t in enumerate_cluster_tilting(cat.base)
     )
     if direct != lifted:
         return (
@@ -519,27 +506,26 @@ def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
 
 
 def _check_complements(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
     expected = 1 if cat.modulus >= 2 else 2
-    for t in enumerate_cluster_tilting(base):
-        members = lift(t, cat).members
+    for t in enumerate_cluster_tilting(cat.base):
+        members = lift(t, cat).positions
         for drop in members:
             rest = [x for x in members if x != drop]
             found = complements(cat, rest)
             if len(found) != expected:
                 return (
-                    f"{len(found)} complements after dropping {drop.text}"
+                    f"{len(found)} complements after dropping {cat.catalog[drop].text}"
                     f" from {t.key}, expected {expected}"
                 )
             if drop not in found:
-                return f"dropped summand {drop.text} not among its complements"
+                return f"dropped summand {cat.catalog[drop].text} not among its complements"
     return None
 
 
 def _check_near_complements(cat: OrbitCategory) -> str | None:
     # the oracle for the exchange graph: both completions of every
     # (vertex, dropped orbit) pair, and the edge each one gives
-    base = cat.derived.orbit(1)
+    base = cat.base
     graph = cat.tilting_graph
     index = {v.generator: i for i, v in enumerate(graph.vertices)}
     edges = set(graph.edges)
@@ -555,11 +541,11 @@ def _check_near_complements(cat: OrbitCategory) -> str | None:
                 return f"near completion loses the original vertex at {t.key}"
             if len(gens) != 2:
                 return f"near completions coincide at {t.key}"
-            base_comps = set(complements(base, rest))
+            base_comps = complements(base, almost.positions[: len(rest)])  # tier 0
             swapped = {
                 next(iter(set(g.generator) - set(rest))) for g in (a, b)
             }
-            if swapped != base_comps:
+            if swapped != {base.catalog[p] for p in base_comps}:
                 return f"near completions disagree with modulus-1 complements at {t.key}"
             edge = tuple(sorted(index.get(g.generator, -1) for g in (a, b)))
             if edge not in edges:
@@ -616,20 +602,17 @@ def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     for a, b in graph.edges:
         ga = set(graph.vertices[a].generator)
         gb = set(graph.vertices[b].generator)
-        (x1,) = tuple(ga - gb)
-        (x2,) = tuple(gb - ga)
-        if exchange_pair_ext(cat, x1, x2) != 1:
-            return f"exchange pair ({x1.text}, {x2.text}) not one-dimensional"
-        if exchange_pair_ext(cat, x2, x1) != 1:
-            return f"exchange pair ({x2.text}, {x1.text}) not one-dimensional"
+        (x1,), (x2,) = ga - gb, gb - ga
+        for one, two in ((x1, x2), (x2, x1)):
+            if exchange_pair_ext(cat, one, two) != 1:
+                return f"exchange pair ({one.text}, {two.text}) not one-dimensional"
     return None
 
 
 def _check_endo_blocks(cat: OrbitCategory) -> str | None:
-    base = cat.derived.orbit(1)
     m = cat.modulus
     projective_gen = None
-    for t in enumerate_cluster_tilting(base):
+    for t in enumerate_cluster_tilting(cat.base):
         gct = lift(t, cat)
         profile = endo_profile(cat, gct)
         if not profile.module_tier:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import clustercat
 from clustercat import arquiver, derived, orbit
 from clustercat.cli import main
 
@@ -338,3 +343,21 @@ def test_full_tables_of_a_small_quiver_at_a_large_modulus(capsys, tmp_path):
     payload = json.loads(out)
     assert len(payload["ids"]) == 300
     assert all(payload["hom"][x][x] == 1 and payload["ext"][x][x] == 0 for x in payload["ids"])
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # verify is the largest module and only the verify command needs it
+    src = str(Path(clustercat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, clustercat.cli; print('clustercat.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "False\n"
+
+
+def test_verify_help_names_the_battery_diagrams(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "A1,A2,A3,A4,D4" in capsys.readouterr().out

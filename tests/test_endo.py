@@ -120,14 +120,14 @@ def test_single_end_dim_is_one(build):
         for m in (2, 3):
             cat = dc.orbit(m)
             for x in cat.catalog:
-                assert cc.single_end_dim(cat, x) == 1
+                assert cat.hom(x, x) == 1
 
 
 def test_single_end_dim_m1_also_one(build):
     # stronger than the field statement needs: holds at modulus 1 too
     cat = build(A3).orbit(1)
     for x in cat.catalog:
-        assert cc.single_end_dim(cat, x) == 1
+        assert cat.hom(x, x) == 1
 
 
 def _edges_with_swaps(cat):
@@ -183,7 +183,8 @@ def test_exchange_layer_dim_matches_complements(build, text):
         gct = cc.lift(t, cat)
         partners = set()
         for x1 in t.members:
-            partners |= set(cc.complements(base, [x for x in t.members if x != x1])) - {x1}
+            comps = cc.complements(base, [base.position(x) for x in t.members if x != x1])
+            partners |= {base.catalog[p] for p in comps} - {x1}
         for x2 in base.catalog:
             n2 = cat.build_twist_stable([x2])
             if x2 in partners:

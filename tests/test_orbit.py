@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 import clustercat as cc
 from clustercat.derived import DObject
-from clustercat.orbit import OrbitObject, distinct_count
-from clustercat.verify import _check_hom_walk, _check_twist_orbits
+from clustercat.orbit import OrbitObject, mask_of
+from clustercat.verify import _check_hom_walk, _check_twist_orbits, _orbit_checks
 
 from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_obj
 
@@ -209,7 +212,7 @@ def test_build_twist_stable_sizes(build):
     x = module_obj(dc.orbit(1), (1, 1))
     single = cat.build_twist_stable([x])
     assert len(single.expansion) == 2
-    assert distinct_count(single.expansion) == 2  # {X, FX} hits two tiers
+    assert len(set(single.expansion)) == 2  # {X, FX} hits two tiers
     empty = cat.build_twist_stable([])
     assert empty.expansion == ()
     assert empty.orbit_count == 0
@@ -221,7 +224,7 @@ def test_build_twist_stable_tilting_generator(build):
     tilting = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
     stable = cat3.build_twist_stable(tilting.members)
     assert len(stable.expansion) == 3 * 3
-    assert distinct_count(stable.expansion) == 9
+    assert len(set(stable.expansion)) == 9
     assert stable.orbit_count == 3
 
 
@@ -243,17 +246,17 @@ def test_orbit_count_and_distinct_count(build):
     y = base.catalog[1]
     assert cat.build_twist_stable([x, y]).orbit_count == 2
     assert cat.build_twist_stable([x, x]).orbit_count == 1
-    assert distinct_count([x]) == 1
+    assert len({x}) == 1
     # tiers are disjoint, so X and its twist stay distinct for m >= 2
     fx = cat.twist_action(cat.canonicalize(x.rep))
-    assert distinct_count([cat.canonicalize(x.rep), fx]) == 2
+    assert len({cat.canonicalize(x.rep), fx}) == 2
 
 
 def test_delta_of_lifted_tilting_a2_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    assert distinct_count(cat.build_twist_stable(t.members).expansion) == 4
+    assert len(set(cat.build_twist_stable(t.members).expansion)) == 4
 
 
 def test_rigidity_transfer_pairs(build):
@@ -371,3 +374,51 @@ def test_only_four_layers_carry_maps(label):
             column = [dc.shift(dc.twist_power(y, s), e) for y in base]
             dims = [[dc.hom(x, z) for z in column] for x in base]
             assert dims == cat.layers.get((e, s), [[0] * len(base)] * len(base)), (e, s)
+
+
+@pytest.mark.parametrize("label", BATTERY_QUIVERS)
+def test_position_read_matches_tables_and_object_wrappers(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label]))
+    for m in (1, 2, 3):
+        cat = dc.orbit(m)
+        for e, table, wrapper in ((0, cat.hom_table, cat.hom), (1, cat.ext_table, cat.ext1)):
+            for i, x in enumerate(cat.catalog):
+                for j, y in enumerate(cat.catalog):
+                    assert cat.dim(i, j, e) == table[i][j] == wrapper(x, y), (m, e, i, j)
+
+
+@pytest.mark.parametrize("label", BATTERY_QUIVERS)
+def test_twist_stable_positions_and_mask(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label]))
+    base = dc.orbit(1)
+    for m in (1, 2, 3):
+        cat = dc.orbit(m)
+        stables = [cc.lift(t, cat).stable for t in cc.enumerate_cluster_tilting(base)]
+        stables += [cat.build_twist_stable([g, g]) for g in base.catalog]  # a multiset
+        for stable in stables:
+            assert [cat.catalog[p] for p in stable.positions] == list(stable.expansion)
+            assert stable.mask == mask_of(stable.positions)
+            # tier 0 holds the generator's modulus-1 positions
+            tier0 = stable.positions[: len(stable.generator)]
+            assert [base.catalog[p] for p in tier0] == list(stable.generator)
+
+
+def test_categories_are_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        derived = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
+        cats = [derived.orbit(m) for m in (1, 2, 3)]
+        assert derived.orbit(1) is derived.orbit(1) is cats[0]
+        assert all(check["passed"] for cat in cats for check in _orbit_checks("D4", cat))
+        refs = [weakref.ref(x) for x in (derived, *cats)]
+        del derived, cats
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_orbit_category_keeps_its_derived_category_and_base():
+    cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A3))).orbit(2)
+    assert cat.derived.orbit(2) is cat
+    assert cat.base is cat.derived.orbit(1) and cat.base.base is cat.base
+    assert len(cat.tilting_graph.vertices) == 14

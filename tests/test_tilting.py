@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat import tilting
+from clustercat.orbit import mask_of
 from clustercat.tilting import NotExchangeError, NotRigidError
 from clustercat.verify import run_verification
 
@@ -77,7 +78,7 @@ def test_lift_a2_m2_has_four_summands(build):
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
         lifted = cc.lift(t, cat)
-        assert cc.distinct_count(lifted.members) == 4
+        assert len(set(lifted.members)) == 4
 
 
 def test_lift_projects_back_m_to_one(build):
@@ -96,7 +97,8 @@ def test_lifts_pass_definition_check(build, text, m):
     dc = build(text)
     cat = dc.orbit(m)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        ok, witness = cc.cluster_tilting_check(cat, cc.lift(t, cat).members)
+        members = cc.lift(t, cat).members
+        ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members])
         assert ok, witness
 
 
@@ -107,7 +109,7 @@ def test_definition_check_fails_after_deletion(build):
         lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
         members = list(lifted.members)
         deleted = members[0]
-        ok, witness = cc.cluster_tilting_check(cat, members[1:])
+        ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members[1:]])
         assert not ok
         assert witness is not None
         # the deleted summand itself violates the add-characterization:
@@ -116,7 +118,7 @@ def test_definition_check_fails_after_deletion(build):
         assert all(cat.ext1(deleted, s) == 0 for s in rest)
         assert all(cat.ext1(s, deleted) == 0 for s in rest)
         if m >= 2:
-            assert witness == deleted
+            assert witness == cat.position(deleted)
 
 
 def test_definition_check_rejects_tier_zero_slice(build):
@@ -127,9 +129,9 @@ def test_definition_check_rejects_tier_zero_slice(build):
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
     tier0 = [cat.canonicalize(g.rep) for g in t.members]
-    ok, witness = cc.cluster_tilting_check(cat, tier0)
+    ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in tier0])
     assert not ok
-    assert witness is not None and witness not in tier0
+    assert witness is not None and cat.catalog[witness] not in tier0
     twisted = cat.twist_action(tier0[0])
     assert cat.tier_of(twisted) == 1
     assert all(cat.ext1(twisted, s) == 0 for s in tier0)
@@ -143,7 +145,7 @@ def test_complements_single_deletion_m2(build):
         members = cc.lift(t, cat).members
         for drop in members:
             rest = [x for x in members if x != drop]
-            assert cc.complements(cat, rest) == [drop]
+            assert cc.complements(cat, [cat.position(x) for x in rest]) == [cat.position(drop)]
 
 
 def test_complements_two_at_m1(build):
@@ -152,9 +154,9 @@ def test_complements_two_at_m1(build):
     for t in cc.enumerate_cluster_tilting(cat):
         for drop in t.members:
             rest = [x for x in t.members if x != drop]
-            found = cc.complements(cat, rest)
+            found = cc.complements(cat, [cat.position(x) for x in rest])
             assert len(found) == 2
-            assert drop in found
+            assert cat.position(drop) in found
 
 
 def test_complements_exhaustive_a3_m3(build):
@@ -167,7 +169,7 @@ def test_complements_exhaustive_a3_m3(build):
         assert len(members) == 9
         for drop in members:
             rest = [x for x in members if x != drop]
-            assert cc.complements(cat, rest) == [drop]
+            assert cc.complements(cat, [cat.position(x) for x in rest]) == [cat.position(drop)]
 
 
 def test_complements_rejects_non_rigid(build):
@@ -178,7 +180,7 @@ def test_complements_rejects_non_rigid(build):
     s2 = cat.canonicalize(cc.DObject(dc.ar.module_by_dim((0, 1)).id, 0))
     third = cat.twist_action(s1)
     with pytest.raises(NotRigidError):
-        cc.complements(cat, [s1, s2, third])
+        cc.complements(cat, [cat.position(x) for x in [s1, s2, third]])
 
 
 def test_complements_rejects_wrong_size(build):
@@ -186,7 +188,7 @@ def test_complements_rejects_wrong_size(build):
     cat = dc.orbit(2)
     members = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat).members
     with pytest.raises(ValueError, match="distinct summands"):
-        cc.complements(cat, list(members))
+        cc.complements(cat, [cat.position(x) for x in members])
 
 
 def test_near_complements_a2_m2(build):
@@ -202,13 +204,16 @@ def test_near_complements_a2_m2(build):
             assert one.generator != two.generator
             assert vertex.generator in (one.generator, two.generator)
             for completion in (one, two):
-                ok, _ = cc.cluster_tilting_check(cat, completion.members)
+                ok, _ = cc.cluster_tilting_check(
+                    cat, [cat.position(x) for x in completion.members]
+                )
                 assert ok
             # the swapped orbits match the two modulus-1 complements
             swapped = {
                 next(iter(set(g.generator) - set(rest))) for g in (one, two)
             }
-            assert swapped == set(cc.complements(base, rest))
+            comps = cc.complements(base, [base.position(x) for x in rest])
+            assert swapped == {base.catalog[p] for p in comps}
 
 
 def test_near_complements_rejects_full_orbit_count(build):
@@ -298,8 +303,8 @@ def test_exchange_pair_ext_matches_complements(build, text):
     pairs = set()
     for t in cc.enumerate_cluster_tilting(cat1):
         for x1 in t.members:
-            comps = cc.complements(cat1, [x for x in t.members if x != x1])
-            pairs |= {(x1, x2) for x2 in comps if x2 != x1}
+            comps = cc.complements(cat1, [cat1.position(x) for x in t.members if x != x1])
+            pairs |= {(x1, x2) for x2 in map(cat1.catalog.__getitem__, comps) if x2 != x1}
     for x1 in cat1.catalog:
         for x2 in cat1.catalog:
             if (x1, x2) in pairs:
@@ -327,7 +332,7 @@ def test_direct_enumeration_agrees(build, text, m):
     cat = dc.orbit(m)
     direct = cc.enumerate_stable_tilting_direct(cat)
     lifted = sorted(
-        tuple(sorted(cc.lift(t, cat).members, key=cat.position))
+        tuple(sorted(cat.position(x) for x in cc.lift(t, cat).members))
         for t in cc.enumerate_cluster_tilting(dc.orbit(1))
     )
     assert direct == lifted
@@ -348,7 +353,7 @@ def test_orbit_count_criterion_a2(build):
                 ):
                     continue
                 stable = cat.build_twist_stable(combo)
-                ok, _ = cc.cluster_tilting_check(cat, stable.expansion)
+                ok, _ = cc.cluster_tilting_check(cat, [cat.position(x) for x in stable.expansion])
                 assert ok == (stable.orbit_count == n)
 
 
@@ -424,6 +429,12 @@ def test_enumeration_is_cached_per_category(build):
     assert [tuple(cat1.position(x) for x in t.members) for t in first] == cat1.tilting_sets
 
 
+def test_tilting_masks_are_cached_next_to_the_sets(build):
+    cat1 = build(A3).orbit(1)
+    assert cat1.tilting_masks is cat1.tilting_masks
+    assert cat1.tilting_masks == [mask_of(t) for t in cat1.tilting_sets]
+
+
 def test_rigid_position_sets_stop_at_n(build):
     cat1 = build(A3).orbit(1)
     sets = list(cat1.rigid_position_sets())
@@ -458,6 +469,6 @@ def test_tilting_check_matches_catalog_scan(build, data):
             all(ext == 0 for ext in exts) != member
             for exts in ([cat.ext1(x, s) for s in members], [cat.ext1(s, x) for s in members])
         ):
-            expected = (False, x)
+            expected = (False, cat.position(x))
             break
-    assert cc.cluster_tilting_check(cat, members) == expected
+    assert cc.cluster_tilting_check(cat, [cat.position(x) for x in members]) == expected
