@@ -267,7 +267,7 @@ def _vertices(cat: OrbitCategory):
 
 
 def _members_sorted(cat, gct) -> list[str]:
-    return [cat.catalog[p].text for p in sorted(gct.positions)]
+    return cat.texts(sorted(gct.positions))
 
 
 def _cmd_tilting(args, parser) -> int:
@@ -338,7 +338,7 @@ def _cmd_endo(args, parser) -> int:
         "schema_version": SCHEMA_VERSION,
         "m": cat.modulus,
         "vertex": f"T{args.vertex}",
-        "generator": [g.text for g in gct.generator],
+        "generator": cat.base.texts(gct.generator),
         "tiers": [[x.text for x in tier] for tier in profile.tiers],
         "block_dims": profile.block_dims,
         "dim_C": profile.dim_c,

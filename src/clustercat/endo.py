@@ -1,6 +1,10 @@
 """Dimension-level structure of the endomorphism algebras of lifted
 tilting objects.
 
+A lifted tilting object is the ``TwistStableObject`` over its generator's
+base positions; texts, shifts and module ids are read from the modulus-1
+catalog only where the module tier is tested.
+
 For a generator that is a tilting module (all summands at shift 0) the
 endomorphism algebra of its lift decomposes into m x m blocks indexed by
 twist tiers: diagonal blocks carry the module endomorphism algebra C,
@@ -17,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derived import DObject
-from .orbit import OrbitCategory, OrbitObject, mask_of
-from .tilting import GenClusterTilting, NotExchangeError, TwistStableObject
+from .orbit import OrbitCategory, OrbitObject, TwistStableObject, mask_of
+from .tilting import NotExchangeError
 
 
 @dataclass
@@ -41,7 +45,7 @@ class PatternReport:
     annotations: list[str] = field(default_factory=list)
 
 
-def endo_profile(cat: OrbitCategory, gct: GenClusterTilting) -> EndoProfile:
+def endo_profile(cat: OrbitCategory, gct: TwistStableObject) -> EndoProfile:
     """Tiered Hom-dimension blocks of End(M) for a lifted tilting object.
 
     block_dims[i][j] sums hom(s, t) over s in tier j and t in tier i,
@@ -56,11 +60,12 @@ def endo_profile(cat: OrbitCategory, gct: GenClusterTilting) -> EndoProfile:
         for i in range(m)
     ]
 
-    module_tier = all(g.rep.shift == 0 for g in gen)
+    reps = [cat.base.catalog[g].rep for g in gen]
+    module_tier = all(x.shift == 0 for x in reps)
     dim_c = dim_e = None
     if module_tier:
         ar = cat.ar
-        ids = [g.rep.module_id for g in gen]
+        ids = [x.module_id for x in reps]
         dim_c = sum(ar.hom_dim(a, b) for a in ids for b in ids)
         dim_e = sum(
             cat.derived.hom(DObject(a, 0), cat.derived.twist(DObject(b, 0)))
@@ -114,18 +119,14 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
     return report
 
 
-def exchange_layer_dim(
-    cat: OrbitCategory, gct1: GenClusterTilting, n2: TwistStableObject
-) -> int:
+def exchange_layer_dim(cat: OrbitCategory, gct1: TwistStableObject, n2: TwistStableObject) -> int:
     """Total ext1 from a tilting lift into the expansion swapped in by an
     exchange edge; one dimension per tier, hence equal to the modulus."""
     if n2.modulus != cat.modulus:
         raise ValueError("modulus mismatch")
     if len(set(n2.generator)) != 1:
         raise NotExchangeError("swapped part must be a single twist-orbit")
-    # tier 0 of a lift holds its generator's modulus-1 positions
-    x2 = n2.positions[0]
-    gen1 = mask_of(gct1.positions[: len(gct1.generator)])
+    x2, gen1 = n2.generator[0], mask_of(gct1.generator)
     if gen1 >> x2 & 1:
         raise NotExchangeError("swapped orbit already belongs to the tilting object")
     # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero

@@ -17,9 +17,11 @@ twist^t of base object k sits at position t*B + k and the twist acts on
 positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
 covering projection use this arithmetic instead of walking the twist; the
 battery's ``twist-free-orbits`` check asserts it against the walked
-``twist_permutation``.  Below the CLI objects are catalog positions: lifts
-carry positions and a mask, ``dim`` reads by position, and ``OrbitObject``s
-appear only at the CLI and in the oracles.
+``twist_permutation``.  Below the CLI objects are catalog positions: a
+tilting object is its generator's base positions (ascending, which is the
+(shift, module id) order of the base domain), its lift carries positions
+and a mask, ``dim`` reads by position, and ``OrbitObject``s appear only at
+the CLI and in the oracles.
 """
 
 from __future__ import annotations
@@ -50,14 +52,13 @@ class OrbitObject(NamedTuple):
 class TwistStableObject:
     """Object of the form X + twist(X) + ... + twist^{m-1}(X).
 
-    generator holds the modulus-1 pieces of X (a multiset); expansion is the induced
-    multiset of modulus-m objects, m per generator element, tier-major; positions are their
-    catalog positions (tier 0, [:len(generator)], is the generator's own), mask their bits.
+    generator holds X as ascending modulus-1 catalog positions (a multiset); positions
+    are the m * len(generator) summands' catalog positions, tier-major (tier t is
+    t*B + generator, so tier 0 is the generator itself), and mask their bits.
     """
 
-    generator: tuple[OrbitObject, ...]
+    generator: tuple[int, ...]
     modulus: int
-    expansion: tuple[OrbitObject, ...]
     positions: tuple[int, ...]
     mask: int
 
@@ -88,6 +89,11 @@ class OrbitCategory:
     def base(self) -> OrbitCategory:
         """The modulus-1 category this one covers (itself at m = 1)."""
         return self._base or self
+
+    @property
+    def quiver_label(self) -> str:
+        """The Dynkin type and arrows, naming the quiver in failure messages."""
+        return f"{self.ar.dynkin} quiver {list(self.ar.quiver.arrows)}"
 
     # -- canonical forms ------------------------------------------------
 
@@ -138,6 +144,10 @@ class OrbitCategory:
     @cached_property
     def _positions(self) -> dict[DObject, int]:
         return {obj.rep: i for i, obj in enumerate(self.catalog)}
+
+    def texts(self, positions: Iterable[int]) -> list[str]:
+        """The catalog texts at the given positions, as output and messages print them."""
+        return [self.catalog[p].text for p in positions]
 
     # -- dimensions -------------------------------------------------------
 
@@ -213,16 +223,13 @@ class OrbitCategory:
 
     # -- twist-stable objects ------------------------------------------------
 
-    def build_twist_stable(self, generator: Iterable[OrbitObject]) -> TwistStableObject:
-        gen = tuple(sorted(generator, key=lambda o: (o.rep.shift, o.rep.module_id)))
-        for g in gen:
-            if g.modulus != 1:
-                raise ValueError("generator objects must have modulus 1")
-        base, size = self.base, self._tier_size
-        ks = [base.position(g) for g in gen]
-        positions = tuple(t * size + k for t in range(self.modulus) for k in ks)
-        expansion = tuple(map(self.catalog.__getitem__, positions))
-        return TwistStableObject(gen, self.modulus, expansion, positions, mask_of(positions))
+    def build_twist_stable(self, generator: Iterable[int]) -> TwistStableObject:
+        """The twist-stable object generated by the given base positions."""
+        gen, size = tuple(sorted(generator)), self._tier_size
+        if gen and (gen[0] < 0 or gen[-1] >= size):
+            raise ValueError(f"generator positions must lie in 0..{size - 1}, got {list(gen)}")
+        positions = tuple(t * size + k for t in range(self.modulus) for k in gen)
+        return TwistStableObject(gen, self.modulus, positions, mask_of(positions))
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 
@@ -290,13 +297,6 @@ class OrbitCategory:
         return [mask_of(t) for t in self.tilting_sets]
 
     @cached_property
-    def cluster_tiltings(self):
-        """tilting_sets as ClusterTilting objects, in the same order."""
-        from .tilting import ClusterTilting
-
-        return [ClusterTilting(tuple(self.catalog[j] for j in t)) for t in self.tilting_sets]
-
-    @cached_property
     def exchange_edges(self) -> list[tuple[int, int]]:
         """Index pairs (i < k) of tilting_sets that differ by one mutation.
 
@@ -313,9 +313,8 @@ class OrbitCategory:
                 partner = common(t[:j] + t[j + 1 :]) & ~mask
                 k = index.get(mask ^ (1 << p) | partner) if partner.bit_count() == 1 else None
                 if k is None:
-                    label = f"{self.ar.dynkin} quiver {list(self.ar.quiver.arrows)}"
                     raise RuntimeError(
-                        f"{label}: dropping {self.catalog[p].text} from T{i + 1} leaves"
+                        f"{self.quiver_label}: dropping {self.catalog[p].text} from T{i + 1} leaves"
                         f" {partner.bit_count()} candidate partners, not one tilting neighbour"
                     )
                 edges.add((min(i, k), max(i, k)))

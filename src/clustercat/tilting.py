@@ -1,8 +1,9 @@
 """Cluster tilting objects, their complements, and the exchange graph.
 
-Enumeration happens in the modulus-1 category (sets of n indecomposables
-with ext-vanishing in both directions between all members) and is
-transported to higher modulus by twist-stable expansion.  The graph's
+A cluster tilting object is its generator's base positions: an ascending
+tuple of n modulus-1 catalog positions with ext-vanishing in both
+directions between all members (``OrbitCategory.tilting_sets``).  Its lift
+to modulus m is the ``TwistStableObject`` over that generator.  The graph's
 edges do not depend on the modulus: they come from bitmask mutation in
 the modulus-1 category (``OrbitCategory.exchange_edges``).  The slow
 paths are the battery's oracles: ``near_complements`` re-derives every
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .orbit import OrbitCategory, OrbitObject, TwistStableObject, mask_of
+from .orbit import OrbitCategory, TwistStableObject, mask_of
 
 
 class NotRigidError(ValueError):
@@ -26,43 +27,9 @@ class NotExchangeError(ValueError):
     """The inputs do not form an exchange configuration."""
 
 
-@dataclass(frozen=True)
-class ClusterTilting:
-    """Maximal rigid object of the modulus-1 category, n summands."""
-
-    members: tuple[OrbitObject, ...]
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return tuple(m.text for m in self.members)
-
-
-@dataclass(frozen=True)
-class GenClusterTilting:
-    """Lift of a cluster tilting object: twist-stable with n orbits."""
-
-    stable: TwistStableObject
-
-    @property
-    def members(self) -> tuple[OrbitObject, ...]:
-        return self.stable.expansion
-
-    @property
-    def generator(self) -> tuple[OrbitObject, ...]:
-        return self.stable.generator
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return self.stable.positions
-
-    @property
-    def mask(self) -> int:
-        return self.stable.mask
-
-
 @dataclass
 class TiltingGraph:
-    vertices: list[GenClusterTilting]
+    vertices: list[TwistStableObject]
     edges: list[tuple[int, int]]
     modulus: int
 
@@ -92,17 +59,23 @@ def is_connected(g: TiltingGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
-def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[ClusterTilting]:
-    """All cluster tilting objects of the modulus-1 category, canonical order."""
-    return cat1.cluster_tiltings
+def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[tuple[int, ...]]:
+    """All cluster tilting objects of the modulus-1 category as base
+    positions, canonical order: ``cat1.tilting_sets``.  Kept as a function
+    because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
+    return cat1.tilting_sets
 
 
-def lift(t: ClusterTilting, cat: OrbitCategory) -> GenClusterTilting:
-    """Twist-stable expansion of a modulus-1 cluster tilting object."""
-    stable = cat.build_twist_stable(t.members)
+def lift(t: tuple[int, ...], cat: OrbitCategory) -> TwistStableObject:
+    """Twist-stable expansion of a modulus-1 cluster tilting object, given
+    by its base positions."""
+    stable = cat.build_twist_stable(t)
     if stable.mask.bit_count() != cat.modulus * cat.ar.quiver.vertex_count:
-        raise RuntimeError("lift does not have m*n distinct summands")
-    return GenClusterTilting(stable)
+        raise RuntimeError(
+            f"{cat.quiver_label}: lift of {cat.base.texts(t)}"
+            " does not have m*n distinct summands"
+        )
+    return stable
 
 
 def cluster_tilting_check(cat: OrbitCategory, positions) -> tuple[bool, int | None]:
@@ -154,7 +127,7 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
 
 def near_complements(
     cat: OrbitCategory, almost: TwistStableObject
-) -> tuple[GenClusterTilting, GenClusterTilting]:
+) -> tuple[TwistStableObject, TwistStableObject]:
     """The two twist-stable completions of an almost near tilting object."""
     n = cat.ar.quiver.vertex_count
     if almost.modulus != cat.modulus:
@@ -165,21 +138,21 @@ def near_complements(
         )
     if not cat.is_rigid(almost.positions):
         raise NotRigidError("input is not rigid")
-    cat1 = cat.base
-    gen = tuple(dict.fromkeys(almost.generator))  # distinct, order kept
-    comps = complements(cat1, almost.positions[: len(almost.generator)])
+    comps = complements(cat.base, almost.generator)
     if len(comps) != 2:
         raise NotExchangeError(
             f"generator is not an almost tilting object (found {len(comps)} complements)"
         )
     completions = []
     for x in comps:
-        stable = cat.build_twist_stable(gen + (cat1.catalog[x],))
+        stable = cat.build_twist_stable({*almost.generator, x})
         ok, witness = cluster_tilting_check(cat, stable.positions)
         if not ok:
-            at = cat.catalog[witness].text
-            raise RuntimeError(f"completion failed the tilting check at {at}")
-        completions.append(GenClusterTilting(stable))
+            raise RuntimeError(
+                f"{cat.quiver_label}: completion {cat.base.texts(stable.generator)}"
+                f" failed the tilting check at {cat.catalog[witness].text}"
+            )
+        completions.append(stable)
     return completions[0], completions[1]
 
 
@@ -191,23 +164,22 @@ def build_tilting_graph(cat: OrbitCategory) -> TiltingGraph:
     for i, v in enumerate(vertices):
         ok, witness = cluster_tilting_check(cat, v.positions)
         if not ok:
-            label = f"{cat.ar.dynkin} quiver {list(cat.ar.quiver.arrows)}"
             at = cat.catalog[witness].text
-            raise RuntimeError(f"{label}: lift T{i + 1} fails the tilting check at {at}")
+            raise RuntimeError(f"{cat.quiver_label}: lift T{i + 1} fails the tilting check at {at}")
     return TiltingGraph(vertices, list(cat1.exchange_edges), cat.modulus)
 
 
-def exchange_pair_ext(cat1: OrbitCategory, x1: OrbitObject, x2: OrbitObject) -> int:
-    """Ext^1 dimension across an exchange pair of the modulus-1 category."""
+def exchange_pair_ext(cat1: OrbitCategory, p1: int, p2: int) -> int:
+    """Ext^1 dimension across an exchange pair of the modulus-1 category,
+    given by catalog position."""
     if cat1.modulus != 1:
         raise ValueError("exchange pairs live in the modulus-1 category")
-    if x1 == x2:
+    if p1 == p2:
         raise NotExchangeError("an exchange pair consists of two distinct objects")
-    # x2 replaces x1 in T iff x1 is the only member whose ext1 with x2 is nonzero
-    p1, p2 = cat1.position(x1), cat1.position(x2)
+    # p2 replaces p1 in T iff p1 is the only member whose ext1 with p2 is nonzero
     if any(mask & ~cat1.compat_mask[p2] == 1 << p1 for mask in cat1.tilting_masks):
         return cat1.dim(p1, p2, 1)
-    raise NotExchangeError(f"{x1.text}, {x2.text} do not exchange")
+    raise NotExchangeError(f"{cat1.catalog[p1].text}, {cat1.catalog[p2].text} do not exchange")
 
 
 def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:

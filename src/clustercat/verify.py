@@ -98,6 +98,11 @@ def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> d
     }
 
 
+def _key(cat: OrbitCategory, t: tuple[int, ...]) -> tuple[str, ...]:
+    """A modulus-1 tilting object's texts, as failure details print it."""
+    return tuple(cat.base.texts(t))
+
+
 def _result(name: str, detail: str | None) -> dict:
     return {"name": name, "passed": detail is None, "detail": detail}
 
@@ -399,11 +404,10 @@ def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
     # pairs suffice: both sides of the transfer identity are sums over
     # ordered pairs of generator summands
     base, ext = cat.base, cat.ext_table
+    orbits = [cat.build_twist_stable([k]).positions for k in range(len(base.catalog))]
     for i, a in enumerate(base.catalog):
         for j, b in enumerate(base.catalog):
-            sa = cat.build_twist_stable([a])
-            sb = cat.build_twist_stable([b])
-            total = sum(ext[x][y] for x in sa.positions for y in sb.positions)
+            total = sum(ext[x][y] for x in orbits[i] for y in orbits[j])
             base_total = base.ext_table[i][j]
             if total != cat.modulus * base_total:
                 return (
@@ -418,8 +422,8 @@ def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
 def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
     # the twist is walked (twist_permutation), not read from the layout
     twist, hom = cat.twist_permutation, cat.hom_table
-    for g in cat.base.catalog:
-        stable = cat.build_twist_stable([g])
+    for k, g in enumerate(cat.base.catalog):
+        stable = cat.build_twist_stable([k])
         into = [sum(col) for col in zip(*(hom[s] for s in stable.positions))]
         for y, target in enumerate(cat.catalog):
             z = y
@@ -435,14 +439,13 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     base = cat.base
     n = cat.ar.quiver.vertex_count
     for chosen in base.rigid_position_sets():
-        gen = [base.catalog[j] for j in chosen]
-        stable = cat.build_twist_stable(gen)
+        stable = cat.build_twist_stable(chosen)
         if not cat.is_rigid(stable.positions):
-            return f"expansion of a rigid generator is not rigid: {[g.text for g in gen]}"
+            return f"expansion of a rigid generator is not rigid: {base.texts(chosen)}"
         ok, _ = cluster_tilting_check(cat, stable.positions)
         if ok != (stable.orbit_count == n):
             return (
-                f"orbit-count criterion fails for generator {[g.text for g in gen]}:"
+                f"orbit-count criterion fails for generator {base.texts(chosen)}:"
                 f" tilting={ok}, orbits={stable.orbit_count}"
             )
     return None
@@ -472,10 +475,7 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
                     outside += 1
             if outside == 0:
                 brute.append(combo)
-    fast = [
-        tuple(base.position(x) for x in t.members)
-        for t in enumerate_cluster_tilting(base)
-    ]
+    fast = enumerate_cluster_tilting(base)
     if sorted(brute) != sorted(fast):
         return f"brute-force subset scan found {len(brute)}, enumeration {len(fast)}"
     return None
@@ -485,10 +485,11 @@ def _check_lifts(cat: OrbitCategory) -> str | None:
     for t in enumerate_cluster_tilting(cat.base):
         lifted = lift(t, cat)
         if len(set(lifted.positions)) != cat.modulus * cat.ar.quiver.vertex_count:
-            return f"lift of {t.key} has wrong summand count"
+            return f"lift of {_key(cat, t)} has wrong summand count"
         ok, witness = cluster_tilting_check(cat, lifted.positions)
         if not ok:
-            return f"lift of {t.key} fails the tilting check at {cat.catalog[witness].text}"
+            at = cat.catalog[witness].text
+            return f"lift of {_key(cat, t)} fails the tilting check at {at}"
     return None
 
 
@@ -515,7 +516,7 @@ def _check_complements(cat: OrbitCategory) -> str | None:
             if len(found) != expected:
                 return (
                     f"{len(found)} complements after dropping {cat.catalog[drop].text}"
-                    f" from {t.key}, expected {expected}"
+                    f" from {_key(cat, t)}, expected {expected}"
                 )
             if drop not in found:
                 return f"dropped summand {cat.catalog[drop].text} not among its complements"
@@ -534,22 +535,19 @@ def _check_near_complements(cat: OrbitCategory) -> str | None:
         vertex = lift(t, cat)
         for drop in vertex.generator:
             rest = tuple(g for g in vertex.generator if g != drop)
-            almost = cat.build_twist_stable(rest)
-            a, b = near_complements(cat, almost)
+            a, b = near_complements(cat, cat.build_twist_stable(rest))
             gens = {a.generator, b.generator}
             if vertex.generator not in gens:
-                return f"near completion loses the original vertex at {t.key}"
+                return f"near completion loses the original vertex at {_key(cat, t)}"
             if len(gens) != 2:
-                return f"near completions coincide at {t.key}"
-            base_comps = complements(base, almost.positions[: len(rest)])  # tier 0
-            swapped = {
-                next(iter(set(g.generator) - set(rest))) for g in (a, b)
-            }
-            if swapped != {base.catalog[p] for p in base_comps}:
-                return f"near completions disagree with modulus-1 complements at {t.key}"
+                return f"near completions coincide at {_key(cat, t)}"
+            swapped = {next(iter(set(g.generator) - set(rest))) for g in (a, b)}
+            if swapped != set(complements(base, rest)):
+                return f"near completions disagree with modulus-1 complements at {_key(cat, t)}"
             edge = tuple(sorted(index.get(g.generator, -1) for g in (a, b)))
             if edge not in edges:
-                return f"exchange of {drop.text} at {t.key} is not a graph edge"
+                at = base.catalog[drop].text
+                return f"exchange of {at} at {_key(cat, t)} is not a graph edge"
             found.add(edge)
     if found != edges:
         return f"near completions give {len(found)} edges, the graph has {len(edges)}"
@@ -605,7 +603,8 @@ def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
         (x1,), (x2,) = ga - gb, gb - ga
         for one, two in ((x1, x2), (x2, x1)):
             if exchange_pair_ext(cat, one, two) != 1:
-                return f"exchange pair ({one.text}, {two.text}) not one-dimensional"
+                one_text, two_text = cat.texts((one, two))
+                return f"exchange pair ({one_text}, {two_text}) not one-dimensional"
     return None
 
 
@@ -622,15 +621,13 @@ def _check_endo_blocks(cat: OrbitCategory) -> str | None:
             continue
         report = block_pattern_report(profile)
         if report.ok is not True:
-            return f"block pattern deviations at {t.key}: {report.deviations}"
+            return f"block pattern deviations at {_key(cat, t)}: {report.deviations}"
         if profile.total != m * (profile.dim_c + profile.dim_e):
-            return f"total dimension {profile.total} != m(C+E) at {t.key}"
+            return f"total dimension {profile.total} != m(C+E) at {_key(cat, t)}"
         if m >= 2 and any(profile.block_dims[i][i] != profile.dim_c for i in range(m)):
-            return f"diagonal block != dim C at {t.key}"
-        if all(
-            cat.ar.module(g.rep.module_id).is_projective and g.rep.shift == 0
-            for g in gct.generator
-        ):
+            return f"diagonal block != dim C at {_key(cat, t)}"
+        reps = [cat.base.catalog[g].rep for g in gct.generator]
+        if all(cat.ar.module(x.module_id).is_projective and x.shift == 0 for x in reps):
             projective_gen = profile
     if projective_gen is not None and projective_gen.dim_e != 0:
         return "projective generator has nonzero superdiagonal dimension"

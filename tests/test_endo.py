@@ -9,11 +9,9 @@ from conftest import A2, A3, D4
 
 
 def tilting_by_dims(dc, dims):
-    """ClusterTilting whose members are the given modules at shift 0."""
-    members = tuple(
-        OrbitObject(DObject(dc.ar.module_by_dim(d).id, 0), 1) for d in dims
-    )
-    return cc.ClusterTilting(members)
+    """Base positions of the tilting object whose members are the given modules at shift 0."""
+    base = dc.orbit(1)
+    return tuple(base.position(OrbitObject(DObject(dc.ar.module_by_dim(d).id, 0), 1)) for d in dims)
 
 
 def test_a2_hereditary_generator_m2(build):
@@ -82,10 +80,11 @@ def test_a3_apr_tilt_m1_single_block(build):
 def test_non_module_tier_profile_skips_pattern(build):
     dc = build(A2)
     cat = dc.orbit(2)
+    base = dc.orbit(1)
     shifted = [
         t
-        for t in cc.enumerate_cluster_tilting(dc.orbit(1))
-        if any(x.rep.shift != 0 for x in t.members)
+        for t in cc.enumerate_cluster_tilting(base)
+        if any(base.catalog[p].rep.shift != 0 for p in t)
     ]
     assert shifted
     gct = cc.lift(shifted[0], cat)
@@ -104,7 +103,7 @@ def test_total_dimension_identity_all_module_tier(build):
         for m in (1, 2, 3):
             cat = dc.orbit(m)
             for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-                if any(x.rep.shift != 0 for x in t.members):
+                if any(dc.orbit(1).catalog[p].rep.shift != 0 for p in t):
                     continue
                 profile = cc.endo_profile(cat, cc.lift(t, cat))
                 assert profile.total == m * (profile.dim_c + profile.dim_e)
@@ -171,7 +170,7 @@ def test_exchange_layer_dim_rejects_non_edges(build):
         cc.exchange_layer_dim(cat, gct, cat.build_twist_stable([member]))
     # a two-orbit stable object is not a single exchange layer
     with pytest.raises(NotExchangeError):
-        cc.exchange_layer_dim(cat, gct, cat.build_twist_stable(tiltings[1].members))
+        cc.exchange_layer_dim(cat, gct, cat.build_twist_stable(tiltings[1]))
 
 
 @pytest.mark.parametrize("text", [A3, D4])
@@ -182,10 +181,10 @@ def test_exchange_layer_dim_matches_complements(build, text):
     for t in cc.enumerate_cluster_tilting(base):
         gct = cc.lift(t, cat)
         partners = set()
-        for x1 in t.members:
-            comps = cc.complements(base, [base.position(x) for x in t.members if x != x1])
-            partners |= {base.catalog[p] for p in comps} - {x1}
-        for x2 in base.catalog:
+        for x1 in t:
+            comps = cc.complements(base, [x for x in t if x != x1])
+            partners |= set(comps) - {x1}
+        for x2 in range(len(base.catalog)):
             n2 = cat.build_twist_stable([x2])
             if x2 in partners:
                 assert cc.exchange_layer_dim(cat, gct, n2) == 2

@@ -113,14 +113,18 @@ def test_catalog_positions_match_the_walked_twist(build, text, m):
         assert x == OrbitObject(dc.twist_power(base.catalog[k].rep, t), m)
         assert cat.tier_of(x) == t
         assert cat.project(x) == base.canonicalize(x.rep)
-    stable = cat.build_twist_stable(base.catalog[::-1] + base.catalog[:1])
-    assert list(stable.expansion) == [
-        cat.canonicalize(dc.twist_power(g.rep, t)) for t in range(m) for g in stable.generator
+    generator = [base.position(x) for x in base.catalog[::-1] + base.catalog[:1]]
+    stable = cat.build_twist_stable(generator)
+    assert [cat.catalog[p] for p in stable.positions] == [
+        cat.canonicalize(dc.twist_power(base.catalog[g].rep, t))
+        for t in range(m)
+        for g in stable.generator
     ]
     for tilting in cc.enumerate_cluster_tilting(base):
         gct = cc.lift(tilting, cat)
         assert cc.endo_profile(cat, gct).tiers == [
-            [cat.canonicalize(dc.twist_power(g.rep, t)) for g in gct.generator] for t in range(m)
+            [cat.canonicalize(dc.twist_power(base.catalog[g].rep, t)) for g in gct.generator]
+            for t in range(m)
         ]
 
 
@@ -210,21 +214,35 @@ def test_build_twist_stable_sizes(build):
     dc = build(A2)
     cat = dc.orbit(2)
     x = module_obj(dc.orbit(1), (1, 1))
-    single = cat.build_twist_stable([x])
-    assert len(single.expansion) == 2
-    assert len(set(single.expansion)) == 2  # {X, FX} hits two tiers
+    single = cat.build_twist_stable([dc.orbit(1).position(x)])
+    assert len([cat.catalog[p] for p in single.positions]) == 2
+    assert len({cat.catalog[p] for p in single.positions}) == 2  # {X, FX} hits two tiers
     empty = cat.build_twist_stable([])
-    assert empty.expansion == ()
+    assert tuple(cat.catalog[p] for p in empty.positions) == ()
     assert empty.orbit_count == 0
+
+
+def test_build_twist_stable_takes_base_positions(build):
+    dc = build(A2)
+    cat = dc.orbit(2)
+    size = len(dc.orbit(1).catalog)
+    for bad in (size, -1):
+        with pytest.raises(ValueError, match="generator positions"):
+            cat.build_twist_stable([bad])
+    empty = cat.build_twist_stable([])
+    assert (empty.generator, empty.positions, empty.mask) == ((), (), 0)
+    stable = cat.build_twist_stable([size - 1, 0, 0])
+    assert stable.generator == (0, 0, size - 1)
+    assert stable.positions == (0, 0, size - 1, size, size, 2 * size - 1)
 
 
 def test_build_twist_stable_tilting_generator(build):
     dc = build(A3)
     cat3 = dc.orbit(3)
     tilting = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    stable = cat3.build_twist_stable(tilting.members)
-    assert len(stable.expansion) == 3 * 3
-    assert len(set(stable.expansion)) == 9
+    stable = cat3.build_twist_stable(tilting)
+    assert len([cat3.catalog[p] for p in stable.positions]) == 3 * 3
+    assert len({cat3.catalog[p] for p in stable.positions}) == 9
     assert stable.orbit_count == 3
 
 
@@ -232,9 +250,9 @@ def test_twist_stability_of_expansion(build):
     dc = build(A3)
     cat = dc.orbit(3)
     base = dc.orbit(1)
-    stable = cat.build_twist_stable([base.catalog[0], base.catalog[3]])
-    expanded = sorted(stable.expansion)
-    twisted = sorted(cat.twist_action(x) for x in stable.expansion)
+    stable = cat.build_twist_stable([0, 3])
+    expanded = sorted(cat.catalog[p] for p in stable.positions)
+    twisted = sorted(cat.twist_action(cat.catalog[p]) for p in stable.positions)
     assert expanded == twisted
 
 
@@ -244,8 +262,8 @@ def test_orbit_count_and_distinct_count(build):
     base = dc.orbit(1)
     x = base.catalog[0]
     y = base.catalog[1]
-    assert cat.build_twist_stable([x, y]).orbit_count == 2
-    assert cat.build_twist_stable([x, x]).orbit_count == 1
+    assert cat.build_twist_stable([base.position(x), base.position(y)]).orbit_count == 2
+    assert cat.build_twist_stable([base.position(x), base.position(x)]).orbit_count == 1
     assert len({x}) == 1
     # tiers are disjoint, so X and its twist stay distinct for m >= 2
     fx = cat.twist_action(cat.canonicalize(x.rep))
@@ -256,7 +274,7 @@ def test_delta_of_lifted_tilting_a2_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    assert len(set(cat.build_twist_stable(t.members).expansion)) == 4
+    assert len({cat.catalog[p] for p in cat.build_twist_stable(t).positions}) == 4
 
 
 def test_rigidity_transfer_pairs(build):
@@ -267,10 +285,12 @@ def test_rigidity_transfer_pairs(build):
         cat = dc.orbit(m)
         for a in base.catalog:
             for b in base.catalog:
-                sa = cat.build_twist_stable([a])
-                sb = cat.build_twist_stable([b])
+                sa = cat.build_twist_stable([base.position(a)])
+                sb = cat.build_twist_stable([base.position(b)])
                 total = sum(
-                    cat.ext1(x, y) for x in sa.expansion for y in sb.expansion
+                    cat.ext1(cat.catalog[x], cat.catalog[y])
+                    for x in sa.positions
+                    for y in sb.positions
                 )
                 assert total == m * base.ext1(a, b)
 
@@ -281,13 +301,14 @@ def test_twist_hom_invariance(build):
         cat = dc.orbit(m)
         base = dc.orbit(1)
         for g in base.catalog:
-            stable = cat.build_twist_stable([g])
+            stable = cat.build_twist_stable([base.position(g)])
+            expansion = [cat.catalog[p] for p in stable.positions]
             for y in cat.catalog:
-                ref = sum(cat.hom(s, y) for s in stable.expansion)
+                ref = sum(cat.hom(s, y) for s in expansion)
                 z = y
                 for _ in range(m - 1):
                     z = cat.twist_action(z)
-                    assert sum(cat.hom(s, z) for s in stable.expansion) == ref
+                    assert sum(cat.hom(s, z) for s in expansion) == ref
 
 
 def test_cy_symmetry_m1(build):
@@ -393,14 +414,19 @@ def test_twist_stable_positions_and_mask(label):
     base = dc.orbit(1)
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        stables = [cc.lift(t, cat).stable for t in cc.enumerate_cluster_tilting(base)]
-        stables += [cat.build_twist_stable([g, g]) for g in base.catalog]  # a multiset
+        stables = [cc.lift(t, cat) for t in cc.enumerate_cluster_tilting(base)]
+        stables += [cat.build_twist_stable([k, k]) for k in range(len(base.catalog))]  # a multiset
         for stable in stables:
-            assert [cat.catalog[p] for p in stable.positions] == list(stable.expansion)
+            # the summands are the walked twists of the generator, tier-major
+            assert [cat.catalog[p] for p in stable.positions] == [
+                cat.canonicalize(dc.twist_power(base.catalog[g].rep, t))
+                for t in range(m)
+                for g in stable.generator
+            ]
             assert stable.mask == mask_of(stable.positions)
             # tier 0 holds the generator's modulus-1 positions
             tier0 = stable.positions[: len(stable.generator)]
-            assert [base.catalog[p] for p in tier0] == list(stable.generator)
+            assert [base.catalog[p] for p in tier0] == [base.catalog[g] for g in stable.generator]
 
 
 def test_categories_are_freed_without_the_cycle_collector():

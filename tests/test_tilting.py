@@ -10,7 +10,7 @@ from clustercat.orbit import mask_of
 from clustercat.tilting import NotExchangeError, NotRigidError
 from clustercat.verify import run_verification
 
-from conftest import A1, A2, A3, A4, D4, D5, E6, E7
+from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8
 
 
 EXPECTED_COUNTS = {A1: 2, A2: 5, A3: 14, A4: 42, D4: 50}
@@ -47,10 +47,7 @@ def test_counts_match_brute_force_subsets(build, text):
         ]
         if not outside:
             found.append(combo)
-    fast = [
-        tuple(cat.position(x) for x in t.members)
-        for t in cc.enumerate_cluster_tilting(cat)
-    ]
+    fast = cc.enumerate_cluster_tilting(cat)
     assert sorted(found) == sorted(fast)
 
 
@@ -70,7 +67,9 @@ def test_lift_m1_is_identity_on_members(build):
     cat1 = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(cat1):
         lifted = cc.lift(t, cat1)
-        assert sorted(lifted.members) == sorted(t.members)
+        assert sorted(cat1.catalog[p] for p in lifted.positions) == sorted(
+            cat1.catalog[p] for p in t
+        )
 
 
 def test_lift_a2_m2_has_four_summands(build):
@@ -78,17 +77,18 @@ def test_lift_a2_m2_has_four_summands(build):
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
         lifted = cc.lift(t, cat)
-        assert len(set(lifted.members)) == 4
+        assert len({cat.catalog[p] for p in lifted.positions}) == 4
 
 
 def test_lift_projects_back_m_to_one(build):
     dc = build(A3)
     cat = dc.orbit(3)
-    for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
+    base = dc.orbit(1)
+    for t in cc.enumerate_cluster_tilting(base):
         lifted = cc.lift(t, cat)
-        images = [cat.project(x) for x in lifted.members]
-        assert sorted(set(images)) == sorted(t.members)
-        assert all(images.count(b) == 3 for b in t.members)
+        images = [cat.project(cat.catalog[p]) for p in lifted.positions]
+        assert sorted(set(images)) == sorted(base.catalog[p] for p in t)
+        assert all(images.count(base.catalog[p]) == 3 for p in t)
 
 
 @pytest.mark.parametrize("text", [A2, A3])
@@ -97,7 +97,7 @@ def test_lifts_pass_definition_check(build, text, m):
     dc = build(text)
     cat = dc.orbit(m)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        members = cc.lift(t, cat).members
+        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
         ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members])
         assert ok, witness
 
@@ -107,7 +107,7 @@ def test_definition_check_fails_after_deletion(build):
     for m in (1, 2, 3):
         cat = dc.orbit(m)
         lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
-        members = list(lifted.members)
+        members = [cat.catalog[p] for p in lifted.positions]
         deleted = members[0]
         ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members[1:]])
         assert not ok
@@ -128,7 +128,7 @@ def test_definition_check_rejects_tier_zero_slice(build):
     dc = build(A2)
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    tier0 = [cat.canonicalize(g.rep) for g in t.members]
+    tier0 = [cat.canonicalize(dc.orbit(1).catalog[g].rep) for g in t]
     ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in tier0])
     assert not ok
     assert witness is not None and cat.catalog[witness] not in tier0
@@ -142,7 +142,7 @@ def test_complements_single_deletion_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        members = cc.lift(t, cat).members
+        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
         for drop in members:
             rest = [x for x in members if x != drop]
             assert cc.complements(cat, [cat.position(x) for x in rest]) == [cat.position(drop)]
@@ -152,8 +152,9 @@ def test_complements_two_at_m1(build):
     dc = build(A2)
     cat = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(cat):
-        for drop in t.members:
-            rest = [x for x in t.members if x != drop]
+        members = [cat.catalog[p] for p in t]
+        for drop in members:
+            rest = [x for x in members if x != drop]
             found = cc.complements(cat, [cat.position(x) for x in rest])
             assert len(found) == 2
             assert cat.position(drop) in found
@@ -165,7 +166,7 @@ def test_complements_exhaustive_a3_m3(build):
     tiltings = cc.enumerate_cluster_tilting(dc.orbit(1))
     assert len(tiltings) == 14
     for t in tiltings:
-        members = cc.lift(t, cat).members
+        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
         assert len(members) == 9
         for drop in members:
             rest = [x for x in members if x != drop]
@@ -186,7 +187,8 @@ def test_complements_rejects_non_rigid(build):
 def test_complements_rejects_wrong_size(build):
     dc = build(A2)
     cat = dc.orbit(2)
-    members = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat).members
+    lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
+    members = [cat.catalog[p] for p in lifted.positions]
     with pytest.raises(ValueError, match="distinct summands"):
         cc.complements(cat, [cat.position(x) for x in members])
 
@@ -204,16 +206,14 @@ def test_near_complements_a2_m2(build):
             assert one.generator != two.generator
             assert vertex.generator in (one.generator, two.generator)
             for completion in (one, two):
-                ok, _ = cc.cluster_tilting_check(
-                    cat, [cat.position(x) for x in completion.members]
-                )
+                ok, _ = cc.cluster_tilting_check(cat, completion.positions)
                 assert ok
             # the swapped orbits match the two modulus-1 complements
             swapped = {
                 next(iter(set(g.generator) - set(rest))) for g in (one, two)
             }
-            comps = cc.complements(base, [base.position(x) for x in rest])
-            assert swapped == {base.catalog[p] for p in comps}
+            comps = cc.complements(base, rest)
+            assert swapped == set(comps)
 
 
 def test_near_complements_rejects_full_orbit_count(build):
@@ -221,7 +221,7 @@ def test_near_complements_rejects_full_orbit_count(build):
     cat = dc.orbit(2)
     vertex = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
     with pytest.raises(ValueError, match="orbits"):
-        cc.near_complements(cat, vertex.stable)
+        cc.near_complements(cat, vertex)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -302,13 +302,14 @@ def test_exchange_pair_ext_matches_complements(build, text):
     cat1 = build(text).orbit(1)
     pairs = set()
     for t in cc.enumerate_cluster_tilting(cat1):
-        for x1 in t.members:
-            comps = cc.complements(cat1, [cat1.position(x) for x in t.members if x != x1])
-            pairs |= {(x1, x2) for x2 in map(cat1.catalog.__getitem__, comps) if x2 != x1}
-    for x1 in cat1.catalog:
-        for x2 in cat1.catalog:
+        for x1 in t:
+            comps = cc.complements(cat1, [x for x in t if x != x1])
+            pairs |= {(x1, x2) for x2 in comps if x2 != x1}
+    for x1 in range(len(cat1.catalog)):
+        for x2 in range(len(cat1.catalog)):
             if (x1, x2) in pairs:
-                assert cc.exchange_pair_ext(cat1, x1, x2) == cat1.ext1(x1, x2)
+                ext = cat1.ext1(cat1.catalog[x1], cat1.catalog[x2])
+                assert cc.exchange_pair_ext(cat1, x1, x2) == ext
             else:
                 with pytest.raises(NotExchangeError):
                     cc.exchange_pair_ext(cat1, x1, x2)
@@ -318,7 +319,7 @@ def test_exchange_pair_rejects_compatible_objects(build):
     dc = build(A2)
     cat1 = dc.orbit(1)
     t = cc.enumerate_cluster_tilting(cat1)[0]
-    a, b = t.members
+    a, b = t
     with pytest.raises(NotExchangeError):
         cc.exchange_pair_ext(cat1, a, b)
     with pytest.raises(NotExchangeError):
@@ -332,7 +333,7 @@ def test_direct_enumeration_agrees(build, text, m):
     cat = dc.orbit(m)
     direct = cc.enumerate_stable_tilting_direct(cat)
     lifted = sorted(
-        tuple(sorted(cat.position(x) for x in cc.lift(t, cat).members))
+        tuple(sorted(cc.lift(t, cat).positions))
         for t in cc.enumerate_cluster_tilting(dc.orbit(1))
     )
     assert direct == lifted
@@ -352,8 +353,8 @@ def test_orbit_count_criterion_a2(build):
                     base.ext1(x, y) or base.ext1(y, x) for x in combo for y in combo
                 ):
                     continue
-                stable = cat.build_twist_stable(combo)
-                ok, _ = cc.cluster_tilting_check(cat, [cat.position(x) for x in stable.expansion])
+                stable = cat.build_twist_stable([base.position(x) for x in combo])
+                ok, _ = cc.cluster_tilting_check(cat, stable.positions)
                 assert ok == (stable.orbit_count == n)
 
 
@@ -426,7 +427,7 @@ def test_enumeration_is_cached_per_category(build):
     cat1 = build(A3).orbit(1)
     first = cc.enumerate_cluster_tilting(cat1)
     assert cc.enumerate_cluster_tilting(cat1) is first
-    assert [tuple(cat1.position(x) for x in t.members) for t in first] == cat1.tilting_sets
+    assert first == cat1.tilting_sets
 
 
 def test_tilting_masks_are_cached_next_to_the_sets(build):
@@ -461,7 +462,8 @@ def test_tilting_check_matches_catalog_scan(build, data):
     cat = dc.orbit(2)
     t = data.draw(st.sampled_from(cc.enumerate_cluster_tilting(dc.orbit(1))))
     toggles = data.draw(st.lists(st.sampled_from(cat.catalog), max_size=2))
-    members = sorted(set(cc.lift(t, cat).members).symmetric_difference(toggles))
+    lifted = {cat.catalog[p] for p in cc.lift(t, cat).positions}
+    members = sorted(lifted.symmetric_difference(toggles))
     expected = (True, None)
     for x in cat.catalog:
         member = x in members
@@ -472,3 +474,48 @@ def test_tilting_check_matches_catalog_scan(build, data):
             expected = (False, cat.position(x))
             break
     assert cc.cluster_tilting_check(cat, [cat.position(x) for x in members]) == expected
+
+
+LIFT_QUIVERS = {
+    **BATTERY_QUIVERS,
+    "E6": cc.parse_quiver(E6),
+    "E7": cc.parse_quiver(E7),
+    "E8": cc.parse_quiver(E8),
+}
+
+
+@pytest.mark.parametrize("label", LIFT_QUIVERS)
+def test_lift_generator_is_the_tilting_set_in_shift_module_order(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(LIFT_QUIVERS[label]))
+    base = dc.orbit(1)
+    # ascending base positions list the modules by id, then P_i[1] by vertex
+    assert base.catalog == sorted(base.catalog, key=lambda o: (o.rep.shift, o.rep.module_id))
+    for m in (1, 2):
+        cat = dc.orbit(m)
+        for t in base.tilting_sets:
+            generator = cc.lift(t, cat).generator
+            assert generator == t
+            reps = [base.catalog[g].rep for g in generator]
+            assert reps == sorted(reps, key=lambda x: (x.shift, x.module_id))
+
+
+def test_lift_without_m_times_n_summands_names_quiver_and_generator():
+    cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
+    # a generator repeating one summand has too few orbits
+    cat.base.__dict__["tilting_sets"] = [(0, 0)]
+    pattern = r"A2 quiver \[\(1, 2\)\]: lift of \['m1\[0\]', 'm1\[0\]'\] does not have m\*n"
+    with pytest.raises(RuntimeError, match=pattern):
+        cc.build_tilting_graph(cat)
+
+
+def test_failed_near_completion_names_quiver_and_completion():
+    cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
+    t = cat.base.tilting_sets[0]
+    assert cat.compat_mask  # rigidity still holds; only the tilting check sees the tampering
+    cat.__dict__["ext_zero_out"] = [0] * len(cat.catalog)
+    pattern = (
+        r"A2 quiver \[\(1, 2\)\]: completion \['m1\[0\]', 'm2\[0\]'\]"
+        r" failed the tilting check at m1\[0\]"
+    )
+    with pytest.raises(RuntimeError, match=pattern):
+        cc.near_complements(cat, cat.build_twist_stable(t[:1]))
