@@ -252,16 +252,20 @@ class ARQuiver:
         """
         a = a.id if isinstance(a, IndModule) else a
         b = b.id if isinstance(b, IndModule) else b
-        q = self.quiver
-        m_rep = self.reps[a - 1]
-        n_rep = self.reps[b - 1]
-        p0, cover = self._projective_cover(a)
-        kernel = _kernel_subrep(q, p0, cover, m_rep, f"{self.dynkin}: projective cover of m{a}")
-        return (
-            rep_hom_dim(q, kernel, n_rep)
-            - rep_hom_dim(q, p0, n_rep)
-            + rep_hom_dim(q, m_rep, n_rep)
-        )
+        p0, kernel = self._resolutions[a - 1]
+        q, n_rep = self.quiver, self.reps[b - 1]
+        hom = [rep_hom_dim(q, rep, n_rep) for rep in (kernel, p0, self.reps[a - 1])]
+        return hom[0] - hom[1] + hom[2]
+
+    @cached_property
+    def _resolutions(self) -> list[tuple[Rep, Rep]]:
+        """(P0, K) of 0 -> K -> P0 -> M -> 0 for each module M, by id - 1."""
+        out = []
+        for mid, m_rep in enumerate(self.reps, 1):
+            p0, cover = self._projective_cover(mid)
+            label = f"{self.dynkin}: projective cover of m{mid}"
+            out.append((p0, _kernel_subrep(self.quiver, p0, cover, m_rep, label)))
+        return out
 
     def _projective_cover(self, mid: int) -> tuple[Rep, list[Mat]]:
         """Explicit cover P0 -> M: per-vertex matrices of the cover map."""

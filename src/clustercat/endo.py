@@ -9,18 +9,18 @@ For a generator that is a tilting module (all summands at shift 0) the
 endomorphism algebra of its lift decomposes into m x m blocks indexed by
 twist tiers: diagonal blocks carry the module endomorphism algebra C,
 and the tier-raising positions (cyclically, including the wrap-around)
-carry E = Hom(T, twist T).  These are the orbit category's layers
-``layers[0, 0]`` and ``layers[0, 1]`` restricted to the generator; the
-profile computes C and E from the module and derived Hom instead, so the
-block check compares two routes.  Only dimensions are computed here; no
-multiplication tables.
+carry E = Hom(T, twist T).  The profile reads every block from the orbit
+category's ``layers[0, 0]`` and ``layers[0, 1]`` by tier gap, summed over
+the generator (a multiset), and computes C and E from the module and
+derived Hom instead, so the block check compares two routes; the exchange
+layer is read from ``layers[1, 0]`` and ``layers[1, -1]`` the same way.
+Only dimensions are computed here; no multiplication tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import DObject
 from .orbit import OrbitCategory, OrbitObject, TwistStableObject, mask_of
 from .tilting import NotExchangeError
 
@@ -51,27 +51,20 @@ def endo_profile(cat: OrbitCategory, gct: TwistStableObject) -> EndoProfile:
     block_dims[i][j] sums hom(s, t) over s in tier j and t in tier i,
     i.e. maps from tier j into tier i.
     """
-    m, gen, dim = cat.modulus, gct.generator, cat.dim
+    m, gen, size = cat.modulus, gct.generator, len(gct.generator)
     # tier-major: the twist^i of gen fills slice i
-    slices = [gct.positions[i * len(gen) : (i + 1) * len(gen)] for i in range(m)]
-    tiers = [[cat.catalog[p] for p in tier] for tier in slices]
-    block = [
-        [sum(dim(s, t, 0) for s in slices[j] for t in slices[i]) for j in range(m)]
-        for i in range(m)
-    ]
+    tiers = [[cat.catalog[p] for p in gct.positions[i * size : (i + 1) * size]] for i in range(m)]
+    # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
+    same, up = (sum(cat.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
+    block = [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
 
     reps = [cat.base.catalog[g].rep for g in gen]
     module_tier = all(x.shift == 0 for x in reps)
     dim_c = dim_e = None
     if module_tier:
-        ar = cat.ar
-        ids = [x.module_id for x in reps]
-        dim_c = sum(ar.hom_dim(a, b) for a in ids for b in ids)
-        dim_e = sum(
-            cat.derived.hom(DObject(a, 0), cat.derived.twist(DObject(b, 0)))
-            for a in ids
-            for b in ids
-        )
+        dim_c = sum(cat.ar.hom_dim(x.module_id, y.module_id) for x in reps for y in reps)
+        twisted = [cat.derived.twist(y) for y in reps]
+        dim_e = sum(cat.derived.hom(x, y) for x in reps for y in twisted)
     return EndoProfile(tiers, block, dim_c, dim_e, module_tier)
 
 
@@ -132,4 +125,6 @@ def exchange_layer_dim(cat: OrbitCategory, gct1: TwistStableObject, n2: TwistSta
     # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
     if (gen1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
         raise NotExchangeError("inputs are not the two sides of an exchange edge")
-    return sum(cat.dim(s, t, 1) for s in gct1.positions for t in n2.positions)
+    # each of the m tiers of gct1 meets one tier of n2 at gap 0 and one at gap -1
+    zero, down = cat.layers[1, 0], cat.layers[1, -1]
+    return cat.modulus * sum(zero[k][l] + down[k][l] for k in gct1.generator for l in n2.generator)

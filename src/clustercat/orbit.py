@@ -9,7 +9,8 @@ Over the base domain only F^0 and F^1 can carry maps, and for
 Ext^1 = Hom(-, -[1]) only F^-1 and F^0: F raises shifts by 1 or 2, a derived
 Hom needs a shift gap of 0 or 1, and the gap-1 cases left over are Ext^1 out
 of a projective.  So both dimensions are read from four base-domain
-``layers`` at the tier gap b - a mod m.  The battery's ``hom-walk-oracle``
+``layers`` at the tier gap b - a mod m, and the full tables are tiled from
+them, one B x B block per tier gap.  The battery's ``hom-walk-oracle``
 check compares the tables with the sum walked along each twist orbit.
 
 Layout contract: with B = modules + n, the catalog is tier-major, so
@@ -185,7 +186,12 @@ class OrbitCategory:
                 f"full Hom/Ext tables of {self.ar.dynkin} at m={self.modulus} need"
                 f" {size} objects per side; at most {MAX_TABLE_SIDE} are supported"
             )
-        return [[self.dim(i, j, e) for j in range(size)] for i in range(size)]
+        # as dim reads: the block at tier gap g is layer (e, 0) at 0 plus (e, 1 - 2e) at near
+        m, near = self.modulus, (1 - 2 * e) % self.modulus
+        rows = list(zip(self.layers[e, 0], self.layers[e, 1 - 2 * e]))
+        blocks = [[[x * (g == 0) + y * (g == near) for x, y in zip(*r)] for r in rows] for g in range(m)]
+        tier = range(len(rows))
+        return [[v for b in range(m) for v in blocks[(b - a) % m][k]] for a in range(m) for k in tier]
 
     @cached_property
     def hom_table(self) -> list[list[int]]:
@@ -208,7 +214,7 @@ class OrbitCategory:
     def serre(self, x: OrbitObject) -> OrbitObject:
         """Dimension-level Serre permutation inherited from the derived category."""
         self._check(x)
-        return self.canonicalize(self.derived.shift(self.derived.tau(x.rep), 1))
+        return self.canonicalize(self.derived.serre(x.rep))
 
     @cached_property
     def twist_permutation(self) -> list[int]:
@@ -229,7 +235,12 @@ class OrbitCategory:
         if gen and (gen[0] < 0 or gen[-1] >= size):
             raise ValueError(f"generator positions must lie in 0..{size - 1}, got {list(gen)}")
         positions = tuple(t * size + k for t in range(self.modulus) for k in gen)
-        return TwistStableObject(gen, self.modulus, positions, mask_of(positions))
+        return TwistStableObject(gen, self.modulus, positions, mask_of(gen) * self._tier_bits)
+
+    @cached_property
+    def _tier_bits(self) -> int:
+        """Bit t*B for each tier t: times a base mask, the mask of its twist-orbits."""
+        return mask_of(range(0, self.modulus * self._tier_size, self._tier_size))
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 

@@ -86,16 +86,22 @@ def cluster_tilting_check(cat: OrbitCategory, positions) -> tuple[bool, int | No
     Members and the result are catalog positions; the first violating
     position, in catalog order, is returned otherwise.
     """
-    left = right = (1 << len(cat.catalog)) - 1
-    zero_in, zero_out = cat.ext_zero_in, cat.ext_zero_out
-    for p in positions:
-        left &= zero_in[p]  # X with ext1(X, every member) == 0
-        right &= zero_out[p]  # X with ext1(every member, X) == 0
+    left, right = _ext_zero_with_all(cat, positions)
     support = mask_of(positions)
     bad = (left ^ support) | (right ^ support)
     if bad:
         return False, (bad & -bad).bit_length() - 1
     return True, None
+
+
+def _ext_zero_with_all(cat: OrbitCategory, positions) -> tuple[int, int]:
+    """Masks of the X with ext1(X, every member) == 0 and with ext1(every member, X) == 0."""
+    left = right = (1 << len(cat.catalog)) - 1
+    zero_in, zero_out = cat.ext_zero_in, cat.ext_zero_out
+    for p in positions:
+        left &= zero_in[p]
+        right &= zero_out[p]
+    return left, right
 
 
 def complements(cat: OrbitCategory, positions) -> list[int]:
@@ -113,14 +119,15 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
             f"almost tilting object needs {expected} distinct summands,"
             f" got {support.bit_count()}"
         )
-    common = cat.compatible_with_all(positions)
-    if support & ~common:
+    left, right = _ext_zero_with_all(cat, positions)
+    if support & ~(left & right):
         raise NotRigidError("input is not rigid")
-    candidates, out = common & ~support, []
+    candidates, out = left & right & ~support, []
     while candidates:
         j = (candidates & -candidates).bit_length() - 1
         candidates ^= 1 << j
-        if cat.compat_mask[j] >> j & 1 and cluster_tilting_check(cat, [*positions, j])[0]:
+        grown = support | 1 << j
+        if (left & cat.ext_zero_in[j]) == grown == (right & cat.ext_zero_out[j]):
             out.append(j)
     return out
 

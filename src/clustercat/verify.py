@@ -248,7 +248,7 @@ def _check_serre_derived(derived: DerivedCategory) -> str | None:
     ar = derived.ar
     objs = [DObject(m.id, s) for m in ar.modules for s in range(-2, 3)]
     for x in objs:
-        sx = derived.shift(derived.tau(x), 1)
+        sx = derived.serre(x)
         for y in objs:
             if derived.hom(x, y) != derived.hom(y, sx):
                 return f"Serre duality fails at ({x.text}, {y.text})"
@@ -403,8 +403,7 @@ def _check_fractional_cy(cat: OrbitCategory) -> str | None:
 def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
     # pairs suffice: both sides of the transfer identity are sums over
     # ordered pairs of generator summands
-    base, ext = cat.base, cat.ext_table
-    orbits = [cat.build_twist_stable([k]).positions for k in range(len(base.catalog))]
+    base, ext, orbits = cat.base, cat.ext_table, cat.twist_orbits
     for i, a in enumerate(base.catalog):
         for j, b in enumerate(base.catalog):
             total = sum(ext[x][y] for x in orbits[i] for y in orbits[j])
@@ -423,8 +422,7 @@ def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
     # the twist is walked (twist_permutation), not read from the layout
     twist, hom = cat.twist_permutation, cat.hom_table
     for k, g in enumerate(cat.base.catalog):
-        stable = cat.build_twist_stable([k])
-        into = [sum(col) for col in zip(*(hom[s] for s in stable.positions))]
+        into = [sum(col) for col in zip(*(hom[s] for s in cat.twist_orbits[k]))]
         for y, target in enumerate(cat.catalog):
             z = y
             for _ in range(cat.modulus - 1):

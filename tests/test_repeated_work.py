@@ -1,0 +1,197 @@
+"""Fast paths that skip repeated work, against the definitions they replace.
+
+The endomorphism blocks and exchange layers are read from the four
+base-domain ``layers`` by tier gap, ``complements`` AND-s the members'
+ext-vanishing masks once, and ``resolution_ext_dim`` resolves each module
+once.  The old definitions stay here, inline, as oracles; the work-count
+tests pin the calls the fast paths no longer make.  The tables tiled by
+tier gap are checked against ``dim`` in test_orbit.py.
+"""
+
+from collections import Counter
+
+import pytest
+
+import clustercat as cc
+from clustercat import cli, tilting
+from clustercat.derived import DObject
+from clustercat.orbit import mask_of
+from clustercat.verify import run_verification
+
+from conftest import A2, BATTERY_QUIVERS, D4, E6
+
+QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
+
+
+def _categories(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(QUIVERS[label]))
+    return dc.orbit(1), [dc.orbit(m) for m in (1, 2, 3)]
+
+
+def _sample(label, items):
+    """Every item on the battery quivers; every seventh of E6's 833 tilting
+    objects or 2499 edges, which keeps each test under a second."""
+    return items[:: 7 if label == "E6" else 1]
+
+
+def _complements_by_candidate(cat, positions):
+    """complements as it was: one cluster_tilting_check per candidate."""
+    candidates = cat.compatible_with_all(positions) & ~mask_of(positions)
+    return [
+        j
+        for j in range(len(cat.catalog))
+        if candidates >> j & 1
+        and cat.compat_mask[j] >> j & 1
+        and cc.cluster_tilting_check(cat, [*positions, j])[0]
+    ]
+
+
+def _blocks_by_pairs(cat, gct):
+    """endo_profile's blocks as they were: dim summed over tier slices."""
+    m, size = cat.modulus, len(gct.generator)
+    slices = [gct.positions[i * size : (i + 1) * size] for i in range(m)]
+    return [
+        [sum(cat.dim(s, t, 0) for s in slices[j] for t in slices[i]) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _layer_by_pairs(cat, gct1, n2):
+    """exchange_layer_dim's sum as it was: dim over every pair of summands."""
+    return sum(cat.dim(s, t, 1) for s in gct1.positions for t in n2.positions)
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_complements_match_the_per_candidate_check(label):
+    base, cats = _categories(label)
+    tiltings = _sample(label, cc.enumerate_cluster_tilting(base))
+    for cat in cats:
+        for t in tiltings:
+            members = cc.lift(t, cat).positions
+            for drop in members:
+                rest = [x for x in members if x != drop]
+                assert cc.complements(cat, rest) == _complements_by_candidate(cat, rest)
+    # at m = 1 every rigid (n - 1)-set is almost tilting
+    n = base.ar.quiver.vertex_count
+    for chosen in base.rigid_position_sets():
+        if len(chosen) == n - 1:
+            assert cc.complements(base, chosen) == _complements_by_candidate(base, chosen)
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
+    base, cats = _categories(label)
+    tiltings = _sample(label, cc.enumerate_cluster_tilting(base))
+    for cat in cats:
+        d = cat.derived
+        for t in tiltings:
+            gct = cc.lift(t, cat)
+            # a repeated generator counts every copy, as the pair sums do
+            for stable in (gct, cat.build_twist_stable([*t, t[0]])):
+                profile = cc.endo_profile(cat, stable)
+                assert profile.block_dims == _blocks_by_pairs(cat, stable), (cat.modulus, t)
+            if profile.module_tier:
+                ids = [base.catalog[g].rep.module_id for g in t]
+                dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
+                assert cc.endo_profile(cat, gct).dim_e == dim_e
+        graph = cat.tilting_graph
+        for a, b in _sample(label, graph.edges):
+            va, vb = graph.vertices[a], graph.vertices[b]
+            for one, two in ((va, vb), (vb, va)):
+                (x2,) = set(two.generator) - set(one.generator)
+                for n2 in (cat.build_twist_stable([x2]), cat.build_twist_stable([x2, x2])):
+                    got = cc.exchange_layer_dim(cat, one, n2)
+                    assert got == _layer_by_pairs(cat, one, n2) == cat.modulus * len(n2.generator)
+
+
+def test_one_projective_cover_per_module_over_a_resolution_sweep(monkeypatch):
+    calls = Counter()
+    cover = cc.ARQuiver._projective_cover
+
+    def counted(self, mid):
+        calls[mid] += 1
+        return cover(self, mid)
+
+    monkeypatch.setattr(cc.ARQuiver, "_projective_cover", counted)
+    ar = cc.ARQuiver(cc.parse_quiver(D4))
+    for a in ar.modules:
+        for b in ar.modules:
+            assert ar.resolution_ext_dim(a.id, b.id) == ar.ext_dim(a.id, b.id)
+    assert calls == {m.id: 1 for m in ar.modules}
+
+
+def test_complements_make_no_tilting_checks(monkeypatch):
+    calls = Counter()
+    check = tilting.cluster_tilting_check
+
+    def counted(cat, positions):
+        calls["check"] += 1
+        return check(cat, positions)
+
+    monkeypatch.setattr(tilting, "cluster_tilting_check", counted)
+    dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
+    base, cat = dc.orbit(1), dc.orbit(2)
+    for t in cc.enumerate_cluster_tilting(base):
+        members = cc.lift(t, cat).positions
+        for drop in members:
+            cc.complements(cat, [x for x in members if x != drop])
+    assert calls["check"] == 0
+    # the counter is live: near_complements checks each of its two completions
+    t = cc.enumerate_cluster_tilting(base)[0]
+    cc.near_complements(cat, cat.build_twist_stable(t[1:]))
+    assert calls["check"] == 2
+
+
+def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
+    calls = Counter()
+    dim = cc.OrbitCategory.dim
+
+    def counted(self, i, j, e):
+        calls["dim"] += 1
+        return dim(self, i, j, e)
+
+    monkeypatch.setattr(cc.OrbitCategory, "dim", counted)
+    dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
+    base, cat = dc.orbit(1), dc.orbit(3)
+    assert cat.hom_table and cat.ext_table
+    lifts = [cc.lift(t, cat) for t in cc.enumerate_cluster_tilting(base)]
+    for gct in lifts:
+        cc.endo_profile(cat, gct)
+    for a, b in base.exchange_edges:
+        (x2,) = set(lifts[b].generator) - set(lifts[a].generator)
+        cc.exchange_layer_dim(cat, lifts[a], cat.build_twist_stable([x2]))
+    assert calls["dim"] == 0
+    # the counter is live: a point query reads one entry
+    cat.hom(cat.catalog[0], cat.catalog[1])
+    assert calls["dim"] == 1
+
+
+def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, capsys):
+    def unreachable(*args):
+        raise AssertionError("ar reached a stage it does not need")
+
+    monkeypatch.setattr(cc.ARQuiver, "_projective_cover", unreachable)
+    monkeypatch.setattr(cc.OrbitCategory, "layers", property(unreachable))
+    monkeypatch.setattr(tilting, "cluster_tilting_check", unreachable)
+    monkeypatch.setattr(cli, "endo_profile", unreachable)
+    path = tmp_path / "d4.quiver"
+    path.write_text(D4, encoding="utf-8")
+    assert cli.main(["ar", "--quiver", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_ext_oracle_catches_swapped_resolutions():
+    def swap(label, ar):
+        if label == "A2#0":
+            res = ar._resolutions
+            res[0], res[-1] = res[-1], res[0]
+
+    report = run_verification(["A2"], (1, 2), tamper=swap)
+    failed = [
+        (cell["quiver"], check["name"])
+        for cell in report["cells"]
+        for check in cell["checks"]
+        if not check["passed"]
+    ]
+    assert failed == [("A2#0", "oracle-ext-equivalence")]
+    assert report["checks_failed"] == 1 and not report["passed"]
