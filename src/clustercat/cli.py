@@ -262,10 +262,6 @@ def _cmd_hom(args, parser) -> int:
     return 0
 
 
-def _vertices(cat: OrbitCategory):
-    return [lift(t, cat) for t in enumerate_cluster_tilting(cat.base)]
-
-
 def _members_sorted(cat, gct) -> list[str]:
     return cat.texts(sorted(gct.positions))
 
@@ -273,10 +269,9 @@ def _members_sorted(cat, gct) -> list[str]:
 def _cmd_tilting(args, parser) -> int:
     _check_format(args, parser)
     cat = _category(args)
-    vertices = _vertices(cat)
     # each entry is the member-id list of one tilting object; the 1-based
     # position in this array is the vertex index that cmd_endo consumes
-    rows = [_members_sorted(cat, v) for v in vertices]
+    rows = [_members_sorted(cat, lift(t, cat)) for t in enumerate_cluster_tilting(cat.base)]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -324,14 +319,14 @@ def _cmd_graph(args, parser) -> int:
 def _cmd_endo(args, parser) -> int:
     _check_format(args, parser)
     cat = _category(args)
-    vertices = _vertices(cat)
-    if not 1 <= args.vertex <= len(vertices):
+    tiltings = enumerate_cluster_tilting(cat.base)
+    if not 1 <= args.vertex <= len(tiltings):
         print(
-            f"error: vertex index {args.vertex} out of range 1..{len(vertices)}",
+            f"error: vertex index {args.vertex} out of range 1..{len(tiltings)}",
             file=sys.stderr,
         )
         return 2
-    gct = vertices[args.vertex - 1]
+    gct = lift(tiltings[args.vertex - 1], cat)
     profile = endo_profile(cat, gct)
     report = block_pattern_report(profile)
     payload = {

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .orbit import OrbitCategory, OrbitObject, TwistStableObject, mask_of
+from .orbit import MAX_TABLE_SIDE, OrbitCategory, OrbitObject, TwistStableObject, mask_of
+from .quiver import QuiverTooLargeError
 from .tilting import NotExchangeError
 
 
@@ -52,6 +53,10 @@ def endo_profile(cat: OrbitCategory, gct: TwistStableObject) -> EndoProfile:
     i.e. maps from tier j into tier i.
     """
     m, gen, size = cat.modulus, gct.generator, len(gct.generator)
+    if m > MAX_TABLE_SIDE:  # the block matrix is m x m
+        raise QuiverTooLargeError(
+            f"endo blocks of {cat.ar.dynkin} at m={m} need {m} tiers; at most {MAX_TABLE_SIDE} are supported"
+        )
     # tier-major: the twist^i of gen fills slice i
     tiers = [[cat.catalog[p] for p in gct.positions[i * size : (i + 1) * size]] for i in range(m)]
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m

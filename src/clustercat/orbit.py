@@ -9,9 +9,10 @@ Over the base domain only F^0 and F^1 can carry maps, and for
 Ext^1 = Hom(-, -[1]) only F^-1 and F^0: F raises shifts by 1 or 2, a derived
 Hom needs a shift gap of 0 or 1, and the gap-1 cases left over are Ext^1 out
 of a projective.  So both dimensions are read from four base-domain
-``layers`` at the tier gap b - a mod m, and the full tables are tiled from
-them, one B x B block per tier gap.  The battery's ``hom-walk-oracle``
-check compares the tables with the sum walked along each twist orbit.
+``layers`` at the tier gap b - a mod m (independent of m, so read from the
+base), and the full tables are tiled from them, one B x B block per tier
+gap.  The battery's ``hom-walk-oracle`` check compares the tables at every
+m with the sum walked along each twist orbit.
 
 Layout contract: with B = modules + n, the catalog is tier-major, so
 twist^t of base object k sits at position t*B + k and the twist acts on
@@ -156,6 +157,8 @@ class OrbitCategory:
     def layers(self) -> dict[tuple[int, int], list[list[int]]]:
         """layers[e, s][k][l] = dim Hom_D(X_k, F^s(X_l)[e]) over the base
         domain X_0 .. X_{B-1}; no other (e, s) is nonzero there."""
+        if self._base:
+            return self._base.layers
         d, base = self.derived, [x.rep for x in self.catalog[: self._tier_size]]
         out = {}
         for e, s in ((0, 0), (0, 1), (1, -1), (1, 0)):

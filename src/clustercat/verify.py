@@ -4,16 +4,20 @@ The default battery is every orientation of A_1..A_4 and D_4, each with
 modulus 1, 2 and 3.  Checks come in two groups: per-quiver (module and
 derived level, modulus independent) and per-(quiver, modulus).  Each
 check reports a name and an optional failure detail; the report is
-machine readable and deterministic.
+machine readable and deterministic.  Shared work runs once: the
+modulus-independent ``tilting-brute-force`` once per quiver (reported at
+every m), each lift once per cell besides the graph's own, and each almost
+tilting object's completion once in ``near-complement-pairs``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, mask_of
+from .orbit import OrbitCategory, TwistStableObject, mask_of
 from .quiver import DIAGRAMS, Quiver, positive_root_count
 from .tilting import (
     cluster_tilting_check,
@@ -63,25 +67,12 @@ def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> d
             if tamper is not None:
                 tamper(label, ar)
             derived = DerivedCategory(ar)
-            checks = _quiver_checks(name, q, ar, derived)
-            cells.append(
-                {
-                    "quiver": label,
-                    "arrows": [list(a) for a in q.arrows],
-                    "m": None,
-                    "checks": checks,
-                }
-            )
+            brute_force = cache(lambda: _check_tilting_brute_force(derived.orbit(1)))
+            cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
+            cells.append({**cell, "m": None, "checks": _quiver_checks(name, q, ar, derived)})
             for m in m_values:
-                cat = derived.orbit(m)
-                cells.append(
-                    {
-                        "quiver": label,
-                        "arrows": [list(a) for a in q.arrows],
-                        "m": m,
-                        "checks": _orbit_checks(name, cat),
-                    }
-                )
+                cat = derived.orbit(m)  # held while the next m is built: one shared base
+                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, brute_force)})
     for cell in cells:
         for check in cell["checks"]:
             total += 1
@@ -135,10 +126,11 @@ def _quiver_checks(name: str, q: Quiver, ar: ARQuiver, derived: DerivedCategory)
     return checks
 
 
-def _orbit_checks(name: str, cat: OrbitCategory) -> list[dict]:
+def _orbit_checks(name: str, cat: OrbitCategory, brute_force=None) -> list[dict]:
     n = cat.ar.quiver.vertex_count
     m = cat.modulus
     checks = []
+    lifts = cache(lambda: [lift(t, cat) for t in enumerate_cluster_tilting(cat.base)])
 
     def run(check_name, fn):
         _run_check(checks, check_name, fn)
@@ -158,18 +150,18 @@ def _orbit_checks(name: str, cat: OrbitCategory) -> list[dict]:
     if n <= 3:
         run("orbit-count-criterion", lambda: _check_orbit_count_criterion(cat))
     run("tilting-count", lambda: _check_tilting_count(name, cat))
-    run("tilting-brute-force", lambda: _check_tilting_brute_force(cat))
-    run("lift-check", lambda: _check_lifts(cat))
+    run("tilting-brute-force", brute_force or (lambda: _check_tilting_brute_force(cat)))
+    run("lift-check", lambda: _check_lifts(cat, lifts()))
     if n <= 3 and m <= 2:
-        run("direct-enumeration", lambda: _check_direct_enumeration(cat))
-    run("complement-counts", lambda: _check_complements(cat))
+        run("direct-enumeration", lambda: _check_direct_enumeration(cat, lifts()))
+    run("complement-counts", lambda: _check_complements(cat, lifts()))
     run("near-complement-pairs", lambda: _check_near_complements(cat))
     run("graph-connected", lambda: _check_graph_connected(cat))
     run("graph-shape", lambda: _check_graph_shape(name, cat))
     run("exchange-layer-dim", lambda: _check_exchange_layers(cat))
     if m == 1:
         run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
-    run("endo-blocks", lambda: _check_endo_blocks(cat))
+    run("endo-blocks", lambda: _check_endo_blocks(cat, lifts()))
     return checks
 
 
@@ -479,23 +471,20 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_lifts(cat: OrbitCategory) -> str | None:
-    for t in enumerate_cluster_tilting(cat.base):
-        lifted = lift(t, cat)
+def _check_lifts(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
+    for lifted in lifts:
         if len(set(lifted.positions)) != cat.modulus * cat.ar.quiver.vertex_count:
-            return f"lift of {_key(cat, t)} has wrong summand count"
+            return f"lift of {_key(cat, lifted.generator)} has wrong summand count"
         ok, witness = cluster_tilting_check(cat, lifted.positions)
         if not ok:
             at = cat.catalog[witness].text
-            return f"lift of {_key(cat, t)} fails the tilting check at {at}"
+            return f"lift of {_key(cat, lifted.generator)} fails the tilting check at {at}"
     return None
 
 
-def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
+def _check_direct_enumeration(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
     direct = enumerate_stable_tilting_direct(cat)
-    lifted = sorted(
-        tuple(sorted(lift(t, cat).positions)) for t in enumerate_cluster_tilting(cat.base)
-    )
+    lifted = sorted(tuple(sorted(v.positions)) for v in lifts)
     if direct != lifted:
         return (
             f"direct in-category enumeration found {len(direct)} objects,"
@@ -504,10 +493,10 @@ def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_complements(cat: OrbitCategory) -> str | None:
+def _check_complements(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
     expected = 1 if cat.modulus >= 2 else 2
-    for t in enumerate_cluster_tilting(cat.base):
-        members = lift(t, cat).positions
+    for vertex in lifts:
+        t, members = vertex.generator, vertex.positions
         for drop in members:
             rest = [x for x in members if x != drop]
             found = complements(cat, rest)
@@ -528,14 +517,17 @@ def _check_near_complements(cat: OrbitCategory) -> str | None:
     graph = cat.tilting_graph
     index = {v.generator: i for i, v in enumerate(graph.vertices)}
     edges = set(graph.edges)
-    found = set()
-    for t in enumerate_cluster_tilting(base):
-        vertex = lift(t, cat)
-        for drop in vertex.generator:
-            rest = tuple(g for g in vertex.generator if g != drop)
-            a, b = near_complements(cat, cat.build_twist_stable(rest))
+    found, completed = set(), {}
+    for t in enumerate_cluster_tilting(base):  # ascending, so t is its lift's generator
+        for drop in t:
+            rest = tuple(g for g in t if g != drop)
+            if rest not in completed:
+                completed[rest] = near_complements(cat, cat.build_twist_stable(rest))
+            elif t in {g.generator for g in completed[rest]}:
+                continue  # both ends of an edge share rest; the first ran every comparison
+            a, b = completed[rest]
             gens = {a.generator, b.generator}
-            if vertex.generator not in gens:
+            if t not in gens:
                 return f"near completion loses the original vertex at {_key(cat, t)}"
             if len(gens) != 2:
                 return f"near completions coincide at {_key(cat, t)}"
@@ -562,6 +554,10 @@ def _check_graph_connected(cat: OrbitCategory) -> str | None:
 def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
     graph = cat.tilting_graph
     n = cat.ar.quiver.vertex_count
+    # graph vertex i is the lift of tilting object i, as `graph` and `endo` number them
+    for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
+        if i >= len(graph.vertices) or graph.vertices[i].generator != t:
+            return f"graph vertex T{i + 1} is not the lift of {_key(cat, t)}"
     for a, b in graph.edges:
         ga = set(graph.vertices[a].generator)
         gb = set(graph.vertices[b].generator)
@@ -606,11 +602,11 @@ def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_endo_blocks(cat: OrbitCategory) -> str | None:
+def _check_endo_blocks(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
     m = cat.modulus
     projective_gen = None
-    for t in enumerate_cluster_tilting(cat.base):
-        gct = lift(t, cat)
+    for gct in lifts:
+        t = gct.generator
         profile = endo_profile(cat, gct)
         if not profile.module_tier:
             report = block_pattern_report(profile)

@@ -179,6 +179,26 @@ def test_endo_vertex_out_of_range(capsys, a2_path):
     assert "out of range" in err
 
 
+def test_endo_past_the_side_cap_fails_fast_in_one_line(capsys, a2_path):
+    start = time.perf_counter()
+    m = str(orbit.MAX_TABLE_SIDE + 1)
+    code, out, err = run(capsys, "endo", "1", "--quiver", a2_path, "--m", m)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: endo blocks of A2 at m={m} need {m} tiers;"
+        f" at most {orbit.MAX_TABLE_SIDE} are supported\n"
+    )
+
+
+def test_endo_at_the_side_cap(capsys, a2_path):
+    code, out, _ = run(capsys, "endo", "1", "--quiver", a2_path, "--m", str(orbit.MAX_TABLE_SIDE))
+    assert code == 0
+    blocks = json.loads(out)["block_dims"]
+    assert len(blocks) == orbit.MAX_TABLE_SIDE and blocks[0][0] == 3
+
+
 def test_verify_restricted_battery(capsys):
     code, out, _ = run(capsys, "verify", "--battery", "A2")
     payload = json.loads(out)

@@ -3,7 +3,9 @@
 The endomorphism blocks and exchange layers are read from the four
 base-domain ``layers`` by tier gap, ``complements`` AND-s the members'
 ext-vanishing masks once, and ``resolution_ext_dim`` resolves each module
-once.  The old definitions stay here, inline, as oracles; the work-count
+once.  The battery completes each almost tilting object once, lifts each
+tilting object once per cell besides the graph's lift, and scans subsets
+once per quiver.  The old definitions stay here, inline, as oracles; the work-count
 tests pin the calls the fast paths no longer make.  The tables tiled by
 tier gap are checked against ``dim`` in test_orbit.py.
 """
@@ -13,10 +15,10 @@ from collections import Counter
 import pytest
 
 import clustercat as cc
-from clustercat import cli, tilting
+from clustercat import cli, tilting, verify
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
-from clustercat.verify import run_verification
+from clustercat.verify import TILTING_COUNTS, orientations, run_verification
 
 from conftest import A2, BATTERY_QUIVERS, D4, E6
 
@@ -195,3 +197,44 @@ def test_ext_oracle_catches_swapped_resolutions():
     ]
     assert failed == [("A2#0", "oracle-ext-equivalence")]
     assert report["checks_failed"] == 1 and not report["passed"]
+
+
+def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
+    calls, lifts = Counter(), Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    def lifting(fn):
+        def counted(t, cat):
+            lifts[cat, tuple(t)] += 1
+            return fn(t, cat)
+
+        return counted
+
+    for module in (tilting, verify):
+        monkeypatch.setattr(module, "lift", lifting(module.lift))
+    monkeypatch.setattr(verify, "near_complements", counting("near", verify.near_complements))
+    scan = verify._check_tilting_brute_force
+    monkeypatch.setattr(verify, "_check_tilting_brute_force", counting("scan", scan))
+    diagrams, m_values = ["A3", "D4"], (1, 2, 3)
+    assert run_verification(diagrams, m_values)["passed"]
+    cells = {d: len(orientations(d)) * len(m_values) for d in diagrams}
+    # each almost tilting object is the rest of exactly two tilting objects, so
+    # one completion per edge of the n-regular graph: n * |vertices| / 2 edges
+    n = {"A3": 3, "D4": 4}
+    assert calls["near"] == sum(cells[d] * n[d] * TILTING_COUNTS[d] // 2 for d in diagrams)
+    assert calls["scan"] == sum(len(orientations(d)) for d in diagrams)
+    # every (tilting object, cell) is lifted twice: for the graph and for all the checks
+    assert len(lifts) == sum(cells[d] * TILTING_COUNTS[d] for d in diagrams)
+    assert set(lifts.values()) == {2}
+
+
+def test_layers_are_read_from_the_base_at_every_modulus():
+    dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
+    base = dc.orbit(1)
+    assert dc.orbit(3).layers is dc.orbit(2).layers is base.layers

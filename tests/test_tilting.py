@@ -422,6 +422,26 @@ def test_battery_notices_a_missing_graph_edge(monkeypatch):
     assert not report["passed"]
 
 
+def test_battery_notices_graph_vertices_out_of_lift_order(monkeypatch):
+    # `graph` and `endo` number tilting objects alike; graph-shape guards that
+    build_graph = tilting.build_tilting_graph
+
+    def swap_first_two(cat):
+        graph = build_graph(cat)
+        graph.vertices[0], graph.vertices[1] = graph.vertices[1], graph.vertices[0]
+        return graph
+
+    monkeypatch.setattr(tilting, "build_tilting_graph", swap_first_two)
+    report = run_verification(["A2"])
+    shape = [c for cell in report["cells"] for c in cell["checks"] if c["name"] == "graph-shape"]
+    assert len(shape) == 6
+    for check in shape:
+        assert check["detail"] == "graph vertex T1 is not the lift of ('m1[0]', 'm2[0]')"
+    # the checks lift on their own, so lift-check does not see the swap
+    assert all(c["passed"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "lift-check")
+    assert not report["passed"]
+
+
 def test_enumeration_is_cached_per_category(build):
     # the battery enumerates each category about nine times
     cat1 = build(A3).orbit(1)
