@@ -198,13 +198,8 @@ def _cmd_ind(args, parser) -> int:
     _check_format(args, parser)
     cat = _category(args)
     rows = [
-        {
-            "id": obj.text,
-            "module": f"m{obj.rep.module_id}",
-            "shift": obj.rep.shift,
-            "tier": cat.tier_of(obj),
-        }
-        for obj in cat.catalog
+        {"id": x.text, "module": f"m{x.module_id}", "shift": x.shift, "tier": cat.tier_of(i)}
+        for i, x in enumerate(cat.catalog)
     ]
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "m": cat.modulus, "objects": rows}
@@ -223,10 +218,9 @@ def _cmd_hom(args, parser) -> int:
         parser.error("hom takes exactly two objects, or none for the full tables")
     cat = _category(args)
     if args.objects:
-        x = cat.canonicalize(cat.derived.parse_object(args.objects[0]))
-        y = cat.canonicalize(cat.derived.parse_object(args.objects[1]))
-        hom = cat.hom(x, y)
-        ext = cat.ext1(x, y)
+        i = cat.canonicalize(cat.derived.parse_object(args.objects[0]))
+        j = cat.canonicalize(cat.derived.parse_object(args.objects[1]))
+        x, y, hom, ext = cat.catalog[i], cat.catalog[j], cat.dim(i, j, 0), cat.dim(i, j, 1)
         if args.format == "json":
             payload = {
                 "schema_version": SCHEMA_VERSION,

@@ -2,7 +2,8 @@
 tilting objects.
 
 A lifted tilting object is the ``TwistStableObject`` over its generator's
-base positions; texts, shifts and module ids are read from the modulus-1
+base positions.  The profile's tiers list the summands' catalog
+``DObject``s, and shifts and module ids are read from the modulus-1
 catalog only where the module tier is tested.
 
 For a generator that is a tilting module (all summands at shift 0) the
@@ -21,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .orbit import MAX_TABLE_SIDE, OrbitCategory, OrbitObject, TwistStableObject, mask_of
+from .derived import DObject
+from .orbit import MAX_TABLE_SIDE, OrbitCategory, TwistStableObject, mask_of
 from .quiver import QuiverTooLargeError
 from .tilting import NotExchangeError
 
 
 @dataclass
 class EndoProfile:
-    tiers: list[list[OrbitObject]]
+    tiers: list[list[DObject]]
     block_dims: list[list[int]]
     dim_c: int | None
     dim_e: int | None
@@ -63,7 +65,7 @@ def endo_profile(cat: OrbitCategory, gct: TwistStableObject) -> EndoProfile:
     same, up = (sum(cat.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
     block = [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
 
-    reps = [cat.base.catalog[g].rep for g in gen]
+    reps = [cat.base.catalog[g] for g in gen]
     module_tier = all(x.shift == 0 for x in reps)
     dim_c = dim_e = None
     if module_tier:

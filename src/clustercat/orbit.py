@@ -19,18 +19,21 @@ twist^t of base object k sits at position t*B + k and the twist acts on
 positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
 covering projection use this arithmetic instead of walking the twist; the
 battery's ``twist-free-orbits`` check asserts it against the walked
-``twist_permutation``.  Below the CLI objects are catalog positions: a
-tilting object is its generator's base positions (ascending, which is the
-(shift, module id) order of the base domain), its lift carries positions
-and a mask, ``dim`` reads by position, and ``OrbitObject``s appear only at
-the CLI and in the oracles.
+``twist_permutation``.
+
+An object of the orbit category is its catalog position: the catalog holds
+one ``DObject`` per twist-orbit, ``canonicalize`` sends any ``DObject`` to
+the position of its orbit, and ``tier_of``, ``project``, ``twist_action``,
+``serre`` and ``dim`` take positions.  A tilting object is its generator's
+base positions (ascending, which is the (shift, module id) order of the
+base domain), and its lift carries positions and a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .derived import DerivedCategory, DObject
 from .quiver import QuiverTooLargeError
@@ -39,15 +42,6 @@ from .quiver import QuiverTooLargeError
 # table holds N^2 entries and its JSON grows with them, so the side is capped
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
-
-
-class OrbitObject(NamedTuple):
-    rep: DObject
-    modulus: int
-
-    @property
-    def text(self) -> str:
-        return self.rep.text
 
 
 @dataclass(frozen=True)
@@ -104,9 +98,9 @@ class OrbitCategory:
             return True
         return x.shift == 1 and self.ar.module(x.module_id).is_projective
 
-    def canonicalize(self, x: DObject) -> OrbitObject:
-        """Unique representative in the tiered fundamental domain: write
-        x = twist^j(y) with y in the base domain, then take twist^(j mod m)(y)."""
+    def canonicalize(self, x: DObject) -> int:
+        """Catalog position of the orbit of x: write x = twist^j(y) with y in
+        the base domain, then look up twist^(j mod m)(y) in the catalog."""
         d = self.derived
         j = 0
         while not self._in_base_domain(x):
@@ -116,36 +110,26 @@ class OrbitCategory:
             else:
                 x = d.twist(x)
                 j -= 1
-        return OrbitObject(d.twist_power(x, j % self.modulus), self.modulus)
+        return self._positions[d.twist_power(x, j % self.modulus)]
 
-    def tier_of(self, obj: OrbitObject) -> int:
-        return self.position(obj) // self._tier_size
-
-    def _check(self, obj: OrbitObject) -> None:
-        if obj.modulus != self.modulus:
-            raise ValueError(
-                f"modulus mismatch: object has {obj.modulus}, category has {self.modulus}"
-            )
+    def tier_of(self, i: int) -> int:
+        return i // self._tier_size
 
     # -- catalog ---------------------------------------------------------
 
     @cached_property
-    def catalog(self) -> list[OrbitObject]:
+    def catalog(self) -> list[DObject]:
         """All indecomposables: m tiers over the base domain, tier-major."""
         base = [DObject(m.id, 0) for m in self.ar.modules]
         base += [DObject(pid, 1) for v, pid in sorted(self.ar.projectives.items())]
         reps = list(base)
         for _ in range(self.modulus - 1):
             reps += [self.derived.twist(x) for x in reps[-len(base) :]]
-        return [OrbitObject(x, self.modulus) for x in reps]
-
-    def position(self, obj: OrbitObject) -> int:
-        self._check(obj)
-        return self._positions[obj.rep]
+        return reps
 
     @cached_property
     def _positions(self) -> dict[DObject, int]:
-        return {obj.rep: i for i, obj in enumerate(self.catalog)}
+        return {x: i for i, x in enumerate(self.catalog)}
 
     def texts(self, positions: Iterable[int]) -> list[str]:
         """The catalog texts at the given positions, as output and messages print them."""
@@ -159,7 +143,7 @@ class OrbitCategory:
         domain X_0 .. X_{B-1}; no other (e, s) is nonzero there."""
         if self._base:
             return self._base.layers
-        d, base = self.derived, [x.rep for x in self.catalog[: self._tier_size]]
+        d, base = self.derived, self.catalog[: self._tier_size]
         out = {}
         for e, s in ((0, 0), (0, 1), (1, -1), (1, 0)):
             column = [d.shift(d.twist_power(y, s), e) for y in base]
@@ -174,13 +158,6 @@ class OrbitCategory:
         gap, near = (b - a) % self.modulus, 1 - 2 * e
         total = self.layers[e, 0][k][l] if gap == 0 else 0
         return total + (self.layers[e, near][k][l] if gap == near % self.modulus else 0)
-
-    def hom(self, x: OrbitObject, y: OrbitObject) -> int:
-        """Sum of derived Hom spaces over all modulus-power twists of y."""
-        return self.dim(self.position(x), self.position(y), 0)
-
-    def ext1(self, x: OrbitObject, y: OrbitObject) -> int:
-        return self.dim(self.position(x), self.position(y), 1)
 
     def _table(self, e: int) -> list[list[int]]:
         size = len(self.catalog)
@@ -206,23 +183,21 @@ class OrbitCategory:
 
     # -- functors ----------------------------------------------------------
 
-    def project(self, x: OrbitObject) -> OrbitObject:
-        """Covering projection onto the modulus-1 orbit category."""
-        return self.base.catalog[self.position(x) % self._tier_size]
+    def project(self, i: int) -> int:
+        """Covering projection onto the modulus-1 orbit category: base position i mod B."""
+        return i % self._tier_size
 
-    def twist_action(self, x: OrbitObject) -> OrbitObject:
-        self._check(x)
-        return self.canonicalize(self.derived.twist(x.rep))
+    def twist_action(self, i: int) -> int:
+        return self.canonicalize(self.derived.twist(self.catalog[i]))
 
-    def serre(self, x: OrbitObject) -> OrbitObject:
+    def serre(self, i: int) -> int:
         """Dimension-level Serre permutation inherited from the derived category."""
-        self._check(x)
-        return self.canonicalize(self.derived.serre(x.rep))
+        return self.canonicalize(self.derived.serre(self.catalog[i]))
 
     @cached_property
     def twist_permutation(self) -> list[int]:
         """Catalog position of the walked twist of each object: the layout's reference."""
-        return [self.position(self.twist_action(x)) for x in self.catalog]
+        return [self.twist_action(i) for i in range(len(self.catalog))]
 
     @cached_property
     def twist_orbits(self) -> list[tuple[int, ...]]:

@@ -4,12 +4,16 @@ The quiver file format is line oriented: the first non-comment line is
 ``vertices <n>``, followed by zero or more ``arrow <i> <j>`` lines with
 1-based vertex indices.  ``#`` starts a comment.  Only connected acyclic
 orientations of the ADE diagrams are accepted; everything downstream
-relies on representation-finiteness.
+relies on representation-finiteness.  A quiver file is UTF-8 text of at
+most ``MAX_QUIVER_BYTES`` bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# E8, the largest supported quiver, needs well under 1 KiB
+MAX_QUIVER_BYTES = 1 << 20
 
 
 class QuiverError(Exception):
@@ -116,8 +120,16 @@ def parse_quiver(text: str) -> Quiver:
 
 
 def load_quiver(path) -> Quiver:
-    with open(path, encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_QUIVER_BYTES + 1)
+    if len(data) > MAX_QUIVER_BYTES:
+        raise QuiverSyntaxError(f"quiver file exceeds {MAX_QUIVER_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise QuiverSyntaxError(f"not UTF-8 text at byte {exc.start}", line) from None
+    return parse_quiver(text)
 
 
 def validate_quiver(q: Quiver) -> DynkinClass:

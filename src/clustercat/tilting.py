@@ -31,7 +31,6 @@ class NotExchangeError(ValueError):
 class TiltingGraph:
     vertices: list[TwistStableObject]
     edges: list[tuple[int, int]]
-    modulus: int
 
     @cached_property
     def adjacency(self) -> list[set[int]]:
@@ -173,7 +172,7 @@ def build_tilting_graph(cat: OrbitCategory) -> TiltingGraph:
         if not ok:
             at = cat.catalog[witness].text
             raise RuntimeError(f"{cat.quiver_label}: lift T{i + 1} fails the tilting check at {at}")
-    return TiltingGraph(vertices, list(cat1.exchange_edges), cat.modulus)
+    return TiltingGraph(vertices, list(cat1.exchange_edges))
 
 
 def exchange_pair_ext(cat1: OrbitCategory, p1: int, p2: int) -> int:

@@ -289,15 +289,13 @@ def _check_orbit_count(cat: OrbitCategory) -> str | None:
 
 def _check_covering(cat: OrbitCategory) -> str | None:
     base = cat.base
-    fibers: dict = {o.rep: 0 for o in base.catalog}
-    for x in cat.catalog:
-        image = cat.project(x)
-        if image.rep not in fibers:
-            return f"projection leaves the base catalog at {x.text}"
-        fibers[image.rep] += 1
-        if cat.project(cat.twist_action(x)) != image:
+    fibers = [0] * len(base.catalog)
+    for i, x in enumerate(cat.catalog):
+        image = cat.project(i)
+        fibers[image] += 1
+        if cat.project(cat.twist_action(i)) != image:
             return f"projection not twist-invariant at {x.text}"
-    bad = {k.text: v for k, v in fibers.items() if v != cat.modulus}
+    bad = {x.text: v for x, v in zip(base.catalog, fibers) if v != cat.modulus}
     if bad:
         return f"fiber sizes off: {bad}"
     return None
@@ -318,20 +316,20 @@ def _check_hom_walk(cat: OrbitCategory) -> str | None:
     # over the F^m-orbit of y, walked once per y across the catalog's shift
     # window; Ext^1(x, y) is Hom(x, y[1]), read from the column of y[1]
     d, m = cat.derived, cat.modulus
-    low = min(x.rep.shift for x in cat.catalog)
-    high = max(x.rep.shift for x in cat.catalog) + 1
+    low = min(x.shift for x in cat.catalog)
+    high = max(x.shift for x in cat.catalog) + 1
     walked = []
     for y in cat.catalog:
-        w, orbit = y.rep, []
+        w, orbit = y, []
         while w.shift >= low:
             w = d.twist_power(w, -m)
         while w.shift <= high:
             orbit.append(w)
             w = d.twist_power(w, m)
-        walked.append([sum(d.hom(x.rep, w) for w in orbit) for x in cat.catalog])
+        walked.append([sum(d.hom(x, w) for w in orbit) for x in cat.catalog])
     hom, ext = cat.hom_table, cat.ext_table
     for j, y in enumerate(cat.catalog):
-        shifted = walked[cat.position(cat.canonicalize(d.shift(y.rep, 1)))]
+        shifted = walked[cat.canonicalize(d.shift(y, 1))]
         for name, table, ref in (("hom", hom, walked[j]), ("ext1", ext, shifted)):
             for i, x in enumerate(cat.catalog):
                 if table[i][j] != ref[i]:
@@ -347,15 +345,15 @@ def _check_self_ext(cat: OrbitCategory) -> str | None:
 
 
 def _check_end_dims(cat: OrbitCategory) -> str | None:
-    for x in cat.catalog:
-        d = cat.hom(x, x)
+    for i, x in enumerate(cat.catalog):
+        d = cat.dim(i, i, 0)
         if d != 1:
             return f"endomorphism dimension {d} at {x.text}"
     return None
 
 
 def _check_serre_orbit(cat: OrbitCategory) -> str | None:
-    serre_idx = [cat.position(cat.serre(x)) for x in cat.catalog]
+    serre_idx = [cat.serre(i) for i in range(len(cat.catalog))]
     table = cat.hom_table
     for i in range(len(cat.catalog)):
         for j in range(len(cat.catalog)):
@@ -381,13 +379,12 @@ def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
 
 def _check_fractional_cy(cat: OrbitCategory) -> str | None:
     # the double shift by the modulus equals the modulus-th Serre power
-    serre_idx = [cat.position(cat.serre(x)) for x in cat.catalog]
+    serre_idx = [cat.serre(i) for i in range(len(cat.catalog))]
     for i, x in enumerate(cat.catalog):
         j = i
         for _ in range(cat.modulus):
             j = serre_idx[j]
-        direct = cat.canonicalize(cat.derived.shift(x.rep, 2 * cat.modulus))
-        if cat.position(direct) != j:
+        if cat.canonicalize(cat.derived.shift(x, 2 * cat.modulus)) != j:
             return f"fractional CY permutation fails at {x.text}"
     return None
 
@@ -558,11 +555,8 @@ def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
     for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
         if i >= len(graph.vertices) or graph.vertices[i].generator != t:
             return f"graph vertex T{i + 1} is not the lift of {_key(cat, t)}"
-    for a, b in graph.edges:
-        ga = set(graph.vertices[a].generator)
-        gb = set(graph.vertices[b].generator)
-        if len(ga - gb) != 1 or len(gb - ga) != 1:
-            return "edge endpoints do not differ in exactly one orbit"
+    if bad := _bad_edge(cat, graph):
+        return bad
     degrees = [graph.degree(i) for i in range(len(graph.vertices))]
     if degrees and set(degrees) != {n}:
         return f"vertex degrees {sorted(set(degrees))} != {n}"
@@ -576,8 +570,22 @@ def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
     return None
 
 
+def _bad_edge(cat: OrbitCategory, graph) -> str | None:
+    """A detail naming the first edge whose endpoints do not differ in exactly one orbit."""
+    for a, b in graph.edges:
+        ga, gb = graph.vertices[a].generator, graph.vertices[b].generator
+        if len(set(ga) - set(gb)) != 1 or len(set(gb) - set(ga)) != 1:
+            return (
+                f"edge T{a + 1} {_key(cat, ga)} -- T{b + 1} {_key(cat, gb)}:"
+                " endpoints do not differ in exactly one orbit"
+            )
+    return None
+
+
 def _check_exchange_layers(cat: OrbitCategory) -> str | None:
     graph = cat.tilting_graph
+    if bad := _bad_edge(cat, graph):
+        return bad
     for a, b in graph.edges:
         va, vb = graph.vertices[a], graph.vertices[b]
         for one, two in ((va, vb), (vb, va)):
@@ -591,6 +599,8 @@ def _check_exchange_layers(cat: OrbitCategory) -> str | None:
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     graph = cat.tilting_graph
+    if bad := _bad_edge(cat, graph):
+        return bad
     for a, b in graph.edges:
         ga = set(graph.vertices[a].generator)
         gb = set(graph.vertices[b].generator)
@@ -620,7 +630,7 @@ def _check_endo_blocks(cat: OrbitCategory, lifts: list[TwistStableObject]) -> st
             return f"total dimension {profile.total} != m(C+E) at {_key(cat, t)}"
         if m >= 2 and any(profile.block_dims[i][i] != profile.dim_c for i in range(m)):
             return f"diagonal block != dim C at {_key(cat, t)}"
-        reps = [cat.base.catalog[g].rep for g in gct.generator]
+        reps = [cat.base.catalog[g] for g in gct.generator]
         if all(cat.ar.module(x.module_id).is_projective and x.shift == 0 for x in reps):
             projective_gen = profile
     if projective_gen is not None and projective_gen.dim_e != 0:

@@ -2,7 +2,6 @@ import pytest
 
 import clustercat as cc
 from clustercat.derived import DObject
-from clustercat.orbit import OrbitObject
 from clustercat.verify import DIAGRAMS, orientations
 
 A1 = "vertices 1\n"
@@ -35,11 +34,7 @@ def build():
     return _build
 
 
-def obj(module_id: int, shift: int = 0, modulus: int = 1) -> OrbitObject:
-    return OrbitObject(DObject(module_id, shift), modulus)
-
-
-def module_obj(cat, dim_vector, shift: int = 0) -> OrbitObject:
-    """Catalog object of the orbit category by module dimension vector."""
+def module_obj(cat, dim_vector, shift: int = 0) -> int:
+    """Catalog position of the orbit category's object by module dimension vector."""
     mid = cat.ar.module_by_dim(dim_vector).id
     return cat.canonicalize(DObject(mid, shift))

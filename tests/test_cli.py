@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import clustercat
-from clustercat import arquiver, derived, orbit
+from clustercat import arquiver, derived, orbit, quiver
 from clustercat.cli import main
 
 from conftest import A2, A3
@@ -274,6 +274,29 @@ def test_huge_vertex_count_fails_fast_in_one_line(capsys, tmp_path):
     assert "unreachable" in err
     assert len(err.encode()) < 200
     assert peak < 4 * 2**20
+
+
+def test_non_utf8_quiver_file_exits_2_in_one_line(capsys, tmp_path):
+    p = tmp_path / "latin.quiver"
+    p.write_bytes(A2.encode() + b"\xff\xfe\n")
+    code, out, err = run(capsys, "ind", "--quiver", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 3: not UTF-8 text at byte {len(A2)}\n"
+
+
+def test_quiver_file_over_the_read_cap_exits_2_in_one_line(capsys, tmp_path):
+    # a regular file one byte over the cap: valid text up to it, all read at once
+    p = tmp_path / "big.quiver"
+    p.write_bytes(A2.encode() + b"#" * (quiver.MAX_QUIVER_BYTES + 1 - len(A2)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ar", "--quiver", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: quiver file exceeds {quiver.MAX_QUIVER_BYTES} bytes\n"
+    p.write_bytes(A2.encode() + b"#" * (quiver.MAX_QUIVER_BYTES - len(A2)))
+    assert run(capsys, "ar", "--quiver", str(p))[0] == 0
 
 
 def test_oversized_dynkin_quiver_fails_fast_in_one_line(capsys, tmp_path):

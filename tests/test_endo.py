@@ -2,7 +2,6 @@ import pytest
 
 import clustercat as cc
 from clustercat.derived import DObject
-from clustercat.orbit import OrbitObject
 from clustercat.tilting import NotExchangeError
 
 from conftest import A2, A3, D4
@@ -11,7 +10,7 @@ from conftest import A2, A3, D4
 def tilting_by_dims(dc, dims):
     """Base positions of the tilting object whose members are the given modules at shift 0."""
     base = dc.orbit(1)
-    return tuple(base.position(OrbitObject(DObject(dc.ar.module_by_dim(d).id, 0), 1)) for d in dims)
+    return tuple(base.canonicalize(DObject(dc.ar.module_by_dim(d).id, 0)) for d in dims)
 
 
 def test_a2_hereditary_generator_m2(build):
@@ -84,7 +83,7 @@ def test_non_module_tier_profile_skips_pattern(build):
     shifted = [
         t
         for t in cc.enumerate_cluster_tilting(base)
-        if any(base.catalog[p].rep.shift != 0 for p in t)
+        if any(base.catalog[p].shift != 0 for p in t)
     ]
     assert shifted
     gct = cc.lift(shifted[0], cat)
@@ -103,7 +102,7 @@ def test_total_dimension_identity_all_module_tier(build):
         for m in (1, 2, 3):
             cat = dc.orbit(m)
             for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-                if any(dc.orbit(1).catalog[p].rep.shift != 0 for p in t):
+                if any(dc.orbit(1).catalog[p].shift != 0 for p in t):
                     continue
                 profile = cc.endo_profile(cat, cc.lift(t, cat))
                 assert profile.total == m * (profile.dim_c + profile.dim_e)
@@ -118,15 +117,15 @@ def test_single_end_dim_is_one(build):
         dc = build(text)
         for m in (2, 3):
             cat = dc.orbit(m)
-            for x in cat.catalog:
-                assert cat.hom(x, x) == 1
+            for i in range(len(cat.catalog)):
+                assert cat.dim(i, i, 0) == 1
 
 
 def test_single_end_dim_m1_also_one(build):
     # stronger than the field statement needs: holds at modulus 1 too
     cat = build(A3).orbit(1)
-    for x in cat.catalog:
-        assert cat.hom(x, x) == 1
+    for i in range(len(cat.catalog)):
+        assert cat.dim(i, i, 0) == 1
 
 
 def _edges_with_swaps(cat):

@@ -5,7 +5,7 @@ import pytest
 
 import clustercat as cc
 from clustercat.derived import DObject
-from clustercat.orbit import OrbitObject, mask_of
+from clustercat.orbit import mask_of
 from clustercat.verify import _check_hom_walk, _check_twist_orbits, _orbit_checks
 
 from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_obj
@@ -61,8 +61,7 @@ def test_canonicalize_walks_into_domain(build):
     cat = dc.orbit(1)
     s1 = dc.ar.module_by_dim((1, 0)).id
     x = DObject(s1, 5)
-    canon = cat.canonicalize(x)
-    rep = canon.rep
+    rep = cat.catalog[cat.canonicalize(x)]
     assert rep.shift == 0 or (
         rep.shift == 1 and dc.ar.module(rep.module_id).is_projective
     )
@@ -70,12 +69,14 @@ def test_canonicalize_walks_into_domain(build):
     assert any(dc.twist_power(rep, k) == x for k in range(-20, 21))
 
 
-def test_canonicalize_idempotent(build):
-    dc = build(A3)
-    for m in (1, 2, 3):
-        cat = dc.orbit(m)
-        for obj in cat.catalog:
-            assert cat.canonicalize(obj.rep) == obj
+def test_canonicalize_idempotent():
+    # canonicalize sends each catalog object to its own position
+    for q in BATTERY_QUIVERS.values():
+        dc = cc.DerivedCategory(cc.ARQuiver(q))
+        for m in (1, 2, 3):
+            cat = dc.orbit(m)
+            for i, x in enumerate(cat.catalog):
+                assert cat.canonicalize(x) == i
 
 
 def test_canonicalize_tiers_distinct_m2(build):
@@ -84,8 +85,8 @@ def test_canonicalize_tiers_distinct_m2(build):
     x = DObject(1, 0)
     a = cat.canonicalize(x)
     b = cat.canonicalize(dc.twist(x))
-    assert a.rep == x
-    assert b.rep == dc.twist(x)
+    assert cat.catalog[a] == x
+    assert cat.catalog[b] == dc.twist(x)
     assert a != b
     assert cat.tier_of(a) == 0 and cat.tier_of(b) == 1
 
@@ -110,22 +111,34 @@ def test_catalog_positions_match_the_walked_twist(build, text, m):
     size = len(base.catalog)
     for i, x in enumerate(cat.catalog):
         t, k = divmod(i, size)
-        assert x == OrbitObject(dc.twist_power(base.catalog[k].rep, t), m)
-        assert cat.tier_of(x) == t
-        assert cat.project(x) == base.canonicalize(x.rep)
-    generator = [base.position(x) for x in base.catalog[::-1] + base.catalog[:1]]
+        assert x == dc.twist_power(base.catalog[k], t)
+        assert cat.project(i) == base.canonicalize(x)
+    generator = [base.canonicalize(x) for x in base.catalog[::-1] + base.catalog[:1]]
     stable = cat.build_twist_stable(generator)
-    assert [cat.catalog[p] for p in stable.positions] == [
-        cat.canonicalize(dc.twist_power(base.catalog[g].rep, t))
+    assert list(stable.positions) == [
+        cat.canonicalize(dc.twist_power(base.catalog[g], t))
         for t in range(m)
         for g in stable.generator
     ]
     for tilting in cc.enumerate_cluster_tilting(base):
         gct = cc.lift(tilting, cat)
         assert cc.endo_profile(cat, gct).tiers == [
-            [cat.canonicalize(dc.twist_power(base.catalog[g].rep, t)) for g in gct.generator]
-            for t in range(m)
+            [dc.twist_power(base.catalog[g], t) for g in gct.generator] for t in range(m)
         ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("label", BATTERY_QUIVERS)
+def test_position_api_on_every_catalog_position(label, m):
+    # an object of the orbit category is its catalog position (canonicalize:
+    # test_canonicalize_idempotent); size is the tier size B
+    dc = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label]))
+    cat = dc.orbit(m)
+    size = len(cat.catalog) // m
+    for i, x in enumerate(cat.catalog):
+        assert (cat.tier_of(i), cat.project(i)) == divmod(i, size)
+        assert cat.twist_action(i) == cat.twist_permutation[i]
+        assert cat.serre(i) == cat.canonicalize(dc.serre(x))
 
 
 def test_twist_orbit_check_catches_a_shuffled_tier(build):
@@ -138,58 +151,49 @@ def test_twist_orbit_check_catches_a_shuffled_tier(build):
     assert "not one tier on" in _check_twist_orbits(cat)
 
 
-def test_modulus_mismatch_rejected(build):
-    dc = build(A2)
-    c1, c2 = dc.orbit(1), dc.orbit(2)
-    with pytest.raises(ValueError, match="modulus"):
-        c2.hom(c1.catalog[0], c2.catalog[0])
-    with pytest.raises(ValueError, match="modulus"):
-        c2.ext1(c2.catalog[0], c1.catalog[0])
-
-
 def test_self_hom_one_everywhere(build):
     for text in (A2, A3):
         dc = build(text)
         for m in (1, 2, 3):
             cat = dc.orbit(m)
-            for x in cat.catalog:
-                assert cat.hom(x, x) == 1
-                assert cat.ext1(x, x) == 0
+            for i in range(len(cat.catalog)):
+                assert cat.dim(i, i, 0) == 1
+                assert cat.dim(i, i, 1) == 0
 
 
 def test_covering_projection_fibers(build):
     dc = build(A2)
     cat = dc.orbit(2)
     base = dc.orbit(1)
-    fibers = {o: 0 for o in base.catalog}
-    for x in cat.catalog:
-        fibers[cat.project(x)] += 1
+    fibers = {i: 0 for i in range(len(base.catalog))}
+    for i in range(len(cat.catalog)):
+        fibers[cat.project(i)] += 1
     assert set(fibers.values()) == {2}
     assert len(fibers) == 5
 
 
 def test_projection_identity_at_m1(build):
     cat = build(A2).orbit(1)
-    for x in cat.catalog:
-        assert cat.project(x) == x
+    for i in range(len(cat.catalog)):
+        assert cat.project(i) == i
 
 
 def test_projection_twist_invariant(build):
     cat = build(A3).orbit(3)
-    for x in cat.catalog:
-        assert cat.project(cat.twist_action(x)) == cat.project(x)
+    for i in range(len(cat.catalog)):
+        assert cat.project(cat.twist_action(i)) == cat.project(i)
 
 
 def test_twist_action_m1_identity(build):
     cat = build(A2).orbit(1)
-    for x in cat.catalog:
-        assert cat.twist_action(x) == x
+    for i in range(len(cat.catalog)):
+        assert cat.twist_action(i) == i
 
 
 def test_twist_action_m2_involution(build):
     cat = build(A2).orbit(2)
-    for x in cat.catalog:
-        assert cat.twist_action(cat.twist_action(x)) == x
+    for i in range(len(cat.catalog)):
+        assert cat.twist_action(cat.twist_action(i)) == i
 
 
 def test_twist_action_a2_m3_orbits(build):
@@ -213,8 +217,7 @@ def test_twist_action_a2_m3_orbits(build):
 def test_build_twist_stable_sizes(build):
     dc = build(A2)
     cat = dc.orbit(2)
-    x = module_obj(dc.orbit(1), (1, 1))
-    single = cat.build_twist_stable([dc.orbit(1).position(x)])
+    single = cat.build_twist_stable([module_obj(dc.orbit(1), (1, 1))])
     assert len([cat.catalog[p] for p in single.positions]) == 2
     assert len({cat.catalog[p] for p in single.positions}) == 2  # {X, FX} hits two tiers
     empty = cat.build_twist_stable([])
@@ -251,8 +254,8 @@ def test_twist_stability_of_expansion(build):
     cat = dc.orbit(3)
     base = dc.orbit(1)
     stable = cat.build_twist_stable([0, 3])
-    expanded = sorted(cat.catalog[p] for p in stable.positions)
-    twisted = sorted(cat.twist_action(cat.catalog[p]) for p in stable.positions)
+    expanded = sorted(stable.positions)
+    twisted = sorted(cat.twist_action(p) for p in stable.positions)
     assert expanded == twisted
 
 
@@ -261,13 +264,11 @@ def test_orbit_count_and_distinct_count(build):
     cat = dc.orbit(2)
     base = dc.orbit(1)
     x = base.catalog[0]
-    y = base.catalog[1]
-    assert cat.build_twist_stable([base.position(x), base.position(y)]).orbit_count == 2
-    assert cat.build_twist_stable([base.position(x), base.position(x)]).orbit_count == 1
-    assert len({x}) == 1
+    assert cat.build_twist_stable([0, 1]).orbit_count == 2
+    assert cat.build_twist_stable([0, 0]).orbit_count == 1
     # tiers are disjoint, so X and its twist stay distinct for m >= 2
-    fx = cat.twist_action(cat.canonicalize(x.rep))
-    assert len({cat.canonicalize(x.rep), fx}) == 2
+    fx = cat.twist_action(cat.canonicalize(x))
+    assert len({cat.canonicalize(x), fx}) == 2
 
 
 def test_delta_of_lifted_tilting_a2_m2(build):
@@ -283,16 +284,12 @@ def test_rigidity_transfer_pairs(build):
     base = dc.orbit(1)
     for m in (2, 3):
         cat = dc.orbit(m)
-        for a in base.catalog:
-            for b in base.catalog:
-                sa = cat.build_twist_stable([base.position(a)])
-                sb = cat.build_twist_stable([base.position(b)])
-                total = sum(
-                    cat.ext1(cat.catalog[x], cat.catalog[y])
-                    for x in sa.positions
-                    for y in sb.positions
-                )
-                assert total == m * base.ext1(a, b)
+        for a in range(len(base.catalog)):
+            for b in range(len(base.catalog)):
+                sa = cat.build_twist_stable([a])
+                sb = cat.build_twist_stable([b])
+                total = sum(cat.dim(x, y, 1) for x in sa.positions for y in sb.positions)
+                assert total == m * base.dim(a, b, 1)
 
 
 def test_twist_hom_invariance(build):
@@ -300,15 +297,14 @@ def test_twist_hom_invariance(build):
     for m in (2, 3):
         cat = dc.orbit(m)
         base = dc.orbit(1)
-        for g in base.catalog:
-            stable = cat.build_twist_stable([base.position(g)])
-            expansion = [cat.catalog[p] for p in stable.positions]
-            for y in cat.catalog:
-                ref = sum(cat.hom(s, y) for s in expansion)
+        for g in range(len(base.catalog)):
+            expansion = cat.build_twist_stable([g]).positions
+            for y in range(len(cat.catalog)):
+                ref = sum(cat.dim(s, y, 0) for s in expansion)
                 z = y
                 for _ in range(m - 1):
                     z = cat.twist_action(z)
-                    assert sum(cat.hom(s, z) for s in expansion) == ref
+                    assert sum(cat.dim(s, z, 0) for s in expansion) == ref
 
 
 def test_cy_symmetry_m1(build):
@@ -324,23 +320,21 @@ def test_serre_symmetry_orbit(build):
     dc = build(A3)
     for m in (1, 2):
         cat = dc.orbit(m)
-        for x in cat.catalog:
+        for x in range(len(cat.catalog)):
             sx = cat.serre(x)
-            for y in cat.catalog:
-                assert cat.hom(x, y) == cat.hom(y, sx)
+            for y in range(len(cat.catalog)):
+                assert cat.dim(x, y, 0) == cat.dim(y, sx, 0)
 
 
 def test_fractional_cy_permutation(build):
     dc = build(A2)
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        pos = {o: i for i, o in enumerate(cat.catalog)}
-        for x in cat.catalog:
-            target = x
+        for i, x in enumerate(cat.catalog):
+            target = i
             for _ in range(m):
                 target = cat.serre(target)
-            direct = cat.canonicalize(dc.shift(x.rep, 2 * m))
-            assert pos[direct] == pos[target]
+            assert cat.canonicalize(dc.shift(x, 2 * m)) == target
 
 
 def test_symmetric_ext_formula_cross_check(build):
@@ -349,7 +343,7 @@ def test_symmetric_ext_formula_cross_check(build):
     cat = build(A2).orbit(1)
     s1 = module_obj(cat, (1, 0))
     p2 = module_obj(cat, (0, 1))
-    assert cat.ext1(s1, p2) == cat.ext1(p2, s1)
+    assert cat.dim(s1, p2, 1) == cat.dim(p2, s1, 1)
 
 
 LAYERS = ((0, 0), (0, 1), (1, -1), (1, 0))
@@ -389,7 +383,7 @@ def test_only_four_layers_carry_maps(label):
     # (e, s), which is why Hom and Ext^1 of C_{F^m} need no twist walk
     dc = cc.DerivedCategory(cc.knit_ar_quiver(PREMISE_QUIVERS[label]))
     cat = dc.orbit(1)
-    base = [x.rep for x in cat.catalog]
+    base = cat.catalog
     for e in (0, 1):
         for s in range(-4, 6):
             column = [dc.shift(dc.twist_power(y, s), e) for y in base]
@@ -403,10 +397,11 @@ def test_position_read_matches_tables_and_object_wrappers(label):
     dc = cc.DerivedCategory(cc.ARQuiver(PREMISE_QUIVERS[label]))
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        for e, table, wrapper in ((0, cat.hom_table, cat.hom), (1, cat.ext_table, cat.ext1)):
-            for i, x in enumerate(cat.catalog):
-                for j, y in enumerate(cat.catalog):
-                    assert cat.dim(i, j, e) == table[i][j] == wrapper(x, y), (m, e, i, j)
+        canon = [cat.canonicalize(x) for x in cat.catalog]
+        for e, table in ((0, cat.hom_table), (1, cat.ext_table)):
+            for i, ci in enumerate(canon):
+                for j, cj in enumerate(canon):
+                    assert cat.dim(i, j, e) == table[i][j] == cat.dim(ci, cj, e), (m, e, i, j)
 
 
 @pytest.mark.parametrize("label", BATTERY_QUIVERS)
@@ -419,8 +414,8 @@ def test_twist_stable_positions_and_mask(label):
         stables += [cat.build_twist_stable([k, k]) for k in range(len(base.catalog))]  # a multiset
         for stable in stables:
             # the summands are the walked twists of the generator, tier-major
-            assert [cat.catalog[p] for p in stable.positions] == [
-                cat.canonicalize(dc.twist_power(base.catalog[g].rep, t))
+            assert list(stable.positions) == [
+                cat.canonicalize(dc.twist_power(base.catalog[g], t))
                 for t in range(m)
                 for g in stable.generator
             ]

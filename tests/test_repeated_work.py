@@ -93,7 +93,7 @@ def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
                 profile = cc.endo_profile(cat, stable)
                 assert profile.block_dims == _blocks_by_pairs(cat, stable), (cat.modulus, t)
             if profile.module_tier:
-                ids = [base.catalog[g].rep.module_id for g in t]
+                ids = [base.catalog[g].module_id for g in t]
                 dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
                 assert cc.endo_profile(cat, gct).dim_e == dim_e
         graph = cat.tilting_graph
@@ -164,7 +164,7 @@ def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
         cc.exchange_layer_dim(cat, lifts[a], cat.build_twist_stable([x2]))
     assert calls["dim"] == 0
     # the counter is live: a point query reads one entry
-    cat.hom(cat.catalog[0], cat.catalog[1])
+    cat.dim(0, 1, 0)
     assert calls["dim"] == 1
 
 

@@ -86,9 +86,9 @@ def test_lift_projects_back_m_to_one(build):
     base = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(base):
         lifted = cc.lift(t, cat)
-        images = [cat.project(cat.catalog[p]) for p in lifted.positions]
-        assert sorted(set(images)) == sorted(base.catalog[p] for p in t)
-        assert all(images.count(base.catalog[p]) == 3 for p in t)
+        images = [cat.project(p) for p in lifted.positions]
+        assert sorted(set(images)) == sorted(t)
+        assert all(images.count(p) == 3 for p in t)
 
 
 @pytest.mark.parametrize("text", [A2, A3])
@@ -98,7 +98,7 @@ def test_lifts_pass_definition_check(build, text, m):
     cat = dc.orbit(m)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
         members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
-        ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members])
+        ok, witness = cc.cluster_tilting_check(cat, [cat.canonicalize(x) for x in members])
         assert ok, witness
 
 
@@ -107,18 +107,16 @@ def test_definition_check_fails_after_deletion(build):
     for m in (1, 2, 3):
         cat = dc.orbit(m)
         lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
-        members = [cat.catalog[p] for p in lifted.positions]
-        deleted = members[0]
-        ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in members[1:]])
+        deleted, *rest = lifted.positions
+        ok, witness = cc.cluster_tilting_check(cat, rest)
         assert not ok
         assert witness is not None
         # the deleted summand itself violates the add-characterization:
         # it is rigid against the rest but is not a member
-        rest = members[1:]
-        assert all(cat.ext1(deleted, s) == 0 for s in rest)
-        assert all(cat.ext1(s, deleted) == 0 for s in rest)
+        assert all(cat.dim(deleted, s, 1) == 0 for s in rest)
+        assert all(cat.dim(s, deleted, 1) == 0 for s in rest)
         if m >= 2:
-            assert witness == cat.position(deleted)
+            assert witness == deleted
 
 
 def test_definition_check_rejects_tier_zero_slice(build):
@@ -128,36 +126,35 @@ def test_definition_check_rejects_tier_zero_slice(build):
     dc = build(A2)
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    tier0 = [cat.canonicalize(dc.orbit(1).catalog[g].rep) for g in t]
-    ok, witness = cc.cluster_tilting_check(cat, [cat.position(x) for x in tier0])
+    tier0 = [cat.canonicalize(dc.orbit(1).catalog[g]) for g in t]
+    ok, witness = cc.cluster_tilting_check(cat, tier0)
     assert not ok
-    assert witness is not None and cat.catalog[witness] not in tier0
+    assert witness is not None and witness not in tier0
     twisted = cat.twist_action(tier0[0])
     assert cat.tier_of(twisted) == 1
-    assert all(cat.ext1(twisted, s) == 0 for s in tier0)
-    assert all(cat.ext1(s, twisted) == 0 for s in tier0)
+    assert all(cat.dim(twisted, s, 1) == 0 for s in tier0)
+    assert all(cat.dim(s, twisted, 1) == 0 for s in tier0)
 
 
 def test_complements_single_deletion_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
+        members = cc.lift(t, cat).positions
         for drop in members:
             rest = [x for x in members if x != drop]
-            assert cc.complements(cat, [cat.position(x) for x in rest]) == [cat.position(drop)]
+            assert cc.complements(cat, rest) == [drop]
 
 
 def test_complements_two_at_m1(build):
     dc = build(A2)
     cat = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(cat):
-        members = [cat.catalog[p] for p in t]
-        for drop in members:
-            rest = [x for x in members if x != drop]
-            found = cc.complements(cat, [cat.position(x) for x in rest])
+        for drop in t:
+            rest = [x for x in t if x != drop]
+            found = cc.complements(cat, rest)
             assert len(found) == 2
-            assert cat.position(drop) in found
+            assert drop in found
 
 
 def test_complements_exhaustive_a3_m3(build):
@@ -166,11 +163,11 @@ def test_complements_exhaustive_a3_m3(build):
     tiltings = cc.enumerate_cluster_tilting(dc.orbit(1))
     assert len(tiltings) == 14
     for t in tiltings:
-        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
+        members = cc.lift(t, cat).positions
         assert len(members) == 9
         for drop in members:
             rest = [x for x in members if x != drop]
-            assert cc.complements(cat, [cat.position(x) for x in rest]) == [cat.position(drop)]
+            assert cc.complements(cat, rest) == [drop]
 
 
 def test_complements_rejects_non_rigid(build):
@@ -181,16 +178,15 @@ def test_complements_rejects_non_rigid(build):
     s2 = cat.canonicalize(cc.DObject(dc.ar.module_by_dim((0, 1)).id, 0))
     third = cat.twist_action(s1)
     with pytest.raises(NotRigidError):
-        cc.complements(cat, [cat.position(x) for x in [s1, s2, third]])
+        cc.complements(cat, [s1, s2, third])
 
 
 def test_complements_rejects_wrong_size(build):
     dc = build(A2)
     cat = dc.orbit(2)
     lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
-    members = [cat.catalog[p] for p in lifted.positions]
     with pytest.raises(ValueError, match="distinct summands"):
-        cc.complements(cat, [cat.position(x) for x in members])
+        cc.complements(cat, lifted.positions)
 
 
 def test_near_complements_a2_m2(build):
@@ -308,7 +304,7 @@ def test_exchange_pair_ext_matches_complements(build, text):
     for x1 in range(len(cat1.catalog)):
         for x2 in range(len(cat1.catalog)):
             if (x1, x2) in pairs:
-                ext = cat1.ext1(cat1.catalog[x1], cat1.catalog[x2])
+                ext = cat1.dim(x1, x2, 1)
                 assert cc.exchange_pair_ext(cat1, x1, x2) == ext
             else:
                 with pytest.raises(NotExchangeError):
@@ -346,14 +342,13 @@ def test_orbit_count_criterion_a2(build):
     n = 2
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        singles = list(base.catalog)
         for size in (1, 2):
-            for combo in combinations(singles, size):
+            for combo in combinations(range(len(base.catalog)), size):
                 if any(
-                    base.ext1(x, y) or base.ext1(y, x) for x in combo for y in combo
+                    base.dim(x, y, 1) or base.dim(y, x, 1) for x in combo for y in combo
                 ):
                     continue
-                stable = cat.build_twist_stable([base.position(x) for x in combo])
+                stable = cat.build_twist_stable(combo)
                 ok, _ = cc.cluster_tilting_check(cat, stable.positions)
                 assert ok == (stable.orbit_count == n)
 
@@ -437,6 +432,18 @@ def test_battery_notices_graph_vertices_out_of_lift_order(monkeypatch):
     assert len(shape) == 6
     for check in shape:
         assert check["detail"] == "graph vertex T1 is not the lift of ('m1[0]', 'm2[0]')"
+    # the exchange checks name the first edge the swap breaks instead of raising
+    exchange = {
+        (cell["quiver"], cell["m"], c["name"]): c["detail"]
+        for cell in report["cells"]
+        for c in cell["checks"]
+        if c["name"] in ("exchange-layer-dim", "exchange-pair-ext")
+    }
+    assert len(exchange) == 8  # per orientation: layer-dim at m = 1, 2, 3, pair-ext at m = 1
+    bad = ": endpoints do not differ in exactly one orbit"
+    assert exchange["A2#0", 1, "exchange-pair-ext"] == f"edge T1 ('m1[0]', 'm3[0]') -- T3 ('m2[0]', 'm1[1]'){bad}"
+    assert exchange["A2#1", 3, "exchange-layer-dim"] == f"edge T1 ('m1[0]', 'm2[1]') -- T3 ('m2[0]', 'm3[0]'){bad}"
+    assert all(detail.startswith("edge T") and detail.endswith(bad) for detail in exchange.values())
     # the checks lift on their own, so lift-check does not see the swap
     assert all(c["passed"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "lift-check")
     assert not report["passed"]
@@ -481,19 +488,18 @@ def test_tilting_check_matches_catalog_scan(build, data):
     dc = build(D4)
     cat = dc.orbit(2)
     t = data.draw(st.sampled_from(cc.enumerate_cluster_tilting(dc.orbit(1))))
-    toggles = data.draw(st.lists(st.sampled_from(cat.catalog), max_size=2))
-    lifted = {cat.catalog[p] for p in cc.lift(t, cat).positions}
-    members = sorted(lifted.symmetric_difference(toggles))
+    toggles = data.draw(st.lists(st.sampled_from(range(len(cat.catalog))), max_size=2))
+    members = sorted(set(cc.lift(t, cat).positions).symmetric_difference(toggles))
     expected = (True, None)
-    for x in cat.catalog:
+    for x in range(len(cat.catalog)):
         member = x in members
         if any(
             all(ext == 0 for ext in exts) != member
-            for exts in ([cat.ext1(x, s) for s in members], [cat.ext1(s, x) for s in members])
+            for exts in ([cat.dim(x, s, 1) for s in members], [cat.dim(s, x, 1) for s in members])
         ):
-            expected = (False, cat.position(x))
+            expected = (False, x)
             break
-    assert cc.cluster_tilting_check(cat, [cat.position(x) for x in members]) == expected
+    assert cc.cluster_tilting_check(cat, members) == expected
 
 
 LIFT_QUIVERS = {
@@ -509,13 +515,13 @@ def test_lift_generator_is_the_tilting_set_in_shift_module_order(label):
     dc = cc.DerivedCategory(cc.ARQuiver(LIFT_QUIVERS[label]))
     base = dc.orbit(1)
     # ascending base positions list the modules by id, then P_i[1] by vertex
-    assert base.catalog == sorted(base.catalog, key=lambda o: (o.rep.shift, o.rep.module_id))
+    assert base.catalog == sorted(base.catalog, key=lambda x: (x.shift, x.module_id))
     for m in (1, 2):
         cat = dc.orbit(m)
         for t in base.tilting_sets:
             generator = cc.lift(t, cat).generator
             assert generator == t
-            reps = [base.catalog[g].rep for g in generator]
+            reps = [base.catalog[g] for g in generator]
             assert reps == sorted(reps, key=lambda x: (x.shift, x.module_id))
 
 
