@@ -1,90 +1,70 @@
 """Orbit categories of Dynkin path algebras: catalogs, Hom/Ext tables,
 cluster tilting objects, exchange graphs, and endomorphism block profiles.
+
+Each exported name is imported from its home module on first access, so
+``import clustercat`` loads no submodule.
 """
 
-from .quiver import (
-    DisconnectedQuiverError,
-    DynkinClass,
-    NotDynkinError,
-    Quiver,
-    QuiverCycleError,
-    QuiverError,
-    QuiverSyntaxError,
-    QuiverTooLargeError,
-    classify_dynkin,
-    euler_form,
-    load_quiver,
-    parse_quiver,
-    positive_root_count,
-    validate_quiver,
-)
-from .arquiver import ARQuiver, IndModule, KnittingError, Rep, knit_ar_quiver
-from .derived import DerivedCategory, DObject, ObjectSyntaxError
-from .orbit import OrbitCategory, TwistStableObject
-from .tilting import (
-    NotExchangeError,
-    NotRigidError,
-    TiltingGraph,
-    build_tilting_graph,
-    cluster_tilting_check,
-    complements,
-    enumerate_cluster_tilting,
-    enumerate_stable_tilting_direct,
-    exchange_pair_ext,
-    is_connected,
-    lift,
-    near_complements,
-)
-from .endo import (
-    EndoProfile,
-    PatternReport,
-    block_pattern_report,
-    endo_profile,
-    exchange_layer_dim,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARQuiver",
-    "DerivedCategory",
-    "DisconnectedQuiverError",
-    "DObject",
-    "DynkinClass",
-    "EndoProfile",
-    "IndModule",
-    "KnittingError",
-    "NotDynkinError",
-    "NotExchangeError",
-    "NotRigidError",
-    "ObjectSyntaxError",
-    "OrbitCategory",
-    "PatternReport",
-    "Quiver",
-    "QuiverCycleError",
-    "QuiverError",
-    "QuiverSyntaxError",
-    "QuiverTooLargeError",
-    "Rep",
-    "TiltingGraph",
-    "TwistStableObject",
-    "block_pattern_report",
-    "build_tilting_graph",
-    "classify_dynkin",
-    "cluster_tilting_check",
-    "complements",
-    "endo_profile",
-    "enumerate_cluster_tilting",
-    "enumerate_stable_tilting_direct",
-    "euler_form",
-    "exchange_layer_dim",
-    "exchange_pair_ext",
-    "is_connected",
-    "knit_ar_quiver",
-    "lift",
-    "load_quiver",
-    "near_complements",
-    "parse_quiver",
-    "positive_root_count",
-    "validate_quiver",
-]
+_HOME = {
+    name: module
+    for module, names in {
+        "quiver": (
+            "DisconnectedQuiverError",
+            "DynkinClass",
+            "NotDynkinError",
+            "Quiver",
+            "QuiverCycleError",
+            "QuiverError",
+            "QuiverSyntaxError",
+            "QuiverTooLargeError",
+            "classify_dynkin",
+            "euler_form",
+            "load_quiver",
+            "parse_quiver",
+            "positive_root_count",
+            "validate_quiver",
+        ),
+        "arquiver": ("ARQuiver", "IndModule", "KnittingError", "Rep", "knit_ar_quiver"),
+        "derived": ("DerivedCategory", "DObject", "ObjectSyntaxError"),
+        "orbit": ("OrbitCategory", "TwistStableObject"),
+        "tilting": (
+            "NotExchangeError",
+            "NotRigidError",
+            "TiltingGraph",
+            "build_tilting_graph",
+            "cluster_tilting_check",
+            "complements",
+            "enumerate_cluster_tilting",
+            "enumerate_stable_tilting_direct",
+            "exchange_pair_ext",
+            "is_connected",
+            "lift",
+            "near_complements",
+        ),
+        "endo": (
+            "EndoProfile",
+            "PatternReport",
+            "block_pattern_report",
+            "endo_profile",
+            "exchange_layer_dim",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

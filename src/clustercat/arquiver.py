@@ -16,7 +16,6 @@ vertices that reach i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exact import (
@@ -219,15 +218,14 @@ class ARQuiver:
 
     @cached_property
     def ext_table(self) -> list[list[int]]:
-        """ext_table[a-1][b-1] = dim Ext^1(M_a, M_b): hom minus the Euler form
-        <d, e> = d . w(e), where w(e)_s = e_s - (sum of e_t over arrows s -> t)."""
-        weights = [list(m.dim_vector) for m in self.modules]
-        for w, m in zip(weights, self.modules):
-            for s, t in self.quiver.arrows:
-                w[s - 1] -= m.dim_vector[t - 1]
+        """ext_table[a-1][b-1] = dim Ext^1(M_a, M_b), by the Auslander-Reiten
+        formula Ext^1(M, N) = D Hom(N, tau M) of a hereditary algebra
+        (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras,
+        ch. IV): a column of the Hom table, and 0 for projective M."""
+        hom, size = self.hom_table, len(self.modules)
         return [
-            [h - sum(x * y for x, y in zip(a.dim_vector, w)) for h, w in zip(row, weights)]
-            for a, row in zip(self.modules, self.hom_table)
+            [row[self.tau[a] - 1] for row in hom] if a in self.tau else [0] * size
+            for a in range(1, size + 1)
         ]
 
     def ext_dim(self, a, b) -> int:

@@ -4,6 +4,8 @@ Subcommands: ar, ind, hom, tilting, graph, endo, verify.  Exit status is
 0 on success, 1 when the verification battery fails, 2 on usage or
 ingestion errors, 3 on internal errors (one ``error:`` line each).  All
 outputs are deterministic; JSON payloads carry a top-level schema_version.
+A handler imports the layers past ``derived`` that it uses itself, so
+``ar`` loads none of orbit, tilting, endo and verify.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ import sys
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, ObjectSyntaxError
-from .endo import block_pattern_report, endo_profile
-from .orbit import OrbitCategory
 from .quiver import DIAGRAMS, QuiverError, load_quiver
-from .tilting import enumerate_cluster_tilting, is_connected, lift
 
 SCHEMA_VERSION = 1
 
@@ -118,7 +117,7 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _category(args) -> OrbitCategory:
+def _category(args):
     q = load_quiver(args.quiver)
     derived = DerivedCategory(ARQuiver(q))
     return derived.orbit(args.m)
@@ -261,6 +260,8 @@ def _members_sorted(cat, gct) -> list[str]:
 
 
 def _cmd_tilting(args, parser) -> int:
+    from .tilting import enumerate_cluster_tilting, lift
+
     _check_format(args, parser)
     cat = _category(args)
     # each entry is the member-id list of one tilting object; the 1-based
@@ -283,6 +284,8 @@ def _cmd_tilting(args, parser) -> int:
 
 
 def _cmd_graph(args, parser) -> int:
+    from .tilting import is_connected
+
     _check_format(args, parser)
     cat = _category(args)
     graph = cat.tilting_graph
@@ -311,6 +314,9 @@ def _cmd_graph(args, parser) -> int:
 
 
 def _cmd_endo(args, parser) -> int:
+    from .endo import block_pattern_report, endo_profile
+    from .tilting import enumerate_cluster_tilting, lift
+
     _check_format(args, parser)
     cat = _category(args)
     tiltings = enumerate_cluster_tilting(cat.base)
@@ -342,7 +348,7 @@ def _cmd_endo(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    from .verify import run_verification  # the largest module; only this command needs it
+    from .verify import run_verification
 
     _check_format(args, parser)
     diagrams = None

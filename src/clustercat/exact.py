@@ -4,8 +4,10 @@
 Fractions.  It scales each row once to integers by the lcm of its
 denominators and eliminates fraction-free, dividing every reduced row by
 the gcd of its entries.  ``rref``, ``KernelSpace`` and ``QuotientSpace``
-take dense lists of Fraction rows, since their callers need rational
-coordinates; shapes with zero rows or columns are legal everywhere.
+take dense rows of ints or Fractions and keep an entry an int until a
+division by a pivot other than 1 or -1 makes it a Fraction, so integral
+representations are reduced without building Fractions; shapes with zero
+rows or columns are legal everywhere.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Row = list[Fraction]
+Row = list[int | Fraction]
 Mat = list[Row]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO, ONE = 0, 1
 
 
 def mat_vec(a: Mat, v: Row) -> Row:
@@ -35,8 +36,10 @@ def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
             continue
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
-        if piv != 1:
-            m[r] = [x / piv for x in m[r]]
+        if piv == -1:
+            m[r] = [-x for x in m[r]]
+        elif piv != 1:
+            m[r] = [Fraction(x, piv) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
@@ -48,7 +51,7 @@ def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[dict[int, Fraction]]) -> int:
+def rank(rows: list[dict[int, int | Fraction]]) -> int:
     """Rank of sparse rows, each a {column: value} dict.
 
     Each row is reduced at its leading column against the pivot rows so
@@ -100,7 +103,7 @@ class KernelSpace:
             if coeff:
                 for j in range(self.width):
                     recon[j] += coeff * b[j]
-        if recon != [Fraction(x) for x in v]:
+        if recon != v:
             raise ValueError("vector not in kernel")
         return c
 
@@ -120,7 +123,7 @@ class QuotientSpace:
         return len(self.coords_idx)
 
     def project(self, v: Row) -> Row:
-        w = [Fraction(x) for x in v]
+        w = list(v)
         for row, p in zip(self.ech, self.pivots):
             f = w[p]
             if f:

@@ -214,7 +214,7 @@ def _check_ext_oracle(ar: ARQuiver) -> str | None:
             fast = ar.ext_dim(a.id, b.id)
             oracle = ar.resolution_ext_dim(a.id, b.id)
             if fast != oracle:
-                return f"ext(m{a.id}, m{b.id}): Euler form {fast}, resolution oracle {oracle}"
+                return f"ext(m{a.id}, m{b.id}): AR formula {fast}, resolution oracle {oracle}"
             if fast < 0:
                 return f"ext(m{a.id}, m{b.id}) negative: {fast}"
     return None

@@ -3,7 +3,7 @@ import pytest
 import clustercat as cc
 from clustercat.verify import orientations
 
-from conftest import A1, A2, A3, A4, D4
+from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, E6, E7, E8
 
 
 def ar_of(build, text):
@@ -225,9 +225,9 @@ def test_e8_modules_are_rigid_bricks(e_type_ar):
 
 
 def test_ext_table_is_hom_minus_euler_form(build):
-    e6 = "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n"
-    for text in (A3, D4, e6):
-        ar = build(text).ar
+    # the Auslander-Reiten formula against <d, e> = dim Hom - dim Ext^1
+    ars = [cc.ARQuiver(q) for q in BATTERY_QUIVERS.values()]
+    for ar in ars + [build(text).ar for text in (E6, E7, E8)]:
         for a in ar.modules:
             for b in ar.modules:
                 expected = ar.hom_dim(a, b) - cc.euler_form(ar.quiver, a.dim_vector, b.dim_vector)

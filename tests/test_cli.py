@@ -388,15 +388,40 @@ def test_full_tables_of_a_small_quiver_at_a_large_modulus(capsys, tmp_path):
     assert all(payload["hom"][x][x] == 1 and payload["ext"][x][x] == 0 for x in payload["ids"])
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # verify is the largest module and only the verify command needs it
+def _fresh_stdout(code: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports src/."""
     src = str(Path(clustercat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, clustercat.cli; print('clustercat.verify' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # verify is the largest module and only the verify command needs it
+    code = "import sys, clustercat.cli; print('clustercat.verify' in sys.modules)"
+    assert _fresh_stdout(code) == "False\n"
+
+
+def test_ar_loads_no_layer_it_does_not_use(tmp_path):
+    # a bare package import loads no submodule, and ar stops at the derived layer
+    quiver_path, out_path = tmp_path / "a3.quiver", tmp_path / "ar.json"
+    quiver_path.write_text(A3, encoding="utf-8")
+    code = (
+        "import sys, clustercat\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('clustercat.'))\n"
+        "print(*loaded())\n"
+        "from clustercat.cli import main\n"
+        f"assert main(['ar', '--quiver', {str(quiver_path)!r}, '--out', {str(out_path)!r}]) == 0\n"
+        "print(*loaded())\n"
+    )
+    bare, after_ar = _fresh_stdout(code).splitlines()
+    assert bare == ""
+    unused = {f"clustercat.{name}" for name in ("orbit", "tilting", "endo", "verify")}
+    assert "clustercat.arquiver" in after_ar.split()
+    assert not unused & set(after_ar.split())
+    assert json.loads(out_path.read_text(encoding="utf-8"))["dynkin"] == {"family": "A", "rank": 3}
 
 
 def test_verify_help_names_the_battery_diagrams(capsys):

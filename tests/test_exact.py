@@ -51,12 +51,31 @@ def sparse(rows):
 @example(([[1, 2, 3], [1, 2, 3], [2, 4, 6]], 3))
 @example(([[F(1, 2), F(-1, 3)], [3, -2]], 2))
 @example(([[10**6, -(10**6) + 1], [10**6 - 1, -(10**6)]], 2))
+@example(([[-1, 2, 0], [0, 2, 3]], 3))  # pivot -1, then pivot 2
+@example(([[0, 2], [-1, 1]], 2))  # the same after a row swap
 def test_rank_matches_fraction_rref(case):
     rows, width = case
-    expected = len(rref([[F(x) for x in row] for row in rows], width)[1])
-    assert rank(sparse(rows)) == expected
+    fractions = [[F(x) for x in row] for row in rows]
+    ech, pivots = rref(fractions, width)
+    assert rank(sparse(rows)) == len(pivots)
     # explicit zero entries in a sparse row are ignored
-    assert rank([dict(enumerate(row)) for row in rows]) == expected
+    assert rank([dict(enumerate(row)) for row in rows]) == len(pivots)
+    # the entries as drawn, ints kept, reduce exactly as their Fraction copies
+    assert rref(rows, width) == (ech, pivots)
+    assert KernelSpace(rows, width).basis == KernelSpace(fractions, width).basis
+    quo, frac_quo = QuotientSpace(rows, width), QuotientSpace(fractions, width)
+    units = [[int(i == c) for i in range(width)] for c in range(width)]
+    for v in rows + units:
+        assert quo.project(v) == frac_quo.project([F(x) for x in v])
+
+
+def test_unit_pivots_keep_integer_entries():
+    ech, pivots = rref([[-1, 2, 0], [1, -1, 1]], 3)
+    assert (ech, pivots) == ([[1, 0, 2], [0, 1, 1]], [0, 1])
+    assert KernelSpace([[-1, 2, 0], [1, -1, 1]], 3).basis == [[-2, -1, 1]]
+    projected = QuotientSpace([[1, 1, 0]], 3).project([2, 5, 7])
+    assert projected == [3, 7]
+    assert {type(x) for row in ech for x in row} | {type(x) for x in projected} == {int}
 
 
 def test_rank_of_rational_rows_is_scale_free():

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 import clustercat as cc
-from clustercat import cli, tilting, verify
+from clustercat import cli, endo, tilting, verify
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import TILTING_COUNTS, orientations, run_verification
@@ -175,7 +175,7 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
     monkeypatch.setattr(cc.ARQuiver, "_projective_cover", unreachable)
     monkeypatch.setattr(cc.OrbitCategory, "layers", property(unreachable))
     monkeypatch.setattr(tilting, "cluster_tilting_check", unreachable)
-    monkeypatch.setattr(cli, "endo_profile", unreachable)
+    monkeypatch.setattr(endo, "endo_profile", unreachable)
     path = tmp_path / "d4.quiver"
     path.write_text(D4, encoding="utf-8")
     assert cli.main(["ar", "--quiver", str(path)]) == 0
