@@ -28,7 +28,7 @@ _HOME = {
             "positive_root_count",
             "validate_quiver",
         ),
-        "arquiver": ("ARQuiver", "IndModule", "KnittingError", "Rep", "knit_ar_quiver"),
+        "arquiver": ("ARQuiver", "IndModule", "KnittingError", "Rep"),
         "derived": ("DerivedCategory", "DObject", "ObjectSyntaxError"),
         "orbit": ("OrbitCategory", "TwistStableObject"),
         "tilting": (

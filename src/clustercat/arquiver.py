@@ -15,8 +15,8 @@ vertices that reach i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .exact import (
     Mat,
@@ -38,8 +38,7 @@ class KnittingError(RuntimeError):
     """Internal inconsistency while knitting; signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class IndModule:
+class IndModule(NamedTuple):
     id: int
     dim_vector: tuple[int, ...]
     projective_vertex: int | None = None
@@ -58,8 +57,7 @@ class IndModule:
         return f"m{self.id}"
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(NamedTuple):
     """Explicit representation: one matrix per quiver arrow, target x source."""
 
     dims: tuple[int, ...]
@@ -153,16 +151,6 @@ class ARQuiver:
     def module(self, mid: int) -> IndModule:
         return self.modules[mid - 1]
 
-    def rep(self, mid: int) -> Rep:
-        return self.reps[mid - 1]
-
-    def module_by_dim(self, dv) -> IndModule:
-        return self.modules[self._dim_index[tuple(dv)] - 1]
-
-    @cached_property
-    def _dim_index(self) -> dict[tuple[int, ...], int]:
-        return {m.dim_vector: m.id for m in self.modules}
-
     @cached_property
     def projectives(self) -> dict[int, int]:
         return {m.projective_vertex: m.id for m in self.modules if m.is_projective}
@@ -170,12 +158,6 @@ class ARQuiver:
     @cached_property
     def injectives(self) -> dict[int, int]:
         return {m.injective_vertex: m.id for m in self.modules if m.is_injective}
-
-    def nakayama_pair(self, vertex: int) -> tuple[int, int]:
-        """(projective cover, injective envelope) of the simple at vertex."""
-        if not 1 <= vertex <= self.quiver.vertex_count:
-            raise ValueError(f"vertex {vertex} out of range")
-        return self.projectives[vertex], self.injectives[vertex]
 
     def arrow_multiplicities(self) -> list[tuple[int, int, int]]:
         counts: dict[tuple[int, int], int] = {}
@@ -211,9 +193,7 @@ class ARQuiver:
                 table[a][b] = col[a + 1]
         return table
 
-    def hom_dim(self, a, b) -> int:
-        a = a.id if isinstance(a, IndModule) else a
-        b = b.id if isinstance(b, IndModule) else b
+    def hom_dim(self, a: int, b: int) -> int:
         return self.hom_table[a - 1][b - 1]
 
     @cached_property
@@ -228,28 +208,22 @@ class ARQuiver:
             for a in range(1, size + 1)
         ]
 
-    def ext_dim(self, a, b) -> int:
-        a = a.id if isinstance(a, IndModule) else a
-        b = b.id if isinstance(b, IndModule) else b
+    def ext_dim(self, a: int, b: int) -> int:
         return self.ext_table[a - 1][b - 1]
 
     # -- independent oracles -------------------------------------------
 
-    def matrix_hom_dim(self, a, b) -> int:
+    def matrix_hom_dim(self, a: int, b: int) -> int:
         """Hom dimension from the explicit intertwiner system."""
-        a = a.id if isinstance(a, IndModule) else a
-        b = b.id if isinstance(b, IndModule) else b
         return rep_hom_dim(self.quiver, self.reps[a - 1], self.reps[b - 1])
 
-    def resolution_ext_dim(self, a, b) -> int:
+    def resolution_ext_dim(self, a: int, b: int) -> int:
         """Ext^1 dimension via an explicit projective cover and its kernel.
 
         From 0 -> K -> P0 -> M -> 0 and Ext^1(P0, N) = 0:
         dim Ext^1(M, N) = hom(K, N) - hom(P0, N) + hom(M, N),
         with every hom computed by the matrix oracle.
         """
-        a = a.id if isinstance(a, IndModule) else a
-        b = b.id if isinstance(b, IndModule) else b
         p0, kernel = self._resolutions[a - 1]
         q, n_rep = self.quiver, self.reps[b - 1]
         hom = [rep_hom_dim(q, rep, n_rep) for rep in (kernel, p0, self.reps[a - 1])]
@@ -376,7 +350,7 @@ class ARQuiver:
             raise self._error(f"knitted {len(self.modules)} modules, expected {expected}")
         if len(self.injectives) != n or len(self.projectives) != n:
             raise self._error("projective/injective count mismatch")
-        if len(self._dim_index) != len(self.modules):
+        if len({m.dim_vector for m in self.modules}) != len(self.modules):
             raise self._error("duplicate dimension vectors in catalog")
 
     def _error(self, text: str) -> KnittingError:
@@ -459,10 +433,6 @@ class ARQuiver:
 
         if rep_hom_dim(q, new_rep, new_rep) != 1:
             raise self._error(f"mesh cokernel at m{nid} is decomposable")
-
-
-def knit_ar_quiver(q: Quiver) -> ARQuiver:
-    return ARQuiver(q)
 
 
 def _closure(v: int, adjacency: dict[int, list[int]]) -> set[int]:

@@ -3,9 +3,15 @@
 Subcommands: ar, ind, hom, tilting, graph, endo, verify.  Exit status is
 0 on success, 1 when the verification battery fails, 2 on usage or
 ingestion errors, 3 on internal errors (one ``error:`` line each).  All
-outputs are deterministic; JSON payloads carry a top-level schema_version.
-A handler imports the layers past ``derived`` that it uses itself, so
-``ar`` loads none of orbit, tilting, endo and verify.
+outputs are deterministic.
+
+A handler computes its result and returns ``(exit_code, result)``, where
+the result is a JSON payload dict or a list of text lines; ``main`` alone
+checks ``--format``, stamps ``schema_version`` first in every payload,
+encodes, writes once to stdout or ``--out`` and returns the exit code.
+A usage error the parser cannot see raises ``UsageError``, reported like
+an ingestion error.  A handler imports the layers past ``derived`` that it
+uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
 """
 
 from __future__ import annotations
@@ -13,20 +19,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, ObjectSyntaxError
-from .quiver import DIAGRAMS, QuiverError, load_quiver
+from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, load_quiver
 
 SCHEMA_VERSION = 1
+
+
+class UsageError(Exception):
+    """A usage error only a handler can see (an index or list out of range)."""
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format not in args.formats:
+        parser.error(f"--format {args.format} not supported by this command")
     try:
-        return args.handler(args, parser)
-    except (QuiverError, ObjectSyntaxError, OSError) as exc:
+        code, result = args.handler(args, parser)
+        if isinstance(result, dict):
+            text = json.dumps({"schema_version": SCHEMA_VERSION, **result}, indent=2)
+        else:
+            text = "\n".join(result)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(text + "\n")
+        return code
+    except (QuiverError, ObjectSyntaxError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - a bug, reported without a traceback
@@ -86,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--battery",
         help=f"comma-separated diagrams (default all of {','.join(DIAGRAMS)})",
     )
-    p_verify.add_argument("--inject-fault", choices=["hom-table"], help=argparse.SUPPRESS)
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -96,25 +115,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
-
-
-def _check_format(args, parser) -> None:
-    if args.format not in args.formats:
-        parser.error(f"--format {args.format} not supported by this command")
-
-
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2)
 
 
 def _category(args):
@@ -133,13 +133,11 @@ def _tsv_matrix(title: str, ids: list[str], table) -> list[str]:
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_ar(args, parser) -> int:
-    _check_format(args, parser)
+def _cmd_ar(args, parser):
     ar = ARQuiver(load_quiver(args.quiver))
     ids = [m.name for m in ar.modules]
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        return 0, {
             "quiver": {
                 "vertices": ar.quiver.vertex_count,
                 "arrows": [list(a) for a in ar.quiver.arrows],
@@ -165,8 +163,6 @@ def _cmd_ar(args, parser) -> int:
             "hom": ar.hom_table,
             "ext": ar.ext_table,
         }
-        _emit(args, _dumps(payload))
-        return 0
     lines = ["# modules", "id\tdim_vector\tprojective_vertex\tinjective_vertex"]
     for m in ar.modules:
         lines.append(
@@ -189,30 +185,23 @@ def _cmd_ar(args, parser) -> int:
     lines += _tsv_matrix("hom", ids, ar.hom_table)
     lines.append("")
     lines += _tsv_matrix("ext", ids, ar.ext_table)
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, lines
 
 
-def _cmd_ind(args, parser) -> int:
-    _check_format(args, parser)
+def _cmd_ind(args, parser):
     cat = _category(args)
     rows = [
         {"id": x.text, "module": f"m{x.module_id}", "shift": x.shift, "tier": cat.tier_of(i)}
         for i, x in enumerate(cat.catalog)
     ]
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "m": cat.modulus, "objects": rows}
-        _emit(args, _dumps(payload))
-        return 0
-    lines = ["id\tmodule\tshift\ttier"]
-    for r in rows:
-        lines.append(f"{r['id']}\t{r['module']}\t{r['shift']}\t{r['tier']}")
-    _emit(args, "\n".join(lines))
-    return 0
+        return 0, {"m": cat.modulus, "objects": rows}
+    return 0, ["id\tmodule\tshift\ttier"] + [
+        f"{r['id']}\t{r['module']}\t{r['shift']}\t{r['tier']}" for r in rows
+    ]
 
 
-def _cmd_hom(args, parser) -> int:
-    _check_format(args, parser)
+def _cmd_hom(args, parser):
     if args.objects and len(args.objects) != 2:
         parser.error("hom takes exactly two objects, or none for the full tables")
     cat = _category(args)
@@ -221,22 +210,11 @@ def _cmd_hom(args, parser) -> int:
         j = cat.canonicalize(cat.derived.parse_object(args.objects[1]))
         x, y, hom, ext = cat.catalog[i], cat.catalog[j], cat.dim(i, j, 0), cat.dim(i, j, 1)
         if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "m": cat.modulus,
-                "x": x.text,
-                "y": y.text,
-                "hom": hom,
-                "ext": ext,
-            }
-            _emit(args, _dumps(payload))
-        else:
-            _emit(args, f"x\ty\thom\text\n{x.text}\t{y.text}\t{hom}\t{ext}")
-        return 0
+            return 0, {"m": cat.modulus, "x": x.text, "y": y.text, "hom": hom, "ext": ext}
+        return 0, ["x\ty\thom\text", f"{x.text}\t{y.text}\t{hom}\t{ext}"]
     ids = [obj.text for obj in cat.catalog]
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        return 0, {
             "m": cat.modulus,
             "ids": ids,
             "hom": {
@@ -246,53 +224,41 @@ def _cmd_hom(args, parser) -> int:
                 ids[i]: dict(zip(ids, cat.ext_table[i])) for i in range(len(ids))
             },
         }
-        _emit(args, _dumps(payload))
-        return 0
-    lines = _tsv_matrix("hom", ids, cat.hom_table)
-    lines.append("")
-    lines += _tsv_matrix("ext", ids, cat.ext_table)
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, _tsv_matrix("hom", ids, cat.hom_table) + [""] + _tsv_matrix("ext", ids, cat.ext_table)
 
 
 def _members_sorted(cat, gct) -> list[str]:
     return cat.texts(sorted(gct.positions))
 
 
-def _cmd_tilting(args, parser) -> int:
+def _cmd_tilting(args, parser):
+    from .orbit import MAX_LISTED_MEMBERS
     from .tilting import enumerate_cluster_tilting, lift
 
-    _check_format(args, parser)
     cat = _category(args)
+    tiltings = enumerate_cluster_tilting(cat.base)
+    members = len(tiltings) * cat.modulus * cat.ar.quiver.vertex_count
+    if members > MAX_LISTED_MEMBERS:
+        raise QuiverTooLargeError(
+            f"the tilting objects of {cat.ar.dynkin} at m={cat.modulus} have {members} members;"
+            f" at most {MAX_LISTED_MEMBERS} are supported"
+        )
     # each entry is the member-id list of one tilting object; the 1-based
     # position in this array is the vertex index that cmd_endo consumes
-    rows = [_members_sorted(cat, lift(t, cat)) for t in enumerate_cluster_tilting(cat.base)]
+    rows = [_members_sorted(cat, lift(t, cat)) for t in tiltings]
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "m": cat.modulus,
-            "count": len(rows),
-            "tilting_objects": rows,
-        }
-        _emit(args, _dumps(payload))
-        return 0
-    lines = ["id\tmembers"]
-    for i, members in enumerate(rows):
-        lines.append(f"T{i + 1}\t{','.join(members)}")
-    _emit(args, "\n".join(lines))
-    return 0
+        return 0, {"m": cat.modulus, "count": len(rows), "tilting_objects": rows}
+    return 0, ["id\tmembers"] + [f"T{i + 1}\t{','.join(members)}" for i, members in enumerate(rows)]
 
 
-def _cmd_graph(args, parser) -> int:
+def _cmd_graph(args, parser):
     from .tilting import is_connected
 
-    _check_format(args, parser)
     cat = _category(args)
     graph = cat.tilting_graph
     names = [f"T{i + 1}" for i in range(len(graph.vertices))]
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        return 0, {
             "m": cat.modulus,
             "vertices": [
                 {"id": names[i], "members": _members_sorted(cat, v)}
@@ -301,36 +267,26 @@ def _cmd_graph(args, parser) -> int:
             "edges": [[names[a], names[b]] for a, b in graph.edges],
             "connected": is_connected(graph),
         }
-        _emit(args, _dumps(payload))
-        return 0
-    lines = ["graph tilting {"]
-    for name in names:
-        lines.append(f"  {name};")
-    for a, b in graph.edges:
-        lines.append(f"  {names[a]} -- {names[b]};")
-    lines.append("}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, [
+        "graph tilting {",
+        *(f"  {name};" for name in names),
+        *(f"  {names[a]} -- {names[b]};" for a, b in graph.edges),
+        "}",
+    ]
 
 
-def _cmd_endo(args, parser) -> int:
+def _cmd_endo(args, parser):
     from .endo import block_pattern_report, endo_profile
     from .tilting import enumerate_cluster_tilting, lift
 
-    _check_format(args, parser)
     cat = _category(args)
     tiltings = enumerate_cluster_tilting(cat.base)
     if not 1 <= args.vertex <= len(tiltings):
-        print(
-            f"error: vertex index {args.vertex} out of range 1..{len(tiltings)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"vertex index {args.vertex} out of range 1..{len(tiltings)}")
     gct = lift(tiltings[args.vertex - 1], cat)
     profile = endo_profile(cat, gct)
     report = block_pattern_report(profile)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return 0, {
         "m": cat.modulus,
         "vertex": f"T{args.vertex}",
         "generator": cat.base.texts(gct.generator),
@@ -343,35 +299,21 @@ def _cmd_endo(args, parser) -> int:
         "deviations": report.deviations,
         "annotations": report.annotations,
     }
-    _emit(args, _dumps(payload))
-    return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser):
     from .verify import run_verification
 
-    _check_format(args, parser)
     diagrams = None
     if args.battery is not None:
         diagrams = [token.strip().upper() for token in args.battery.split(",") if token.strip()]
         if not diagrams:
-            print(f"error: --battery {args.battery!r} names no diagram", file=sys.stderr)
-            return 2
+            raise UsageError(f"--battery {args.battery!r} names no diagram")
         unknown = [d for d in diagrams if d not in DIAGRAMS]
         if unknown:
             parser.error(f"unknown diagrams {unknown}; choose from {list(DIAGRAMS)}")
-    tamper = None
-    if args.inject_fault == "hom-table":
-        state = {"done": False}
-
-        def tamper(label, ar):
-            if not state["done"]:
-                ar.hom_table[0][0] += 1
-                state["done"] = True
-
-    report = run_verification(diagrams=diagrams, tamper=tamper)
-    _emit(args, _dumps(report))
-    return 0 if report["passed"] else 1
+    report = run_verification(diagrams=diagrams)
+    return (0 if report["passed"] else 1), report
 
 
 if __name__ == "__main__":

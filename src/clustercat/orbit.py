@@ -39,9 +39,12 @@ from .derived import DerivedCategory, DObject
 from .quiver import QuiverTooLargeError
 
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
-# table holds N^2 entries and its JSON grows with them, so the side is capped
+# table holds N^2 entries and its JSON grows with them, so the side is capped;
+# listing every tilting object lifted to m tiers prints count * m * n member
+# texts (E8 at m = 2: 401280), so that total is capped too
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
+MAX_LISTED_MEMBERS = 500_000
 
 
 @dataclass(frozen=True)

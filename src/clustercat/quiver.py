@@ -10,7 +10,7 @@ most ``MAX_QUIVER_BYTES`` bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # E8, the largest supported quiver, needs well under 1 KiB
 MAX_QUIVER_BYTES = 1 << 20
@@ -56,8 +56,7 @@ DIAGRAMS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     vertex_count: int
     arrows: tuple[tuple[int, int], ...]
 
@@ -65,8 +64,7 @@ class Quiver:
         return Quiver(self.vertex_count, tuple((t, s) for s, t in self.arrows))
 
 
-@dataclass(frozen=True)
-class DynkinClass:
+class DynkinClass(NamedTuple):
     family: str  # 'A', 'D' or 'E'
     rank: int
 

@@ -28,13 +28,17 @@ def build():
     def _build(text: str) -> cc.DerivedCategory:
         if text not in _cache:
             q = cc.parse_quiver(text)
-            _cache[text] = cc.DerivedCategory(cc.knit_ar_quiver(q))
+            _cache[text] = cc.DerivedCategory(cc.ARQuiver(q))
         return _cache[text]
 
     return _build
 
 
+def module_id(ar, dim_vector) -> int:
+    """Id of the AR quiver's module with this dimension vector."""
+    return next(m.id for m in ar.modules if m.dim_vector == tuple(dim_vector))
+
+
 def module_obj(cat, dim_vector, shift: int = 0) -> int:
     """Catalog position of the orbit category's object by module dimension vector."""
-    mid = cat.ar.module_by_dim(dim_vector).id
-    return cat.canonicalize(DObject(mid, shift))
+    return cat.canonicalize(DObject(module_id(cat.ar, dim_vector), shift))

@@ -26,7 +26,7 @@ def contexts():
     out = {}
     for name in DIAGRAMS:
         for label, q in orientations(name):
-            out[label] = (name, cc.DerivedCategory(cc.knit_ar_quiver(q)))
+            out[label] = (name, cc.DerivedCategory(cc.ARQuiver(q)))
     return out
 
 

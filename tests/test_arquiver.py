@@ -3,7 +3,7 @@ import pytest
 import clustercat as cc
 from clustercat.verify import orientations
 
-from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, E6, E7, E8
+from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, E6, E7, E8, module_id
 
 
 def ar_of(build, text):
@@ -13,10 +13,10 @@ def ar_of(build, text):
 def test_a2_catalog(build):
     ar = ar_of(build, A2)
     assert sorted(m.dim_vector for m in ar.modules) == [(0, 1), (1, 0), (1, 1)]
-    s1 = ar.module_by_dim((1, 0))
-    s2 = ar.module_by_dim((0, 1))
-    assert ar.tau[s1.id] == s2.id
-    assert ar.tau_inverse[s2.id] == s1.id
+    s1 = module_id(ar, (1, 0))
+    s2 = module_id(ar, (0, 1))
+    assert ar.tau[s1] == s2
+    assert ar.tau_inverse[s2] == s1
 
 
 def test_a1_catalog(build):
@@ -50,9 +50,9 @@ def test_catalog_size_is_root_count(build, text):
 
 def test_hom_examples(build):
     ar = ar_of(build, A2)
-    p1 = ar.module_by_dim((1, 1)).id
-    s1 = ar.module_by_dim((1, 0)).id
-    s2 = ar.module_by_dim((0, 1)).id
+    p1 = module_id(ar, (1, 1))
+    s1 = module_id(ar, (1, 0))
+    s2 = module_id(ar, (0, 1))
     assert ar.hom_dim(p1, s1) == 1
     assert ar.hom_dim(s1, s2) == 0
     for m in ar.modules:
@@ -61,8 +61,8 @@ def test_hom_examples(build):
 
 def test_ext_examples(build):
     ar = ar_of(build, A2)
-    s1 = ar.module_by_dim((1, 0)).id
-    s2 = ar.module_by_dim((0, 1)).id
+    s1 = module_id(ar, (1, 0))
+    s2 = module_id(ar, (0, 1))
     assert ar.ext_dim(s1, s2) == 1
     for m in ar.modules:
         for p in ar.projectives.values():
@@ -78,8 +78,8 @@ def test_ext_self_vanishes_a3(build):
 
 def test_matrix_oracle_a2(build):
     ar = ar_of(build, A2)
-    p1 = ar.module_by_dim((1, 1)).id
-    p2 = ar.module_by_dim((0, 1)).id
+    p1 = module_id(ar, (1, 1))
+    p2 = module_id(ar, (0, 1))
     assert ar.matrix_hom_dim(p1, p1) == 1
     assert ar.matrix_hom_dim(p2, p1) == 1
     assert ar.matrix_hom_dim(p1, p2) == 0
@@ -88,8 +88,8 @@ def test_matrix_oracle_a2(build):
 def test_resolution_oracle_a2(build):
     # 0 -> P_2 -> P_1 -> S_1 -> 0 gives a one-dimensional Ext^1(S_1, S_2)
     ar = ar_of(build, A2)
-    s1 = ar.module_by_dim((1, 0)).id
-    s2 = ar.module_by_dim((0, 1)).id
+    s1 = module_id(ar, (1, 0))
+    s2 = module_id(ar, (0, 1))
     assert ar.resolution_ext_dim(s1, s2) == 1
     assert ar.resolution_ext_dim(s1, s1) == 0
 
@@ -97,7 +97,7 @@ def test_resolution_oracle_a2(build):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
 def test_oracle_equivalence_all_orientations(name):
     for _, q in orientations(name):
-        ar = cc.knit_ar_quiver(q)
+        ar = cc.ARQuiver(q)
         for a in ar.modules:
             for b in ar.modules:
                 assert ar.hom_dim(a.id, b.id) == ar.matrix_hom_dim(a.id, b.id)
@@ -134,26 +134,24 @@ def test_mesh_hom_count_identity(build):
 
 
 def test_nakayama_pairs_a2(build):
+    # projective cover and injective envelope of each simple
     ar = ar_of(build, A2)
-    p1, i1 = ar.nakayama_pair(1)
-    assert ar.module(p1).dim_vector == (1, 1)
-    assert ar.module(i1).dim_vector == (1, 0)
-    p2, i2 = ar.nakayama_pair(2)
-    assert ar.module(p2).dim_vector == (0, 1)
-    assert ar.module(i2).dim_vector == (1, 1)
+    assert ar.module(ar.projectives[1]).dim_vector == (1, 1)
+    assert ar.module(ar.injectives[1]).dim_vector == (1, 0)
+    assert ar.module(ar.projectives[2]).dim_vector == (0, 1)
+    assert ar.module(ar.injectives[2]).dim_vector == (1, 1)
 
 
 def test_nakayama_pair_a1(build):
     ar = ar_of(build, A1)
-    assert ar.nakayama_pair(1) == (1, 1)
-    with pytest.raises(ValueError):
-        ar.nakayama_pair(2)
+    assert (ar.projectives[1], ar.injectives[1]) == (1, 1)
+    assert 2 not in ar.projectives and 2 not in ar.injectives
 
 
 def test_orientation_reversal_preserves_catalog(build):
     for text in (A3, D4):
         ar = ar_of(build, text)
-        rev = cc.knit_ar_quiver(ar.quiver.reversed())
+        rev = cc.ARQuiver(ar.quiver.reversed())
         assert len(rev.modules) == len(ar.modules)
         assert sorted(m.dim_vector for m in rev.modules) == sorted(
             m.dim_vector for m in ar.modules
@@ -169,8 +167,8 @@ def test_dim_vectors_are_roots(build):
 
 def test_knitting_is_deterministic():
     q = cc.parse_quiver(D4)
-    first = cc.knit_ar_quiver(q)
-    second = cc.knit_ar_quiver(q)
+    first = cc.ARQuiver(q)
+    second = cc.ARQuiver(q)
     assert [m.dim_vector for m in first.modules] == [m.dim_vector for m in second.modules]
     assert first.arrows == second.arrows
     assert first.tau == second.tau
@@ -196,7 +194,7 @@ E_TYPES = {
 
 @pytest.fixture(scope="module")
 def e_type_ar():
-    return {name: cc.knit_ar_quiver(cc.parse_quiver(spec[0])) for name, spec in E_TYPES.items()}
+    return {name: cc.ARQuiver(cc.parse_quiver(spec[0])) for name, spec in E_TYPES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(E_TYPES))
@@ -221,7 +219,7 @@ def test_e6_mesh_hom_matches_matrix_oracle(e_type_ar):
 
 def test_e8_modules_are_rigid_bricks(e_type_ar):
     ar = e_type_ar["E8"]
-    assert all(ar.hom_dim(m, m) == 1 and ar.ext_dim(m, m) == 0 for m in ar.modules)
+    assert all(ar.hom_dim(m.id, m.id) == 1 and ar.ext_dim(m.id, m.id) == 0 for m in ar.modules)
 
 
 def test_ext_table_is_hom_minus_euler_form(build):
@@ -230,5 +228,5 @@ def test_ext_table_is_hom_minus_euler_form(build):
     for ar in ars + [build(text).ar for text in (E6, E7, E8)]:
         for a in ar.modules:
             for b in ar.modules:
-                expected = ar.hom_dim(a, b) - cc.euler_form(ar.quiver, a.dim_vector, b.dim_vector)
-                assert ar.ext_table[a.id - 1][b.id - 1] == ar.ext_dim(a, b) == expected
+                expected = ar.hom_dim(a.id, b.id) - cc.euler_form(ar.quiver, a.dim_vector, b.dim_vector)
+                assert ar.ext_table[a.id - 1][b.id - 1] == ar.ext_dim(a.id, b.id) == expected

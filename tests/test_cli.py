@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import clustercat
-from clustercat import arquiver, derived, orbit, quiver
+from clustercat import arquiver, derived, orbit, quiver, verify
 from clustercat.cli import main
 
-from conftest import A2, A3
+from conftest import A2, A3, D4
 
 
 @pytest.fixture
@@ -174,9 +174,10 @@ def test_endo_report(capsys, a2_path):
 
 
 def test_endo_vertex_out_of_range(capsys, a2_path):
-    code, _, err = run(capsys, "endo", "9", "--quiver", a2_path)
+    code, out, err = run(capsys, "endo", "9", "--quiver", a2_path)
     assert code == 2
-    assert "out of range" in err
+    assert out == ""
+    assert err == "error: vertex index 9 out of range 1..5\n"
 
 
 def test_endo_past_the_side_cap_fails_fast_in_one_line(capsys, a2_path):
@@ -208,8 +209,15 @@ def test_verify_restricted_battery(capsys):
     assert payload["checks_failed"] == 0
 
 
-def test_verify_fault_injection_fails_with_named_invariant(capsys):
-    code, out, _ = run(capsys, "verify", "--battery", "A2", "--inject-fault", "hom-table")
+def test_verify_fault_injection_fails_with_named_invariant(capsys, monkeypatch):
+    # the battery behind the CLI sees A2#0 with one Hom table entry bumped
+    def tamper(label, ar):
+        if label == "A2#0":
+            ar.hom_table[0][0] += 1
+
+    run_verification = verify.run_verification
+    monkeypatch.setattr(verify, "run_verification", lambda **kw: run_verification(**kw, tamper=tamper))
+    code, out, _ = run(capsys, "verify", "--battery", "A2")
     payload = json.loads(out)
     assert code == 1
     assert payload["passed"] is False
@@ -220,6 +228,12 @@ def test_verify_fault_injection_fails_with_named_invariant(capsys):
         if not ch["passed"]
     }
     assert "oracle-hom-equivalence" in failing
+
+
+def test_inject_fault_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--battery", "A2", "--inject-fault", "hom-table"])
+    assert info.value.code == 2
 
 
 def test_verify_unknown_battery_exits_2(capsys):
@@ -251,13 +265,53 @@ def test_outputs_deterministic(capsys, a3_path):
     assert t1 == t2
 
 
+# every command in every format it accepts; endo and the point query take extra operands
+OUT_CASES = [
+    (command, fmt, extra)
+    for command, formats, extra in (
+        ("ar", ("json", "tsv"), ()),
+        ("ind", ("json", "tsv"), ()),
+        ("hom", ("json", "tsv"), ()),
+        ("hom", ("json", "tsv"), ("m1[0]", "m2[1]")),
+        ("tilting", ("json", "tsv"), ()),
+        ("graph", ("json", "dot"), ()),
+        ("endo", ("json",), ("2",)),
+        ("verify", ("json",), ()),
+    )
+    for fmt in formats
+]
+
+
 def test_out_flag_writes_file(tmp_path, capsys, a2_path):
-    target = tmp_path / "out.json"
-    code, out, _ = run(capsys, "ind", "--quiver", a2_path, "--out", str(target))
-    assert code == 0
+    # --out receives exactly the bytes stdout would, and stdout stays empty
+    target = tmp_path / "out.txt"
+    for command, fmt, extra in OUT_CASES:
+        if command == "verify":
+            argv = [command, "--battery", "A1"]
+        else:
+            argv = [command, "--quiver", a2_path, "--format", fmt, *extra]
+            argv += [] if command == "ar" else ["--m", "2"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", ""), argv
+        assert target.read_text(encoding="utf-8") == stdout, argv
+        if fmt == "json":
+            assert next(iter(json.loads(stdout))) == "schema_version", argv
+
+
+def test_tilting_listing_past_the_member_cap_fails_fast_in_one_line(capsys, tmp_path):
+    # 50 tilting objects of D4, each lifted to 4 * 6000 members: 1.2M texts
+    p = tmp_path / "d4.quiver"
+    p.write_text(D4, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tilting", "--quiver", str(p), "--m", "6000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
     assert out == ""
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["schema_version"] == 1
+    assert err == (
+        "error: the tilting objects of D4 at m=6000 have 1200000 members;"
+        f" at most {orbit.MAX_LISTED_MEMBERS} are supported\n"
+    )
 
 
 def test_huge_vertex_count_fails_fast_in_one_line(capsys, tmp_path):
@@ -405,7 +459,8 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 def test_ar_loads_no_layer_it_does_not_use(tmp_path):
-    # a bare package import loads no submodule, and ar stops at the derived layer
+    # a bare package import loads no submodule, and ar stops at the derived
+    # layer; its records are named tuples, so dataclasses and inspect stay out
     quiver_path, out_path = tmp_path / "a3.quiver", tmp_path / "ar.json"
     quiver_path.write_text(A3, encoding="utf-8")
     code = (
@@ -415,9 +470,11 @@ def test_ar_loads_no_layer_it_does_not_use(tmp_path):
         "from clustercat.cli import main\n"
         f"assert main(['ar', '--quiver', {str(quiver_path)!r}, '--out', {str(out_path)!r}]) == 0\n"
         "print(*loaded())\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
     )
-    bare, after_ar = _fresh_stdout(code).splitlines()
+    bare, after_ar, stdlib = _fresh_stdout(code).splitlines()
     assert bare == ""
+    assert stdlib == "False False"
     unused = {f"clustercat.{name}" for name in ("orbit", "tilting", "endo", "verify")}
     assert "clustercat.arquiver" in after_ar.split()
     assert not unused & set(after_ar.split())

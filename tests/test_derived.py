@@ -3,7 +3,7 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject, ObjectSyntaxError, SHIFT_LIMIT
 
-from conftest import A2, A3, BATTERY_QUIVERS, E6, E7, E8
+from conftest import A2, A3, BATTERY_QUIVERS, E6, E7, E8, module_id
 
 
 def test_shift_group_action(build):
@@ -23,16 +23,16 @@ def test_shift_limit(build):
 
 def test_tau_on_modules(build):
     dc = build(A2)
-    s1 = dc.ar.module_by_dim((1, 0)).id
-    s2 = dc.ar.module_by_dim((0, 1)).id
+    s1 = module_id(dc.ar, (1, 0))
+    s2 = module_id(dc.ar, (0, 1))
     assert dc.tau(DObject(s1, 0)) == DObject(s2, 0)
 
 
 def test_tau_on_projectives_drops_shift(build):
     # tau(P_i) = I_i[-1]
     dc = build(A2)
-    p2 = dc.ar.module_by_dim((0, 1)).id
-    i2 = dc.ar.module_by_dim((1, 1)).id
+    p2 = module_id(dc.ar, (0, 1))
+    i2 = module_id(dc.ar, (1, 1))
     assert dc.tau(DObject(p2, 0)) == DObject(i2, -1)
 
 
@@ -47,9 +47,9 @@ def test_tau_bijective(build):
 
 def test_twist_examples(build):
     dc = build(A2)
-    s2 = dc.ar.module_by_dim((0, 1)).id
-    s1 = dc.ar.module_by_dim((1, 0)).id
-    p1 = dc.ar.module_by_dim((1, 1)).id
+    s2 = module_id(dc.ar, (0, 1))
+    s1 = module_id(dc.ar, (1, 0))
+    p1 = module_id(dc.ar, (1, 1))
     assert dc.twist(DObject(s2, 0)) == DObject(s1, 1)
     # S_1 = I_1 is injective, so the twist bumps the shift by two
     assert dc.twist(DObject(s1, 0)) == DObject(p1, 2)
@@ -88,7 +88,7 @@ COXETER_QUIVERS = {
 def test_coxeter_periodicity(label):
     # F^h = [h + 2] with h the Coxeter number (Keller, math/0503240); the
     # closed-form twist will rest on this, and h = 2 * |modules| / n
-    dc = cc.DerivedCategory(cc.knit_ar_quiver(COXETER_QUIVERS[label]))
+    dc = cc.DerivedCategory(cc.ARQuiver(COXETER_QUIVERS[label]))
     h, rem = divmod(2 * len(dc.ar.modules), dc.ar.quiver.vertex_count)
     assert rem == 0
     for m in dc.ar.modules:
@@ -98,8 +98,8 @@ def test_coxeter_periodicity(label):
 
 def test_hom_gap_rules(build):
     dc = build(A2)
-    s1 = dc.ar.module_by_dim((1, 0)).id
-    s2 = dc.ar.module_by_dim((0, 1)).id
+    s1 = module_id(dc.ar, (1, 0))
+    s2 = module_id(dc.ar, (0, 1))
     assert dc.hom(DObject(s1, 0), DObject(s1, 0)) == 1
     assert dc.hom(DObject(s1, 0), DObject(s2, 1)) == 1  # Ext^1(S_1, S_2)
     for m in dc.ar.modules:

@@ -4,13 +4,13 @@ import clustercat as cc
 from clustercat.derived import DObject
 from clustercat.tilting import NotExchangeError
 
-from conftest import A2, A3, D4
+from conftest import A2, A3, D4, module_id
 
 
 def tilting_by_dims(dc, dims):
     """Base positions of the tilting object whose members are the given modules at shift 0."""
     base = dc.orbit(1)
-    return tuple(base.canonicalize(DObject(dc.ar.module_by_dim(d).id, 0)) for d in dims)
+    return tuple(base.canonicalize(DObject(module_id(dc.ar, d), 0)) for d in dims)
 
 
 def test_a2_hereditary_generator_m2(build):

@@ -8,7 +8,7 @@ from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import _check_hom_walk, _check_twist_orbits, _orbit_checks
 
-from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_obj
+from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_id, module_obj
 
 
 # Frozen 5x5 tables for the modulus-1 orbit category of A_2 (1 -> 2), in
@@ -59,7 +59,7 @@ def test_a2_m1_compatibility_graph_is_pentagon(build):
 def test_canonicalize_walks_into_domain(build):
     dc = build(A2)
     cat = dc.orbit(1)
-    s1 = dc.ar.module_by_dim((1, 0)).id
+    s1 = module_id(dc.ar, (1, 0))
     x = DObject(s1, 5)
     rep = cat.catalog[cat.canonicalize(x)]
     assert rep.shift == 0 or (
@@ -381,7 +381,7 @@ def test_hom_walk_oracle_beyond_the_battery(build, text, m):
 def test_only_four_layers_carry_maps(label):
     # Hom_D(X_k, F^s(X_l)[e]) over the base domain vanishes for every other
     # (e, s), which is why Hom and Ext^1 of C_{F^m} need no twist walk
-    dc = cc.DerivedCategory(cc.knit_ar_quiver(PREMISE_QUIVERS[label]))
+    dc = cc.DerivedCategory(cc.ARQuiver(PREMISE_QUIVERS[label]))
     cat = dc.orbit(1)
     base = cat.catalog
     for e in (0, 1):

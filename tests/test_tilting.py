@@ -10,7 +10,7 @@ from clustercat.orbit import mask_of
 from clustercat.tilting import NotExchangeError, NotRigidError
 from clustercat.verify import run_verification
 
-from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8
+from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, module_obj
 
 
 EXPECTED_COUNTS = {A1: 2, A2: 5, A3: 14, A4: 42, D4: 50}
@@ -58,7 +58,7 @@ def test_count_orientation_independent():
             (a, b) if not bits & (1 << i) else (b, a) for i, (a, b) in enumerate(base)
         )
         q = cc.Quiver(3, arrows)
-        dc = cc.DerivedCategory(cc.knit_ar_quiver(q))
+        dc = cc.DerivedCategory(cc.ARQuiver(q))
         assert len(cc.enumerate_cluster_tilting(dc.orbit(1))) == 14
 
 
@@ -174,8 +174,8 @@ def test_complements_rejects_non_rigid(build):
     dc = build(A2)
     cat = dc.orbit(2)
     # S_1 and S_2 extend each other; pad with their twists to reach nm-1
-    s1 = cat.canonicalize(cc.DObject(dc.ar.module_by_dim((1, 0)).id, 0))
-    s2 = cat.canonicalize(cc.DObject(dc.ar.module_by_dim((0, 1)).id, 0))
+    s1 = module_obj(cat, (1, 0))
+    s2 = module_obj(cat, (0, 1))
     third = cat.twist_action(s1)
     with pytest.raises(NotRigidError):
         cc.complements(cat, [s1, s2, third])
