@@ -22,6 +22,7 @@ _HOME = {
             "QuiverSyntaxError",
             "QuiverTooLargeError",
             "classify_dynkin",
+            "cluster_number",
             "euler_form",
             "load_quiver",
             "parse_quiver",
@@ -30,7 +31,7 @@ _HOME = {
         ),
         "arquiver": ("ARQuiver", "IndModule", "KnittingError", "Rep"),
         "derived": ("DerivedCategory", "DObject", "ObjectSyntaxError"),
-        "orbit": ("OrbitCategory", "TwistStableObject"),
+        "orbit": ("OrbitCategory",),
         "tilting": (
             "NotExchangeError",
             "NotRigidError",
@@ -40,9 +41,7 @@ _HOME = {
             "complements",
             "enumerate_cluster_tilting",
             "enumerate_stable_tilting_direct",
-            "exchange_pair_ext",
             "is_connected",
-            "lift",
             "near_complements",
         ),
         "endo": (

@@ -23,7 +23,7 @@ from contextlib import nullcontext
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, ObjectSyntaxError
-from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, load_quiver
+from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, cluster_number, load_quiver
 
 SCHEMA_VERSION = 1
 
@@ -227,25 +227,26 @@ def _cmd_hom(args, parser):
     return 0, _tsv_matrix("hom", ids, cat.hom_table) + [""] + _tsv_matrix("ext", ids, cat.ext_table)
 
 
-def _members_sorted(cat, gct) -> list[str]:
-    return cat.texts(sorted(gct.positions))
-
-
-def _cmd_tilting(args, parser):
+def _refuse_long_listing(cat) -> None:
+    """Refuse, before enumerating, a listing of more than MAX_LISTED_MEMBERS member texts."""
     from .orbit import MAX_LISTED_MEMBERS
-    from .tilting import enumerate_cluster_tilting, lift
 
-    cat = _category(args)
-    tiltings = enumerate_cluster_tilting(cat.base)
-    members = len(tiltings) * cat.modulus * cat.ar.quiver.vertex_count
+    members = cluster_number(cat.ar.dynkin) * cat.modulus * cat.ar.quiver.vertex_count
     if members > MAX_LISTED_MEMBERS:
         raise QuiverTooLargeError(
             f"the tilting objects of {cat.ar.dynkin} at m={cat.modulus} have {members} members;"
             f" at most {MAX_LISTED_MEMBERS} are supported"
         )
+
+
+def _cmd_tilting(args, parser):
+    from .tilting import enumerate_cluster_tilting
+
+    cat = _category(args)
+    _refuse_long_listing(cat)
     # each entry is the member-id list of one tilting object; the 1-based
     # position in this array is the vertex index that cmd_endo consumes
-    rows = [_members_sorted(cat, lift(t, cat)) for t in tiltings]
+    rows = [cat.texts(cat.build_twist_stable(t)) for t in enumerate_cluster_tilting(cat.base)]
     if args.format == "json":
         return 0, {"m": cat.modulus, "count": len(rows), "tilting_objects": rows}
     return 0, ["id\tmembers"] + [f"T{i + 1}\t{','.join(members)}" for i, members in enumerate(rows)]
@@ -255,13 +256,15 @@ def _cmd_graph(args, parser):
     from .tilting import is_connected
 
     cat = _category(args)
+    if args.format == "json":  # dot lists no members
+        _refuse_long_listing(cat)
     graph = cat.tilting_graph
     names = [f"T{i + 1}" for i in range(len(graph.vertices))]
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
             "vertices": [
-                {"id": names[i], "members": _members_sorted(cat, v)}
+                {"id": names[i], "members": cat.texts(cat.build_twist_stable(v))}
                 for i, v in enumerate(graph.vertices)
             ],
             "edges": [[names[a], names[b]] for a, b in graph.edges],
@@ -277,19 +280,19 @@ def _cmd_graph(args, parser):
 
 def _cmd_endo(args, parser):
     from .endo import block_pattern_report, endo_profile
-    from .tilting import enumerate_cluster_tilting, lift
+    from .tilting import enumerate_cluster_tilting
 
     cat = _category(args)
     tiltings = enumerate_cluster_tilting(cat.base)
     if not 1 <= args.vertex <= len(tiltings):
         raise UsageError(f"vertex index {args.vertex} out of range 1..{len(tiltings)}")
-    gct = lift(tiltings[args.vertex - 1], cat)
-    profile = endo_profile(cat, gct)
+    generator = tiltings[args.vertex - 1]
+    profile = endo_profile(cat, generator)
     report = block_pattern_report(profile)
     return 0, {
         "m": cat.modulus,
         "vertex": f"T{args.vertex}",
-        "generator": cat.base.texts(gct.generator),
+        "generator": cat.base.texts(generator),
         "tiers": [[x.text for x in tier] for tier in profile.tiers],
         "block_dims": profile.block_dims,
         "dim_C": profile.dim_c,

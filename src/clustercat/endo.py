@@ -1,10 +1,10 @@
 """Dimension-level structure of the endomorphism algebras of lifted
 tilting objects.
 
-A lifted tilting object is the ``TwistStableObject`` over its generator's
-base positions.  The profile's tiers list the summands' catalog
-``DObject``s, and shifts and module ids are read from the modulus-1
-catalog only where the module tier is tested.
+A lifted tilting object is its generator's base positions.  The profile's
+tiers list the summands' catalog ``DObject``s, laid out by
+``build_twist_stable``, and shifts and module ids are read from the
+modulus-1 catalog only where the module tier is tested.
 
 For a generator that is a tilting module (all summands at shift 0) the
 endomorphism algebra of its lift decomposes into m x m blocks indexed by
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derived import DObject
-from .orbit import MAX_TABLE_SIDE, OrbitCategory, TwistStableObject, mask_of
+from .orbit import MAX_TABLE_SIDE, OrbitCategory, mask_of
 from .quiver import QuiverTooLargeError
 from .tilting import NotExchangeError
 
@@ -48,19 +48,20 @@ class PatternReport:
     annotations: list[str] = field(default_factory=list)
 
 
-def endo_profile(cat: OrbitCategory, gct: TwistStableObject) -> EndoProfile:
-    """Tiered Hom-dimension blocks of End(M) for a lifted tilting object.
+def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
+    """Tiered Hom-dimension blocks of End(M) for a lifted tilting object's generator.
 
     block_dims[i][j] sums hom(s, t) over s in tier j and t in tier i,
     i.e. maps from tier j into tier i.
     """
-    m, gen, size = cat.modulus, gct.generator, len(gct.generator)
+    m, size = cat.modulus, len(gen)
     if m > MAX_TABLE_SIDE:  # the block matrix is m x m
         raise QuiverTooLargeError(
             f"endo blocks of {cat.ar.dynkin} at m={m} need {m} tiers; at most {MAX_TABLE_SIDE} are supported"
         )
     # tier-major: the twist^i of gen fills slice i
-    tiers = [[cat.catalog[p] for p in gct.positions[i * size : (i + 1) * size]] for i in range(m)]
+    positions = cat.build_twist_stable(gen)
+    tiers = [[cat.catalog[p] for p in positions[i * size : (i + 1) * size]] for i in range(m)]
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
     same, up = (sum(cat.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
     block = [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
@@ -119,19 +120,17 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
     return report
 
 
-def exchange_layer_dim(cat: OrbitCategory, gct1: TwistStableObject, n2: TwistStableObject) -> int:
-    """Total ext1 from a tilting lift into the expansion swapped in by an
-    exchange edge; one dimension per tier, hence equal to the modulus."""
-    if n2.modulus != cat.modulus:
-        raise ValueError("modulus mismatch")
-    if len(set(n2.generator)) != 1:
+def exchange_layer_dim(cat: OrbitCategory, gen1: tuple[int, ...], gen2: tuple[int, ...]) -> int:
+    """Total ext1 from a tilting lift into the expansion swapped in by an exchange
+    edge, by generators; one dimension per tier, hence equal to the modulus."""
+    if len(set(gen2)) != 1:
         raise NotExchangeError("swapped part must be a single twist-orbit")
-    x2, gen1 = n2.generator[0], mask_of(gct1.generator)
-    if gen1 >> x2 & 1:
+    x2, mask1 = gen2[0], mask_of(gen1)
+    if mask1 >> x2 & 1:
         raise NotExchangeError("swapped orbit already belongs to the tilting object")
     # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
-    if (gen1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
+    if (mask1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
         raise NotExchangeError("inputs are not the two sides of an exchange edge")
-    # each of the m tiers of gct1 meets one tier of n2 at gap 0 and one at gap -1
+    # each of the m tiers of gen1 meets one tier of gen2 at gap 0 and one at gap -1
     zero, down = cat.layers[1, 0], cat.layers[1, -1]
-    return cat.modulus * sum(zero[k][l] + down[k][l] for k in gct1.generator for l in n2.generator)
+    return cat.modulus * sum(zero[k][l] + down[k][l] for k in gen1 for l in gen2)

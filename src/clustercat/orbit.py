@@ -26,45 +26,27 @@ one ``DObject`` per twist-orbit, ``canonicalize`` sends any ``DObject`` to
 the position of its orbit, and ``tier_of``, ``project``, ``twist_action``,
 ``serre`` and ``dim`` take positions.  A tilting object is its generator's
 base positions (ascending, which is the (shift, module id) order of the
-base domain), and its lift carries positions and a mask.
+base domain), and so is its lift: ``build_twist_stable`` lays the lift's
+summands out by tier where a caller needs their positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .derived import DerivedCategory, DObject
-from .quiver import QuiverTooLargeError
+from .quiver import QuiverTooLargeError, cluster_number
 
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
 # table holds N^2 entries and its JSON grows with them, so the side is capped;
 # listing every tilting object lifted to m tiers prints count * m * n member
-# texts (E8 at m = 2: 401280), so that total is capped too
+# texts (E8 at m = 2: 401280), so that total is capped too; the tilting
+# search walks every rigid set, so their count is capped (A12 has 742900)
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
 MAX_LISTED_MEMBERS = 500_000
-
-
-@dataclass(frozen=True)
-class TwistStableObject:
-    """Object of the form X + twist(X) + ... + twist^{m-1}(X).
-
-    generator holds X as ascending modulus-1 catalog positions (a multiset); positions
-    are the m * len(generator) summands' catalog positions, tier-major (tier t is
-    t*B + generator, so tier 0 is the generator itself), and mask their bits.
-    """
-
-    generator: tuple[int, ...]
-    modulus: int
-    positions: tuple[int, ...]
-    mask: int
-
-    @property
-    def orbit_count(self) -> int:
-        """Number of distinct twist-orbits among the summands."""
-        return len(set(self.generator))
+MAX_TILTING_OBJECTS = 250_000
 
 
 class OrbitCategory:
@@ -210,18 +192,13 @@ class OrbitCategory:
 
     # -- twist-stable objects ------------------------------------------------
 
-    def build_twist_stable(self, generator: Iterable[int]) -> TwistStableObject:
-        """The twist-stable object generated by the given base positions."""
-        gen, size = tuple(sorted(generator)), self._tier_size
+    def build_twist_stable(self, generator: Iterable[int]) -> tuple[int, ...]:
+        """Catalog positions of X + twist(X) + ... + twist^{m-1}(X), X given by base positions
+        (a multiset): tier t is t*B + the sorted generator, so the tuple is ascending."""
+        gen, size = sorted(generator), self._tier_size
         if gen and (gen[0] < 0 or gen[-1] >= size):
-            raise ValueError(f"generator positions must lie in 0..{size - 1}, got {list(gen)}")
-        positions = tuple(t * size + k for t in range(self.modulus) for k in gen)
-        return TwistStableObject(gen, self.modulus, positions, mask_of(gen) * self._tier_bits)
-
-    @cached_property
-    def _tier_bits(self) -> int:
-        """Bit t*B for each tier t: times a base mask, the mask of its twist-orbits."""
-        return mask_of(range(0, self.modulus * self._tier_size, self._tier_size))
+            raise ValueError(f"generator positions must lie in 0..{size - 1}, got {gen}")
+        return tuple(t * size + k for t in range(self.modulus) for k in gen)
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 
@@ -277,16 +254,16 @@ class OrbitCategory:
         checked to be maximal (compatible with nothing but itself).  Modulus 1 only."""
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
+        if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
+            raise QuiverTooLargeError(
+                f"{self.ar.dynkin} has {count} cluster tilting objects;"
+                f" at most {MAX_TILTING_OBJECTS} are supported"
+            )
         n = self.ar.quiver.vertex_count
         found = [chosen for chosen in self.rigid_position_sets() if len(chosen) == n]
         if any(self.compatible_with_all(chosen).bit_count() != n for chosen in found):
             raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
         return found
-
-    @cached_property
-    def tilting_masks(self) -> list[int]:
-        """mask_of each of tilting_sets, in the same order."""
-        return [mask_of(t) for t in self.tilting_sets]
 
     @cached_property
     def exchange_edges(self) -> list[tuple[int, int]]:
@@ -297,7 +274,7 @@ class OrbitCategory:
         its partner, the single position outside T compatible with all of
         T - p.
         """
-        masks = self.tilting_masks
+        masks = [mask_of(t) for t in self.tilting_sets]
         index = {mask: i for i, mask in enumerate(masks)}
         edges, common = set(), self.compatible_with_all
         for i, (t, mask) in enumerate(zip(self.tilting_sets, masks)):

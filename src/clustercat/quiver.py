@@ -10,6 +10,7 @@ most ``MAX_QUIVER_BYTES`` bytes.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 # E8, the largest supported quiver, needs well under 1 KiB
@@ -251,3 +252,13 @@ def positive_root_count(c: DynkinClass) -> int:
     if c.family == "D":
         return c.rank * (c.rank - 1)
     return {6: 36, 7: 63, 8: 120}[c.rank]
+
+
+def cluster_number(c: DynkinClass) -> int:
+    """Number of cluster tilting objects (Fomin-Zelevinsky, Cluster algebras II)."""
+    n = c.rank
+    if c.family == "A":  # Catalan(n + 1)
+        return comb(2 * n + 2, n + 1) // (n + 2)
+    if c.family == "D":
+        return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    return {6: 833, 7: 4160, 8: 25080}[n]

@@ -2,10 +2,10 @@
 
 A cluster tilting object is its generator's base positions: an ascending
 tuple of n modulus-1 catalog positions with ext-vanishing in both
-directions between all members (``OrbitCategory.tilting_sets``).  Its lift
-to modulus m is the ``TwistStableObject`` over that generator.  The graph's
-edges do not depend on the modulus: they come from bitmask mutation in
-the modulus-1 category (``OrbitCategory.exchange_edges``).  The slow
+directions between all members (``OrbitCategory.tilting_sets``), and so
+is its lift to modulus m; ``build_twist_stable`` lays out the lift's
+summands.  The graph's vertices are generators, and its edges come from
+bitmask mutation in the modulus-1 category (``exchange_edges``).  The slow
 paths are the battery's oracles: ``near_complements`` re-derives every
 edge by completing each almost tilting object at modulus m, and a direct
 scan over twist-orbit unions re-derives the lifts at small rank.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .orbit import OrbitCategory, TwistStableObject, mask_of
+from .orbit import OrbitCategory, mask_of
 
 
 class NotRigidError(ValueError):
@@ -29,7 +29,7 @@ class NotExchangeError(ValueError):
 
 @dataclass
 class TiltingGraph:
-    vertices: list[TwistStableObject]
+    vertices: list[tuple[int, ...]]  # generators, in tilting_sets order
     edges: list[tuple[int, int]]
 
     @cached_property
@@ -63,18 +63,6 @@ def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[tuple[int, ...]]:
     positions, canonical order: ``cat1.tilting_sets``.  Kept as a function
     because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
     return cat1.tilting_sets
-
-
-def lift(t: tuple[int, ...], cat: OrbitCategory) -> TwistStableObject:
-    """Twist-stable expansion of a modulus-1 cluster tilting object, given
-    by its base positions."""
-    stable = cat.build_twist_stable(t)
-    if stable.mask.bit_count() != cat.modulus * cat.ar.quiver.vertex_count:
-        raise RuntimeError(
-            f"{cat.quiver_label}: lift of {cat.base.texts(t)}"
-            " does not have m*n distinct summands"
-        )
-    return stable
 
 
 def cluster_tilting_check(cat: OrbitCategory, positions) -> tuple[bool, int | None]:
@@ -132,60 +120,39 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
 
 
 def near_complements(
-    cat: OrbitCategory, almost: TwistStableObject
-) -> tuple[TwistStableObject, TwistStableObject]:
-    """The two twist-stable completions of an almost near tilting object."""
-    n = cat.ar.quiver.vertex_count
-    if almost.modulus != cat.modulus:
-        raise ValueError("modulus mismatch")
-    if almost.orbit_count != n - 1:
-        raise ValueError(
-            f"almost near tilting object needs {n - 1} orbits, got {almost.orbit_count}"
-        )
-    if not cat.is_rigid(almost.positions):
-        raise NotRigidError("input is not rigid")
-    comps = complements(cat.base, almost.generator)
+    cat: OrbitCategory, almost: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The generators of the two twist-stable completions of an almost near tilting generator."""
+    n, orbits = cat.ar.quiver.vertex_count, set(almost)
+    if len(orbits) != n - 1:
+        raise ValueError(f"almost near tilting object needs {n - 1} orbits, got {len(orbits)}")
+    comps = complements(cat.base, almost)  # raises NotRigidError unless the generator is rigid
     if len(comps) != 2:
         raise NotExchangeError(
             f"generator is not an almost tilting object (found {len(comps)} complements)"
         )
-    completions = []
-    for x in comps:
-        stable = cat.build_twist_stable({*almost.generator, x})
-        ok, witness = cluster_tilting_check(cat, stable.positions)
+    one, two = (tuple(sorted({*orbits, x})) for x in comps)
+    for generator in (one, two):
+        ok, witness = cluster_tilting_check(cat, cat.build_twist_stable(generator))
         if not ok:
             raise RuntimeError(
-                f"{cat.quiver_label}: completion {cat.base.texts(stable.generator)}"
+                f"{cat.quiver_label}: completion {cat.base.texts(generator)}"
                 f" failed the tilting check at {cat.catalog[witness].text}"
             )
-        completions.append(stable)
-    return completions[0], completions[1]
+    return one, two
 
 
 def build_tilting_graph(cat: OrbitCategory) -> TiltingGraph:
-    """Vertices are all lifts, each passing the modulus-m tilting check;
-    edges are the modulus-1 mutations.  ``cat.tilting_graph`` caches it."""
+    """Vertices are the generators of all lifts, each passing the modulus-m tilting
+    check; edges are the modulus-1 mutations.  ``cat.tilting_graph`` caches it."""
     cat1 = cat.base
-    vertices = [lift(t, cat) for t in enumerate_cluster_tilting(cat1)]
-    for i, v in enumerate(vertices):
-        ok, witness = cluster_tilting_check(cat, v.positions)
+    vertices = list(enumerate_cluster_tilting(cat1))  # the graph's own list
+    for i, t in enumerate(vertices):
+        ok, witness = cluster_tilting_check(cat, cat.build_twist_stable(t))
         if not ok:
             at = cat.catalog[witness].text
             raise RuntimeError(f"{cat.quiver_label}: lift T{i + 1} fails the tilting check at {at}")
     return TiltingGraph(vertices, list(cat1.exchange_edges))
-
-
-def exchange_pair_ext(cat1: OrbitCategory, p1: int, p2: int) -> int:
-    """Ext^1 dimension across an exchange pair of the modulus-1 category,
-    given by catalog position."""
-    if cat1.modulus != 1:
-        raise ValueError("exchange pairs live in the modulus-1 category")
-    if p1 == p2:
-        raise NotExchangeError("an exchange pair consists of two distinct objects")
-    # p2 replaces p1 in T iff p1 is the only member whose ext1 with p2 is nonzero
-    if any(mask & ~cat1.compat_mask[p2] == 1 << p1 for mask in cat1.tilting_masks):
-        return cat1.dim(p1, p2, 1)
-    raise NotExchangeError(f"{cat1.catalog[p1].text}, {cat1.catalog[p2].text} do not exchange")
 
 
 def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:

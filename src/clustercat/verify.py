@@ -6,8 +6,9 @@ derived level, modulus independent) and per-(quiver, modulus).  Each
 check reports a name and an optional failure detail; the report is
 machine readable and deterministic.  Shared work runs once: the
 modulus-independent ``tilting-brute-force`` once per quiver (reported at
-every m), each lift once per cell besides the graph's own, and each almost
-tilting object's completion once in ``near-complement-pairs``.
+every m), and each almost tilting object's completion once in
+``near-complement-pairs``.  A lift is its generator, one of the shared
+``tilting_sets``; a check lays out the summands it needs itself.
 """
 
 from __future__ import annotations
@@ -17,21 +18,19 @@ from itertools import combinations
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, TwistStableObject, mask_of
-from .quiver import DIAGRAMS, Quiver, positive_root_count
+from .orbit import OrbitCategory, mask_of
+from .quiver import DIAGRAMS, DynkinClass, Quiver, cluster_number, positive_root_count
 from .tilting import (
     cluster_tilting_check,
     complements,
     enumerate_cluster_tilting,
     enumerate_stable_tilting_direct,
-    exchange_pair_ext,
     is_connected,
-    lift,
     near_complements,
 )
 from .endo import block_pattern_report, endo_profile, exchange_layer_dim
 
-TILTING_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "A4": 42, "D4": 50}
+TILTING_COUNTS = {name: cluster_number(DynkinClass(name[0], int(name[1:]))) for name in DIAGRAMS}
 
 DEFAULT_M_VALUES = (1, 2, 3)
 
@@ -129,7 +128,6 @@ def _orbit_checks(name: str, cat: OrbitCategory, brute_force=None) -> list[dict]
     n = cat.ar.quiver.vertex_count
     m = cat.modulus
     checks = []
-    lifts = cache(lambda: [lift(t, cat) for t in enumerate_cluster_tilting(cat.base)])
 
     def run(check_name, fn):
         _run_check(checks, check_name, fn)
@@ -150,17 +148,17 @@ def _orbit_checks(name: str, cat: OrbitCategory, brute_force=None) -> list[dict]
         run("orbit-count-criterion", lambda: _check_orbit_count_criterion(cat))
     run("tilting-count", lambda: _check_tilting_count(name, cat))
     run("tilting-brute-force", brute_force or (lambda: _check_tilting_brute_force(cat)))
-    run("lift-check", lambda: _check_lifts(cat, lifts()))
+    run("lift-check", lambda: _check_lifts(cat))
     if n <= 3 and m <= 2:
-        run("direct-enumeration", lambda: _check_direct_enumeration(cat, lifts()))
-    run("complement-counts", lambda: _check_complements(cat, lifts()))
+        run("direct-enumeration", lambda: _check_direct_enumeration(cat))
+    run("complement-counts", lambda: _check_complements(cat))
     run("near-complement-pairs", lambda: _check_near_complements(cat))
     run("graph-connected", lambda: _check_graph_connected(cat))
     run("graph-shape", lambda: _check_graph_shape(name, cat))
     run("exchange-layer-dim", lambda: _check_exchange_layers(cat))
     if m == 1:
         run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
-    run("endo-blocks", lambda: _check_endo_blocks(cat, lifts()))
+    run("endo-blocks", lambda: _check_endo_blocks(cat))
     return checks
 
 
@@ -426,13 +424,13 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     n = cat.ar.quiver.vertex_count
     for chosen in base.rigid_position_sets():
         stable = cat.build_twist_stable(chosen)
-        if not cat.is_rigid(stable.positions):
+        if not cat.is_rigid(stable):
             return f"expansion of a rigid generator is not rigid: {base.texts(chosen)}"
-        ok, _ = cluster_tilting_check(cat, stable.positions)
-        if ok != (stable.orbit_count == n):
+        ok, _ = cluster_tilting_check(cat, stable)
+        if ok != (len(chosen) == n):  # chosen is a set: one orbit per position
             return (
                 f"orbit-count criterion fails for generator {base.texts(chosen)}:"
-                f" tilting={ok}, orbits={stable.orbit_count}"
+                f" tilting={ok}, orbits={len(chosen)}"
             )
     return None
 
@@ -467,20 +465,21 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_lifts(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
-    for lifted in lifts:
-        if len(set(lifted.positions)) != cat.modulus * cat.ar.quiver.vertex_count:
-            return f"lift of {_key(cat, lifted.generator)} has wrong summand count"
-        ok, witness = cluster_tilting_check(cat, lifted.positions)
+def _check_lifts(cat: OrbitCategory) -> str | None:
+    for t in enumerate_cluster_tilting(cat.base):
+        positions = cat.build_twist_stable(t)
+        if len(set(positions)) != cat.modulus * cat.ar.quiver.vertex_count:
+            return f"{cat.quiver_label}: lift of {_key(cat, t)} does not have m*n distinct summands"
+        ok, witness = cluster_tilting_check(cat, positions)
         if not ok:
             at = cat.catalog[witness].text
-            return f"lift of {_key(cat, lifted.generator)} fails the tilting check at {at}"
+            return f"lift of {_key(cat, t)} fails the tilting check at {at}"
     return None
 
 
-def _check_direct_enumeration(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
+def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
     direct = enumerate_stable_tilting_direct(cat)
-    lifted = sorted(tuple(sorted(v.positions)) for v in lifts)
+    lifted = sorted(cat.build_twist_stable(t) for t in enumerate_cluster_tilting(cat.base))
     if direct != lifted:
         return (
             f"direct in-category enumeration found {len(direct)} objects,"
@@ -489,10 +488,10 @@ def _check_direct_enumeration(cat: OrbitCategory, lifts: list[TwistStableObject]
     return None
 
 
-def _check_complements(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
+def _check_complements(cat: OrbitCategory) -> str | None:
     expected = 1 if cat.modulus >= 2 else 2
-    for vertex in lifts:
-        t, members = vertex.generator, vertex.positions
+    for t in enumerate_cluster_tilting(cat.base):
+        members = cat.build_twist_stable(t)
         for drop in members:
             rest = [x for x in members if x != drop]
             found = complements(cat, rest)
@@ -511,20 +510,19 @@ def _check_near_complements(cat: OrbitCategory) -> str | None:
     # (vertex, dropped orbit) pair, and the edge each one gives
     base = cat.base
     graph = cat.tilting_graph
-    index = {v.generator: i for i, v in enumerate(graph.vertices)}
+    index = {v: i for i, v in enumerate(graph.vertices)}
     edges = set(graph.edges)
     found, completed = set(), {}
-    for t in enumerate_cluster_tilting(base):  # ascending, so t is its lift's generator
+    for t in enumerate_cluster_tilting(base):
         for drop in t:
             rest = tuple(g for g in t if g != drop)
             if rest not in completed:
-                completed[rest] = near_complements(cat, cat.build_twist_stable(rest))
-            elif t in {g.generator for g in completed[rest]}:
+                completed[rest] = near_complements(cat, rest)
+            elif t in completed[rest]:
                 continue  # both ends of an edge share rest; the first ran every comparison
-            a, b = completed[rest]
-            if t not in (a.generator, b.generator):
+            if t not in completed[rest]:
                 return f"near completion loses the original vertex at {_key(cat, t)}"
-            edge = tuple(sorted(index.get(g.generator, -1) for g in (a, b)))
+            edge = tuple(sorted(index.get(g, -1) for g in completed[rest]))
             if edge not in edges:
                 at = base.catalog[drop].text
                 return f"exchange of {at} at {_key(cat, t)} is not a graph edge"
@@ -546,27 +544,24 @@ def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
     n = cat.ar.quiver.vertex_count
     # graph vertex i is the lift of tilting object i, as `graph` and `endo` number them
     for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
-        if i >= len(graph.vertices) or graph.vertices[i].generator != t:
+        if i >= len(graph.vertices) or graph.vertices[i] != t:
             return f"graph vertex T{i + 1} is not the lift of {_key(cat, t)}"
     if bad := _bad_edge(cat, graph):
         return bad
     degrees = [graph.degree(i) for i in range(len(graph.vertices))]
     if degrees and set(degrees) != {n}:
         return f"vertex degrees {sorted(set(degrees))} != {n}"
-    if name == "A1" and (len(graph.vertices), len(graph.edges)) != (2, 1):
-        return "A1 graph is not a single edge"
-    if name == "A2":
-        if (len(graph.vertices), len(graph.edges)) != (5, 5):
-            return "A2 graph is not a pentagon"
-    if name == "A3" and len(graph.vertices) != 14:
-        return "A3 graph does not have 14 vertices"
+    # n-regular on the cluster number of vertices (A2: the pentagon)
+    count = TILTING_COUNTS[name]
+    if (shape := (len(graph.vertices), len(graph.edges))) != (count, n * count // 2):
+        return f"(vertices, edges) = {shape}, expected {(count, n * count // 2)}"
     return None
 
 
 def _bad_edge(cat: OrbitCategory, graph) -> str | None:
     """A detail naming the first edge whose endpoints do not differ in exactly one orbit."""
     for a, b in graph.edges:
-        ga, gb = graph.vertices[a].generator, graph.vertices[b].generator
+        ga, gb = graph.vertices[a], graph.vertices[b]
         if len(set(ga) - set(gb)) != 1 or len(set(gb) - set(ga)) != 1:
             return (
                 f"edge T{a + 1} {_key(cat, ga)} -- T{b + 1} {_key(cat, gb)}:"
@@ -582,42 +577,40 @@ def _check_exchange_layers(cat: OrbitCategory) -> str | None:
     for a, b in graph.edges:
         va, vb = graph.vertices[a], graph.vertices[b]
         for one, two in ((va, vb), (vb, va)):
-            swapped = tuple(set(two.generator) - set(one.generator))
-            stable = cat.build_twist_stable(swapped)
-            dim = exchange_layer_dim(cat, one, stable)
+            dim = exchange_layer_dim(cat, one, tuple(set(two) - set(one)))
             if dim != cat.modulus:
                 return f"exchange layer dimension {dim} != modulus on an edge"
     return None
 
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
+    # an edge's two differing positions are its exchange pair (Buan-Marsh-Reineke-Reiten-Todorov)
     graph = cat.tilting_graph
     if bad := _bad_edge(cat, graph):
         return bad
     for a, b in graph.edges:
-        ga = set(graph.vertices[a].generator)
-        gb = set(graph.vertices[b].generator)
+        ga, gb = set(graph.vertices[a]), set(graph.vertices[b])
         (x1,), (x2,) = ga - gb, gb - ga
         for one, two in ((x1, x2), (x2, x1)):
-            if exchange_pair_ext(cat, one, two) != 1:
+            if cat.dim(one, two, 1) != 1:
                 one_text, two_text = cat.texts((one, two))
                 return f"exchange pair ({one_text}, {two_text}) not one-dimensional"
     return None
 
 
-def _check_endo_blocks(cat: OrbitCategory, lifts: list[TwistStableObject]) -> str | None:
+def _check_endo_blocks(cat: OrbitCategory) -> str | None:
     # a passing pattern fixes the diagonal at dim C and the total at m(C+E)
     projective_gen = None
-    for gct in lifts:
-        profile = endo_profile(cat, gct)
+    for t in enumerate_cluster_tilting(cat.base):
+        profile = endo_profile(cat, t)
         report = block_pattern_report(profile)
         if not profile.module_tier:
             if report.ok is not None:
                 return "pattern check ran on a non-module-tier generator"
             continue
         if report.ok is not True:
-            return f"block pattern deviations at {_key(cat, gct.generator)}: {report.deviations}"
-        reps = [cat.base.catalog[g] for g in gct.generator]
+            return f"block pattern deviations at {_key(cat, t)}: {report.deviations}"
+        reps = [cat.base.catalog[g] for g in t]
         if all(cat.ar.module(x.module_id).is_projective and x.shift == 0 for x in reps):
             projective_gen = profile
     if projective_gen is not None and projective_gen.dim_e != 0:

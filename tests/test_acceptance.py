@@ -145,7 +145,7 @@ def test_criterion_7_endo_dimension_suite(report, contexts):
     for label, (name, dc) in contexts.items():
         cat = dc.orbit(2)
         for t in enumerate_cluster_tilting(dc.orbit(1)):
-            profile = endo_profile(cat, cc.lift(t, cat))
+            profile = endo_profile(cat, t)
             if profile.module_tier and profile.dim_e:
                 rep = block_pattern_report(profile)
                 if any("wrap-around" in a for a in rep.annotations):

@@ -314,6 +314,53 @@ def test_tilting_listing_past_the_member_cap_fails_fast_in_one_line(capsys, tmp_
     )
 
 
+def _unreachable(*args):
+    raise AssertionError("reached a stage a refused command must not start")
+
+
+@pytest.mark.parametrize(
+    "argv", [["tilting"], ["tilting", "--format", "tsv"], ["graph"]], ids=["tilting-json", "tilting-tsv", "graph-json"]
+)
+def test_member_listing_past_the_cap_is_refused_before_enumerating(capsys, a3_path, monkeypatch, argv):
+    # the 14 tilting objects of A3 list 42 member texts at m = 1
+    monkeypatch.setattr(orbit, "MAX_LISTED_MEMBERS", 41)
+    with monkeypatch.context() as patched:
+        patched.setattr(orbit.OrbitCategory, "rigid_position_sets", _unreachable)
+        code, out, err = run(capsys, argv[0], "--quiver", a3_path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: the tilting objects of A3 at m=1 have 42 members; at most 41 are supported\n"
+    # graph --format dot lists no members, so the cap leaves it alone
+    code, out, _ = run(capsys, "graph", "--quiver", a3_path, "--format", "dot")
+    assert code == 0 and out.count(" -- ") == 21
+
+
+def test_cluster_number_cap_admits_a11_d10_and_e8():
+    admitted = {
+        str(c)
+        for c in [quiver.DynkinClass("A", n) for n in range(1, 32)]
+        + [quiver.DynkinClass("D", n) for n in range(4, 23)]
+        + [quiver.DynkinClass("E", n) for n in (6, 7, 8)]
+        if quiver.cluster_number(c) <= orbit.MAX_TILTING_OBJECTS
+    }
+    assert admitted == {*(f"A{n}" for n in range(1, 12)), *(f"D{n}" for n in range(4, 11)), "E6", "E7", "E8"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["tilting"], ["graph"], ["graph", "--format", "dot"], ["endo", "1"]], ids=["tilting", "graph", "dot", "endo"]
+)
+def test_tilting_objects_past_the_cap_fail_fast_before_the_search(capsys, tmp_path, monkeypatch, argv):
+    # A12 has 742900 tilting objects; the search would walk them all first
+    monkeypatch.setattr(orbit.OrbitCategory, "rigid_position_sets", _unreachable)
+    p = tmp_path / "a12.quiver"
+    p.write_text("vertices 12\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 12)))
+    code, out, err = run(capsys, argv[0], "--quiver", str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    if argv in (["tilting"], ["graph"]):  # the listing cap answers first
+        assert err == "error: the tilting objects of A12 at m=1 have 8914800 members; at most 500000 are supported\n"
+    else:
+        assert err == "error: A12 has 742900 cluster tilting objects; at most 250000 are supported\n"
+
+
 def test_huge_vertex_count_fails_fast_in_one_line(capsys, tmp_path):
     p = tmp_path / "huge.quiver"
     p.write_text("vertices 1000000\n", encoding="utf-8")

@@ -17,8 +17,7 @@ def test_a2_hereditary_generator_m2(build):
     # T = H = P_1 + P_2: End is the path algebra itself, no twist layer
     dc = build(A2)
     cat = dc.orbit(2)
-    gct = cc.lift(tilting_by_dims(dc, [(1, 1), (0, 1)]), cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, tilting_by_dims(dc, [(1, 1), (0, 1)]))
     assert profile.module_tier
     assert profile.dim_c == 3
     assert profile.dim_e == 0
@@ -32,8 +31,7 @@ def test_a2_hereditary_generator_m2(build):
 def test_a2_hereditary_generator_m1(build):
     dc = build(A2)
     cat = dc.orbit(1)
-    gct = cc.lift(tilting_by_dims(dc, [(1, 1), (0, 1)]), cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, tilting_by_dims(dc, [(1, 1), (0, 1)]))
     assert profile.block_dims == [[3]]
     assert profile.total == 3
     assert cc.block_pattern_report(profile).ok is True
@@ -42,8 +40,7 @@ def test_a2_hereditary_generator_m1(build):
 def test_a2_hereditary_generator_m3(build):
     dc = build(A2)
     cat = dc.orbit(3)
-    gct = cc.lift(tilting_by_dims(dc, [(1, 1), (0, 1)]), cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, tilting_by_dims(dc, [(1, 1), (0, 1)]))
     assert profile.block_dims == [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
     assert cc.block_pattern_report(profile).ok is True
 
@@ -53,8 +50,7 @@ def test_a3_apr_tilt_m2(build):
     # twist layer occupies both the subdiagonal and the wrap-around block
     dc = build(A3)
     cat = dc.orbit(2)
-    gct = cc.lift(tilting_by_dims(dc, [(1, 1, 1), (1, 0, 0), (0, 0, 1)]), cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, tilting_by_dims(dc, [(1, 1, 1), (1, 0, 0), (0, 0, 1)]))
     assert profile.module_tier
     assert profile.dim_c == 5
     assert profile.dim_e == 1
@@ -68,8 +64,7 @@ def test_a3_apr_tilt_m2(build):
 def test_a3_apr_tilt_m1_single_block(build):
     dc = build(A3)
     cat = dc.orbit(1)
-    gct = cc.lift(tilting_by_dims(dc, [(1, 1, 1), (1, 0, 0), (0, 0, 1)]), cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, tilting_by_dims(dc, [(1, 1, 1), (1, 0, 0), (0, 0, 1)]))
     assert profile.dim_c == 5
     assert profile.dim_e == 1
     assert profile.block_dims == [[6]]
@@ -86,8 +81,7 @@ def test_non_module_tier_profile_skips_pattern(build):
         if any(base.catalog[p].shift != 0 for p in t)
     ]
     assert shifted
-    gct = cc.lift(shifted[0], cat)
-    profile = cc.endo_profile(cat, gct)
+    profile = cc.endo_profile(cat, shifted[0])
     assert not profile.module_tier
     assert profile.dim_c is None and profile.dim_e is None
     assert profile.total == sum(sum(row) for row in profile.block_dims)
@@ -104,7 +98,7 @@ def test_total_dimension_identity_all_module_tier(build):
             for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
                 if any(dc.orbit(1).catalog[p].shift != 0 for p in t):
                     continue
-                profile = cc.endo_profile(cat, cc.lift(t, cat))
+                profile = cc.endo_profile(cat, t)
                 assert profile.total == m * (profile.dim_c + profile.dim_e)
                 assert cc.block_pattern_report(profile).ok is True
                 if m >= 2:
@@ -132,8 +126,8 @@ def _edges_with_swaps(cat):
     graph = cc.build_tilting_graph(cat)
     for a, b in graph.edges:
         va, vb = graph.vertices[a], graph.vertices[b]
-        swapped_b = tuple(set(vb.generator) - set(va.generator))
-        swapped_a = tuple(set(va.generator) - set(vb.generator))
+        swapped_b = tuple(set(vb) - set(va))
+        swapped_a = tuple(set(va) - set(vb))
         yield va, vb, swapped_a, swapped_b
 
 
@@ -142,19 +136,17 @@ def test_exchange_layer_dim_a2(build):
     for m, expected in ((1, 1), (2, 2)):
         cat = dc.orbit(m)
         for va, vb, swapped_a, swapped_b in _edges_with_swaps(cat):
-            n2 = cat.build_twist_stable(swapped_b)
-            assert cc.exchange_layer_dim(cat, va, n2) == expected
+            assert cc.exchange_layer_dim(cat, va, swapped_b) == expected
             # symmetric with the roles of the endpoints swapped
-            n1 = cat.build_twist_stable(swapped_a)
-            assert cc.exchange_layer_dim(cat, vb, n1) == expected
+            assert cc.exchange_layer_dim(cat, vb, swapped_a) == expected
 
 
 def test_exchange_layer_dim_a3_m2_symmetric(build):
     cat = build(A3).orbit(2)
     for va, vb, swapped_a, swapped_b in _edges_with_swaps(cat):
         assert (
-            cc.exchange_layer_dim(cat, va, cat.build_twist_stable(swapped_b))
-            == cc.exchange_layer_dim(cat, vb, cat.build_twist_stable(swapped_a))
+            cc.exchange_layer_dim(cat, va, swapped_b)
+            == cc.exchange_layer_dim(cat, vb, swapped_a)
             == 2
         )
 
@@ -163,13 +155,12 @@ def test_exchange_layer_dim_rejects_non_edges(build):
     dc = build(A2)
     cat = dc.orbit(2)
     tiltings = cc.enumerate_cluster_tilting(dc.orbit(1))
-    gct = cc.lift(tiltings[0], cat)
-    member = gct.generator[0]
+    t = tiltings[0]
     with pytest.raises(NotExchangeError):
-        cc.exchange_layer_dim(cat, gct, cat.build_twist_stable([member]))
+        cc.exchange_layer_dim(cat, t, t[:1])
     # a two-orbit stable object is not a single exchange layer
     with pytest.raises(NotExchangeError):
-        cc.exchange_layer_dim(cat, gct, cat.build_twist_stable(tiltings[1]))
+        cc.exchange_layer_dim(cat, t, tiltings[1])
 
 
 @pytest.mark.parametrize("text", [A3, D4])
@@ -178,15 +169,13 @@ def test_exchange_layer_dim_matches_complements(build, text):
     dc = build(text)
     base, cat = dc.orbit(1), dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(base):
-        gct = cc.lift(t, cat)
         partners = set()
         for x1 in t:
             comps = cc.complements(base, [x for x in t if x != x1])
             partners |= set(comps) - {x1}
         for x2 in range(len(base.catalog)):
-            n2 = cat.build_twist_stable([x2])
             if x2 in partners:
-                assert cc.exchange_layer_dim(cat, gct, n2) == 2
+                assert cc.exchange_layer_dim(cat, t, (x2,)) == 2
             else:
                 with pytest.raises(NotExchangeError):
-                    cc.exchange_layer_dim(cat, gct, n2)
+                    cc.exchange_layer_dim(cat, t, (x2,))

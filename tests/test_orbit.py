@@ -114,16 +114,14 @@ def test_catalog_positions_match_the_walked_twist(build, text, m):
         assert x == dc.twist_power(base.catalog[k], t)
         assert cat.project(i) == base.canonicalize(x)
     generator = [base.canonicalize(x) for x in base.catalog[::-1] + base.catalog[:1]]
-    stable = cat.build_twist_stable(generator)
-    assert list(stable.positions) == [
+    assert list(cat.build_twist_stable(generator)) == [
         cat.canonicalize(dc.twist_power(base.catalog[g], t))
         for t in range(m)
-        for g in stable.generator
+        for g in sorted(generator)
     ]
     for tilting in cc.enumerate_cluster_tilting(base):
-        gct = cc.lift(tilting, cat)
-        assert cc.endo_profile(cat, gct).tiers == [
-            [dc.twist_power(base.catalog[g], t) for g in gct.generator] for t in range(m)
+        assert cc.endo_profile(cat, tilting).tiers == [
+            [dc.twist_power(base.catalog[g], t) for g in tilting] for t in range(m)
         ]
 
 
@@ -218,11 +216,9 @@ def test_build_twist_stable_sizes(build):
     dc = build(A2)
     cat = dc.orbit(2)
     single = cat.build_twist_stable([module_obj(dc.orbit(1), (1, 1))])
-    assert len([cat.catalog[p] for p in single.positions]) == 2
-    assert len({cat.catalog[p] for p in single.positions}) == 2  # {X, FX} hits two tiers
-    empty = cat.build_twist_stable([])
-    assert tuple(cat.catalog[p] for p in empty.positions) == ()
-    assert empty.orbit_count == 0
+    assert len([cat.catalog[p] for p in single]) == 2
+    assert len({cat.catalog[p] for p in single}) == 2  # {X, FX} hits two tiers
+    assert cat.build_twist_stable([]) == ()
 
 
 def test_build_twist_stable_takes_base_positions(build):
@@ -232,11 +228,10 @@ def test_build_twist_stable_takes_base_positions(build):
     for bad in (size, -1):
         with pytest.raises(ValueError, match="generator positions"):
             cat.build_twist_stable([bad])
-    empty = cat.build_twist_stable([])
-    assert (empty.generator, empty.positions, empty.mask) == ((), (), 0)
+    assert cat.build_twist_stable([]) == ()
+    # a multiset generator, sorted: each tier repeats the repeated summand
     stable = cat.build_twist_stable([size - 1, 0, 0])
-    assert stable.generator == (0, 0, size - 1)
-    assert stable.positions == (0, 0, size - 1, size, size, 2 * size - 1)
+    assert stable == (0, 0, size - 1, size, size, 2 * size - 1)
 
 
 def test_build_twist_stable_tilting_generator(build):
@@ -244,9 +239,9 @@ def test_build_twist_stable_tilting_generator(build):
     cat3 = dc.orbit(3)
     tilting = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
     stable = cat3.build_twist_stable(tilting)
-    assert len([cat3.catalog[p] for p in stable.positions]) == 3 * 3
-    assert len({cat3.catalog[p] for p in stable.positions}) == 9
-    assert stable.orbit_count == 3
+    assert len([cat3.catalog[p] for p in stable]) == 3 * 3
+    assert len({cat3.catalog[p] for p in stable}) == 9
+    assert {cat3.project(p) for p in stable} == set(tilting)  # one orbit per generator summand
 
 
 def test_twist_stability_of_expansion(build):
@@ -254,8 +249,8 @@ def test_twist_stability_of_expansion(build):
     cat = dc.orbit(3)
     base = dc.orbit(1)
     stable = cat.build_twist_stable([0, 3])
-    expanded = sorted(stable.positions)
-    twisted = sorted(cat.twist_action(p) for p in stable.positions)
+    expanded = sorted(stable)
+    twisted = sorted(cat.twist_action(p) for p in stable)
     assert expanded == twisted
 
 
@@ -264,8 +259,8 @@ def test_orbit_count_and_distinct_count(build):
     cat = dc.orbit(2)
     base = dc.orbit(1)
     x = base.catalog[0]
-    assert cat.build_twist_stable([0, 1]).orbit_count == 2
-    assert cat.build_twist_stable([0, 0]).orbit_count == 1
+    assert len({cat.project(p) for p in cat.build_twist_stable([0, 1])}) == 2
+    assert len({cat.project(p) for p in cat.build_twist_stable([0, 0])}) == 1
     # tiers are disjoint, so X and its twist stay distinct for m >= 2
     fx = cat.twist_action(cat.canonicalize(x))
     assert len({cat.canonicalize(x), fx}) == 2
@@ -275,7 +270,7 @@ def test_delta_of_lifted_tilting_a2_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     t = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
-    assert len({cat.catalog[p] for p in cat.build_twist_stable(t).positions}) == 4
+    assert len({cat.catalog[p] for p in cat.build_twist_stable(t)}) == 4
 
 
 def test_rigidity_transfer_pairs(build):
@@ -288,7 +283,7 @@ def test_rigidity_transfer_pairs(build):
             for b in range(len(base.catalog)):
                 sa = cat.build_twist_stable([a])
                 sb = cat.build_twist_stable([b])
-                total = sum(cat.dim(x, y, 1) for x in sa.positions for y in sb.positions)
+                total = sum(cat.dim(x, y, 1) for x in sa for y in sb)
                 assert total == m * base.dim(a, b, 1)
 
 
@@ -298,7 +293,7 @@ def test_twist_hom_invariance(build):
         cat = dc.orbit(m)
         base = dc.orbit(1)
         for g in range(len(base.catalog)):
-            expansion = cat.build_twist_stable([g]).positions
+            expansion = cat.build_twist_stable([g])
             for y in range(len(cat.catalog)):
                 ref = sum(cat.dim(s, y, 0) for s in expansion)
                 z = y
@@ -410,19 +405,22 @@ def test_twist_stable_positions_and_mask(label):
     base = dc.orbit(1)
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        stables = [cc.lift(t, cat) for t in cc.enumerate_cluster_tilting(base)]
-        stables += [cat.build_twist_stable([k, k]) for k in range(len(base.catalog))]  # a multiset
-        for stable in stables:
+        generators = list(cc.enumerate_cluster_tilting(base))
+        generators += [(k, k) for k in range(len(base.catalog))]  # a multiset
+        for generator in generators:
+            stable = cat.build_twist_stable(generator)
             # the summands are the walked twists of the generator, tier-major
-            assert list(stable.positions) == [
+            assert list(stable) == [
                 cat.canonicalize(dc.twist_power(base.catalog[g], t))
                 for t in range(m)
-                for g in stable.generator
+                for g in generator
             ]
-            assert stable.mask == mask_of(stable.positions)
+            # ascending, as `tilting` and `graph` list the members without sorting
+            assert list(stable) == sorted(stable)
+            assert mask_of(stable).bit_count() == m * len(set(generator))
             # tier 0 holds the generator's modulus-1 positions
-            tier0 = stable.positions[: len(stable.generator)]
-            assert [base.catalog[p] for p in tier0] == [base.catalog[g] for g in stable.generator]
+            tier0 = stable[: len(generator)]
+            assert [base.catalog[p] for p in tier0] == [base.catalog[g] for g in generator]
 
 
 def test_categories_are_freed_without_the_cycle_collector():

@@ -3,11 +3,14 @@
 The endomorphism blocks and exchange layers are read from the four
 base-domain ``layers`` by tier gap, ``complements`` AND-s the members'
 ext-vanishing masks once, and ``resolution_ext_dim`` resolves each module
-once.  The battery completes each almost tilting object once, lifts each
-tilting object once per cell besides the graph's lift, and scans subsets
-once per quiver.  The old definitions stay here, inline, as oracles; the work-count
-tests pin the calls the fast paths no longer make.  The tables tiled by
-tier gap are checked against ``dim`` in test_orbit.py.
+once.  The battery completes each almost tilting object once, scans
+subsets once per quiver, and reads each exchange pair's Ext^1 at the two
+positions where the edge's ends differ, without scanning the tilting
+objects.  A lift is its generator; each check lays out the summands it
+needs with ``build_twist_stable``.  The old definitions stay here, inline,
+as oracles; the work-count tests pin the calls the fast paths no longer
+make.  The tables tiled by tier gap are checked against ``dim`` in
+test_orbit.py.
 """
 
 from collections import Counter
@@ -48,19 +51,20 @@ def _complements_by_candidate(cat, positions):
     ]
 
 
-def _blocks_by_pairs(cat, gct):
+def _blocks_by_pairs(cat, generator):
     """endo_profile's blocks as they were: dim summed over tier slices."""
-    m, size = cat.modulus, len(gct.generator)
-    slices = [gct.positions[i * size : (i + 1) * size] for i in range(m)]
+    m, size, positions = cat.modulus, len(generator), cat.build_twist_stable(generator)
+    slices = [positions[i * size : (i + 1) * size] for i in range(m)]
     return [
         [sum(cat.dim(s, t, 0) for s in slices[j] for t in slices[i]) for j in range(m)]
         for i in range(m)
     ]
 
 
-def _layer_by_pairs(cat, gct1, n2):
+def _layer_by_pairs(cat, gen1, gen2):
     """exchange_layer_dim's sum as it was: dim over every pair of summands."""
-    return sum(cat.dim(s, t, 1) for s in gct1.positions for t in n2.positions)
+    lift1, lift2 = cat.build_twist_stable(gen1), cat.build_twist_stable(gen2)
+    return sum(cat.dim(s, t, 1) for s in lift1 for t in lift2)
 
 
 @pytest.mark.parametrize("label", QUIVERS)
@@ -69,7 +73,7 @@ def test_complements_match_the_per_candidate_check(label):
     tiltings = _sample(label, cc.enumerate_cluster_tilting(base))
     for cat in cats:
         for t in tiltings:
-            members = cc.lift(t, cat).positions
+            members = cat.build_twist_stable(t)
             for drop in members:
                 rest = [x for x in members if x != drop]
                 assert cc.complements(cat, rest) == _complements_by_candidate(cat, rest)
@@ -87,23 +91,22 @@ def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
     for cat in cats:
         d = cat.derived
         for t in tiltings:
-            gct = cc.lift(t, cat)
             # a repeated generator counts every copy, as the pair sums do
-            for stable in (gct, cat.build_twist_stable([*t, t[0]])):
-                profile = cc.endo_profile(cat, stable)
-                assert profile.block_dims == _blocks_by_pairs(cat, stable), (cat.modulus, t)
+            for generator in (t, (*t, t[0])):
+                profile = cc.endo_profile(cat, generator)
+                assert profile.block_dims == _blocks_by_pairs(cat, generator), (cat.modulus, t)
             if profile.module_tier:
                 ids = [base.catalog[g].module_id for g in t]
                 dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
-                assert cc.endo_profile(cat, gct).dim_e == dim_e
+                assert cc.endo_profile(cat, t).dim_e == dim_e
         graph = cat.tilting_graph
         for a, b in _sample(label, graph.edges):
             va, vb = graph.vertices[a], graph.vertices[b]
             for one, two in ((va, vb), (vb, va)):
-                (x2,) = set(two.generator) - set(one.generator)
-                for n2 in (cat.build_twist_stable([x2]), cat.build_twist_stable([x2, x2])):
-                    got = cc.exchange_layer_dim(cat, one, n2)
-                    assert got == _layer_by_pairs(cat, one, n2) == cat.modulus * len(n2.generator)
+                (x2,) = set(two) - set(one)
+                for swapped in ((x2,), (x2, x2)):
+                    got = cc.exchange_layer_dim(cat, one, swapped)
+                    assert got == _layer_by_pairs(cat, one, swapped) == cat.modulus * len(swapped)
 
 
 def test_one_projective_cover_per_module_over_a_resolution_sweep(monkeypatch):
@@ -134,13 +137,13 @@ def test_complements_make_no_tilting_checks(monkeypatch):
     dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
     base, cat = dc.orbit(1), dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(base):
-        members = cc.lift(t, cat).positions
+        members = cat.build_twist_stable(t)
         for drop in members:
             cc.complements(cat, [x for x in members if x != drop])
     assert calls["check"] == 0
     # the counter is live: near_complements checks each of its two completions
     t = cc.enumerate_cluster_tilting(base)[0]
-    cc.near_complements(cat, cat.build_twist_stable(t[1:]))
+    cc.near_complements(cat, t[1:])
     assert calls["check"] == 2
 
 
@@ -156,12 +159,11 @@ def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
     dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
     base, cat = dc.orbit(1), dc.orbit(3)
     assert cat.hom_table and cat.ext_table
-    lifts = [cc.lift(t, cat) for t in cc.enumerate_cluster_tilting(base)]
-    for gct in lifts:
-        cc.endo_profile(cat, gct)
+    tiltings = cc.enumerate_cluster_tilting(base)
+    for t in tiltings:
+        cc.endo_profile(cat, t)
     for a, b in base.exchange_edges:
-        (x2,) = set(lifts[b].generator) - set(lifts[a].generator)
-        cc.exchange_layer_dim(cat, lifts[a], cat.build_twist_stable([x2]))
+        cc.exchange_layer_dim(cat, tiltings[a], tuple(set(tiltings[b]) - set(tiltings[a])))
     assert calls["dim"] == 0
     # the counter is live: a point query reads one entry
     cat.dim(0, 1, 0)
@@ -200,7 +202,7 @@ def test_ext_oracle_catches_swapped_resolutions():
 
 
 def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
-    calls, lifts = Counter(), Counter()
+    calls, builds = Counter(), Counter()
 
     def counting(name, fn):
         def counted(*args):
@@ -209,15 +211,16 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
 
         return counted
 
-    def lifting(fn):
-        def counted(t, cat):
-            lifts[cat, tuple(t)] += 1
-            return fn(t, cat)
+    def laying_out(fn):
+        def counted(cat, generator):
+            generator = tuple(sorted(generator))
+            builds[cat, generator] += 1
+            return fn(cat, generator)
 
         return counted
 
-    for module in (tilting, verify):
-        monkeypatch.setattr(module, "lift", lifting(module.lift))
+    build = laying_out(cc.OrbitCategory.build_twist_stable)
+    monkeypatch.setattr(cc.OrbitCategory, "build_twist_stable", build)
     monkeypatch.setattr(verify, "near_complements", counting("near", verify.near_complements))
     scan = verify._check_tilting_brute_force
     monkeypatch.setattr(verify, "_check_tilting_brute_force", counting("scan", scan))
@@ -229,9 +232,32 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     n = {"A3": 3, "D4": 4}
     assert calls["near"] == sum(cells[d] * n[d] * TILTING_COUNTS[d] // 2 for d in diagrams)
     assert calls["scan"] == sum(len(orientations(d)) for d in diagrams)
-    # every (tilting object, cell) is lifted twice: for the graph and for all the checks
-    assert len(lifts) == sum(cells[d] * TILTING_COUNTS[d] for d in diagrams)
-    assert set(lifts.values()) == {2}
+    # a lift is its generator, shared as tilting_sets; its summands are laid
+    # out once each by the graph, lift-check, complement-counts and
+    # endo-blocks, once per dropped summand as a near completion, and at
+    # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration
+    lifted = Counter()
+    for (cat, generator), count in builds.items():
+        if generator in cat.base.tilting_sets:
+            n, m = len(generator), cat.modulus
+            assert count == 4 + n + (n <= 3) + (n <= 3 and m <= 2), (cat.quiver_label, m)
+            lifted[cat.ar.dynkin] += 1
+    assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * TILTING_COUNTS[d] for d in diagrams}
+
+
+def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
+    cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
+    edges = cat1.tilting_graph.edges
+    calls = Counter()
+    dim = cc.OrbitCategory.dim
+
+    def counted(self, i, j, e):
+        calls[e] += 1
+        return dim(self, i, j, e)
+
+    monkeypatch.setattr(cc.OrbitCategory, "dim", counted)
+    assert verify._check_exchange_pairs(cat1) is None
+    assert calls == {1: 2 * len(edges)} and len(edges) == 100
 
 
 def test_layers_are_read_from_the_base_at_every_modulus():

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercat as cc
-from clustercat import tilting
-from clustercat.orbit import mask_of
-from clustercat.tilting import NotExchangeError, NotRigidError
+from clustercat import tilting, verify
+from clustercat.tilting import NotRigidError
 from clustercat.verify import run_verification
 
 from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, module_obj
@@ -66,8 +65,8 @@ def test_lift_m1_is_identity_on_members(build):
     dc = build(A2)
     cat1 = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(cat1):
-        lifted = cc.lift(t, cat1)
-        assert sorted(cat1.catalog[p] for p in lifted.positions) == sorted(
+        lifted = cat1.build_twist_stable(t)
+        assert sorted(cat1.catalog[p] for p in lifted) == sorted(
             cat1.catalog[p] for p in t
         )
 
@@ -76,8 +75,8 @@ def test_lift_a2_m2_has_four_summands(build):
     dc = build(A2)
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        lifted = cc.lift(t, cat)
-        assert len({cat.catalog[p] for p in lifted.positions}) == 4
+        lifted = cat.build_twist_stable(t)
+        assert len({cat.catalog[p] for p in lifted}) == 4
 
 
 def test_lift_projects_back_m_to_one(build):
@@ -85,8 +84,7 @@ def test_lift_projects_back_m_to_one(build):
     cat = dc.orbit(3)
     base = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(base):
-        lifted = cc.lift(t, cat)
-        images = [cat.project(p) for p in lifted.positions]
+        images = [cat.project(p) for p in cat.build_twist_stable(t)]
         assert sorted(set(images)) == sorted(t)
         assert all(images.count(p) == 3 for p in t)
 
@@ -97,7 +95,7 @@ def test_lifts_pass_definition_check(build, text, m):
     dc = build(text)
     cat = dc.orbit(m)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        members = [cat.catalog[p] for p in cc.lift(t, cat).positions]
+        members = [cat.catalog[p] for p in cat.build_twist_stable(t)]
         ok, witness = cc.cluster_tilting_check(cat, [cat.canonicalize(x) for x in members])
         assert ok, witness
 
@@ -106,8 +104,8 @@ def test_definition_check_fails_after_deletion(build):
     dc = build(A2)
     for m in (1, 2, 3):
         cat = dc.orbit(m)
-        lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
-        deleted, *rest = lifted.positions
+        lifted = cat.build_twist_stable(cc.enumerate_cluster_tilting(dc.orbit(1))[0])
+        deleted, *rest = lifted
         ok, witness = cc.cluster_tilting_check(cat, rest)
         assert not ok
         assert witness is not None
@@ -140,7 +138,7 @@ def test_complements_single_deletion_m2(build):
     dc = build(A2)
     cat = dc.orbit(2)
     for t in cc.enumerate_cluster_tilting(dc.orbit(1)):
-        members = cc.lift(t, cat).positions
+        members = cat.build_twist_stable(t)
         for drop in members:
             rest = [x for x in members if x != drop]
             assert cc.complements(cat, rest) == [drop]
@@ -163,7 +161,7 @@ def test_complements_exhaustive_a3_m3(build):
     tiltings = cc.enumerate_cluster_tilting(dc.orbit(1))
     assert len(tiltings) == 14
     for t in tiltings:
-        members = cc.lift(t, cat).positions
+        members = cat.build_twist_stable(t)
         assert len(members) == 9
         for drop in members:
             rest = [x for x in members if x != drop]
@@ -184,9 +182,9 @@ def test_complements_rejects_non_rigid(build):
 def test_complements_rejects_wrong_size(build):
     dc = build(A2)
     cat = dc.orbit(2)
-    lifted = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
+    lifted = cat.build_twist_stable(cc.enumerate_cluster_tilting(dc.orbit(1))[0])
     with pytest.raises(ValueError, match="distinct summands"):
-        cc.complements(cat, lifted.positions)
+        cc.complements(cat, lifted)
 
 
 def test_near_complements_a2_m2(build):
@@ -194,20 +192,16 @@ def test_near_complements_a2_m2(build):
     cat = dc.orbit(2)
     base = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(base):
-        vertex = cc.lift(t, cat)
-        for drop in vertex.generator:
-            rest = tuple(g for g in vertex.generator if g != drop)
-            almost = cat.build_twist_stable(rest)
-            one, two = cc.near_complements(cat, almost)
-            assert one.generator != two.generator
-            assert vertex.generator in (one.generator, two.generator)
+        for drop in t:
+            rest = tuple(g for g in t if g != drop)
+            one, two = cc.near_complements(cat, rest)
+            assert one != two
+            assert t in (one, two)
             for completion in (one, two):
-                ok, _ = cc.cluster_tilting_check(cat, completion.positions)
+                ok, _ = cc.cluster_tilting_check(cat, cat.build_twist_stable(completion))
                 assert ok
             # the swapped orbits match the two modulus-1 complements
-            swapped = {
-                next(iter(set(g.generator) - set(rest))) for g in (one, two)
-            }
+            swapped = {next(iter(set(g) - set(rest))) for g in (one, two)}
             comps = cc.complements(base, rest)
             assert swapped == set(comps)
 
@@ -215,7 +209,7 @@ def test_near_complements_a2_m2(build):
 def test_near_complements_rejects_full_orbit_count(build):
     dc = build(A2)
     cat = dc.orbit(2)
-    vertex = cc.lift(cc.enumerate_cluster_tilting(dc.orbit(1))[0], cat)
+    vertex = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
     with pytest.raises(ValueError, match="orbits"):
         cc.near_complements(cat, vertex)
 
@@ -260,7 +254,7 @@ def test_graph_edges_differ_in_one_orbit(build):
     cat = build(A3).orbit(2)
     g = cc.build_tilting_graph(cat)
     for a, b in g.edges:
-        ga, gb = set(g.vertices[a].generator), set(g.vertices[b].generator)
+        ga, gb = set(g.vertices[a]), set(g.vertices[b])
         assert len(ga - gb) == 1
         assert len(gb - ga) == 1
 
@@ -271,55 +265,52 @@ def test_graphs_isomorphic_across_m(build):
     g1 = cc.build_tilting_graph(dc.orbit(1))
     for m in (2, 3):
         gm = cc.build_tilting_graph(dc.orbit(m))
-        key1 = {i: v.generator for i, v in enumerate(g1.vertices)}
-        keym = {v.generator: i for i, v in enumerate(gm.vertices)}
+        key1 = dict(enumerate(g1.vertices))
+        keym = {v: i for i, v in enumerate(gm.vertices)}
         mapped = sorted(
             tuple(sorted((keym[key1[a]], keym[key1[b]]))) for a, b in g1.edges
         )
         assert mapped == sorted(tuple(sorted(e)) for e in gm.edges)
 
 
-def test_exchange_pair_ext_is_one(build):
-    dc = build(A2)
-    cat1 = dc.orbit(1)
-    g = cc.build_tilting_graph(cat1)
+def _exchange_pair(sets, a, b):
+    """The two positions in which tilting sets a and b differ, a's first."""
+    (x1,), (x2,) = set(sets[a]) - set(sets[b]), set(sets[b]) - set(sets[a])
+    return x1, x2
+
+
+def test_exchange_pair_ext_is_one():
+    # a fresh category: the check is tampered with below
+    cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
+    g = cat1.tilting_graph
     for a, b in g.edges:
-        ga, gb = set(g.vertices[a].generator), set(g.vertices[b].generator)
-        (x1,) = ga - gb
-        (x2,) = gb - ga
-        assert cc.exchange_pair_ext(cat1, x1, x2) == 1
-        assert cc.exchange_pair_ext(cat1, x2, x1) == 1
+        x1, x2 = _exchange_pair(g.vertices, a, b)
+        assert cat1.dim(x1, x2, 1) == cat1.dim(x2, x1, 1) == 1
+    assert verify._check_exchange_pairs(cat1) is None
+    # with Ext^1 read as zero, the battery check names the first edge's pair
+    zero = [[0] * len(cat1.catalog) for _ in cat1.catalog]
+    cat1.__dict__["layers"] = {**cat1.layers, (1, 0): zero, (1, -1): zero}
+    one, two = cat1.texts(_exchange_pair(g.vertices, *g.edges[0]))
+    assert verify._check_exchange_pairs(cat1) == f"exchange pair ({one}, {two}) not one-dimensional"
 
 
 @pytest.mark.parametrize("text", [A3, D4])
 def test_exchange_pair_ext_matches_complements(build, text):
     # oracle: (x1, x2) exchange iff dropping x1 from some tilting object
-    # leaves the two complements x1 and x2
+    # leaves the two complements x1 and x2; the pairs read off the edges are
+    # exactly these, with Ext^1 one-dimensional both ways
     cat1 = build(text).orbit(1)
     pairs = set()
     for t in cc.enumerate_cluster_tilting(cat1):
         for x1 in t:
             comps = cc.complements(cat1, [x for x in t if x != x1])
             pairs |= {(x1, x2) for x2 in comps if x2 != x1}
-    for x1 in range(len(cat1.catalog)):
-        for x2 in range(len(cat1.catalog)):
-            if (x1, x2) in pairs:
-                ext = cat1.dim(x1, x2, 1)
-                assert cc.exchange_pair_ext(cat1, x1, x2) == ext
-            else:
-                with pytest.raises(NotExchangeError):
-                    cc.exchange_pair_ext(cat1, x1, x2)
-
-
-def test_exchange_pair_rejects_compatible_objects(build):
-    dc = build(A2)
-    cat1 = dc.orbit(1)
-    t = cc.enumerate_cluster_tilting(cat1)[0]
-    a, b = t
-    with pytest.raises(NotExchangeError):
-        cc.exchange_pair_ext(cat1, a, b)
-    with pytest.raises(NotExchangeError):
-        cc.exchange_pair_ext(cat1, a, a)
+    from_edges = set()
+    for a, b in cat1.exchange_edges:
+        x1, x2 = _exchange_pair(cat1.tilting_sets, a, b)
+        from_edges |= {(x1, x2), (x2, x1)}
+    assert from_edges == pairs
+    assert all(cat1.dim(x1, x2, 1) == 1 for x1, x2 in pairs)
 
 
 @pytest.mark.parametrize("text", [A1, A2, A3])
@@ -329,8 +320,7 @@ def test_direct_enumeration_agrees(build, text, m):
     cat = dc.orbit(m)
     direct = cc.enumerate_stable_tilting_direct(cat)
     lifted = sorted(
-        tuple(sorted(cc.lift(t, cat).positions))
-        for t in cc.enumerate_cluster_tilting(dc.orbit(1))
+        cat.build_twist_stable(t) for t in cc.enumerate_cluster_tilting(dc.orbit(1))
     )
     assert direct == lifted
 
@@ -348,15 +338,38 @@ def test_orbit_count_criterion_a2(build):
                     base.dim(x, y, 1) or base.dim(y, x, 1) for x in combo for y in combo
                 ):
                     continue
-                stable = cat.build_twist_stable(combo)
-                ok, _ = cc.cluster_tilting_check(cat, stable.positions)
-                assert ok == (stable.orbit_count == n)
+                ok, _ = cc.cluster_tilting_check(cat, cat.build_twist_stable(combo))
+                assert ok == (len(combo) == n)
 
 
 # Cluster numbers (Fomin-Zelevinsky, Cluster algebras II): the vertex counts
 # of the exchange graphs, which are n-regular and connected.
-A5 = "vertices 5\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5))
-A7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7))
+def _text(n: int, arrows) -> str:
+    return f"vertices {n}\n" + "".join(f"arrow {a} {b}\n" for a, b in arrows)
+
+
+def _path(n: int) -> list[tuple[int, int]]:
+    """The arrows of 1 -> 2 -> ... -> n."""
+    return [(i, i + 1) for i in range(1, n)]
+
+
+A5, A7 = _text(5, _path(5)), _text(7, _path(7))
+
+# one orientation each; D_n is the path to n - 1 with the arrow n - 2 -> n
+CLUSTER_NUMBER_QUIVERS = {
+    **{f"A{n}": _text(n, _path(n)) for n in range(1, 8)},
+    **{f"D{n}": _text(n, [*_path(n - 1), (n - 2, n)]) for n in range(4, 8)},
+    "E6": E6,
+    "E7": E7,
+    "E8": E8,
+}
+
+
+@pytest.mark.parametrize("label", CLUSTER_NUMBER_QUIVERS)
+def test_cluster_number_counts_the_tilting_sets(build, label):
+    cat1 = build(CLUSTER_NUMBER_QUIVERS[label]).orbit(1)
+    assert str(cat1.ar.dynkin) == label
+    assert len(cat1.tilting_sets) == cc.cluster_number(cat1.ar.dynkin)
 
 
 @pytest.mark.parametrize(
@@ -374,15 +387,12 @@ def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
 
 
 def _near_complement_edges(cat):
-    index = {}
-    for i, t in enumerate(cc.enumerate_cluster_tilting(cat)):
-        index[cc.lift(t, cat).generator] = i
+    index = {t: i for i, t in enumerate(cc.enumerate_cluster_tilting(cat))}
     edges = set()
     for generator in index:
         for drop in generator:
-            almost = cat.build_twist_stable(g for g in generator if g != drop)
-            a, b = cc.near_complements(cat, almost)
-            edges.add(tuple(sorted((index[a.generator], index[b.generator]))))
+            a, b = cc.near_complements(cat, tuple(g for g in generator if g != drop))
+            edges.add(tuple(sorted((index[a], index[b]))))
     return sorted(edges)
 
 
@@ -415,6 +425,22 @@ def test_battery_notices_a_missing_graph_edge(monkeypatch):
     details = {c["name"]: c["detail"] for cell in report["cells"] for c in cell["checks"]}
     assert "is not a graph edge" in details["near-complement-pairs"]
     assert not report["passed"]
+
+
+def test_battery_notices_an_edge_count_off_the_cluster_number(monkeypatch):
+    # a repeated edge leaves every degree at n; only the n * V / 2 edge count sees it
+    build_graph = tilting.build_tilting_graph
+
+    def repeat_first_edge(cat):
+        graph = build_graph(cat)
+        graph.edges.append(graph.edges[0])
+        return graph
+
+    monkeypatch.setattr(tilting, "build_tilting_graph", repeat_first_edge)
+    report = run_verification(["A2"])
+    failed = {(c["name"], c["detail"]) for cell in report["cells"] for c in cell["checks"] if not c["passed"]}
+    assert failed == {("graph-shape", "(vertices, edges) = (5, 6), expected (5, 5)")}
+    assert report["checks_failed"] == 6
 
 
 def test_battery_notices_graph_vertices_out_of_lift_order(monkeypatch):
@@ -457,12 +483,6 @@ def test_enumeration_is_cached_per_category(build):
     assert first == cat1.tilting_sets
 
 
-def test_tilting_masks_are_cached_next_to_the_sets(build):
-    cat1 = build(A3).orbit(1)
-    assert cat1.tilting_masks is cat1.tilting_masks
-    assert cat1.tilting_masks == [mask_of(t) for t in cat1.tilting_sets]
-
-
 def test_rigid_position_sets_stop_at_n(build):
     cat1 = build(A3).orbit(1)
     sets = list(cat1.rigid_position_sets())
@@ -489,7 +509,7 @@ def test_tilting_check_matches_catalog_scan(build, data):
     cat = dc.orbit(2)
     t = data.draw(st.sampled_from(cc.enumerate_cluster_tilting(dc.orbit(1))))
     toggles = data.draw(st.lists(st.sampled_from(range(len(cat.catalog))), max_size=2))
-    members = sorted(set(cc.lift(t, cat).positions).symmetric_difference(toggles))
+    members = sorted(set(cat.build_twist_stable(t)).symmetric_difference(toggles))
     expected = (True, None)
     for x in range(len(cat.catalog)):
         member = x in members
@@ -519,9 +539,8 @@ def test_lift_generator_is_the_tilting_set_in_shift_module_order(label):
     for m in (1, 2):
         cat = dc.orbit(m)
         for t in base.tilting_sets:
-            generator = cc.lift(t, cat).generator
-            assert generator == t
-            reps = [base.catalog[g] for g in generator]
+            assert cat.build_twist_stable(t)[: len(t)] == t  # the lift's tier 0
+            reps = [base.catalog[g] for g in t]
             assert reps == sorted(reps, key=lambda x: (x.shift, x.module_id))
 
 
@@ -529,7 +548,11 @@ def test_lift_without_m_times_n_summands_names_quiver_and_generator():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
     # a generator repeating one summand has too few orbits
     cat.base.__dict__["tilting_sets"] = [(0, 0)]
-    pattern = r"A2 quiver \[\(1, 2\)\]: lift of \['m1\[0\]', 'm1\[0\]'\] does not have m\*n"
+    details = {c["name"]: c["detail"] for c in verify._orbit_checks("A2", cat)}
+    assert details["lift-check"] == (
+        "A2 quiver [(1, 2)]: lift of ('m1[0]', 'm1[0]') does not have m*n distinct summands"
+    )
+    pattern = r"A2 quiver \[\(1, 2\)\]: lift T1 fails the tilting check at m\d\[\d\]"
     with pytest.raises(RuntimeError, match=pattern):
         cc.build_tilting_graph(cat)
 
@@ -544,4 +567,4 @@ def test_failed_near_completion_names_quiver_and_completion():
         r" failed the tilting check at m1\[0\]"
     )
     with pytest.raises(RuntimeError, match=pattern):
-        cc.near_complements(cat, cat.build_twist_stable(t[:1]))
+        cc.near_complements(cat, t[:1])
