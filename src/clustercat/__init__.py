@@ -35,7 +35,6 @@ _HOME = {
         "tilting": (
             "NotExchangeError",
             "NotRigidError",
-            "TiltingGraph",
             "build_tilting_graph",
             "cluster_tilting_check",
             "complements",

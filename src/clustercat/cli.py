@@ -253,27 +253,28 @@ def _cmd_tilting(args, parser):
 
 
 def _cmd_graph(args, parser):
-    from .tilting import is_connected
+    from .tilting import build_tilting_graph, enumerate_cluster_tilting, is_connected
 
     cat = _category(args)
     if args.format == "json":  # dot lists no members
         _refuse_long_listing(cat)
-    graph = cat.tilting_graph
-    names = [f"T{i + 1}" for i in range(len(graph.vertices))]
+    # the lift is a bijection carrying mutations to mutations: the modulus-1 graph at every m
+    vertices, edges = enumerate_cluster_tilting(cat.base), build_tilting_graph(cat)
+    names = [f"T{i + 1}" for i in range(len(vertices))]
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
             "vertices": [
                 {"id": names[i], "members": cat.texts(cat.build_twist_stable(v))}
-                for i, v in enumerate(graph.vertices)
+                for i, v in enumerate(vertices)
             ],
-            "edges": [[names[a], names[b]] for a, b in graph.edges],
-            "connected": is_connected(graph),
+            "edges": [[names[a], names[b]] for a, b in edges],
+            "connected": is_connected(len(vertices), edges),
         }
     return 0, [
         "graph tilting {",
         *(f"  {name};" for name in names),
-        *(f"  {names[a]} -- {names[b]};" for a, b in graph.edges),
+        *(f"  {names[a]} -- {names[b]};" for a, b in edges),
         "}",
     ]
 

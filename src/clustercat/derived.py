@@ -16,6 +16,8 @@ from typing import NamedTuple
 from .arquiver import ARQuiver
 
 SHIFT_LIMIT = 10**6
+# no module id or shift in range needs more digits, and int() refuses past 4300
+MAX_DIGITS = 20
 
 _OBJECT_RE = re.compile(r"^m(\d+)\[(-?\d+)\]$")
 
@@ -50,7 +52,10 @@ class DerivedCategory:
         m = _OBJECT_RE.match(text.strip())
         if not m:
             raise ObjectSyntaxError(f"bad object syntax {text!r}; expected e.g. m3[-1]")
-        return self.object(int(m.group(1)), int(m.group(2)))
+        module_id, shift = m.groups()
+        if max(len(module_id), len(shift.lstrip("-"))) > MAX_DIGITS:
+            raise ObjectSyntaxError(f"object {text.strip()[:24]}... has a number of over {MAX_DIGITS} digits")
+        return self.object(int(module_id), int(shift))
 
     def shift(self, x: DObject, t: int) -> DObject:
         s = x.shift + t

@@ -289,13 +289,6 @@ class OrbitCategory:
                 edges.add((min(i, k), max(i, k)))
         return sorted(edges)
 
-    @cached_property
-    def tilting_graph(self):
-        """The exchange graph of the lifted tilting objects at this modulus."""
-        from .tilting import build_tilting_graph
-
-        return build_tilting_graph(self)
-
 
 def mask_of(positions: Iterable[int]) -> int:
     """Bitmask with bit p set for each given catalog position p."""

@@ -4,16 +4,19 @@ The default battery is every orientation of A_1..A_4 and D_4, each with
 modulus 1, 2 and 3.  Checks come in two groups: per-quiver (module and
 derived level, modulus independent) and per-(quiver, modulus).  Each
 check reports a name and an optional failure detail; the report is
-machine readable and deterministic.  Shared work runs once: the
-modulus-independent ``tilting-brute-force`` once per quiver (reported at
-every m), and each almost tilting object's completion once in
-``near-complement-pairs``.  A lift is its generator, one of the shared
-``tilting_sets``; a check lays out the summands it needs itself.
+machine readable and deterministic.  The exchange graph is a modulus-1
+object at every m (the lift carries mutations to mutations), so the
+checks that read only the modulus-1 category run once per quiver and
+are reported at every m under the same name: ``tilting-count``,
+``tilting-brute-force``, ``near-complement-pairs`` (which completes each
+almost tilting object once), ``graph-connected`` and ``graph-shape``.  A
+lift is its generator, one of the shared ``tilting_sets``; a check lays
+out the summands it needs itself, and ``lift-check`` is the one place
+that checks each lift at modulus m.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 
 from .arquiver import ARQuiver
@@ -66,12 +69,12 @@ def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> d
             if tamper is not None:
                 tamper(label, ar)
             derived = DerivedCategory(ar)
-            brute_force = cache(lambda: _check_tilting_brute_force(derived.orbit(1)))
+            once = {}  # the modulus-1 checks' details, shared by this quiver's cells
             cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
             cells.append({**cell, "m": None, "checks": _quiver_checks(name, q, ar, derived)})
             for m in m_values:
                 cat = derived.orbit(m)  # held while the next m is built: one shared base
-                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, brute_force)})
+                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, once)})
     for cell in cells:
         for check in cell["checks"]:
             total += 1
@@ -124,13 +127,20 @@ def _quiver_checks(name: str, q: Quiver, ar: ARQuiver, derived: DerivedCategory)
     return checks
 
 
-def _orbit_checks(name: str, cat: OrbitCategory, brute_force=None) -> list[dict]:
+def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None) -> list[dict]:
+    """The per-(quiver, m) checks; a check given ``base`` reads only the modulus-1
+    category, and its detail is kept in ``once`` for the quiver's other cells."""
     n = cat.ar.quiver.vertex_count
     m = cat.modulus
-    checks = []
+    checks, once = [], {} if once is None else once
 
-    def run(check_name, fn):
+    def run(check_name, fn, base=False):
+        if base and check_name in once:
+            checks.append(_result(check_name, once[check_name]))
+            return
         _run_check(checks, check_name, fn)
+        if base:
+            once[check_name] = checks[-1]["detail"]
 
     run("catalog-size-orbit", lambda: _check_orbit_count(cat))
     run("covering-fibers", lambda: _check_covering(cat))
@@ -146,15 +156,15 @@ def _orbit_checks(name: str, cat: OrbitCategory, brute_force=None) -> list[dict]
     run("twist-hom-invariance", lambda: _check_twist_hom_invariance(cat))
     if n <= 3:
         run("orbit-count-criterion", lambda: _check_orbit_count_criterion(cat))
-    run("tilting-count", lambda: _check_tilting_count(name, cat))
-    run("tilting-brute-force", brute_force or (lambda: _check_tilting_brute_force(cat)))
+    run("tilting-count", lambda: _check_tilting_count(name, cat.base), base=True)
+    run("tilting-brute-force", lambda: _check_tilting_brute_force(cat.base), base=True)
     run("lift-check", lambda: _check_lifts(cat))
     if n <= 3 and m <= 2:
         run("direct-enumeration", lambda: _check_direct_enumeration(cat))
     run("complement-counts", lambda: _check_complements(cat))
-    run("near-complement-pairs", lambda: _check_near_complements(cat))
-    run("graph-connected", lambda: _check_graph_connected(cat))
-    run("graph-shape", lambda: _check_graph_shape(name, cat))
+    run("near-complement-pairs", lambda: _check_near_complements(cat.base), base=True)
+    run("graph-connected", lambda: _check_graph_connected(cat.base), base=True)
+    run("graph-shape", lambda: _check_graph_shape(name, cat.base), base=True)
     run("exchange-layer-dim", lambda: _check_exchange_layers(cat))
     if m == 1:
         run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
@@ -287,10 +297,10 @@ def _check_orbit_count(cat: OrbitCategory) -> str | None:
 def _check_covering(cat: OrbitCategory) -> str | None:
     base = cat.base
     fibers = [0] * len(base.catalog)
-    for i, x in enumerate(cat.catalog):
+    for i, (x, twisted) in enumerate(zip(cat.catalog, cat.twist_permutation)):
         image = cat.project(i)
         fibers[image] += 1
-        if cat.project(cat.twist_action(i)) != image:
+        if cat.project(twisted) != image:
             return f"projection not twist-invariant at {x.text}"
     bad = {x.text: v for x, v in zip(base.catalog, fibers) if v != cat.modulus}
     if bad:
@@ -435,17 +445,16 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_tilting_count(name: str, cat: OrbitCategory) -> str | None:
-    tiltings = enumerate_cluster_tilting(cat.base)
+def _check_tilting_count(name: str, base: OrbitCategory) -> str | None:
+    tiltings = enumerate_cluster_tilting(base)
     expected = TILTING_COUNTS[name]
     if len(tiltings) != expected:
         return f"{len(tiltings)} tilting objects, expected {expected}"
     return None
 
 
-def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
-    base = cat.base
-    n = cat.ar.quiver.vertex_count
+def _check_tilting_brute_force(base: OrbitCategory) -> str | None:
+    n = base.ar.quiver.vertex_count
     size = len(base.catalog)
     compat = base.compat_mask
     brute = []
@@ -466,14 +475,16 @@ def _check_tilting_brute_force(cat: OrbitCategory) -> str | None:
 
 
 def _check_lifts(cat: OrbitCategory) -> str | None:
-    for t in enumerate_cluster_tilting(cat.base):
+    # the one modulus-m tilting check of each lift: the graph and the
+    # completions are read in the modulus-1 category
+    for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
         positions = cat.build_twist_stable(t)
         if len(set(positions)) != cat.modulus * cat.ar.quiver.vertex_count:
             return f"{cat.quiver_label}: lift of {_key(cat, t)} does not have m*n distinct summands"
         ok, witness = cluster_tilting_check(cat, positions)
         if not ok:
             at = cat.catalog[witness].text
-            return f"lift of {_key(cat, t)} fails the tilting check at {at}"
+            return f"{cat.quiver_label}: lift T{i + 1} of {_key(cat, t)} fails the tilting check at {at}"
     return None
 
 
@@ -505,77 +516,75 @@ def _check_complements(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_near_complements(cat: OrbitCategory) -> str | None:
+def _check_near_complements(base: OrbitCategory) -> str | None:
     # the oracle for the exchange graph: both completions of every
     # (vertex, dropped orbit) pair, and the edge each one gives
-    base = cat.base
-    graph = cat.tilting_graph
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    edges = set(graph.edges)
+    tiltings = enumerate_cluster_tilting(base)
+    index = {v: i for i, v in enumerate(tiltings)}
+    edges = set(base.exchange_edges)
     found, completed = set(), {}
-    for t in enumerate_cluster_tilting(base):
+    for t in tiltings:
         for drop in t:
             rest = tuple(g for g in t if g != drop)
             if rest not in completed:
-                completed[rest] = near_complements(cat, rest)
+                completed[rest] = near_complements(base, rest)
             elif t in completed[rest]:
                 continue  # both ends of an edge share rest; the first ran every comparison
             if t not in completed[rest]:
-                return f"near completion loses the original vertex at {_key(cat, t)}"
+                return f"near completion loses the original vertex at {_key(base, t)}"
             edge = tuple(sorted(index.get(g, -1) for g in completed[rest]))
             if edge not in edges:
                 at = base.catalog[drop].text
-                return f"exchange of {at} at {_key(cat, t)} is not a graph edge"
+                return f"exchange of {at} at {_key(base, t)} is not a graph edge"
             found.add(edge)
     if found != edges:
         return f"near completions give {len(found)} edges, the graph has {len(edges)}"
     return None
 
 
-def _check_graph_connected(cat: OrbitCategory) -> str | None:
-    graph = cat.tilting_graph
-    if not is_connected(graph):
+def _check_graph_connected(base: OrbitCategory) -> str | None:
+    if not is_connected(len(base.tilting_sets), base.exchange_edges):
         return "tilting graph is disconnected"
     return None
 
 
-def _check_graph_shape(name: str, cat: OrbitCategory) -> str | None:
-    graph = cat.tilting_graph
-    n = cat.ar.quiver.vertex_count
-    # graph vertex i is the lift of tilting object i, as `graph` and `endo` number them
-    for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
-        if i >= len(graph.vertices) or graph.vertices[i] != t:
-            return f"graph vertex T{i + 1} is not the lift of {_key(cat, t)}"
-    if bad := _bad_edge(cat, graph):
+def _check_graph_shape(name: str, base: OrbitCategory) -> str | None:
+    n = base.ar.quiver.vertex_count
+    if bad := _bad_edge(base):
         return bad
-    degrees = [graph.degree(i) for i in range(len(graph.vertices))]
+    edges, count = base.exchange_edges, len(base.tilting_sets)
+    degrees = [0] * count
+    for a, b in set(edges):
+        degrees[a] += 1
+        degrees[b] += 1
     if degrees and set(degrees) != {n}:
         return f"vertex degrees {sorted(set(degrees))} != {n}"
     # n-regular on the cluster number of vertices (A2: the pentagon)
-    count = TILTING_COUNTS[name]
-    if (shape := (len(graph.vertices), len(graph.edges))) != (count, n * count // 2):
-        return f"(vertices, edges) = {shape}, expected {(count, n * count // 2)}"
+    expected = TILTING_COUNTS[name]
+    if (shape := (count, len(edges))) != (expected, n * expected // 2):
+        return f"(vertices, edges) = {shape}, expected {(expected, n * expected // 2)}"
     return None
 
 
-def _bad_edge(cat: OrbitCategory, graph) -> str | None:
+def _bad_edge(base: OrbitCategory) -> str | None:
     """A detail naming the first edge whose endpoints do not differ in exactly one orbit."""
-    for a, b in graph.edges:
-        ga, gb = graph.vertices[a], graph.vertices[b]
+    sets = base.tilting_sets
+    for a, b in base.exchange_edges:
+        ga, gb = sets[a], sets[b]
         if len(set(ga) - set(gb)) != 1 or len(set(gb) - set(ga)) != 1:
             return (
-                f"edge T{a + 1} {_key(cat, ga)} -- T{b + 1} {_key(cat, gb)}:"
+                f"edge T{a + 1} {_key(base, ga)} -- T{b + 1} {_key(base, gb)}:"
                 " endpoints do not differ in exactly one orbit"
             )
     return None
 
 
 def _check_exchange_layers(cat: OrbitCategory) -> str | None:
-    graph = cat.tilting_graph
-    if bad := _bad_edge(cat, graph):
+    base = cat.base
+    if bad := _bad_edge(base):
         return bad
-    for a, b in graph.edges:
-        va, vb = graph.vertices[a], graph.vertices[b]
+    for a, b in base.exchange_edges:
+        va, vb = base.tilting_sets[a], base.tilting_sets[b]
         for one, two in ((va, vb), (vb, va)):
             dim = exchange_layer_dim(cat, one, tuple(set(two) - set(one)))
             if dim != cat.modulus:
@@ -585,11 +594,10 @@ def _check_exchange_layers(cat: OrbitCategory) -> str | None:
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     # an edge's two differing positions are its exchange pair (Buan-Marsh-Reineke-Reiten-Todorov)
-    graph = cat.tilting_graph
-    if bad := _bad_edge(cat, graph):
+    if bad := _bad_edge(cat):
         return bad
-    for a, b in graph.edges:
-        ga, gb = set(graph.vertices[a]), set(graph.vertices[b])
+    for a, b in cat.exchange_edges:
+        ga, gb = set(cat.tilting_sets[a]), set(cat.tilting_sets[b])
         (x1,), (x2,) = ga - gb, gb - ga
         for one, two in ((x1, x2), (x2, x1)):
             if cat.dim(one, two, 1) != 1:

@@ -5,6 +5,8 @@ and 3.  Each test prints a single PASS/FAIL line for its criterion.
 Everything asserted here is exact integer equality.
 """
 
+from collections import Counter
+
 import pytest
 
 import clustercat as cc
@@ -97,7 +99,7 @@ def test_criterion_3_tilting_counts(report, contexts):
         if count != A_FAMILY_COUNTS[name]:
             failures.append(f"{label}: {count} tilting objects")
         for m in M_VALUES:
-            vertices = len(build_tilting_graph(dc.orbit(m)).vertices)
+            vertices = len(enumerate_cluster_tilting(dc.orbit(m).base))
             if vertices != A_FAMILY_COUNTS[name]:
                 failures.append(f"{label} m={m}: {vertices} lifted tilting objects")
     _criterion(3, "tilting counts 2/5/14/42, identical across m and orientation", failures)
@@ -120,16 +122,16 @@ def test_criterion_6_graph_connectivity_and_shape(report, contexts):
     failures = _failures(_collect(report, {"graph-connected", "graph-shape"}))
     for label, (name, dc) in contexts.items():
         for m in M_VALUES:
-            graph = build_tilting_graph(dc.orbit(m))
-            if not is_connected(graph):
+            cat = dc.orbit(m)
+            count, edges = len(enumerate_cluster_tilting(cat.base)), build_tilting_graph(cat)
+            if not is_connected(count, edges):
                 failures.append(f"{label} m={m}: disconnected")
-            if name == "A2":
-                degrees = [graph.degree(i) for i in range(len(graph.vertices))]
-                if len(graph.vertices) != 5 or len(graph.edges) != 5 or set(degrees) != {2}:
-                    failures.append(f"{label} m={m}: not a 5-cycle")
-            if name == "A3":
-                if any(graph.degree(i) != 3 for i in range(len(graph.vertices))):
-                    failures.append(f"{label} m={m}: not 3-regular")
+            ends = Counter(v for edge in edges for v in edge)
+            degrees = {ends[v] for v in range(count)}
+            if name == "A2" and (count, len(edges), degrees) != (5, 5, {2}):
+                failures.append(f"{label} m={m}: not a 5-cycle")
+            if name == "A3" and degrees != {3}:
+                failures.append(f"{label} m={m}: not 3-regular")
     _criterion(6, "tilting graph connected; A2 pentagon; A3 3-regular", failures)
 
 

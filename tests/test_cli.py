@@ -117,6 +117,16 @@ def test_hom_unknown_id_exits_2(capsys, a2_path):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("operand", ["m1[{}]", "m{}[0]"], ids=["shift", "module-id"])
+def test_hom_object_with_too_many_digits_exits_2_in_one_line(capsys, a2_path, operand):
+    # past 4300 digits int() itself refuses; the reference is refused before it
+    code, out, err = run(capsys, "hom", "--quiver", a2_path, "m1[0]", operand.format("1" * 5000))
+    assert code == 2
+    assert out == ""
+    digits = f"m1[{'1' * 21}..." if operand.startswith("m1[") else f"m{'1' * 23}..."
+    assert err == f"error: object {digits} has a number of over {derived.MAX_DIGITS} digits\n"
+
+
 def test_hom_single_object_usage_error(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["hom", "--quiver", a2_path, "m1[0]"])
@@ -462,7 +472,7 @@ def test_modulus_past_the_catalog_cap_fails_fast_in_one_line(capsys, a2_path):
     )
 
 
-@pytest.mark.parametrize("command", ["hom", "graph"])
+@pytest.mark.parametrize("command", ["hom"])
 def test_full_tables_past_the_side_cap_fail_fast_in_one_line(capsys, a2_path, command):
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--quiver", a2_path, "--m", "100")
@@ -473,6 +483,21 @@ def test_full_tables_past_the_side_cap_fail_fast_in_one_line(capsys, a2_path, co
         "error: full Hom/Ext tables of A2 at m=100 need 500 objects per side;"
         f" at most {orbit.MAX_TABLE_SIDE} are supported\n"
     )
+
+
+def test_graph_past_the_table_side_cap_reads_the_modulus_1_graph(capsys, a2_path):
+    # the graph builds no modulus-m table, so only the catalog and listing caps apply
+    code, out, err = run(capsys, "graph", "--quiver", a2_path, "--m", "100")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["connected"] is True and len(payload["edges"]) == 5
+    assert all(len(v["members"]) == 200 for v in payload["vertices"])
+
+
+def test_graph_dot_is_the_same_at_every_modulus(capsys, a3_path):
+    outs = [run(capsys, "graph", "--quiver", a3_path, "--m", m, "--format", "dot") for m in "123"]
+    assert outs[0][0] == 0 and outs[0][1].count(" -- ") == 21
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_full_tables_of_a_small_quiver_at_a_large_modulus(capsys, tmp_path):

@@ -123,9 +123,9 @@ def test_single_end_dim_m1_also_one(build):
 
 
 def _edges_with_swaps(cat):
-    graph = cc.build_tilting_graph(cat)
-    for a, b in graph.edges:
-        va, vb = graph.vertices[a], graph.vertices[b]
+    sets = cc.enumerate_cluster_tilting(cat.base)
+    for a, b in cc.build_tilting_graph(cat):
+        va, vb = sets[a], sets[b]
         swapped_b = tuple(set(vb) - set(va))
         swapped_a = tuple(set(va) - set(vb))
         yield va, vb, swapped_a, swapped_b

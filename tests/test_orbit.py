@@ -441,4 +441,4 @@ def test_orbit_category_keeps_its_derived_category_and_base():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A3))).orbit(2)
     assert cat.derived.orbit(2) is cat
     assert cat.base is cat.derived.orbit(1) and cat.base.base is cat.base
-    assert len(cat.tilting_graph.vertices) == 14
+    assert len(cat.base.tilting_sets) == 14

@@ -3,10 +3,11 @@
 The endomorphism blocks and exchange layers are read from the four
 base-domain ``layers`` by tier gap, ``complements`` AND-s the members'
 ext-vanishing masks once, and ``resolution_ext_dim`` resolves each module
-once.  The battery completes each almost tilting object once, scans
-subsets once per quiver, and reads each exchange pair's Ext^1 at the two
-positions where the edge's ends differ, without scanning the tilting
-objects.  A lift is its generator; each check lays out the summands it
+once.  The battery reads the exchange graph in the modulus-1 category: it
+completes each almost tilting object and scans subsets once per quiver,
+checks each lift once per modulus in ``lift-check`` only, and reads each
+exchange pair's Ext^1 at the two positions where the edge's ends differ,
+without scanning the tilting objects.  A lift is its generator; each check lays out the summands it
 needs with ``build_twist_stable``.  The old definitions stay here, inline,
 as oracles; the work-count tests pin the calls the fast paths no longer
 make.  The tables tiled by tier gap are checked against ``dim`` in
@@ -99,9 +100,8 @@ def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
                 ids = [base.catalog[g].module_id for g in t]
                 dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
                 assert cc.endo_profile(cat, t).dim_e == dim_e
-        graph = cat.tilting_graph
-        for a, b in _sample(label, graph.edges):
-            va, vb = graph.vertices[a], graph.vertices[b]
+        for a, b in _sample(label, base.exchange_edges):
+            va, vb = base.tilting_sets[a], base.tilting_sets[b]
             for one, two in ((va, vb), (vb, va)):
                 (x2,) = set(two) - set(one)
                 for swapped in ((x2,), (x2, x2)):
@@ -140,11 +140,13 @@ def test_complements_make_no_tilting_checks(monkeypatch):
         members = cat.build_twist_stable(t)
         for drop in members:
             cc.complements(cat, [x for x in members if x != drop])
+    # nor do near completions: they are read in the modulus-1 category
+    for t in cc.enumerate_cluster_tilting(base):
+        cc.near_complements(cat, t[1:])
     assert calls["check"] == 0
-    # the counter is live: near_complements checks each of its two completions
-    t = cc.enumerate_cluster_tilting(base)[0]
-    cc.near_complements(cat, t[1:])
-    assert calls["check"] == 2
+    # the counter is live: the direct scan checks every union of n of the 16 twist-orbits
+    cc.enumerate_stable_tilting_direct(cat)
+    assert calls["check"] == 1820
 
 
 def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
@@ -202,7 +204,7 @@ def test_ext_oracle_catches_swapped_resolutions():
 
 
 def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
-    calls, builds = Counter(), Counter()
+    calls, builds, checked = Counter(), Counter(), Counter()
 
     def counting(name, fn):
         def counted(*args):
@@ -219,35 +221,47 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
 
         return counted
 
+    def checking(cat, positions):
+        checked[cat, tuple(positions)] += 1
+        return check(cat, positions)
+
     build = laying_out(cc.OrbitCategory.build_twist_stable)
     monkeypatch.setattr(cc.OrbitCategory, "build_twist_stable", build)
     monkeypatch.setattr(verify, "near_complements", counting("near", verify.near_complements))
     scan = verify._check_tilting_brute_force
     monkeypatch.setattr(verify, "_check_tilting_brute_force", counting("scan", scan))
+    check = tilting.cluster_tilting_check
+    monkeypatch.setattr(tilting, "cluster_tilting_check", checking)
+    monkeypatch.setattr(verify, "cluster_tilting_check", checking)
     diagrams, m_values = ["A3", "D4"], (1, 2, 3)
     assert run_verification(diagrams, m_values)["passed"]
-    cells = {d: len(orientations(d)) * len(m_values) for d in diagrams}
+    quivers = {d: len(orientations(d)) for d in diagrams}
     # each almost tilting object is the rest of exactly two tilting objects, so
-    # one completion per edge of the n-regular graph: n * |vertices| / 2 edges
+    # one completion per edge of the n-regular graph, n * |vertices| / 2 edges,
+    # once per orientation whatever the moduli
     n = {"A3": 3, "D4": 4}
-    assert calls["near"] == sum(cells[d] * n[d] * TILTING_COUNTS[d] // 2 for d in diagrams)
-    assert calls["scan"] == sum(len(orientations(d)) for d in diagrams)
+    assert calls["near"] == sum(quivers[d] * n[d] * TILTING_COUNTS[d] // 2 for d in diagrams)
+    assert calls["scan"] == sum(quivers.values())
     # a lift is its generator, shared as tilting_sets; its summands are laid
-    # out once each by the graph, lift-check, complement-counts and
-    # endo-blocks, once per dropped summand as a near completion, and at
-    # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration
+    # out once each by lift-check, complement-counts and endo-blocks, and at
+    # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration; the
+    # graph and the near completions lay out none.  lift-check is the one
+    # modulus-m tilting check of a lift, beside those two small-rank oracles
     lifted = Counter()
-    for (cat, generator), count in builds.items():
+    for (cat, generator), count in list(builds.items()):
         if generator in cat.base.tilting_sets:
             n, m = len(generator), cat.modulus
-            assert count == 4 + n + (n <= 3) + (n <= 3 and m <= 2), (cat.quiver_label, m)
+            oracles = (n <= 3) + (n <= 3 and m <= 2)
+            assert count == 3 + oracles, (cat.quiver_label, m)
+            assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles
             lifted[cat.ar.dynkin] += 1
+    cells = {d: quivers[d] * len(m_values) for d in diagrams}
     assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * TILTING_COUNTS[d] for d in diagrams}
 
 
 def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
-    edges = cat1.tilting_graph.edges
+    edges = cat1.exchange_edges
     calls = Counter()
     dim = cc.OrbitCategory.dim
 

@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercat as cc
-from clustercat import tilting, verify
+from clustercat import verify
 from clustercat.tilting import NotRigidError
 from clustercat.verify import run_verification
 
@@ -214,63 +216,70 @@ def test_near_complements_rejects_full_orbit_count(build):
         cc.near_complements(cat, vertex)
 
 
+def _degrees(count, edges):
+    ends = Counter(v for edge in edges for v in edge)
+    return [ends[v] for v in range(count)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_graph_a2_is_pentagon(build, m):
     cat = build(A2).orbit(m)
-    g = cc.build_tilting_graph(cat)
-    assert len(g.vertices) == 5
-    assert len(g.edges) == 5
-    assert all(g.degree(i) == 2 for i in range(5))
-    assert cc.is_connected(g)
+    sets, edges = cc.enumerate_cluster_tilting(cat.base), cc.build_tilting_graph(cat)
+    assert len(sets) == 5
+    assert len(edges) == 5
+    assert _degrees(5, edges) == [2] * 5
+    assert cc.is_connected(5, edges)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_graph_a1_single_edge(build, m):
     cat = build(A1).orbit(m)
-    g = cc.build_tilting_graph(cat)
-    assert len(g.vertices) == 2
-    assert g.edges == [(0, 1)]
-    assert cc.is_connected(g)
+    assert len(cc.enumerate_cluster_tilting(cat.base)) == 2
+    assert cc.build_tilting_graph(cat) == [(0, 1)]
+    assert cc.is_connected(2, [(0, 1)])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_graph_a3_three_regular(build, m):
     cat = build(A3).orbit(m)
-    g = cc.build_tilting_graph(cat)
-    assert len(g.vertices) == 14
-    assert all(g.degree(i) == 3 for i in range(14))
-    assert cc.is_connected(g)
+    edges = cc.build_tilting_graph(cat)
+    assert len(cc.enumerate_cluster_tilting(cat.base)) == 14
+    assert _degrees(14, edges) == [3] * 14
+    assert cc.is_connected(14, edges)
 
 
 def test_graph_connected_d4(build):
     for m in (1, 2):
         cat = build(D4).orbit(m)
-        g = cc.build_tilting_graph(cat)
-        assert len(g.vertices) == 50
-        assert cc.is_connected(g)
+        assert len(cat.base.tilting_sets) == 50
+        assert cc.is_connected(50, cc.build_tilting_graph(cat))
+
+
+def test_is_connected_sees_a_missing_bridge():
+    assert cc.is_connected(0, []) and cc.is_connected(1, [])
+    assert cc.is_connected(4, [(0, 1), (1, 2), (2, 3)])
+    assert not cc.is_connected(4, [(0, 1), (2, 3)])
+    assert not cc.is_connected(3, [(0, 1)])
 
 
 def test_graph_edges_differ_in_one_orbit(build):
     cat = build(A3).orbit(2)
-    g = cc.build_tilting_graph(cat)
-    for a, b in g.edges:
-        ga, gb = set(g.vertices[a]), set(g.vertices[b])
+    sets = cat.base.tilting_sets
+    for a, b in cc.build_tilting_graph(cat):
+        ga, gb = set(sets[a]), set(sets[b])
         assert len(ga - gb) == 1
         assert len(gb - ga) == 1
 
 
 def test_graphs_isomorphic_across_m(build):
-    # the lift bijection matches vertices by generator; edges transport
+    # the lift bijection matches vertices by generator and carries mutations
+    # to mutations, so the graph at every m is the modulus-1 graph itself
     dc = build(A3)
-    g1 = cc.build_tilting_graph(dc.orbit(1))
+    base = dc.orbit(1)  # held, so that every modulus shares it
+    edges = cc.build_tilting_graph(base)
     for m in (2, 3):
-        gm = cc.build_tilting_graph(dc.orbit(m))
-        key1 = dict(enumerate(g1.vertices))
-        keym = {v: i for i, v in enumerate(gm.vertices)}
-        mapped = sorted(
-            tuple(sorted((keym[key1[a]], keym[key1[b]]))) for a, b in g1.edges
-        )
-        assert mapped == sorted(tuple(sorted(e)) for e in gm.edges)
+        assert cc.build_tilting_graph(dc.orbit(m)) is edges is base.exchange_edges
+        assert cc.enumerate_cluster_tilting(dc.orbit(m).base) is base.tilting_sets
 
 
 def _exchange_pair(sets, a, b):
@@ -282,15 +291,15 @@ def _exchange_pair(sets, a, b):
 def test_exchange_pair_ext_is_one():
     # a fresh category: the check is tampered with below
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
-    g = cat1.tilting_graph
-    for a, b in g.edges:
-        x1, x2 = _exchange_pair(g.vertices, a, b)
+    sets, edges = cat1.tilting_sets, cat1.exchange_edges
+    for a, b in edges:
+        x1, x2 = _exchange_pair(sets, a, b)
         assert cat1.dim(x1, x2, 1) == cat1.dim(x2, x1, 1) == 1
     assert verify._check_exchange_pairs(cat1) is None
     # with Ext^1 read as zero, the battery check names the first edge's pair
     zero = [[0] * len(cat1.catalog) for _ in cat1.catalog]
     cat1.__dict__["layers"] = {**cat1.layers, (1, 0): zero, (1, -1): zero}
-    one, two = cat1.texts(_exchange_pair(g.vertices, *g.edges[0]))
+    one, two = cat1.texts(_exchange_pair(sets, *edges[0]))
     assert verify._check_exchange_pairs(cat1) == f"exchange pair ({one}, {two}) not one-dimensional"
 
 
@@ -379,11 +388,12 @@ def test_cluster_number_counts_the_tilting_sets(build, label):
     ids=["A5", "D5", "E6", "A7", "E7", "E6-m2"],
 )
 def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
-    g = cc.build_tilting_graph(build(text).orbit(m))
-    assert len(g.vertices) == vertices
-    assert len(g.edges) == n * vertices // 2
-    assert all(g.degree(i) == n for i in range(vertices))
-    assert cc.is_connected(g)
+    cat = build(text).orbit(m)
+    edges = cc.build_tilting_graph(cat)
+    assert len(cat.base.tilting_sets) == vertices
+    assert len(edges) == n * vertices // 2
+    assert set(_degrees(vertices, edges)) == {n}
+    assert cc.is_connected(vertices, edges)
 
 
 def _near_complement_edges(cat):
@@ -409,18 +419,19 @@ def test_mutation_edges_equal_near_complement_edges(diagram, flips, relabel):
         for (a, b), flip in zip(diagram, flips)
     )
     cat = cc.DerivedCategory(cc.ARQuiver(cc.Quiver(5, arrows))).orbit(1)
-    assert cc.build_tilting_graph(cat).edges == _near_complement_edges(cat)
+    assert cc.build_tilting_graph(cat) == _near_complement_edges(cat)
+
+
+def _tamper_edges(monkeypatch, change):
+    """Let every category's exchange_edges be change(the mutation edges)."""
+    mutation_edges = cc.OrbitCategory.exchange_edges.func
+    prop = cached_property(lambda cat: change(mutation_edges(cat)))
+    prop.__set_name__(cc.OrbitCategory, "exchange_edges")
+    monkeypatch.setattr(cc.OrbitCategory, "exchange_edges", prop)
 
 
 def test_battery_notices_a_missing_graph_edge(monkeypatch):
-    build_graph = tilting.build_tilting_graph
-
-    def drop_first_edge(cat):
-        graph = build_graph(cat)
-        graph.edges.pop(0)
-        return graph
-
-    monkeypatch.setattr(tilting, "build_tilting_graph", drop_first_edge)
+    _tamper_edges(monkeypatch, lambda edges: edges[1:])
     report = run_verification(["A2"])
     details = {c["name"]: c["detail"] for cell in report["cells"] for c in cell["checks"]}
     assert "is not a graph edge" in details["near-complement-pairs"]
@@ -429,48 +440,31 @@ def test_battery_notices_a_missing_graph_edge(monkeypatch):
 
 def test_battery_notices_an_edge_count_off_the_cluster_number(monkeypatch):
     # a repeated edge leaves every degree at n; only the n * V / 2 edge count sees it
-    build_graph = tilting.build_tilting_graph
-
-    def repeat_first_edge(cat):
-        graph = build_graph(cat)
-        graph.edges.append(graph.edges[0])
-        return graph
-
-    monkeypatch.setattr(tilting, "build_tilting_graph", repeat_first_edge)
+    _tamper_edges(monkeypatch, lambda edges: edges + edges[:1])
     report = run_verification(["A2"])
     failed = {(c["name"], c["detail"]) for cell in report["cells"] for c in cell["checks"] if not c["passed"]}
     assert failed == {("graph-shape", "(vertices, edges) = (5, 6), expected (5, 5)")}
     assert report["checks_failed"] == 6
 
 
-def test_battery_notices_graph_vertices_out_of_lift_order(monkeypatch):
-    # `graph` and `endo` number tilting objects alike; graph-shape guards that
-    build_graph = tilting.build_tilting_graph
-
-    def swap_first_two(cat):
-        graph = build_graph(cat)
-        graph.vertices[0], graph.vertices[1] = graph.vertices[1], graph.vertices[0]
-        return graph
-
-    monkeypatch.setattr(tilting, "build_tilting_graph", swap_first_two)
+def test_battery_names_an_edge_whose_ends_differ_in_two_orbits(monkeypatch):
+    # edges read against T1 and T2 swapped: some ends then differ in two orbits
+    swap = {0: 1, 1: 0}
+    _tamper_edges(monkeypatch, lambda edges: [(swap.get(a, a), swap.get(b, b)) for a, b in edges])
     report = run_verification(["A2"])
-    shape = [c for cell in report["cells"] for c in cell["checks"] if c["name"] == "graph-shape"]
-    assert len(shape) == 6
-    for check in shape:
-        assert check["detail"] == "graph vertex T1 is not the lift of ('m1[0]', 'm2[0]')"
-    # the exchange checks name the first edge the swap breaks instead of raising
-    exchange = {
+    bad = ": endpoints do not differ in exactly one orbit"
+    # the exchange checks and graph-shape name the first bad edge instead of raising
+    named = {
         (cell["quiver"], cell["m"], c["name"]): c["detail"]
         for cell in report["cells"]
         for c in cell["checks"]
-        if c["name"] in ("exchange-layer-dim", "exchange-pair-ext")
+        if c["name"] in ("graph-shape", "exchange-layer-dim", "exchange-pair-ext")
     }
-    assert len(exchange) == 8  # per orientation: layer-dim at m = 1, 2, 3, pair-ext at m = 1
-    bad = ": endpoints do not differ in exactly one orbit"
-    assert exchange["A2#0", 1, "exchange-pair-ext"] == f"edge T1 ('m1[0]', 'm3[0]') -- T3 ('m2[0]', 'm1[1]'){bad}"
-    assert exchange["A2#1", 3, "exchange-layer-dim"] == f"edge T1 ('m1[0]', 'm2[1]') -- T3 ('m2[0]', 'm3[0]'){bad}"
-    assert all(detail.startswith("edge T") and detail.endswith(bad) for detail in exchange.values())
-    # the checks lift on their own, so lift-check does not see the swap
+    assert len(named) == 14  # per orientation: shape and layer-dim at m = 1, 2, 3, pair-ext at m = 1
+    assert named["A2#0", 1, "exchange-pair-ext"] == f"edge T2 ('m1[0]', 'm3[0]') -- T3 ('m2[0]', 'm1[1]'){bad}"
+    assert named["A2#1", 3, "graph-shape"] == f"edge T2 ('m1[0]', 'm2[1]') -- T3 ('m2[0]', 'm3[0]'){bad}"
+    assert all(detail.startswith("edge T") and detail.endswith(bad) for detail in named.values())
+    # lift-check lifts every tilting object on its own and does not see the edges
     assert all(c["passed"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "lift-check")
     assert not report["passed"]
 
@@ -552,19 +546,14 @@ def test_lift_without_m_times_n_summands_names_quiver_and_generator():
     assert details["lift-check"] == (
         "A2 quiver [(1, 2)]: lift of ('m1[0]', 'm1[0]') does not have m*n distinct summands"
     )
-    pattern = r"A2 quiver \[\(1, 2\)\]: lift T1 fails the tilting check at m\d\[\d\]"
-    with pytest.raises(RuntimeError, match=pattern):
-        cc.build_tilting_graph(cat)
 
 
-def test_failed_near_completion_names_quiver_and_completion():
+def test_lift_failing_the_tilting_check_names_quiver_and_index():
+    # lift-check is the one modulus-m tilting check of a lift
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
-    t = cat.base.tilting_sets[0]
     assert cat.compat_mask  # rigidity still holds; only the tilting check sees the tampering
     cat.__dict__["ext_zero_out"] = [0] * len(cat.catalog)
-    pattern = (
-        r"A2 quiver \[\(1, 2\)\]: completion \['m1\[0\]', 'm2\[0\]'\]"
-        r" failed the tilting check at m1\[0\]"
+    details = {c["name"]: c["detail"] for c in verify._orbit_checks("A2", cat)}
+    assert details["lift-check"] == (
+        "A2 quiver [(1, 2)]: lift T1 of ('m1[0]', 'm2[0]') fails the tilting check at m1[0]"
     )
-    with pytest.raises(RuntimeError, match=pattern):
-        cc.near_complements(cat, t[:1])
