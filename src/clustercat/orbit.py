@@ -251,7 +251,10 @@ class OrbitCategory:
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
         """Position sets of the cluster tilting objects: the rigid n-sets, each
-        checked to be maximal (compatible with nothing but itself).  Modulus 1 only."""
+        passing ``cluster_tilting_check`` (in a Dynkin cluster category every
+        one does).  Modulus 1 only."""
+        from .tilting import cluster_tilting_check  # tilting builds on this module
+
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
@@ -261,8 +264,8 @@ class OrbitCategory:
             )
         n = self.ar.quiver.vertex_count
         found = [chosen for chosen in self.rigid_position_sets() if len(chosen) == n]
-        if any(self.compatible_with_all(chosen).bit_count() != n for chosen in found):
-            raise RuntimeError("rigid n-set is not maximal; not a Dynkin situation")
+        if not all(cluster_tilting_check(self, chosen)[0] for chosen in found):
+            raise RuntimeError("rigid n-set is not cluster tilting; not a Dynkin situation")
         return found
 
     @cached_property

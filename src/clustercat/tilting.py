@@ -11,7 +11,8 @@ mutations (Buan-Marsh-Reineke-Reiten-Todorov), so the vertices are
 paths are the battery's oracles: ``near_complements`` re-derives every
 edge by completing each almost tilting object, a direct scan over
 twist-orbit unions re-derives the lifts at small rank, and
-``cluster_tilting_check`` checks every lift at modulus m.
+``cluster_tilting_check`` checks every lift at modulus m.  The same check
+accepts each rigid n-set that ``tilting_sets`` enumerates.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
 
 
 def near_complements(
-    cat: OrbitCategory, almost: tuple[int, ...]
+    cat1: OrbitCategory, almost: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The generators of the two twist-stable completions of an almost near tilting
-    generator: its two completions in the modulus-1 category, at every modulus."""
-    n, orbits = cat.ar.quiver.vertex_count, set(almost)
+    generator: its two completions in the modulus-1 category ``cat1``."""
+    n, orbits = cat1.ar.quiver.vertex_count, set(almost)
     if len(orbits) != n - 1:
         raise ValueError(f"almost near tilting object needs {n - 1} orbits, got {len(orbits)}")
-    comps = complements(cat.base, almost)  # raises NotRigidError unless the generator is rigid
+    comps = complements(cat1, almost)  # raises NotRigidError unless the generator is rigid
     if len(comps) != 2:
         raise NotExchangeError(
             f"generator is not an almost tilting object (found {len(comps)} complements)"
@@ -123,9 +124,9 @@ def near_complements(
 
 def build_tilting_graph(cat: OrbitCategory) -> list[tuple[int, int]]:
     """The exchange graph's edges, index pairs into ``enumerate_cluster_tilting(cat.base)``:
-    the modulus-1 mutations, at every modulus.  Kept as a function because the
-    benchmark tracer (perfbench/tracing.py) times it as a stage."""
-    return cat.base.exchange_edges
+    the modulus-1 mutations, at every modulus, as a fresh list.  Kept as a
+    function because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
+    return list(cat.base.exchange_edges)
 
 
 def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:

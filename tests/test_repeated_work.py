@@ -133,16 +133,17 @@ def test_complements_make_no_tilting_checks(monkeypatch):
         calls["check"] += 1
         return check(cat, positions)
 
-    monkeypatch.setattr(tilting, "cluster_tilting_check", counted)
     dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
     base, cat = dc.orbit(1), dc.orbit(2)
-    for t in cc.enumerate_cluster_tilting(base):
+    tiltings = cc.enumerate_cluster_tilting(base)  # the enumeration checks each set once
+    monkeypatch.setattr(tilting, "cluster_tilting_check", counted)
+    for t in tiltings:
         members = cat.build_twist_stable(t)
         for drop in members:
             cc.complements(cat, [x for x in members if x != drop])
     # nor do near completions: they are read in the modulus-1 category
-    for t in cc.enumerate_cluster_tilting(base):
-        cc.near_complements(cat, t[1:])
+    for t in tiltings:
+        cc.near_complements(base, t[1:])
     assert calls["check"] == 0
     # the counter is live: the direct scan checks every union of n of the 16 twist-orbits
     cc.enumerate_stable_tilting_direct(cat)
@@ -246,14 +247,15 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     # out once each by lift-check, complement-counts and endo-blocks, and at
     # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration; the
     # graph and the near completions lay out none.  lift-check is the one
-    # modulus-m tilting check of a lift, beside those two small-rank oracles
+    # modulus-m tilting check of a lift, beside those two small-rank oracles;
+    # at m = 1 the lift is the generator, which the enumeration checks once
     lifted = Counter()
     for (cat, generator), count in list(builds.items()):
         if generator in cat.base.tilting_sets:
             n, m = len(generator), cat.modulus
             oracles = (n <= 3) + (n <= 3 and m <= 2)
             assert count == 3 + oracles, (cat.quiver_label, m)
-            assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles
+            assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles + (m == 1)
             lifted[cat.ar.dynkin] += 1
     cells = {d: quivers[d] * len(m_values) for d in diagrams}
     assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * TILTING_COUNTS[d] for d in diagrams}

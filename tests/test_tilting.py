@@ -196,7 +196,7 @@ def test_near_complements_a2_m2(build):
     for t in cc.enumerate_cluster_tilting(base):
         for drop in t:
             rest = tuple(g for g in t if g != drop)
-            one, two = cc.near_complements(cat, rest)
+            one, two = cc.near_complements(base, rest)
             assert one != two
             assert t in (one, two)
             for completion in (one, two):
@@ -209,11 +209,10 @@ def test_near_complements_a2_m2(build):
 
 
 def test_near_complements_rejects_full_orbit_count(build):
-    dc = build(A2)
-    cat = dc.orbit(2)
-    vertex = cc.enumerate_cluster_tilting(dc.orbit(1))[0]
+    base = build(A2).orbit(1)
+    vertex = cc.enumerate_cluster_tilting(base)[0]
     with pytest.raises(ValueError, match="orbits"):
-        cc.near_complements(cat, vertex)
+        cc.near_complements(base, vertex)
 
 
 def _degrees(count, edges):
@@ -278,8 +277,10 @@ def test_graphs_isomorphic_across_m(build):
     base = dc.orbit(1)  # held, so that every modulus shares it
     edges = cc.build_tilting_graph(base)
     for m in (2, 3):
-        assert cc.build_tilting_graph(dc.orbit(m)) is edges is base.exchange_edges
+        assert cc.build_tilting_graph(dc.orbit(m)) == edges == base.exchange_edges
         assert cc.enumerate_cluster_tilting(dc.orbit(m).base) is base.tilting_sets
+    edges.clear()  # the caller's own list: the base's edges stay
+    assert cc.build_tilting_graph(dc.orbit(2)) == base.exchange_edges != []
 
 
 def _exchange_pair(sets, a, b):
