@@ -4,8 +4,13 @@ Knitting starts from the projectives and repeatedly completes meshes:
 for a non-injective module N whose outgoing irreducible maps are all
 known, the cokernel of the combined map N -> (direct sum of the mesh
 middles) is the translate of N.  Every module is built together with an
-explicit rational matrix representation, so an independent linear-algebra
-oracle can confirm each Hom/Ext dimension the fast mesh recursion yields.
+explicit rational matrix representation.
+
+The fast Hom and Ext^1 tables come from the translation: Hom by the mesh
+recursion, Ext^1 by the Auslander-Reiten formula.  The battery's oracles
+read the representations instead: Hom is the dimension of the
+intertwiner system, and Ext^1 follows from it and the Euler form through
+the standard projective resolution of a hereditary algebra.
 
 Conventions: representations are covariant (an arrow u -> v acts by a
 matrix from the space at u to the space at v); the projective P_i is
@@ -18,16 +23,16 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact import (
-    Mat,
-    ONE,
-    ZERO,
-    KernelSpace,
-    QuotientSpace,
-    mat_vec,
-    rank,
+from .exact import Mat, ONE, ZERO, QuotientSpace, rank
+from .quiver import (
+    Quiver,
+    DynkinClass,
+    QuiverTooLargeError,
+    classify_dynkin,
+    euler_form,
+    positive_root_count,
+    reachable,
 )
-from .quiver import Quiver, DynkinClass, QuiverTooLargeError, classify_dynkin, positive_root_count
 
 # catalog size cap: E8 has 120 modules, A31 496; the Hom/Ext tables grow as
 # its square and knitting faster still (A40 takes seconds, A80 minutes)
@@ -218,83 +223,18 @@ class ARQuiver:
         return rep_hom_dim(self.quiver, self.reps[a - 1], self.reps[b - 1])
 
     def resolution_ext_dim(self, a: int, b: int) -> int:
-        """Ext^1 dimension via an explicit projective cover and its kernel.
+        """Ext^1 dimension from the standard projective resolution.
 
-        From 0 -> K -> P0 -> M -> 0 and Ext^1(P0, N) = 0:
-        dim Ext^1(M, N) = hom(K, N) - hom(P0, N) + hom(M, N),
-        with every hom computed by the matrix oracle.
+        Over a hereditary algebra every module M has the resolution
+        0 -> (+)_{arrows i->j} P_j^{m_i} -> (+)_v P_v^{m_v} -> M -> 0, and by
+        Yoneda's lemma Hom(P_v, N) = N_v, so applying Hom(-, N) gives
+        dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N> with the Euler form
+        (Crawley-Boevey, Lectures on representations of quivers).  It reads
+        the explicit representations only, none of the tables or the
+        translation that the AR formula of ``ext_table`` is built from.
         """
-        p0, kernel = self._resolutions[a - 1]
-        q, n_rep = self.quiver, self.reps[b - 1]
-        hom = [rep_hom_dim(q, rep, n_rep) for rep in (kernel, p0, self.reps[a - 1])]
-        return hom[0] - hom[1] + hom[2]
-
-    @cached_property
-    def _resolutions(self) -> list[tuple[Rep, Rep]]:
-        """(P0, K) of 0 -> K -> P0 -> M -> 0 for each module M, by id - 1."""
-        out = []
-        for mid, m_rep in enumerate(self.reps, 1):
-            p0, cover = self._projective_cover(mid)
-            label = f"{self.dynkin}: projective cover of m{mid}"
-            out.append((p0, _kernel_subrep(self.quiver, p0, cover, m_rep, label)))
-        return out
-
-    def _projective_cover(self, mid: int) -> tuple[Rep, list[Mat]]:
-        """Explicit cover P0 -> M: per-vertex matrices of the cover map."""
-        q = self.quiver
-        n = q.vertex_count
-        m_rep = self.reps[mid - 1]
-        # top multiplicities: coordinates of M_v not hit by incoming arrows
-        tops: list[tuple[int, int]] = []  # (vertex 1-based, coordinate)
-        for v in range(1, n + 1):
-            image_rows: Mat = []
-            for idx, (s, t) in enumerate(q.arrows):
-                if t == v:
-                    mat = m_rep.maps[idx]
-                    for j in range(m_rep.dims[s - 1]):
-                        image_rows.append([mat[i][j] for i in range(m_rep.dims[v - 1])])
-            quo = QuotientSpace(image_rows, m_rep.dims[v - 1])
-            tops.extend((v, c) for c in quo.coords_idx)
-        summands = [self.reps[self.projectives[v] - 1] for v, _ in tops]
-        p0, offsets = rep_direct_sum(q, summands)
-        cover: list[Mat] = []
-        for w in range(1, n + 1):
-            mat = [[ZERO] * p0.dims[w - 1] for _ in range(m_rep.dims[w - 1])]
-            for copy, (v, c) in enumerate(tops):
-                pv = summands[copy]
-                if pv.dims[w - 1] == 0:
-                    continue
-                # hom P_v -> M from the coordinate vector e_c in M_v,
-                # pushed along the unique path v -> w
-                column = self._path_image(m_rep, v, w, c)
-                col_idx = offsets[copy][w - 1]
-                for i in range(m_rep.dims[w - 1]):
-                    mat[i][col_idx] = column[i]
-            cover.append(mat)
-        return p0, cover
-
-    def _path_image(self, m_rep: Rep, v: int, w: int, coord: int):
-        """Image of the coord-th basis vector of M_v under the path v -> w."""
-        vec = [ZERO] * m_rep.dims[v - 1]
-        vec[coord] = ONE
-        for arrow_idx in self._path_steps[(v, w)]:
-            vec = mat_vec(m_rep.maps[arrow_idx], vec)
-        return vec
-
-    @cached_property
-    def _path_steps(self) -> dict[tuple[int, int], list[int]]:
-        """Arrow-index sequences of all directed paths (unique on a tree)."""
-        paths: dict[tuple[int, int], list[int]] = {}
-        for v in range(1, self.quiver.vertex_count + 1):
-            paths[(v, v)] = []
-            frontier = [v]
-            while frontier:
-                u = frontier.pop()
-                for idx, (s, t) in enumerate(self.quiver.arrows):
-                    if s == u and (v, t) not in paths:
-                        paths[(v, t)] = paths[(v, u)] + [idx]
-                        frontier.append(t)
-        return paths
+        dims_a, dims_b = self.reps[a - 1].dims, self.reps[b - 1].dims
+        return self.matrix_hom_dim(a, b) - euler_form(self.quiver, dims_a, dims_b)
 
     # -- knitting -------------------------------------------------------
 
@@ -306,8 +246,8 @@ class ARQuiver:
         for s, t in q.arrows:
             succ[s].append(t)
             pred[t].append(s)
-        reach = {v: _closure(v, succ) for v in succ}
-        coreach = {v: _closure(v, pred) for v in pred}
+        reach = {v: reachable(v, succ) for v in succ}
+        coreach = {v: reachable(v, pred) for v in pred}
         inj_dv = {
             tuple(1 if u in coreach[v] else 0 for u in range(1, n + 1)): v
             for v in range(1, n + 1)
@@ -435,18 +375,6 @@ class ARQuiver:
             raise self._error(f"mesh cokernel at m{nid} is decomposable")
 
 
-def _closure(v: int, adjacency: dict[int, list[int]]) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _projective_rep(q: Quiver, support: set[int]) -> Rep:
     dims = tuple(1 if v in support else 0 for v in range(1, q.vertex_count + 1))
     maps = []
@@ -471,20 +399,3 @@ def _projective_irr_map(q: Quiver, src_support: set[int], tgt_support: set[int])
             maps.append([])
     return maps
 
-
-def _kernel_subrep(q: Quiver, big: Rep, cover: list[Mat], m_rep: Rep, label: str) -> Rep:
-    """Kernel of the cover map as an explicit subrepresentation."""
-    n = q.vertex_count
-    kernels: list[KernelSpace] = []
-    for v in range(n):
-        kernels.append(KernelSpace(cover[v], big.dims[v]))
-        if kernels[v].dim != big.dims[v] - m_rep.dims[v]:
-            raise KnittingError(f"{label} is not surjective")
-    dims = tuple(k.dim for k in kernels)
-    maps = []
-    for idx, (s, t) in enumerate(q.arrows):
-        s -= 1
-        t -= 1
-        cols = [kernels[t].coords(mat_vec(big.maps[idx], b)) for b in kernels[s].basis]
-        maps.append([[cols[j][i] for j in range(dims[s])] for i in range(dims[t])])
-    return Rep(dims, tuple(maps))

@@ -51,7 +51,8 @@ class DerivedCategory:
     def parse_object(self, text: str) -> DObject:
         m = _OBJECT_RE.match(text.strip())
         if not m:
-            raise ObjectSyntaxError(f"bad object syntax {text!r}; expected e.g. m3[-1]")
+            shown = text if len(text) <= 24 else f"{text.strip()[:24]}..."
+            raise ObjectSyntaxError(f"bad object syntax {shown!r}; expected e.g. m3[-1]")
         module_id, shift = m.groups()
         if max(len(module_id), len(shift.lstrip("-"))) > MAX_DIGITS:
             raise ObjectSyntaxError(f"object {text.strip()[:24]}... has a number of over {MAX_DIGITS} digits")

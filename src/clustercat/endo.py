@@ -64,7 +64,7 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
     tiers = [[cat.catalog[p] for p in positions[i * size : (i + 1) * size]] for i in range(m)]
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
     same, up = (sum(cat.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
-    block = [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
+    block = _cyclic_blocks(m, same, up)
 
     reps = [cat.base.catalog[g] for g in gen]
     module_tier = all(x.shift == 0 for x in reps)
@@ -76,12 +76,16 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
     return EndoProfile(tiers, block, dim_c, dim_e, module_tier)
 
 
-def block_pattern_report(profile: EndoProfile) -> PatternReport:
-    """Compare the computed blocks against the cyclic two-layer pattern.
+def _cyclic_blocks(m: int, same: int, up: int) -> list[list[int]]:
+    """The m x m two-layer pattern: same on the diagonal, up at (i, j) with
+    i = j + 1 mod m, zero elsewhere; at m = 1 both land in the one block."""
+    return [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
 
-    Expected: dim_c on the diagonal, dim_e at (i, j) with i = j+1 mod m,
-    zero elsewhere; at m = 1 both land in the single block.  Deviations
-    are reported, never repaired.
+
+def block_pattern_report(profile: EndoProfile) -> PatternReport:
+    """Compare the computed blocks against the cyclic two-layer pattern
+    with dim_c on the diagonal and dim_e one tier up.  Deviations are
+    reported in row-major order, never repaired.
     """
     if not profile.module_tier:
         return PatternReport(
@@ -94,14 +98,9 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
         )
     m = len(profile.block_dims)
     report = PatternReport(ok=True)
-    for i in range(m):
-        for j in range(m):
-            expected = 0
-            if i == j:
-                expected += profile.dim_c
-            if (i - j) % m == 1 % m:
-                expected += profile.dim_e
-            got = profile.block_dims[i][j]
+    pattern = _cyclic_blocks(m, profile.dim_c, profile.dim_e)
+    for i, (row, computed) in enumerate(zip(pattern, profile.block_dims)):
+        for j, (expected, got) in enumerate(zip(row, computed)):
             if got != expected:
                 report.ok = False
                 report.deviations.append(

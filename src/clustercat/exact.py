@@ -3,11 +3,14 @@
 ``rank`` takes sparse rows, ``{column: value}`` dicts of ints or
 Fractions.  It scales each row once to integers by the lcm of its
 denominators and eliminates fraction-free, dividing every reduced row by
-the gcd of its entries.  ``rref``, ``KernelSpace`` and ``QuotientSpace``
-take dense rows of ints or Fractions and keep an entry an int until a
-division by a pivot other than 1 or -1 makes it a Fraction, so integral
-representations are reduced without building Fractions; shapes with zero
-rows or columns are legal everywhere.
+the gcd of its entries; it solves the intertwiner systems of the Hom
+oracle.  ``rref`` and ``QuotientSpace`` take dense rows of ints or
+Fractions and keep an entry an int until a division by a pivot other
+than 1 or -1 makes it a Fraction, so integral representations are
+reduced without building Fractions; knitting takes each mesh cokernel
+with a ``QuotientSpace``.  Shapes with zero rows or columns are legal
+everywhere.  ``KernelSpace``, the solution space of a dense system, has
+no caller in the package; it stays for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ Row = list[int | Fraction]
 Mat = list[Row]
 
 ZERO, ONE = 0, 1
-
-
-def mat_vec(a: Mat, v: Row) -> Row:
-    return [sum((row[t] * v[t] for t in range(len(v))), ZERO) for row in a]
 
 
 def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
@@ -76,7 +75,10 @@ def rank(rows: list[dict[int, int | Fraction]]) -> int:
 
 
 class KernelSpace:
-    """Solution space of A x = 0, with coordinates along the free columns."""
+    """Solution space of A x = 0, with coordinates along the free columns.
+
+    Nothing in the package calls it.  It is kept because the benchmark
+    tracer (perfbench/tracing.py) wraps it as a class of the exact layer."""
 
     def __init__(self, rows: Mat, width: int):
         ech, pivots = rref(rows, width)

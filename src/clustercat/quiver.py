@@ -171,16 +171,21 @@ def _check_connected(q: Quiver) -> None:
     for s, t in q.arrows:
         adj[s].add(t)
         adj[t].add(s)
-    stack, seen = [1], {1}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen = reachable(1, adj)
     if len(seen) != q.vertex_count:
         missing = [v for v in adj if v not in seen]
         raise DisconnectedQuiverError(f"vertices {_few(missing)} unreachable from vertex 1")
+
+
+def reachable(start, adjacency) -> set:
+    """Vertices reachable from start, where adjacency[u] lists u's neighbours."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _few(vertices: list[int], shown: int = 8) -> str:

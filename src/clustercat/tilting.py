@@ -18,6 +18,7 @@ accepts each rigid n-set that ``tilting_sets`` enumerates.
 from __future__ import annotations
 
 from .orbit import OrbitCategory, mask_of
+from .quiver import reachable
 
 
 class NotRigidError(ValueError):
@@ -36,13 +37,7 @@ def is_connected(count: int, edges) -> bool:
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == count
+    return len(reachable(0, adjacency)) == count
 
 
 def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[tuple[int, ...]]:

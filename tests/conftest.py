@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import clustercat as cc
@@ -42,3 +45,12 @@ def module_id(ar, dim_vector) -> int:
 def module_obj(cat, dim_vector, shift: int = 0) -> int:
     """Catalog position of the orbit category's object by module dimension vector."""
     return cat.canonicalize(DObject(module_id(cat.ar, dim_vector), shift))
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file: perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -127,6 +127,14 @@ def test_hom_object_with_too_many_digits_exits_2_in_one_line(capsys, a2_path, op
     assert err == f"error: object {digits} has a number of over {derived.MAX_DIGITS} digits\n"
 
 
+def test_hom_long_malformed_object_exits_2_in_one_short_line(capsys, a2_path):
+    code, out, err = run(capsys, "hom", "--quiver", a2_path, "m1[0]", "x" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad object syntax '{'x' * 24}...'; expected e.g. m3[-1]\n"
+    assert len(err.encode()) < 200
+
+
 def test_hom_single_object_usage_error(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["hom", "--quiver", a2_path, "m1[0]"])

@@ -1,17 +1,19 @@
 """Fast paths that skip repeated work, against the definitions they replace.
 
 The endomorphism blocks and exchange layers are read from the four
-base-domain ``layers`` by tier gap, ``complements`` AND-s the members'
-ext-vanishing masks once, and ``resolution_ext_dim`` resolves each module
-once.  The battery reads the exchange graph in the modulus-1 category: it
-completes each almost tilting object and scans subsets once per quiver,
-checks each lift once per modulus in ``lift-check`` only, and reads each
-exchange pair's Ext^1 at the two positions where the edge's ends differ,
-without scanning the tilting objects.  A lift is its generator; each check lays out the summands it
-needs with ``build_twist_stable``.  The old definitions stay here, inline,
-as oracles; the work-count tests pin the calls the fast paths no longer
-make.  The tables tiled by tier gap are checked against ``dim`` in
-test_orbit.py.
+base-domain ``layers`` by tier gap, and ``complements`` AND-s the members'
+ext-vanishing masks once.  The Ext^1 oracle ``resolution_ext_dim`` reads
+the representations and the Euler form, never the AR-formula table it
+checks, and ``ar`` reaches neither oracle.  The battery reads the
+exchange graph in the modulus-1 category: it completes each almost
+tilting object and scans subsets once per quiver, checks each lift once
+per modulus in ``lift-check`` only, and reads each exchange pair's Ext^1
+at the two positions where the edge's ends differ, without scanning the
+tilting objects.  A lift is its generator; each check lays out the
+summands it needs with ``build_twist_stable``.  The old definitions stay
+here, inline, as oracles; the work-count tests pin the calls the fast
+paths no longer make.  The tables tiled by tier gap are checked against
+``dim`` in test_orbit.py.
 """
 
 from collections import Counter
@@ -109,22 +111,6 @@ def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
                     assert got == _layer_by_pairs(cat, one, swapped) == cat.modulus * len(swapped)
 
 
-def test_one_projective_cover_per_module_over_a_resolution_sweep(monkeypatch):
-    calls = Counter()
-    cover = cc.ARQuiver._projective_cover
-
-    def counted(self, mid):
-        calls[mid] += 1
-        return cover(self, mid)
-
-    monkeypatch.setattr(cc.ARQuiver, "_projective_cover", counted)
-    ar = cc.ARQuiver(cc.parse_quiver(D4))
-    for a in ar.modules:
-        for b in ar.modules:
-            assert ar.resolution_ext_dim(a.id, b.id) == ar.ext_dim(a.id, b.id)
-    assert calls == {m.id: 1 for m in ar.modules}
-
-
 def test_complements_make_no_tilting_checks(monkeypatch):
     calls = Counter()
     check = tilting.cluster_tilting_check
@@ -177,7 +163,8 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
     def unreachable(*args):
         raise AssertionError("ar reached a stage it does not need")
 
-    monkeypatch.setattr(cc.ARQuiver, "_projective_cover", unreachable)
+    monkeypatch.setattr(cc.ARQuiver, "resolution_ext_dim", unreachable)
+    monkeypatch.setattr(cc.ARQuiver, "matrix_hom_dim", unreachable)
     monkeypatch.setattr(cc.OrbitCategory, "layers", property(unreachable))
     monkeypatch.setattr(tilting, "cluster_tilting_check", unreachable)
     monkeypatch.setattr(endo, "endo_profile", unreachable)
@@ -187,21 +174,42 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
     assert capsys.readouterr().err == ""
 
 
-def test_ext_oracle_catches_swapped_resolutions():
-    def swap(label, ar):
-        if label == "A2#0":
-            res = ar._resolutions
-            res[0], res[-1] = res[-1], res[0]
-
-    report = run_verification(["A2"], (1, 2), tamper=swap)
-    failed = [
+def _failed_checks(report):
+    return [
         (cell["quiver"], check["name"])
         for cell in report["cells"]
         for check in cell["checks"]
         if not check["passed"]
     ]
-    assert failed == [("A2#0", "oracle-ext-equivalence")]
-    assert report["checks_failed"] == 1 and not report["passed"]
+
+
+def test_ext_oracle_reads_no_fast_table():
+    # swapping the rows of a projective and a non-projective module in the
+    # cached AR-formula table leaves the representations the oracle reads
+    def swap(label, ar):
+        if label == "A2#0":
+            table = ar.ext_table
+            table[0], table[-1] = table[-1], table[0]
+
+    failed = _failed_checks(run_verification(["A2"], (1, 2), tamper=swap))
+    assert ("A2#0", "oracle-ext-equivalence") in failed
+    assert ("A2#0", "oracle-hom-equivalence") not in failed
+    assert {label for label, _ in failed} == {"A2#0"}
+
+
+def test_both_oracles_catch_swapped_representations():
+    def swap(label, ar):
+        if label == "A2#0":
+            reps = ar.reps
+            assert reps[0].dims != reps[-1].dims
+            reps[0], reps[-1] = reps[-1], reps[0]
+
+    report = run_verification(["A2"], (1, 2), tamper=swap)
+    assert _failed_checks(report) == [
+        ("A2#0", "oracle-hom-equivalence"),
+        ("A2#0", "oracle-ext-equivalence"),
+    ]
+    assert report["checks_failed"] == 2 and not report["passed"]
 
 
 def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):

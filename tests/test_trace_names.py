@@ -6,22 +6,12 @@ every name it relies on must resolve to an attribute of the package.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import load_tracing
 
-
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_tracing = _tracing_module()
+_tracing = load_tracing()
 _NAMES = sorted(
     {name for names in (*_tracing.STAGES.values(), *_tracing.COUNTS.values()) for name in names}
 )
