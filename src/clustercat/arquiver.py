@@ -1,16 +1,22 @@
 """Indecomposable modules of a Dynkin path algebra via AR-quiver knitting.
 
-Knitting starts from the projectives and repeatedly completes meshes:
-for a non-injective module N whose outgoing irreducible maps are all
-known, the cokernel of the combined map N -> (direct sum of the mesh
-middles) is the translate of N.  Every module is built together with an
-explicit rational matrix representation.
+The knit works on dimension vectors alone (the knitting procedure,
+Assem-Simson-Skowronski, Elements of the Representation Theory of
+Associative Algebras 1, ch. IV).  It starts from the projectives, whose
+dimension vectors are the path supports of the quiver, and repeatedly
+completes meshes: for a non-injective module N whose outgoing irreducible
+maps are all known, tau^{-1}(N) has the dimension vector of the mesh
+middles' sum less that of N.  By Gabriel's theorem the dimension vectors
+met are exactly the positive roots, so each must have Tits form 1.
 
 The fast Hom and Ext^1 tables come from the translation: Hom by the mesh
-recursion, Ext^1 by the Auslander-Reiten formula.  The battery's oracles
-read the representations instead: Hom is the dimension of the
-intertwiner system, and Ext^1 follows from it and the Euler form through
-the standard projective resolution of a hereditary algebra.
+recursion, a row per module, Ext^1 by the Auslander-Reiten formula.  The
+battery's oracles read explicit rational matrix representations instead,
+built on first use by ``reps``, which replays the knitted meshes: each
+translate is the cokernel of N -> (direct sum of the mesh middles).  Hom
+is the dimension of the intertwiner system, and Ext^1 follows from it and
+the Euler form through the standard projective resolution of a hereditary
+algebra.  Only the representations import ``exact``.
 
 Conventions: representations are covariant (an arrow u -> v acts by a
 matrix from the space at u to the space at v); the projective P_i is
@@ -20,10 +26,11 @@ vertices that reach i.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
-from typing import NamedTuple
+from operator import add
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import Mat, ONE, ZERO, QuotientSpace, rank
 from .quiver import (
     Quiver,
     DynkinClass,
@@ -34,8 +41,13 @@ from .quiver import (
     reachable,
 )
 
-# catalog size cap: E8 has 120 modules, A31 496; the Hom/Ext tables grow as
-# its square and knitting faster still (A40 takes seconds, A80 minutes)
+if TYPE_CHECKING:
+    from .exact import Mat
+
+# catalog size cap: E8 has 120 modules, A31 496.  The Hom/Ext tables and
+# the ``ar`` payload grow as its square: on one core of a 2-vCPU x86 VM,
+# A31 knits in 0.02 s, builds its tables in 0.05 s and prints 4.8 MB of
+# ``ar`` JSON in 0.6 s all told; the oracles' matrix replay takes 0.4 s
 MAX_MODULES = 500
 
 
@@ -77,6 +89,8 @@ def rep_hom_dim(q: Quiver, a: Rep, b: Rep) -> int:
     row {unknown: coefficient} holding only its nonzero entries; ``rank``
     scales the rows to integers and eliminates without fractions.
     """
+    from .exact import rank
+
     n = q.vertex_count
     offsets = []
     total = 0
@@ -119,7 +133,7 @@ def rep_direct_sum(q: Quiver, reps: list[Rep]) -> tuple[Rep, list[list[int]]]:
     for idx, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
-        m = [[ZERO] * dims[s] for _ in range(dims[t])]
+        m = [[0] * dims[s] for _ in range(dims[t])]
         for r, off in zip(reps, offsets):
             block = r.maps[idx]
             for i in range(r.dims[t]):
@@ -127,6 +141,19 @@ def rep_direct_sum(q: Quiver, reps: list[Rep]) -> tuple[Rep, list[list[int]]]:
                     m[off[t] + i][off[s] + j] = block[i][j]
         maps.append(m)
     return Rep(dims, tuple(maps)), offsets
+
+
+def _path_supports(q: Quiver) -> list[tuple[int, ...]]:
+    """Per vertex v, the 0/1 vector of the vertices that a path from v reaches."""
+    succ = {v: [] for v in range(1, q.vertex_count + 1)}
+    for s, t in q.arrows:
+        succ[s].append(t)
+    return [tuple(int(u in reach) for u in succ) for reach in (reachable(v, succ) for v in succ)]
+
+
+def _ones(rows: int, cols: int) -> Mat:
+    # every map between path-support spaces is 1 on the unique-path bases
+    return [[1] * cols for _ in range(rows)]
 
 
 class ARQuiver:
@@ -141,14 +168,10 @@ class ARQuiver:
                 f" at most {MAX_MODULES} are supported"
             )
         self.modules: list[IndModule] = []
-        self.reps: list[Rep] = []
         self.arrows: list[tuple[int, int]] = []
         self.tau: dict[int, int] = {}
         self.tau_inverse: dict[int, int] = {}
         self.mesh_middles: dict[int, tuple[int, ...]] = {}
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
-        self._irr_maps: dict[tuple[int, int], list[Mat]] = {}
         self._knit()
 
     # -- access -------------------------------------------------------
@@ -174,29 +197,26 @@ class ARQuiver:
 
     @cached_property
     def hom_table(self) -> list[list[int]]:
-        """hom_table[a-1][b-1] = dim Hom(M_a, M_b), by mesh recursion.
+        """hom_table[a-1][b-1] = dim Hom(M_a, M_b), by mesh recursion on rows.
 
         Base: dim Hom(P_i, N) is the i-th dimension of N.  Step, along
         the mesh 0 -> L -> E -> M -> 0:
-        dim Hom(M, N) = sum_E dim Hom(E, N) - dim Hom(L, N) + [L == N].
+        row(M) = sum_E row(E) - row(L) + e_L, as dim Hom(M, N) =
+        sum_E dim Hom(E, N) - dim Hom(L, N) + [L == N].
         """
-        size = len(self.modules)
-        table = [[0] * size for _ in range(size)]
-        for b in range(size):
-            target = self.modules[b]
-            col = [0] * (size + 1)
-            for m in self.modules:
-                if m.is_projective:
-                    col[m.id] = target.dim_vector[m.projective_vertex - 1]
-                else:
-                    l = self.tau[m.id]
-                    val = sum(col[e] for e in self.mesh_middles[l]) - col[l]
-                    if l == target.id:
-                        val += 1
-                    col[m.id] = val
-            for a in range(size):
-                table[a][b] = col[a + 1]
-        return table
+        rows: list[list[int]] = []
+        for m in self.modules:
+            if m.is_projective:
+                v = m.projective_vertex - 1
+                rows.append([x.dim_vector[v] for x in self.modules])
+                continue
+            l = self.tau[m.id]
+            row = [-h for h in rows[l - 1]]
+            for e in self.mesh_middles[l]:
+                row = list(map(add, row, rows[e - 1]))
+            row[l - 1] += 1
+            rows.append(row)
+        return rows
 
     def hom_dim(self, a: int, b: int) -> int:
         return self.hom_table[a - 1][b - 1]
@@ -236,166 +256,121 @@ class ARQuiver:
         dims_a, dims_b = self.reps[a - 1].dims, self.reps[b - 1].dims
         return self.matrix_hom_dim(a, b) - euler_form(self.quiver, dims_a, dims_b)
 
+    @cached_property
+    def reps(self) -> list[Rep]:
+        """Explicit representations, replayed along the knitted meshes.
+
+        P_i is 1 on the path support of i.  Every other module is the
+        cokernel of N -> (sum of the mesh middles) built from the
+        irreducible maps so far; its dimension must equal the knitted
+        dimension vector at every vertex, and it must be a brick.
+        """
+        from .exact import QuotientSpace
+
+        q, n = self.quiver, self.quiver.vertex_count
+        reps = [Rep(d, tuple(_ones(d[t - 1], d[s - 1]) for s, t in q.arrows)) for d in _path_supports(q)]
+        # the irreducible map of each AR arrow, one matrix per vertex
+        irr = {
+            (src, tgt): [_ones(reps[tgt - 1].dims[v], reps[src - 1].dims[v]) for v in range(n)]
+            for src, tgt in self.arrows[: len(q.arrows)]
+        }
+        for new in self.modules[n:]:
+            nid, knitted = self.tau[new.id], new.dim_vector
+            middles = self.mesh_middles[nid]
+            source, parts = reps[nid - 1], [reps[e - 1] for e in middles]
+            big, offsets = rep_direct_sum(q, parts)
+            quotients = []
+            for v in range(n):
+                # one column of N -> (sum of middles) per basis vector of N_v
+                columns = [[0] * big.dims[v] for _ in range(source.dims[v])]
+                for e, off, rep in zip(middles, offsets, parts):
+                    comp = irr[nid, e][v]
+                    for i in range(rep.dims[v]):
+                        for j in range(source.dims[v]):
+                            columns[j][off[v] + i] = comp[i][j]
+                quo = QuotientSpace(columns, big.dims[v])
+                if quo.dim != knitted[v]:
+                    text = f"mesh cokernel at m{nid} has dimension {quo.dim} at vertex {v + 1}, knitted {knitted[v]}"
+                    raise self._error("reps", text)
+                quotients.append(quo)
+
+            maps = []
+            for idx, (s, t) in enumerate(q.arrows):
+                cols = [[row[c] for row in big.maps[idx]] for c in quotients[s - 1].coords_idx]
+                maps.append(_matrix([quotients[t - 1].project(col) for col in cols], quotients[t - 1].dim))
+            reps.append(Rep(tuple(quo.dim for quo in quotients), tuple(maps)))
+            for e, off, rep in zip(middles, offsets, parts):
+                irr[e, new.id] = [
+                    _matrix([quo.project(_unit(quo.ambient, off[v] + i)) for i in range(rep.dims[v])], quo.dim)
+                    for v, quo in enumerate(quotients)
+                ]
+            if rep_hom_dim(q, reps[-1], reps[-1]) != 1:
+                raise self._error("reps", f"mesh cokernel at m{nid} is decomposable")
+        return reps
+
     # -- knitting -------------------------------------------------------
 
     def _knit(self) -> None:
-        q = self.quiver
-        n = q.vertex_count
-        succ = {v: [] for v in range(1, n + 1)}
-        pred = {v: [] for v in range(1, n + 1)}
-        for s, t in q.arrows:
-            succ[s].append(t)
-            pred[t].append(s)
-        reach = {v: reachable(v, succ) for v in succ}
-        coreach = {v: reachable(v, pred) for v in pred}
-        inj_dv = {
-            tuple(1 if u in coreach[v] else 0 for u in range(1, n + 1)): v
-            for v in range(1, n + 1)
-        }
+        q, n = self.quiver, self.quiver.vertex_count
+        inj_dv = {dv: v for v, dv in enumerate(_path_supports(q.reversed()), start=1)}
+        out, into = defaultdict(list), defaultdict(list)
 
-        for i in range(1, n + 1):
-            dv = tuple(1 if u in reach[i] else 0 for u in range(1, n + 1))
-            self.modules.append(
-                IndModule(i, dv, projective_vertex=i, injective_vertex=inj_dv.get(dv))
-            )
-            self.reps.append(_projective_rep(q, reach[i]))
-            self._out[i] = []
-            self._in[i] = []
+        def add_arrow(src: int, tgt: int) -> None:
+            self.arrows.append((src, tgt))
+            out[src].append(tgt)
+            into[tgt].append(src)
+
+        for i, dv in enumerate(_path_supports(q), start=1):
+            self.modules.append(IndModule(i, dv, projective_vertex=i, injective_vertex=inj_dv.get(dv)))
         for s, t in q.arrows:
             # an arrow s -> t of the quiver gives an irreducible map P_t -> P_s
-            self._add_arrow(t, s, _projective_irr_map(q, reach[t], reach[s]))
+            add_arrow(t, s)
+
+        def ready(mid: int) -> bool:
+            # mid's outgoing arrows are all known once each module mapping to it has its mesh
+            return all(src in self.tau_inverse or self.modules[src - 1].is_injective for src in into[mid])
 
         expected = positive_root_count(self.dynkin)
         pending = {m.id for m in self.modules if not m.is_injective}
         while pending:
-            ready = None
-            for mid in sorted(pending):
-                if all(
-                    src in self.tau_inverse or self.modules[src - 1].is_injective
-                    for src in self._in[mid]
-                ):
-                    ready = mid
-                    break
-            if ready is None:
-                raise self._error(f"no mesh ready; {len(pending)} pending from m{min(pending)}")
-            self._complete_mesh(ready, inj_dv)
-            pending.discard(ready)
-            new_id = self.tau_inverse[ready]
-            if not self.modules[new_id - 1].is_injective:
+            nid = next((mid for mid in sorted(pending) if ready(mid)), None)
+            if nid is None:
+                raise self._error("knit", f"no mesh ready; {len(pending)} pending from m{min(pending)}")
+            pending.discard(nid)
+            middles = tuple(sorted(out[nid]))
+            old = self.modules[nid - 1].dim_vector
+            new_dv = tuple(sum(self.modules[e - 1].dim_vector[v] for e in middles) - old[v] for v in range(n))
+            if min(new_dv) < 0 or euler_form(q, new_dv, new_dv) != 1:
+                raise self._error("knit", f"mesh at m{nid} produced dimension vector {new_dv}, not a positive root")
+            new_id = len(self.modules) + 1
+            self.modules.append(IndModule(new_id, new_dv, injective_vertex=inj_dv.get(new_dv)))
+            self.tau_inverse[nid] = new_id
+            self.tau[new_id] = nid
+            self.mesh_middles[nid] = middles
+            for e in middles:
+                add_arrow(e, new_id)
+            if new_dv not in inj_dv:
                 pending.add(new_id)
             if len(self.modules) > expected:
-                raise self._error(f"mesh at m{ready} exceeded the positive root count {expected}")
+                raise self._error("knit", f"mesh at m{nid} exceeded the positive root count {expected}")
 
         if len(self.modules) != expected:
-            raise self._error(f"knitted {len(self.modules)} modules, expected {expected}")
+            raise self._error("knit", f"knitted {len(self.modules)} modules, expected {expected}")
         if len(self.injectives) != n or len(self.projectives) != n:
-            raise self._error("projective/injective count mismatch")
+            raise self._error("knit", "projective/injective count mismatch")
         if len({m.dim_vector for m in self.modules}) != len(self.modules):
-            raise self._error("duplicate dimension vectors in catalog")
+            raise self._error("knit", "duplicate dimension vectors in catalog")
 
-    def _error(self, text: str) -> KnittingError:
-        return KnittingError(f"{self.dynkin}: {text}")
-
-    def _add_arrow(self, src: int, tgt: int, vertex_maps: list[Mat]) -> None:
-        if (src, tgt) in self._irr_maps:
-            raise self._error(f"multiple arrows m{src} -> m{tgt}; not multiplicity-free")
-        self.arrows.append((src, tgt))
-        self._out[src].append(tgt)
-        self._in[tgt].append(src)
-        self._irr_maps[(src, tgt)] = vertex_maps
-
-    def _complete_mesh(self, nid: int, inj_dv: dict) -> None:
-        """Create tau^{-1}(N) as the cokernel of N -> (sum of middles)."""
-        q = self.quiver
-        n = q.vertex_count
-        middles = sorted(self._out[nid])
-        if len(set(middles)) != len(middles):
-            raise self._error(f"mesh at m{nid} has a middle with multiplicity > 1")
-        n_rep = self.reps[nid - 1]
-        n_dv = self.modules[nid - 1].dim_vector
-        middle_reps = [self.reps[e - 1] for e in middles]
-        big, offsets = rep_direct_sum(q, middle_reps)
-        new_dv = tuple(
-            sum(r.dims[v] for r in middle_reps) - n_dv[v] for v in range(n)
-        )
-        if any(d < 0 for d in new_dv) or not any(new_dv):
-            raise self._error(f"mesh at m{nid} produced dimension vector {new_dv}")
-
-        # combined source map f: N -> big, stacked per vertex
-        quotients: list[QuotientSpace] = []
-        for v in range(n):
-            f_v = [[ZERO] * n_rep.dims[v] for _ in range(big.dims[v])]
-            for e, off, rep in zip(middles, offsets, middle_reps):
-                comp = self._irr_maps[(nid, e)][v]
-                for i in range(rep.dims[v]):
-                    for j in range(n_rep.dims[v]):
-                        f_v[off[v] + i][j] = comp[i][j]
-            columns = [[f_v[i][j] for i in range(big.dims[v])] for j in range(n_rep.dims[v])]
-            quo = QuotientSpace(columns, big.dims[v])
-            if quo.dim != new_dv[v]:
-                raise self._error(f"mesh map at m{nid} not injective at vertex {v + 1}")
-            quotients.append(quo)
-
-        maps = []
-        for idx, (s, t) in enumerate(q.arrows):
-            s -= 1
-            t -= 1
-            cols = []
-            for c in quotients[s].coords_idx:
-                vec = [big.maps[idx][i][c] for i in range(big.dims[t])]
-                cols.append(quotients[t].project(vec))
-            maps.append([[cols[j][i] for j in range(new_dv[s])] for i in range(new_dv[t])])
-        new_rep = Rep(new_dv, tuple(maps))
-
-        new_id = len(self.modules) + 1
-        self.modules.append(
-            IndModule(new_id, new_dv, injective_vertex=inj_dv.get(new_dv))
-        )
-        self.reps.append(new_rep)
-        self._out[new_id] = []
-        self._in[new_id] = []
-        self.tau_inverse[nid] = new_id
-        self.tau[new_id] = nid
-        self.mesh_middles[nid] = tuple(middles)
-
-        for e, off, rep in zip(middles, offsets, middle_reps):
-            proj_maps = []
-            for v in range(n):
-                cols = []
-                for i in range(rep.dims[v]):
-                    vec = [ZERO] * big.dims[v]
-                    vec[off[v] + i] = ONE
-                    cols.append(quotients[v].project(vec))
-                proj_maps.append(
-                    [[cols[j][i] for j in range(rep.dims[v])] for i in range(new_dv[v])]
-                )
-            self._add_arrow(e, new_id, proj_maps)
-
-        if rep_hom_dim(q, new_rep, new_rep) != 1:
-            raise self._error(f"mesh cokernel at m{nid} is decomposable")
+    def _error(self, stage: str, text: str) -> KnittingError:
+        return KnittingError(f"{self.dynkin}: {stage}: {text}")
 
 
-def _projective_rep(q: Quiver, support: set[int]) -> Rep:
-    dims = tuple(1 if v in support else 0 for v in range(1, q.vertex_count + 1))
-    maps = []
-    for s, t in q.arrows:
-        if s in support and t in support:
-            maps.append([[ONE]])
-        else:
-            maps.append([[] for _ in range(dims[t - 1])])
-    return Rep(dims, tuple(maps))
+def _unit(size: int, at: int) -> list[int]:
+    vec = [0] * size
+    vec[at] = 1
+    return vec
 
 
-def _projective_irr_map(q: Quiver, src_support: set[int], tgt_support: set[int]) -> list[Mat]:
-    # P_j -> P_i for an arrow i -> j: on the unique-path bases every
-    # component between nonzero spaces is the scalar 1
-    maps = []
-    for v in range(1, q.vertex_count + 1):
-        if v in src_support and v in tgt_support:
-            maps.append([[ONE]])
-        elif v in tgt_support:
-            maps.append([[]])
-        else:
-            maps.append([])
-    return maps
-
+def _matrix(columns: list[list], height: int) -> Mat:
+    """The matrix with these columns, each of this height."""
+    return [[col[i] for col in columns] for i in range(height)]

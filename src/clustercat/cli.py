@@ -22,8 +22,8 @@ import sys
 from contextlib import nullcontext
 
 from .arquiver import ARQuiver
-from .derived import DerivedCategory, ObjectSyntaxError
-from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, cluster_number, load_quiver
+from .derived import MAX_DIGITS, DerivedCategory, ObjectSyntaxError
+from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, cluster_number, load_quiver, shown
 
 SCHEMA_VERSION = 1
 
@@ -47,6 +47,8 @@ def main(argv=None) -> int:
             fh.write(text + "\n")
         return code
     except (QuiverError, ObjectSyntaxError, UsageError, OSError) as exc:
+        if getattr(exc, "filename", None) is not None:  # a path as the user gave it
+            exc.filename = shown(str(exc.filename))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - a bug, reported without a traceback
@@ -98,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(handler=_cmd_graph)
 
     p_endo = add("endo", "endomorphism block-dimension report", ["json"])
-    p_endo.add_argument("vertex", type=int, help="1-based tilting-object index")
+    p_endo.add_argument("vertex", help="1-based tilting-object index")
     p_endo.set_defaults(handler=_cmd_endo)
 
     p_verify = add("verify", "run the invariant battery", ["json"], needs_quiver=False, needs_m=False)
@@ -111,13 +113,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid positive integer {shown(text)!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _category(args):
+    from .orbit import MAX_CATALOG
+
+    if args.m > MAX_CATALOG:  # past any catalog: refused before a message quotes m
+        raise UsageError(f"--m {shown(str(args.m))} exceeds the catalog cap {MAX_CATALOG}")
     q = load_quiver(args.quiver)
     derived = DerivedCategory(ARQuiver(q))
     return derived.orbit(args.m)
@@ -283,16 +292,17 @@ def _cmd_endo(args, parser):
     from .endo import block_pattern_report, endo_profile
     from .tilting import enumerate_cluster_tilting
 
+    vertex = int(args.vertex) if args.vertex.isdecimal() and len(args.vertex) <= MAX_DIGITS else 0
     cat = _category(args)
     tiltings = enumerate_cluster_tilting(cat.base)
-    if not 1 <= args.vertex <= len(tiltings):
-        raise UsageError(f"vertex index {args.vertex} out of range 1..{len(tiltings)}")
-    generator = tiltings[args.vertex - 1]
+    if not 1 <= vertex <= len(tiltings):
+        raise UsageError(f"vertex index {shown(args.vertex)} out of range 1..{len(tiltings)}")
+    generator = tiltings[vertex - 1]
     profile = endo_profile(cat, generator)
     report = block_pattern_report(profile)
     return 0, {
         "m": cat.modulus,
-        "vertex": f"T{args.vertex}",
+        "vertex": f"T{vertex}",
         "generator": cat.base.texts(generator),
         "tiers": [[x.text for x in tier] for tier in profile.tiers],
         "block_dims": profile.block_dims,
@@ -312,10 +322,10 @@ def _cmd_verify(args, parser):
     if args.battery is not None:
         diagrams = [token.strip().upper() for token in args.battery.split(",") if token.strip()]
         if not diagrams:
-            raise UsageError(f"--battery {args.battery!r} names no diagram")
+            raise UsageError(f"--battery {shown(args.battery)!r} names no diagram")
         unknown = [d for d in diagrams if d not in DIAGRAMS]
         if unknown:
-            parser.error(f"unknown diagrams {unknown}; choose from {list(DIAGRAMS)}")
+            parser.error(f"unknown diagrams {shown(str(unknown))}; choose from {list(DIAGRAMS)}")
     report = run_verification(diagrams=diagrams)
     return (0 if report["passed"] else 1), report
 

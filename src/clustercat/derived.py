@@ -14,6 +14,7 @@ import weakref
 from typing import NamedTuple
 
 from .arquiver import ARQuiver
+from .quiver import shown
 
 SHIFT_LIMIT = 10**6
 # no module id or shift in range needs more digits, and int() refuses past 4300
@@ -51,11 +52,10 @@ class DerivedCategory:
     def parse_object(self, text: str) -> DObject:
         m = _OBJECT_RE.match(text.strip())
         if not m:
-            shown = text if len(text) <= 24 else f"{text.strip()[:24]}..."
-            raise ObjectSyntaxError(f"bad object syntax {shown!r}; expected e.g. m3[-1]")
+            raise ObjectSyntaxError(f"bad object syntax {shown(text)!r}; expected e.g. m3[-1]")
         module_id, shift = m.groups()
         if max(len(module_id), len(shift.lstrip("-"))) > MAX_DIGITS:
-            raise ObjectSyntaxError(f"object {text.strip()[:24]}... has a number of over {MAX_DIGITS} digits")
+            raise ObjectSyntaxError(f"object {shown(text)} has a number of over {MAX_DIGITS} digits")
         return self.object(int(module_id), int(shift))
 
     def shift(self, x: DObject, t: int) -> DObject:

@@ -7,10 +7,12 @@ the gcd of its entries; it solves the intertwiner systems of the Hom
 oracle.  ``rref`` and ``QuotientSpace`` take dense rows of ints or
 Fractions and keep an entry an int until a division by a pivot other
 than 1 or -1 makes it a Fraction, so integral representations are
-reduced without building Fractions; knitting takes each mesh cokernel
-with a ``QuotientSpace``.  Shapes with zero rows or columns are legal
-everywhere.  ``KernelSpace``, the solution space of a dense system, has
-no caller in the package; it stays for the benchmark tracer.
+reduced without building Fractions; the oracles' representations take
+each cokernel of the knitted meshes with a ``QuotientSpace``.  The knit
+itself works on dimension vectors and imports nothing from here.  Shapes
+with zero rows or columns are legal everywhere.  ``KernelSpace``, the
+solution space of a dense system, has no caller in the package; it stays
+for the benchmark tracer.
 """
 
 from __future__ import annotations

@@ -89,19 +89,21 @@ def parse_quiver(text: str) -> Quiver:
             try:
                 vertex_count = int(tokens[1])
             except ValueError:
-                raise QuiverSyntaxError(f"bad vertex count {tokens[1]!r}", lineno) from None
+                raise QuiverSyntaxError(f"bad vertex count {shown(tokens[1])!r}", lineno) from None
             if vertex_count < 1:
                 raise QuiverSyntaxError("vertex count must be positive", lineno)
+            if vertex_count > MAX_QUIVER_BYTES:  # n - 1 arrow lines would not fit in a file
+                raise QuiverSyntaxError(f"vertex count {shown(tokens[1])} exceeds {MAX_QUIVER_BYTES}", lineno)
             continue
         if tokens[0] != "arrow" or len(tokens) != 3:
-            raise QuiverSyntaxError(f"expected 'arrow <i> <j>', got {line!r}", lineno)
+            raise QuiverSyntaxError(f"expected 'arrow <i> <j>', got {shown(line)!r}", lineno)
         try:
             src, tgt = int(tokens[1]), int(tokens[2])
         except ValueError:
-            raise QuiverSyntaxError(f"bad vertex index in {line!r}", lineno) from None
+            raise QuiverSyntaxError(f"bad vertex index in {shown(line)!r}", lineno) from None
         for v in (src, tgt):
             if not 1 <= v <= vertex_count:
-                raise QuiverSyntaxError(f"vertex {v} out of range 1..{vertex_count}", lineno)
+                raise QuiverSyntaxError(f"vertex {shown(str(v))} out of range 1..{vertex_count}", lineno)
         if src == tgt:
             raise QuiverCycleError(f"line {lineno}: loop at vertex {src}")
         if (src, tgt) in arrow_lines:
@@ -188,11 +190,16 @@ def reachable(start, adjacency) -> set:
     return seen
 
 
-def _few(vertices: list[int], shown: int = 8) -> str:
+def shown(text: str) -> str:
+    """User input as an error message quotes it: cut to 24 characters and '...'."""
+    return text if len(text) <= 24 else f"{text.strip()[:24]}..."
+
+
+def _few(vertices: list[int], limit: int = 8) -> str:
     """The first few of an ascending vertex list, and how many there are."""
-    if len(vertices) <= shown:
+    if len(vertices) <= limit:
         return str(vertices)
-    return f"{str(vertices[:shown])[:-1]}, ...] ({len(vertices)} in all)"
+    return f"{str(vertices[:limit])[:-1]}, ...] ({len(vertices)} in all)"
 
 
 def classify_dynkin(q: Quiver) -> DynkinClass:

@@ -183,18 +183,11 @@ def _check_module_count(ar: ARQuiver) -> str | None:
 
 
 def _check_mesh_additivity(ar: ARQuiver) -> str | None:
-    for nid, middles in ar.mesh_middles.items():
-        xid = ar.tau_inverse[nid]
-        lhs = tuple(
-            a + b
-            for a, b in zip(ar.module(nid).dim_vector, ar.module(xid).dim_vector)
-        )
-        rhs = tuple(
-            sum(ar.module(e).dim_vector[v] for e in middles)
-            for v in range(ar.quiver.vertex_count)
-        )
-        if lhs != rhs:
-            return f"mesh at m{nid}: {lhs} != {rhs}"
+    # the knit adds dimension vectors along each mesh; the replay builds
+    # every module as a matrix cokernel along the same meshes
+    for m, rep in zip(ar.modules, ar.reps):
+        if rep.dims != m.dim_vector:
+            return f"m{m.id}: knitted dimension vector {m.dim_vector}, cokernel {rep.dims}"
     return None
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat.verify import orientations
@@ -238,3 +240,31 @@ def test_ext_table_is_hom_minus_euler_form(build):
             for b in ar.modules:
                 expected = ar.hom_dim(a.id, b.id) - cc.euler_form(ar.quiver, a.dim_vector, b.dim_vector)
                 assert ar.ext_table[a.id - 1][b.id - 1] == ar.ext_dim(a.id, b.id) == expected
+
+
+_DYNKIN = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+
+
+@st.composite
+def dynkin_quivers(draw):
+    """A Dynkin diagram of rank at most 8, relabelled and randomly oriented."""
+    family, n = draw(st.sampled_from(_DYNKIN))
+    edges = [(i, i + 1) for i in range(1, n if family == "A" else n - 1)]
+    if family != "A":
+        edges.append((n - 2 if family == "D" else 3, n))
+    label = draw(st.permutations(range(1, n + 1)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arrows = [(label[b - 1], label[a - 1]) if f else (label[a - 1], label[b - 1]) for (a, b), f in zip(edges, flips)]
+    return cc.Quiver(n, tuple(arrows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dynkin_quivers(), st.data())
+def test_replayed_representations_match_the_knit_and_the_hom_rows(q, data):
+    # the matrix cokernels along the knitted meshes against the knit's
+    # dimension vectors, and the row-form Hom table against the intertwiners
+    ar = cc.ARQuiver(q)
+    assert [rep.dims for rep in ar.reps] == [m.dim_vector for m in ar.modules]
+    ids = st.integers(1, len(ar.modules))
+    for a, b in data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12)):
+        assert ar.hom_table[a - 1][b - 1] == ar.matrix_hom_dim(a, b)

@@ -135,6 +135,48 @@ def test_hom_long_malformed_object_exits_2_in_one_short_line(capsys, a2_path):
     assert len(err.encode()) < 200
 
 
+# (quiver text, command and arguments after --quiver): each echoes user input
+_LONG_INPUTS = {
+    "arrow-line": (A2 + "arrow 1 " + "x" * 200_000 + "\n", ["ar"]),
+    "keyword-line": (A2 + "y" * 200_000 + "\n", ["ar"]),
+    "vertex-count-token": ("vertices " + "z" * 100_000 + "\n", ["ar"]),
+    "vertex-count-digits": ("vertices " + "9" * 4000 + "\n", ["ar"]),
+    "vertex-index": (A2 + "arrow 1 " + "9" * 4000 + "\n", ["ar"]),
+    "modulus": (A2, ["ind", "--m", "9" * 3000]),
+    "endo-vertex": (A2, ["endo", "9" * 5000]),
+    "object-number": (A2, ["hom", "m1[0]", "m" + "1" * 5000 + "[0]"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_INPUTS))
+def test_long_input_is_refused_in_one_short_line(capsys, tmp_path, case):
+    text, (command, *rest) = _LONG_INPUTS[case]
+    p = tmp_path / "q.quiver"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--quiver", str(p), *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+def test_long_quiver_path_is_refused_in_one_short_line(capsys, tmp_path):
+    code, out, err = run(capsys, "ar", "--quiver", str(tmp_path / ("q" * 5000)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.endswith("...'\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_modulus_past_the_int_limit_is_a_short_usage_error(capsys, a2_path):
+    # int() refuses over 4300 digits, so the parser reports it, quoting 24
+    with pytest.raises(SystemExit) as info:
+        main(["ind", "--quiver", a2_path, "--m", "9" * 5000])
+    assert info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"clustercat ind: error: argument --m: invalid positive integer '{'9' * 24}...'"
+
+
 def test_hom_single_object_usage_error(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["hom", "--quiver", a2_path, "m1[0]"])
@@ -431,19 +473,22 @@ def test_oversized_dynkin_quiver_fails_fast_in_one_line(capsys, tmp_path):
 
 
 def test_knitting_error_exits_3_naming_type_and_mesh(capsys, a2_path, monkeypatch):
-    # a brick check that always fails; on A2 the first mesh is at m2 = P_2
-    monkeypatch.setattr(arquiver, "rep_hom_dim", lambda q, a, b: 2)
+    # a Tits form that is never 1; on A2 the first mesh is at m2 = P_2
+    monkeypatch.setattr(arquiver, "euler_form", lambda q, d, e: 2)
     code, out, err = run(capsys, "ar", "--quiver", a2_path)
     assert code == 3
     assert out == ""
-    assert err == "error: internal: KnittingError: A2: mesh cokernel at m2 is decomposable\n"
+    assert err == (
+        "error: internal: KnittingError: A2: knit: mesh at m2 produced dimension vector (1, 0),"
+        " not a positive root\n"
+    )
 
 
 def test_unexpected_exception_exits_3_without_traceback(capsys, a3_path, monkeypatch):
-    def broken(self, nid, inj_dv):
+    def broken(self):
         raise ZeroDivisionError("division by zero\nin a mesh")
 
-    monkeypatch.setattr(arquiver.ARQuiver, "_complete_mesh", broken)
+    monkeypatch.setattr(arquiver.ARQuiver, "_knit", broken)
     code, out, err = run(capsys, "tilting", "--quiver", a3_path)
     assert code == 3
     assert out == ""
@@ -559,6 +604,20 @@ def test_ar_loads_no_layer_it_does_not_use(tmp_path):
     assert "clustercat.arquiver" in after_ar.split()
     assert not unused & set(after_ar.split())
     assert json.loads(out_path.read_text(encoding="utf-8"))["dynkin"] == {"family": "A", "rank": 3}
+
+
+def test_ar_loads_neither_exact_nor_fractions(tmp_path):
+    # the knit and the Hom table work on dimension vectors; only the
+    # battery's oracles build matrix representations through exact
+    quiver_path = tmp_path / "d4.quiver"
+    quiver_path.write_text(D4, encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from clustercat.cli import main\n"
+        f"assert main(['ar', '--quiver', {str(quiver_path)!r}, '--out', {str(tmp_path / 'ar.json')!r}]) == 0\n"
+        "print('clustercat.exact' in sys.modules, 'fractions' in sys.modules)\n"
+    )
+    assert _fresh_stdout(code) == "False False\n"
 
 
 def test_verify_help_names_the_battery_diagrams(capsys):

@@ -4,24 +4,25 @@ The endomorphism blocks and exchange layers are read from the four
 base-domain ``layers`` by tier gap, and ``complements`` AND-s the members'
 ext-vanishing masks once.  The Ext^1 oracle ``resolution_ext_dim`` reads
 the representations and the Euler form, never the AR-formula table it
-checks, and ``ar`` reaches neither oracle.  The battery reads the
-exchange graph in the modulus-1 category: it completes each almost
-tilting object and scans subsets once per quiver, checks each lift once
-per modulus in ``lift-check`` only, and reads each exchange pair's Ext^1
-at the two positions where the edge's ends differ, without scanning the
-tilting objects.  A lift is its generator; each check lays out the
-summands it needs with ``build_twist_stable``.  The old definitions stay
-here, inline, as oracles; the work-count tests pin the calls the fast
-paths no longer make.  The tables tiled by tier gap are checked against
-``dim`` in test_orbit.py.
+checks, and ``ar`` reaches neither oracle nor the representations.  The
+battery reads the exchange graph in the modulus-1 category: it completes
+each almost tilting object and scans subsets once per quiver, checks
+each lift once per modulus in ``lift-check`` only, and reads each
+exchange pair's Ext^1 at the two positions where the edge's ends differ,
+without scanning the tilting objects.  A lift is its generator; each
+check lays out the summands it needs with ``build_twist_stable``.  The
+old definitions stay here, inline, as oracles; the work-count tests pin
+the calls the fast paths no longer make.  The tables tiled by tier gap
+are checked against ``dim`` in test_orbit.py.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
 import clustercat as cc
-from clustercat import cli, endo, tilting, verify
+from clustercat import arquiver, cli, endo, tilting, verify
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import TILTING_COUNTS, orientations, run_verification
@@ -165,6 +166,7 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
 
     monkeypatch.setattr(cc.ARQuiver, "resolution_ext_dim", unreachable)
     monkeypatch.setattr(cc.ARQuiver, "matrix_hom_dim", unreachable)
+    monkeypatch.setattr(cc.ARQuiver, "reps", property(unreachable))
     monkeypatch.setattr(cc.OrbitCategory, "layers", property(unreachable))
     monkeypatch.setattr(tilting, "cluster_tilting_check", unreachable)
     monkeypatch.setattr(endo, "endo_profile", unreachable)
@@ -204,12 +206,47 @@ def test_both_oracles_catch_swapped_representations():
             assert reps[0].dims != reps[-1].dims
             reps[0], reps[-1] = reps[-1], reps[0]
 
+    # mesh-additivity compares the same representations with the knit
     report = run_verification(["A2"], (1, 2), tamper=swap)
     assert _failed_checks(report) == [
+        ("A2#0", "mesh-additivity"),
         ("A2#0", "oracle-hom-equivalence"),
         ("A2#0", "oracle-ext-equivalence"),
     ]
-    assert report["checks_failed"] == 2 and not report["passed"]
+    assert report["checks_failed"] == 3 and not report["passed"]
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["projective", "translate"])
+def test_mesh_additivity_catches_a_corrupted_knitted_dimension_vector(index):
+    # a projective's representation comes from the quiver's paths, a
+    # translate's from the replayed cokernel; neither reads the knit
+    def corrupt(label, ar):
+        if label == "A2#0":
+            m = ar.modules[index]
+            ar.modules[index] = m._replace(dim_vector=tuple(d + 1 for d in m.dim_vector))
+
+    report = run_verification(["A2"], (1,), tamper=corrupt)
+    failed = _failed_checks(report)
+    assert ("A2#0", "mesh-additivity") in failed
+    assert {label for label, _ in failed} == {"A2#0"}
+
+
+def test_failed_brick_test_in_the_replay_is_a_failed_battery(monkeypatch, capsys):
+    # every replayed cokernel looks decomposable: the checks that read the
+    # representations fail, and verify exits 1, not 3
+    monkeypatch.setattr(arquiver, "rep_hom_dim", lambda q, a, b: 2)
+    assert cli.main(["verify", "--battery", "A2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert {name for _, name in _failed_checks(report)} == {
+        "mesh-additivity",
+        "oracle-hom-equivalence",
+        "oracle-ext-equivalence",
+    }
+    details = {c["detail"] for cell in report["cells"] for c in cell["checks"] if not c["passed"]}
+    # the first mesh of A2#0 is at P_2 = m2, that of A2#1 at P_1 = m1
+    assert details == {f"check raised KnittingError: A2: reps: mesh cokernel at m{k} is decomposable" for k in (1, 2)}
 
 
 def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
