@@ -7,8 +7,8 @@ outputs are deterministic.
 
 A handler computes its result and returns ``(exit_code, result)``, where
 the result is a JSON payload dict or a list of text lines; ``main`` alone
-checks ``--format``, stamps ``schema_version`` first in every payload,
-encodes, writes once to stdout or ``--out`` and returns the exit code.
+stamps ``schema_version`` first in every payload, encodes, writes once to
+stdout or ``--out`` and returns the exit code.
 A usage error the parser cannot see raises ``UsageError``, reported like
 an ingestion error.  A handler imports the layers past ``derived`` that it
 uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
@@ -35,8 +35,6 @@ class UsageError(Exception):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format not in args.formats:
-        parser.error(f"--format {args.format} not supported by this command")
     try:
         code, result = args.handler(args, parser)
         if isinstance(result, dict):
@@ -57,8 +55,18 @@ def main(argv=None) -> int:
         return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message):
+        # argparse quotes a bad choice or the unrecognized arguments whole: one line, cut to 160 bytes
+        line = " ".join(message.split()).encode("utf-8", "backslashreplace")
+        line = line if len(line) <= 160 else line[:157] + b"..."
+        self.exit(2, f"{self.prog}: error: {line.decode('utf-8', 'ignore')}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clustercat",
         description="orbit categories of Dynkin path algebras: catalogs, "
         "Hom/Ext tables, tilting objects, exchange graphs",
@@ -75,12 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument(
             "--format",
-            choices=["json", "tsv", "dot"],
+            choices=formats,
             default="json",
-            help=f"output format; this command accepts {'|'.join(formats)}",
+            help="output format (default json)",
         )
         p.add_argument("--out", help="output path (default: standard output)")
-        p.set_defaults(formats=formats)
         return p
 
     p_ar = add("ar", "module catalog, translation pairs, irreducible arrows", ["json", "tsv"], needs_m=False)

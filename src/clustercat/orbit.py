@@ -219,16 +219,8 @@ class OrbitCategory:
 
     def is_rigid(self, positions: list[int]) -> bool:
         """True iff ext1 vanishes both ways between the given positions, each with itself too."""
-        return mask_of(positions) & ~self.compatible_with_all(positions) == 0
-
-    def compatible_with_all(self, positions: tuple[int, ...]) -> int:
-        """Mask of the positions whose ext1 with each given position vanishes
-        both ways; it contains the given ones when they are rigid."""
-        compat = self.compat_mask
-        out = (1 << len(compat)) - 1
-        for p in positions:
-            out &= compat[p]
-        return out
+        mask = mask_of(positions)
+        return all(self.compat_mask[p] & mask == mask for p in positions)
 
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
         """Every nonempty rigid set of at most n positions (n the number of
@@ -272,25 +264,22 @@ class OrbitCategory:
     def exchange_edges(self) -> list[tuple[int, int]]:
         """Index pairs (i < k) of tilting_sets that differ by one mutation.
 
-        Dropping p from a tilting set T leaves an almost complete one with
-        exactly two complements (Buan-Marsh-Reineke-Reiten-Todorov): p and
-        its partner, the single position outside T compatible with all of
-        T - p.
+        An almost complete tilting set has exactly two complements
+        (Buan-Marsh-Reineke-Reiten-Todorov), so each T - p lies in exactly
+        two tilting sets, the ends of an edge.  Only tilting_sets is read;
+        the battery's oracle ``tilting.near_complements`` uses Ext^1.
         """
-        masks = [mask_of(t) for t in self.tilting_sets]
-        index = {mask: i for i, mask in enumerate(masks)}
-        edges, common = set(), self.compatible_with_all
-        for i, (t, mask) in enumerate(zip(self.tilting_sets, masks)):
-            for j, p in enumerate(t):
-                partner = common(t[:j] + t[j + 1 :]) & ~mask
-                k = index.get(mask ^ (1 << p) | partner) if partner.bit_count() == 1 else None
-                if k is None:
-                    raise RuntimeError(
-                        f"{self.quiver_label}: dropping {self.catalog[p].text} from T{i + 1} leaves"
-                        f" {partner.bit_count()} candidate partners, not one tilting neighbour"
-                    )
-                edges.add((min(i, k), max(i, k)))
-        return sorted(edges)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, t in enumerate(self.tilting_sets):
+            for j in range(len(t)):
+                groups.setdefault(t[:j] + t[j + 1 :], []).append(i)
+        for almost, found in groups.items():
+            if len(found) != 2:
+                raise RuntimeError(
+                    f"{self.quiver_label}: almost complete set {self.texts(almost)} lies in"
+                    f" {len(found)} tilting sets, expected 2"
+                )
+        return sorted(tuple(found) for found in groups.values())
 
 
 def mask_of(positions: Iterable[int]) -> int:

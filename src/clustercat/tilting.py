@@ -7,12 +7,13 @@ is its lift to modulus m; ``build_twist_stable`` lays out the lift's
 summands.  The exchange graph is a modulus-1 object at every m: the lift
 T -> T + FT + ... + F^(m-1)T is a bijection that carries mutations to
 mutations (Buan-Marsh-Reineke-Reiten-Todorov), so the vertices are
-``tilting_sets`` and the edges ``exchange_edges`` of the base.  The slow
-paths are the battery's oracles: ``near_complements`` re-derives every
-edge by completing each almost tilting object, a direct scan over
-twist-orbit unions re-derives the lifts at small rank, and
-``cluster_tilting_check`` checks every lift at modulus m.  The same check
-accepts each rigid n-set that ``tilting_sets`` enumerates.
+``tilting_sets`` and the edges ``exchange_edges`` of the base, which pairs
+the two tilting sets around each almost complete set and reads no Ext^1.
+The slow paths are the battery's oracles: ``near_complements`` re-derives
+every edge from Ext^1, sharing no code with that pairing; a direct scan
+over twist-orbit unions re-derives the lifts at small rank; and
+``cluster_tilting_check`` checks every lift at modulus m and accepts each
+rigid n-set that ``tilting_sets`` enumerates.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .endo import block_pattern_report, endo_profile, exchange_layer_dim
 
 TILTING_COUNTS = {name: cluster_number(DynkinClass(name[0], int(name[1:]))) for name in DIAGRAMS}
 
-DEFAULT_M_VALUES = (1, 2, 3)
+M_VALUES = (1, 2, 3)
 
 
 def orientations(name: str) -> list[tuple[str, Quiver]]:
@@ -50,7 +50,7 @@ def orientations(name: str) -> list[tuple[str, Quiver]]:
     return out
 
 
-def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> dict:
+def run_verification(diagrams=None, tamper=None) -> dict:
     """Run the full battery; returns a JSON-ready report dict.
 
     tamper, when given, is called as tamper(label, ar) right after each
@@ -71,8 +71,8 @@ def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> d
             derived = DerivedCategory(ar)
             once = {}  # the modulus-1 checks' details, shared by this quiver's cells
             cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
-            cells.append({**cell, "m": None, "checks": _quiver_checks(name, q, ar, derived)})
-            for m in m_values:
+            cells.append({**cell, "m": None, "checks": _quiver_checks(q, ar, derived)})
+            for m in M_VALUES:
                 cat = derived.orbit(m)  # held while the next m is built: one shared base
                 cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, once)})
     for cell in cells:
@@ -82,7 +82,7 @@ def run_verification(diagrams=None, m_values=DEFAULT_M_VALUES, tamper=None) -> d
                 failed += 1
     return {
         "battery": names,
-        "m_values": list(m_values),
+        "m_values": list(M_VALUES),
         "cells": cells,
         "checks_total": total,
         "checks_failed": failed,
@@ -109,7 +109,7 @@ def _run_check(checks: list, check_name: str, fn) -> None:
     checks.append(_result(check_name, detail))
 
 
-def _quiver_checks(name: str, q: Quiver, ar: ARQuiver, derived: DerivedCategory) -> list[dict]:
+def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory) -> list[dict]:
     checks = []
 
     def run(check_name, fn):

@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat.derived import DObject
@@ -20,6 +21,30 @@ E8 = "vertices 8\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7)) + "ar
 
 # the 23 labelled orientations of the default verify battery
 BATTERY_QUIVERS = dict(oriented for name in DIAGRAMS for oriented in orientations(name))
+
+# Dynkin trees up to rank 6 as edge lists, for tests that orient and label them at random
+TREES = {
+    "A1": (),
+    "A3": ((1, 2), (2, 3)),
+    "A5": ((1, 2), (2, 3), (3, 4), (4, 5)),
+    "D5": ((1, 2), (2, 3), (3, 4), (3, 5)),
+    "A6": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
+    "D6": ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)),
+    "E6": ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)),
+}
+
+
+@st.composite
+def oriented_trees(draw, edges):
+    """The tree with these edges under a random orientation and vertex numbering."""
+    n = len(edges) + 1
+    label = draw(st.permutations(range(1, n + 1)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arrows = tuple(
+        (label[b - 1], label[a - 1]) if flip else (label[a - 1], label[b - 1])
+        for (a, b), flip in zip(edges, flips)
+    )
+    return cc.Quiver(n, arrows)
 
 _cache: dict = {}
 

@@ -1,18 +1,22 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercat
 from clustercat import arquiver, derived, orbit, quiver, verify
 from clustercat.cli import main
 
-from conftest import A2, A3, D4
+from conftest import A2, A3, D4, TREES, oriented_trees
 
 
 @pytest.fixture
@@ -181,6 +185,37 @@ def test_hom_single_object_usage_error(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["hom", "--quiver", a2_path, "m1[0]"])
     assert info.value.code == 2
+
+
+_USAGE_ERRORS = {
+    "m-zero": (["ind", "--m", "0"], "clustercat ind: error: argument --m: must be a positive integer"),
+    "m-text": (["ind", "--m", "abc"], "clustercat ind: error: argument --m: invalid positive integer 'abc'"),
+    "no-quiver": (["ind"], "clustercat ind: error: the following arguments are required: --quiver"),
+    "battery": (
+        ["verify", "--battery", "Z9"],
+        "clustercat: error: unknown diagrams ['Z9']; choose from ['A1', 'A2', 'A3', 'A4', 'D4']",
+    ),
+    "one-object": (["hom", "m1[0]"], "clustercat: error: hom takes exactly two objects, or none for the full tables"),
+    "format": (
+        ["ind", "--format", "dot"],
+        "clustercat ind: error: argument --format: invalid choice: 'dot' (choose from 'json', 'tsv')",
+    ),
+    "command": (["frob"], "clustercat: error: argument command: invalid choice: 'frob' (choose from"),
+    "long-extra": (["ind", "x" * 5000], "clustercat: error: unrecognized arguments: xxx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_error_is_one_line(capsys, a2_path, case):
+    argv, start = _USAGE_ERRORS[case]
+    if argv[0] in ("ind", "hom") and argv != ["ind"]:
+        argv = [argv[0], "--quiver", a2_path, *argv[1:]]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(start) and err.count("\n") == 1
+    assert len(err.encode()) <= 200
 
 
 def test_tilting_listing(capsys, a3_path):
@@ -625,3 +660,80 @@ def test_verify_help_names_the_battery_diagrams(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "A1,A2,A3,A4,D4" in capsys.readouterr().out
+
+
+# -- fuzzing: every outcome is a result (exit 0) or one short line (exit 2) --
+
+_HUGE = st.integers(1, 5000).map(lambda k: "9" * k)  # past int()'s 4300-digit limit too
+_LONG = st.integers(100, 5000).map(lambda k: "x" * k)
+_GARBAGE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "0", "-1", "7", "1_0", "\u0663", "arrow", "vertices", "#", "m1", "[0]"]),
+    st.integers(-(10**30), 10**30).map(str),
+    _HUGE,
+    _LONG,
+)
+
+
+@st.composite
+def _quiver_bytes(draw):
+    """A Dynkin quiver of at most 6 vertices, oriented and labelled at random,
+    with LF or CRLF line ends; half of them corrupted by garbage lines and
+    NUL, CR, LF or non-UTF-8 bytes."""
+    q = draw(st.sampled_from(sorted(TREES)).flatmap(lambda name: oriented_trees(TREES[name])))
+    lines = [f"vertices {q.vertex_count}"] + [f"arrow {a} {b}" for a, b in q.arrows]
+    corrupt = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3)) if corrupt else 0):
+        tokens = draw(st.lists(_GARBAGE, min_size=1, max_size=3))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(tokens))
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode() + b"\n"
+    for _ in range(draw(st.integers(0, 2)) if corrupt else 0):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x00", b"\xff", b"\xc3", b"\r", b"\n"])) + data[at:]
+    return data
+
+
+_FORMATS = {
+    "ar": ["json", "tsv"],
+    "ind": ["json", "tsv"],
+    "hom": ["json", "tsv"],
+    "tilting": ["json", "tsv"],
+    "graph": ["json", "dot"],
+    "endo": ["json"],
+}
+_OBJECT = st.builds("m{}[{}]".format, st.integers(0, 40), st.integers(-6, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_quiver_bytes(), command=st.sampled_from(sorted(_FORMATS)), data=st.data())
+def test_fuzzed_input_exits_0_or_2_with_one_short_line(tmp_path_factory, text, command, data):
+    # half the runs draw flag values and operands from garbage as well
+    garbled = data.draw(st.booleans())
+
+    def draw(valid):
+        return data.draw(valid | _GARBAGE if garbled else valid)
+
+    path = tmp_path_factory.getbasetemp() / "fuzz.quiver"
+    path.write_bytes(text)
+    argv = [command, "--quiver", str(path)]
+    if command == "hom":
+        count = data.draw(st.integers(0, 3) if garbled else st.sampled_from([0, 2]))
+        argv += [draw(_OBJECT | st.builds("m{}[{}]".format, _HUGE, _HUGE)) for _ in range(count)]
+    elif command == "endo":
+        argv.append(draw(st.integers(1, 60).map(str)))
+    if command != "ar" and data.draw(st.booleans()):
+        # a large modulus is only slow; a garbage one past MAX_CATALOG is refused before any work
+        argv += ["--m", draw(st.sampled_from(["1", "2", "3", "4"]))]
+    if data.draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "tsv", "dot"] if garbled else _FORMATS[command]))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    assert err.count("\n") <= 1 and err[-1:] in ("", "\n")
+    assert len(err.encode("utf-8", "backslashreplace")) <= 200, err
+    assert code == 0 or (out == "" and err != "")

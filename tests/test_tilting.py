@@ -11,7 +11,7 @@ from clustercat import verify
 from clustercat.tilting import NotRigidError
 from clustercat.verify import run_verification
 
-from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, module_obj
+from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, TREES, module_obj, oriented_trees
 
 
 EXPECTED_COUNTS = {A1: 2, A2: 5, A3: 14, A4: 42, D4: 50}
@@ -407,20 +407,16 @@ def _near_complement_edges(cat):
     return sorted(edges)
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    diagram=st.sampled_from([((1, 2), (2, 3), (3, 4), (4, 5)), ((1, 2), (2, 3), (3, 4), (3, 5))]),
-    flips=st.lists(st.booleans(), min_size=4, max_size=4),
-    relabel=st.permutations(range(1, 6)),
-)
-def test_mutation_edges_equal_near_complement_edges(diagram, flips, relabel):
-    # a random orientation and vertex numbering of A5 or D5
-    arrows = tuple(
-        (relabel[b - 1], relabel[a - 1]) if flip else (relabel[a - 1], relabel[b - 1])
-        for (a, b), flip in zip(diagram, flips)
-    )
-    cat = cc.DerivedCategory(cc.ARQuiver(cc.Quiver(5, arrows))).orbit(1)
-    assert cc.build_tilting_graph(cat) == _near_complement_edges(cat)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_mutation_edges_equal_near_complement_edges(data):
+    # a random orientation and vertex numbering of each tree; the edges group
+    # the tilting sets, the oracle completes each almost complete set from Ext^1
+    for diagram in ("A5", "D5", "A6", "D6", "E6"):
+        q = data.draw(oriented_trees(TREES[diagram]))
+        cat = cc.DerivedCategory(cc.ARQuiver(q)).orbit(1)
+        assert str(cat.ar.dynkin) == diagram
+        assert cc.build_tilting_graph(cat) == _near_complement_edges(cat)
 
 
 def _tamper_edges(monkeypatch, change):
@@ -490,10 +486,29 @@ def test_rigid_position_sets_stop_at_n(build):
 def test_exchange_without_single_partner_names_quiver_and_vertex():
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
     assert len(cat1.tilting_sets) == 5
-    # every object compatible with every other: three partners per drop
-    cat1.__dict__["compat_mask"] = [(1 << len(cat1.catalog)) - 1] * len(cat1.catalog)
-    with pytest.raises(RuntimeError, match=r"A2 quiver \[\(1, 2\)\]: dropping m\d+\[\d\] from T1"):
+    # without T1, each set T1 - p lies in one tilting set only
+    first = cat1.tilting_sets.pop(0)
+    with pytest.raises(RuntimeError) as raised:
         cat1.exchange_edges
+    assert str(raised.value) in {
+        f"A2 quiver [(1, 2)]: almost complete set {cat1.texts([p])} lies in 1 tilting sets, expected 2"
+        for p in first
+    }
+
+
+def test_exchange_edges_read_only_the_tilting_sets(monkeypatch):
+    def fresh():
+        return cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
+
+    expected, cat1 = fresh().exchange_edges, fresh()
+    assert len(cat1.tilting_sets) == 50 and len(expected) == 100
+
+    def unread(cat):
+        raise AssertionError("exchange_edges read an Ext^1 table or mask")
+
+    for name in ("compat_mask", "ext_zero_in", "ext_zero_out", "ext_table", "layers"):
+        monkeypatch.setattr(cc.OrbitCategory, name, property(unread))
+    assert cat1.exchange_edges == expected
 
 
 @settings(max_examples=30, deadline=None)
