@@ -172,6 +172,7 @@ class ARQuiver:
         self.tau: dict[int, int] = {}
         self.tau_inverse: dict[int, int] = {}
         self.mesh_middles: dict[int, tuple[int, ...]] = {}
+        self._matrix_homs: dict[tuple[int, int], int] = {}
         self._knit()
 
     # -- access -------------------------------------------------------
@@ -239,8 +240,10 @@ class ARQuiver:
     # -- independent oracles -------------------------------------------
 
     def matrix_hom_dim(self, a: int, b: int) -> int:
-        """Hom dimension from the explicit intertwiner system."""
-        return rep_hom_dim(self.quiver, self.reps[a - 1], self.reps[b - 1])
+        """Hom dimension from the explicit intertwiner system, solved once per ordered pair."""
+        if (a, b) not in self._matrix_homs:
+            self._matrix_homs[a, b] = rep_hom_dim(self.quiver, self.reps[a - 1], self.reps[b - 1])
+        return self._matrix_homs[a, b]
 
     def resolution_ext_dim(self, a: int, b: int) -> int:
         """Ext^1 dimension from the standard projective resolution.

@@ -115,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--battery",
         help=f"comma-separated diagrams (default all of {','.join(DIAGRAMS)})",
     )
+    p_verify.add_argument("--timings", action="store_true", help="add each check's wall time in seconds")
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -333,7 +334,7 @@ def _cmd_verify(args, parser):
         unknown = [d for d in diagrams if d not in DIAGRAMS]
         if unknown:
             parser.error(f"unknown diagrams {shown(str(unknown))}; choose from {list(DIAGRAMS)}")
-    report = run_verification(diagrams=diagrams)
+    report = run_verification(diagrams=diagrams, timings=args.timings)
     return (0 if report["passed"] else 1), report
 
 

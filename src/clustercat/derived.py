@@ -4,13 +4,17 @@ Since the algebra is hereditary, every indecomposable is a shifted module,
 so objects are just (catalog id, shift) pairs.  The AR translation is
 total here: it sends a projective P_i to I_i[-1].  The twist functor
 (inverse translation followed by the shift) is the automorphism whose
-powers get quotiented out in the orbit categories.
+powers get quotiented out in the orbit categories.  tau, its inverse, the
+twist and its inverse read per-module step tables built once from the AR
+quiver's translation, projectives and injectives; ``twist_power`` walks
+the table one step at a time without building the objects in between.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from functools import cached_property
 from typing import NamedTuple
 
 from .arquiver import ARQuiver
@@ -64,30 +68,35 @@ class DerivedCategory:
             raise ValueError(f"shift {s} exceeds limit {SHIFT_LIMIT}")
         return DObject(x.module_id, s)
 
+    @cached_property
+    def _steps(self) -> tuple[dict, ...]:
+        """Step tables of tau, tau_inv, twist and twist_inv by module id: (image
+        module id, shift change), plus for the twists the change whose result
+        ``shift`` would check against SHIFT_LIMIT in the composite."""
+        ar = self.ar
+        tau = {m.id: (ar.injectives[m.projective_vertex], -1) if m.is_projective else (ar.tau[m.id], 0) for m in ar.modules}
+        tau_inv = {m.id: (ar.projectives[m.injective_vertex], 1) if m.is_injective else (ar.tau_inverse[m.id], 0) for m in ar.modules}
+        # twist = shift(tau_inv(x), 1) checks its result, twist_inv = tau(shift(x, -1)) checks x[-1]
+        twist = {i: (k, s + 1, s + 1) for i, (k, s) in tau_inv.items()}
+        return tau, tau_inv, twist, {i: (k, s - 1, -1) for i, (k, s) in tau.items()}
+
     def tau(self, x: DObject) -> DObject:
-        mod = self.ar.module(x.module_id)
-        if mod.is_projective:
-            return DObject(self.ar.injectives[mod.projective_vertex], x.shift - 1)
-        return DObject(self.ar.tau[x.module_id], x.shift)
+        k, s = self._steps[0][x.module_id]
+        return DObject(k, x.shift + s)
 
     def tau_inv(self, x: DObject) -> DObject:
-        mod = self.ar.module(x.module_id)
-        if mod.is_injective:
-            return DObject(self.ar.projectives[mod.injective_vertex], x.shift + 1)
-        return DObject(self.ar.tau_inverse[x.module_id], x.shift)
+        k, s = self._steps[1][x.module_id]
+        return DObject(k, x.shift + s)
 
     def twist(self, x: DObject) -> DObject:
         """Inverse AR translation composed with the shift."""
-        return self.shift(self.tau_inv(x), 1)
+        return _walk(x, self._steps[2], 1)
 
     def twist_inv(self, x: DObject) -> DObject:
-        return self.tau(self.shift(x, -1))
+        return _walk(x, self._steps[3], 1)
 
     def twist_power(self, x: DObject, t: int) -> DObject:
-        step = self.twist if t >= 0 else self.twist_inv
-        for _ in range(abs(t)):
-            x = step(x)
-        return x
+        return _walk(x, self._steps[2 if t >= 0 else 3], abs(t))
 
     def hom(self, x: DObject, y: DObject) -> int:
         """Hom dimension; nonzero only at shift gap 0 (Hom) or 1 (Ext^1)."""
@@ -110,3 +119,14 @@ class DerivedCategory:
         cache = self._orbit_cache
         cat = cache[modulus] = cache.get(modulus) or OrbitCategory(self, modulus)
         return cat
+
+
+def _walk(x: DObject, table: list, count: int) -> DObject:
+    """count steps of a twist step table from x, one step at a time."""
+    k, s = x
+    for _ in range(count):
+        k, step, checked = table[k]
+        if abs(s + checked) > SHIFT_LIMIT:
+            raise ValueError(f"shift {s + checked} exceeds limit {SHIFT_LIMIT}")
+        s += step
+    return DObject(k, s)

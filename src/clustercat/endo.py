@@ -13,19 +13,25 @@ and the tier-raising positions (cyclically, including the wrap-around)
 carry E = Hom(T, twist T).  The profile reads every block from the orbit
 category's ``layers[0, 0]`` and ``layers[0, 1]`` by tier gap, summed over
 the generator (a multiset), and computes C and E from the module and
-derived Hom instead, so the block check compares two routes; the exchange
-layer is read from ``layers[1, 0]`` and ``layers[1, -1]`` the same way.
+derived Hom instead, so the block check compares two routes.  None of the
+four sums depends on the modulus, so they are taken once per generator on
+the base category and shared by every modulus.  The exchange layer is read
+from ``layers[1, 0]`` and ``layers[1, -1]`` the same way.
 Only dimensions are computed here; no multiplication tables.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .derived import DObject
 from .orbit import MAX_TABLE_SIDE, OrbitCategory, mask_of
 from .quiver import QuiverTooLargeError
 from .tilting import NotExchangeError
+
+# endo_profile's memo of _sum_generator per base category, freed with it
+_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -62,18 +68,26 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
     # tier-major: the twist^i of gen fills slice i
     positions = cat.build_twist_stable(gen)
     tiers = [[cat.catalog[p] for p in positions[i * size : (i + 1) * size]] for i in range(m)]
+    # no sum depends on the modulus: each generator's are taken once, on the base
+    memo, key = _SUMS.setdefault(cat.base, {}), tuple(sorted(gen))
+    if key not in memo:
+        memo[key] = _sum_generator(cat.base, key)
+    same, up, dim_c, dim_e = memo[key]
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
-    same, up = (sum(cat.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
-    block = _cyclic_blocks(m, same, up)
+    return EndoProfile(tiers, _cyclic_blocks(m, same, up), dim_c, dim_e, dim_c is not None)
 
-    reps = [cat.base.catalog[g] for g in gen]
-    module_tier = all(x.shift == 0 for x in reps)
-    dim_c = dim_e = None
-    if module_tier:
-        dim_c = sum(cat.ar.hom_dim(x.module_id, y.module_id) for x in reps for y in reps)
-        twisted = [cat.derived.twist(y) for y in reps]
-        dim_e = sum(cat.derived.hom(x, y) for x in reps for y in twisted)
-    return EndoProfile(tiers, block, dim_c, dim_e, module_tier)
+
+def _sum_generator(base: OrbitCategory, gen: tuple[int, ...]) -> tuple[int, int, int | None, int | None]:
+    """(same, up, dim C, dim E) of a generator (a multiset of base positions): same
+    and up from ``layers[0, 0]`` and ``layers[0, 1]``, dim C and dim E (None off
+    the module tier) from the module and derived Hom."""
+    same, up = (sum(base.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
+    reps = [base.catalog[g] for g in gen]
+    if not all(x.shift == 0 for x in reps):
+        return same, up, None, None
+    dim_c = sum(base.ar.hom_dim(x.module_id, y.module_id) for x in reps for y in reps)
+    twisted = [base.derived.twist(y) for y in reps]
+    return same, up, dim_c, sum(base.derived.hom(x, y) for x in reps for y in twisted)
 
 
 def _cyclic_blocks(m: int, same: int, up: int) -> list[list[int]]:

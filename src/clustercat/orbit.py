@@ -24,8 +24,8 @@ battery's ``twist-free-orbits`` check asserts it against the walked
 An object of the orbit category is its catalog position: the catalog holds
 one ``DObject`` per twist-orbit, ``canonicalize`` sends any ``DObject`` to
 the position of its orbit, and ``tier_of``, ``project``, ``twist_action``,
-``serre`` and ``dim`` take positions.  A tilting object is its generator's
-base positions (ascending, which is the (shift, module id) order of the
+``serre_permutation`` and ``dim`` act on positions.  A tilting object is its
+generator's base positions (ascending, the (shift, module id) order of the
 base domain), and so is its lift: ``build_twist_stable`` lays the lift's
 summands out by tier where a caller needs their positions.
 """
@@ -78,24 +78,18 @@ class OrbitCategory:
 
     # -- canonical forms ------------------------------------------------
 
-    def _in_base_domain(self, x: DObject) -> bool:
-        if x.shift == 0:
-            return True
-        return x.shift == 1 and self.ar.module(x.module_id).is_projective
-
     def canonicalize(self, x: DObject) -> int:
         """Catalog position of the orbit of x: write x = twist^j(y) with y in
-        the base domain, then look up twist^(j mod m)(y) in the catalog."""
-        d = self.derived
-        j = 0
-        while not self._in_base_domain(x):
+        the base domain (the catalog's first tier), then look up twist^(j mod m)(y)."""
+        d, positions, size, j = self.derived, self._positions, self._tier_size, 0
+        while positions.get(x, size) >= size:
             if x.shift >= 1:
                 x = d.twist_inv(x)
                 j += 1
             else:
                 x = d.twist(x)
                 j -= 1
-        return self._positions[d.twist_power(x, j % self.modulus)]
+        return positions[d.twist_power(x, j % self.modulus)]
 
     def tier_of(self, i: int) -> int:
         return i // self._tier_size
@@ -175,9 +169,10 @@ class OrbitCategory:
     def twist_action(self, i: int) -> int:
         return self.canonicalize(self.derived.twist(self.catalog[i]))
 
-    def serre(self, i: int) -> int:
-        """Dimension-level Serre permutation inherited from the derived category."""
-        return self.canonicalize(self.derived.serre(self.catalog[i]))
+    @cached_property
+    def serre_permutation(self) -> list[int]:
+        """The Serre image of each catalog position, inherited from the derived category."""
+        return [self.canonicalize(self.derived.serre(x)) for x in self.catalog]
 
     @cached_property
     def twist_permutation(self) -> list[int]:

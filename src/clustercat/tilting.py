@@ -82,14 +82,18 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
     summands; a rigid but non-extendable input yields the empty list
     (distinct from the error cases, which raise).
     """
-    support = mask_of(positions)
+    return completions(cat, mask_of(positions), *_ext_zero_with_all(cat, positions))
+
+
+def completions(cat: OrbitCategory, support: int, left: int, right: int) -> list[int]:
+    """``complements`` of the members with mask ``support``, given the ANDs of
+    their ``ext_zero_in`` (left) and ``ext_zero_out`` (right) masks."""
     expected = cat.modulus * cat.ar.quiver.vertex_count - 1
     if support.bit_count() != expected:
         raise ValueError(
             f"almost tilting object needs {expected} distinct summands,"
             f" got {support.bit_count()}"
         )
-    left, right = _ext_zero_with_all(cat, positions)
     if support & ~(left & right):
         raise NotRigidError("input is not rigid")
     candidates, out = left & right & ~support, []

@@ -9,15 +9,20 @@ object at every m (the lift carries mutations to mutations), so the
 checks that read only the modulus-1 category run once per quiver and
 are reported at every m under the same name: ``tilting-count``,
 ``tilting-brute-force``, ``near-complement-pairs`` (which completes each
-almost tilting object once), ``graph-connected`` and ``graph-shape``.  A
+almost tilting object once), ``graph-connected``, ``graph-shape`` and
+``exchange-layer-dim`` (the layer at m is m times the one at 1).  A
 lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
-that checks each lift at modulus m.
+that checks each lift at modulus m.  ``hom-walk-oracle`` asks the derived
+category only for the pairs whose shifts allow a map (a gap of 0 or 1).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import time
+from functools import partial
+from itertools import accumulate, combinations
+from operator import and_
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
@@ -25,7 +30,7 @@ from .orbit import OrbitCategory, mask_of
 from .quiver import DIAGRAMS, DynkinClass, Quiver, cluster_number, positive_root_count
 from .tilting import (
     cluster_tilting_check,
-    complements,
+    completions,
     enumerate_cluster_tilting,
     enumerate_stable_tilting_direct,
     is_connected,
@@ -50,19 +55,20 @@ def orientations(name: str) -> list[tuple[str, Quiver]]:
     return out
 
 
-def run_verification(diagrams=None, tamper=None) -> dict:
+def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
     """Run the full battery; returns a JSON-ready report dict.
 
     tamper, when given, is called as tamper(label, ar) right after each
     AR quiver is built; it exists so tests can corrupt internal tables
-    and confirm the battery notices.
+    and confirm the battery notices.  timings adds each check's wall time
+    to its result as ``seconds``.
     """
+    clock = time.perf_counter if timings else None
     names = list(diagrams) if diagrams else list(DIAGRAMS)
     for name in names:
         if name not in DIAGRAMS:
             raise ValueError(f"unknown diagram {name!r}; choose from {list(DIAGRAMS)}")
     cells = []
-    total = failed = 0
     for name in names:
         for label, q in orientations(name):
             ar = ARQuiver(q)
@@ -71,20 +77,17 @@ def run_verification(diagrams=None, tamper=None) -> dict:
             derived = DerivedCategory(ar)
             once = {}  # the modulus-1 checks' details, shared by this quiver's cells
             cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
-            cells.append({**cell, "m": None, "checks": _quiver_checks(q, ar, derived)})
+            cells.append({**cell, "m": None, "checks": _quiver_checks(q, ar, derived, clock)})
             for m in M_VALUES:
                 cat = derived.orbit(m)  # held while the next m is built: one shared base
-                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, once)})
-    for cell in cells:
-        for check in cell["checks"]:
-            total += 1
-            if not check["passed"]:
-                failed += 1
+                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, once, clock)})
+    results = [check for cell in cells for check in cell["checks"]]
+    failed = sum(not check["passed"] for check in results)
     return {
         "battery": names,
         "m_values": list(M_VALUES),
         "cells": cells,
-        "checks_total": total,
+        "checks_total": len(results),
         "checks_failed": failed,
         "passed": failed == 0,
     }
@@ -99,22 +102,22 @@ def _result(name: str, detail: str | None) -> dict:
     return {"name": name, "passed": detail is None, "detail": detail}
 
 
-def _run_check(checks: list, check_name: str, fn) -> None:
+def _run_check(checks: list, check_name: str, fn, clock=None) -> None:
     # a corrupted structure may make a check raise instead of returning a
     # detail string; either way it must land in the report, not crash it
+    start = clock and clock()
     try:
         detail = fn()
     except Exception as exc:  # noqa: BLE001 - report and move on
         detail = f"check raised {type(exc).__name__}: {exc}"
     checks.append(_result(check_name, detail))
+    if clock:
+        checks[-1]["seconds"] = round(clock() - start, 6)
 
 
-def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory) -> list[dict]:
+def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory, clock=None) -> list[dict]:
     checks = []
-
-    def run(check_name, fn):
-        _run_check(checks, check_name, fn)
-
+    run = partial(_run_check, checks, clock=clock)
     run("catalog-size-modules", lambda: _check_module_count(ar))
     run("mesh-additivity", lambda: _check_mesh_additivity(ar))
     run("arrow-multiplicity", lambda: _check_multiplicities(ar))
@@ -127,7 +130,7 @@ def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory) -> list[di
     return checks
 
 
-def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None) -> list[dict]:
+def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None, clock=None) -> list[dict]:
     """The per-(quiver, m) checks; a check given ``base`` reads only the modulus-1
     category, and its detail is kept in ``once`` for the quiver's other cells."""
     n = cat.ar.quiver.vertex_count
@@ -135,10 +138,8 @@ def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None) -> li
     checks, once = [], {} if once is None else once
 
     def run(check_name, fn, base=False):
-        if base and check_name in once:
-            checks.append(_result(check_name, once[check_name]))
-            return
-        _run_check(checks, check_name, fn)
+        known = base and check_name in once
+        _run_check(checks, check_name, (lambda: once[check_name]) if known else fn, clock)
         if base:
             once[check_name] = checks[-1]["detail"]
 
@@ -165,7 +166,7 @@ def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None) -> li
     run("near-complement-pairs", lambda: _check_near_complements(cat.base), base=True)
     run("graph-connected", lambda: _check_graph_connected(cat.base), base=True)
     run("graph-shape", lambda: _check_graph_shape(name, cat.base), base=True)
-    run("exchange-layer-dim", lambda: _check_exchange_layers(cat))
+    run("exchange-layer-dim", lambda: _check_exchange_layers(cat.base), base=True)
     if m == 1:
         run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
     run("endo-blocks", lambda: _check_endo_blocks(cat))
@@ -241,8 +242,10 @@ def _check_serre_derived(derived: DerivedCategory) -> str | None:
     objs = [DObject(m.id, s) for m in ar.modules for s in range(-2, 3)]
     for x in objs:
         sx = derived.serre(x)
+        # a derived Hom needs a shift gap of 0 or 1: every other y has both sides 0
+        near = {x.shift, x.shift + 1, sx.shift - 1, sx.shift}
         for y in objs:
-            if derived.hom(x, y) != derived.hom(y, sx):
+            if y.shift in near and derived.hom(x, y) != derived.hom(y, sx):
                 return f"Serre duality fails at ({x.text}, {y.text})"
     return None
 
@@ -315,25 +318,29 @@ def _check_hom_walk(cat: OrbitCategory) -> str | None:
     # the definition the layered tables must match: Hom(x, y) sums Hom_D(x, w)
     # over the F^m-orbit of y, walked once per y across the catalog's shift
     # window; Ext^1(x, y) is Hom(x, y[1]), read from the column of y[1]
-    d, m = cat.derived, cat.modulus
-    low = min(x.shift for x in cat.catalog)
-    high = max(x.shift for x in cat.catalog) + 1
+    d, m, catalog = cat.derived, cat.modulus, cat.catalog
+    low, high = min(x.shift for x in catalog), max(x.shift for x in catalog) + 1
+    at_shift = {}
+    for i, x in enumerate(catalog):
+        at_shift.setdefault(x.shift, []).append(i)
     walked = []
-    for y in cat.catalog:
-        w, orbit = y, []
+    for y in catalog:
+        w, column = y, [0] * len(catalog)
         while w.shift >= low:
             w = d.twist_power(w, -m)
         while w.shift <= high:
-            orbit.append(w)
+            # a derived Hom into w needs a shift gap of 0 or 1
+            for i in at_shift.get(w.shift, []) + at_shift.get(w.shift - 1, []):
+                column[i] += d.hom(catalog[i], w)
             w = d.twist_power(w, m)
-        walked.append([sum(d.hom(x, w) for w in orbit) for x in cat.catalog])
-    hom, ext = cat.hom_table, cat.ext_table
-    for j, y in enumerate(cat.catalog):
+        walked.append(tuple(column))
+    columns = {"hom": list(zip(*cat.hom_table)), "ext1": list(zip(*cat.ext_table))}
+    for j, y in enumerate(catalog):
         shifted = walked[cat.canonicalize(d.shift(y, 1))]
-        for name, table, ref in (("hom", hom, walked[j]), ("ext1", ext, shifted)):
-            for i, x in enumerate(cat.catalog):
-                if table[i][j] != ref[i]:
-                    return f"{name}({x.text}, {y.text}): table {table[i][j]}, walked {ref[i]}"
+        for name, ref in (("hom", walked[j]), ("ext1", shifted)):
+            if (col := columns[name][j]) != ref:
+                i = next(i for i, (a, b) in enumerate(zip(col, ref)) if a != b)
+                return f"{name}({catalog[i].text}, {y.text}): table {col[i]}, walked {ref[i]}"
     return None
 
 
@@ -353,7 +360,7 @@ def _check_end_dims(cat: OrbitCategory) -> str | None:
 
 
 def _check_serre_orbit(cat: OrbitCategory) -> str | None:
-    serre_idx = [cat.serre(i) for i in range(len(cat.catalog))]
+    serre_idx = cat.serre_permutation
     table = cat.hom_table
     for i in range(len(cat.catalog)):
         for j in range(len(cat.catalog)):
@@ -379,7 +386,7 @@ def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
 
 def _check_fractional_cy(cat: OrbitCategory) -> str | None:
     # the double shift by the modulus equals the modulus-th Serre power
-    serre_idx = [cat.serre(i) for i in range(len(cat.catalog))]
+    serre_idx = cat.serre_permutation
     for i, x in enumerate(cat.catalog):
         j = i
         for _ in range(cat.modulus):
@@ -447,20 +454,18 @@ def _check_tilting_count(name: str, base: OrbitCategory) -> str | None:
 
 
 def _check_tilting_brute_force(base: OrbitCategory) -> str | None:
-    n = base.ar.quiver.vertex_count
-    size = len(base.catalog)
-    compat = base.compat_mask
+    n, size, compat = base.ar.quiver.vertex_count, len(base.catalog), base.compat_mask
+    full, loops = (1 << size) - 1, mask_of(j for j in range(size) if compat[j] >> j & 1)
     brute = []
     for combo in combinations(range(size), n):
-        mask = mask_of(combo)
-        if all(mask & ~compat[p] == 0 for p in combo):
-            outside = 0
-            rest = ((1 << size) - 1) & ~mask
-            for j in range(size):
-                if rest & (1 << j) and mask & ~compat[j] == 0 and compat[j] & (1 << j):
-                    outside += 1
-            if outside == 0:
-                brute.append(combo)
+        mask, common = 0, full
+        for p in combo:
+            mask |= 1 << p
+            common &= compat[p]
+        # rigid: each member is compatible with all; maximal: (compat is symmetric)
+        # no self-compatible position outside is compatible with all members
+        if mask & ~common == 0 and common & loops & ~mask == 0:
+            brute.append(combo)
     fast = enumerate_cluster_tilting(base)
     if sorted(brute) != sorted(fast):
         return f"brute-force subset scan found {len(brute)}, enumeration {len(fast)}"
@@ -496,9 +501,10 @@ def _check_complements(cat: OrbitCategory) -> str | None:
     expected = 1 if cat.modulus >= 2 else 2
     for t in enumerate_cluster_tilting(cat.base):
         members = cat.build_twist_stable(t)
-        for drop in members:
-            rest = [x for x in members if x != drop]
-            found = complements(cat, rest)
+        support = mask_of(members)
+        lefts, rights = (_all_but_one(masks, members) for masks in (cat.ext_zero_in, cat.ext_zero_out))
+        for drop, left, right in zip(members, lefts, rights):
+            found = completions(cat, support & ~(1 << drop), left, right)
             if len(found) != expected:
                 return (
                     f"{len(found)} complements after dropping {cat.catalog[drop].text}"
@@ -507,6 +513,13 @@ def _check_complements(cat: OrbitCategory) -> str | None:
             if drop not in found:
                 return f"dropped summand {cat.catalog[drop].text} not among its complements"
     return None
+
+
+def _all_but_one(masks: list[int], members) -> list[int]:
+    """Per member, the AND of masks over all the other members: a prefix and a suffix sweep."""
+    row, full = [masks[p] for p in members], (1 << len(masks)) - 1
+    suffix = [*accumulate(reversed(row), and_, initial=full)][-2::-1]
+    return list(map(and_, accumulate(row, and_, initial=full), suffix))
 
 
 def _check_near_complements(base: OrbitCategory) -> str | None:

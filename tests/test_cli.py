@@ -325,6 +325,21 @@ def test_verify_fault_injection_fails_with_named_invariant(capsys, monkeypatch):
     assert "oracle-hom-equivalence" in failing
 
 
+def test_verify_timings_add_seconds_and_nothing_else(capsys):
+    # without the flag the report is the battery's, byte for byte; with it each
+    # check also carries its wall time, and everything else is unchanged
+    code, plain, _ = run(capsys, "verify", "--battery", "A2,A3")
+    report = {"schema_version": 1, **verify.run_verification(["A2", "A3"])}
+    assert code == 0 and plain == json.dumps(report, indent=2) + "\n"
+    assert '"seconds"' not in plain
+    code, timed, _ = run(capsys, "verify", "--battery", "A2,A3", "--timings")
+    payload = json.loads(timed)
+    checks = [check for cell in payload["cells"] for check in cell["checks"]]
+    assert code == 0 and len(checks) == payload["checks_total"] == report["checks_total"]
+    assert all(isinstance(check.pop("seconds"), float) for check in checks)
+    assert json.dumps(payload, indent=2) + "\n" == plain
+
+
 def test_inject_fault_option_is_gone(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--battery", "A2", "--inject-fault", "hom-table"])

@@ -128,3 +128,81 @@ def test_parse_object_errors(build, bad):
     dc = build(A2)
     with pytest.raises(ObjectSyntaxError):
         dc.parse_object(bad)
+
+
+class _Definitions:
+    """tau, its inverse and the twist as the composites they are defined by,
+    read from the AR quiver per call: the oracle for the step tables."""
+
+    def __init__(self, dc):
+        self.dc, self.ar = dc, dc.ar
+
+    def tau(self, x):
+        mod = self.ar.module(x.module_id)
+        if mod.is_projective:
+            return DObject(self.ar.injectives[mod.projective_vertex], x.shift - 1)
+        return DObject(self.ar.tau[x.module_id], x.shift)
+
+    def tau_inv(self, x):
+        mod = self.ar.module(x.module_id)
+        if mod.is_injective:
+            return DObject(self.ar.projectives[mod.injective_vertex], x.shift + 1)
+        return DObject(self.ar.tau_inverse[x.module_id], x.shift)
+
+    def twist(self, x):
+        return self.dc.shift(self.tau_inv(x), 1)
+
+    def twist_inv(self, x):
+        return self.tau(self.dc.shift(x, -1))
+
+    def twist_power(self, x, t):
+        for _ in range(abs(t)):
+            x = self.twist(x) if t >= 0 else self.twist_inv(x)
+        return x
+
+
+@pytest.mark.parametrize("label", COXETER_QUIVERS)
+def test_step_tables_equal_the_definitions(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(COXETER_QUIVERS[label]))
+    defs = _Definitions(dc)
+    for m in dc.ar.modules:
+        for s in (-3, 0, 1, 4):
+            x = DObject(m.id, s)
+            for name in ("tau", "tau_inv", "twist", "twist_inv"):
+                assert getattr(dc, name)(x) == getattr(defs, name)(x), (name, x)
+            for t in (-7, -2, -1, 0, 1, 2, 7):
+                assert dc.twist_power(x, t) == defs.twist_power(x, t), (x, t)
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("label", ["A2#0", "D4#5"])
+def test_step_tables_keep_the_shift_limit_and_its_message(label):
+    # twist checks its result, twist_inv the shift by -1 before tau; a
+    # projective's tau then steps one past the limit, as the composite does
+    dc = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label]))
+    defs = _Definitions(dc)
+    raised = 0
+    for m in dc.ar.modules:
+        for s in (SHIFT_LIMIT - 2, SHIFT_LIMIT - 1, SHIFT_LIMIT):
+            for x, step, count in ((DObject(m.id, s), 1, 3), (DObject(m.id, -s), -1, 3)):
+                try:
+                    expected = defs.twist_power(x, step * count)
+                except ValueError as exc:
+                    assert _raised(dc.twist_power, x, step * count) == str(exc)
+                    assert str(exc).endswith(f" exceeds limit {SHIFT_LIMIT}")
+                    raised += 1
+                else:
+                    assert dc.twist_power(x, step * count) == expected
+            top, bottom = DObject(m.id, SHIFT_LIMIT), DObject(m.id, -SHIFT_LIMIT)
+            assert _raised(dc.twist, top) == _raised(defs.twist, top)
+            assert _raised(dc.twist_inv, bottom) == _raised(defs.twist_inv, bottom)
+    assert raised
+    # past the limit by one: the inverse twist of a projective at -(limit - 1)
+    p = next(m.id for m in dc.ar.modules if m.is_projective)
+    x = DObject(p, 1 - SHIFT_LIMIT)
+    assert dc.twist_inv(x) == defs.twist_inv(x) and dc.twist_inv(x).shift == -SHIFT_LIMIT - 1

@@ -14,10 +14,19 @@ check lays out the summands it needs with ``build_twist_stable``.  The
 old definitions stay here, inline, as oracles; the work-count tests pin
 the calls the fast paths no longer make.  The tables tiled by tier gap
 are checked against ``dim`` in test_orbit.py.
+
+The battery's own checks pay only for their work: complement-counts
+sweeps the lift's masks once, tilting-brute-force makes one pass per
+subset, serre-derived skips the pairs no shift gap allows, the endo sums
+are taken once per generator on the base, exchange-layer-dim runs once
+per quiver and the matrix Hom is solved once per ordered pair.  Each
+rewritten check is compared with its old formulation, kept here, on
+intact and on corrupted tables.
 """
 
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +36,7 @@ from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import TILTING_COUNTS, orientations, run_verification
 
-from conftest import A2, BATTERY_QUIVERS, D4, E6
+from conftest import A2, A3, BATTERY_QUIVERS, D4, E6
 
 QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
 
@@ -328,3 +337,286 @@ def test_layers_are_read_from_the_base_at_every_modulus():
     dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
     base = dc.orbit(1)
     assert dc.orbit(3).layers is dc.orbit(2).layers is base.layers
+
+
+# -- the battery's rewritten oracles against the formulations they replace --
+
+
+def _detail(check, *args):
+    """A check's detail as the battery's runner reports it, raising checks included."""
+    checks = []
+    verify._run_check(checks, "check", lambda: check(*args))
+    return checks[0]["detail"]
+
+
+def _complement_counts_as_it_was(cat):
+    """complement-counts as it was: one complements call per dropped summand."""
+    expected = 1 if cat.modulus >= 2 else 2
+    for t in cat.base.tilting_sets:
+        members = cat.build_twist_stable(t)
+        for drop in members:
+            found = cc.complements(cat, [x for x in members if x != drop])
+            if len(found) != expected:
+                return (
+                    f"{len(found)} complements after dropping {cat.catalog[drop].text}"
+                    f" from {tuple(cat.base.texts(t))}, expected {expected}"
+                )
+            if drop not in found:
+                return f"dropped summand {cat.catalog[drop].text} not among its complements"
+    return None
+
+
+def _brute_force_as_it_was(base):
+    """tilting-brute-force's subset scan as it was: a mask, a rigidity test and
+    an outside count per subset."""
+    n, size, compat = base.ar.quiver.vertex_count, len(base.catalog), base.compat_mask
+    brute = []
+    for combo in combinations(range(size), n):
+        mask = mask_of(combo)
+        if all(mask & ~compat[p] == 0 for p in combo):
+            rest = ((1 << size) - 1) & ~mask
+            outside = [j for j in range(size) if rest >> j & 1 and mask & ~compat[j] == 0 and compat[j] >> j & 1]
+            if not outside:
+                brute.append(combo)
+    return brute
+
+
+def _serre_derived_as_it_was(derived):
+    """serre-derived as it was: every pair of the window, both sides asked."""
+    objs = [DObject(m.id, s) for m in derived.ar.modules for s in range(-2, 3)]
+    for x in objs:
+        sx = derived.serre(x)
+        for y in objs:
+            if derived.hom(x, y) != derived.hom(y, sx):
+                return f"Serre duality fails at ({x.text}, {y.text})"
+    return None
+
+
+SWEPT = {label: q for label, q in BATTERY_QUIVERS.items() if label[:2] in ("A3", "D4")}
+
+
+@pytest.mark.parametrize("label", SWEPT)
+def test_complement_sweep_gives_the_complements_of_each_rest(label):
+    dc = cc.DerivedCategory(cc.ARQuiver(SWEPT[label]))
+    for cat in (dc.orbit(1), dc.orbit(2), dc.orbit(3)):
+        for t in cat.base.tilting_sets:
+            members = cat.build_twist_stable(t)
+            support = mask_of(members)
+            lefts = verify._all_but_one(cat.ext_zero_in, members)
+            rights = verify._all_but_one(cat.ext_zero_out, members)
+            for drop, left, right in zip(members, lefts, rights):
+                rest = [x for x in members if x != drop]
+                swept = tilting.completions(cat, support & ~(1 << drop), left, right)
+                assert swept == cc.complements(cat, rest) != [], (cat.modulus, t, drop)
+
+
+@pytest.mark.parametrize("label", [label for label in BATTERY_QUIVERS if label[:2] in ("A3", "A4", "D4")])
+def test_one_pass_subset_scan_equals_the_old_formulation(monkeypatch, label):
+    # the check passes exactly when its scan finds what the enumeration
+    # returns; here the enumeration is the old scan
+    monkeypatch.setattr(verify, "enumerate_cluster_tilting", _brute_force_as_it_was)
+    base = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label])).orbit(1)
+    assert sorted(_brute_force_as_it_was(base)) == sorted(base.tilting_sets)
+    assert verify._check_tilting_brute_force(base) is None
+
+
+def _corrupted_a3(*entries):
+    """A3's modulus-1 category with these Ext^1 entries (i, j, value) overwritten."""
+    base = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A3))).orbit(1)
+    for i, j, value in entries:
+        base.ext_table[i][j] = value
+    return base
+
+
+def test_one_pass_subset_scan_equals_the_old_formulation_on_corrupted_tables(monkeypatch):
+    # toggling one Ext^1 entry of A3 changes the rigid sets; and an outsider
+    # compatible with all of a tilting set but not with itself keeps that set
+    # maximal, in both scans
+    monkeypatch.setattr(verify, "enumerate_cluster_tilting", _brute_force_as_it_was)
+    intact = _corrupted_a3()
+    ext, tiltings, size = intact.ext_table, intact.tilting_sets, len(intact.catalog)
+    toggled = [_corrupted_a3((i, j, 1 - min(ext[i][j], 1))) for i in range(size) for j in range(size)]
+    outsiders = [
+        _corrupted_a3((i, i, 1), *((a, b, 0) for p in t for a, b in ((i, p), (p, i))))
+        for t in tiltings[:4]
+        for i in range(size)
+        if i not in t
+    ]
+    for base in toggled + outsiders:
+        assert verify._check_tilting_brute_force(base) is None
+    assert {len(_brute_force_as_it_was(base)) for base in toggled} != {len(tiltings)}
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_exchange_layer_at_m_is_m_times_the_base_layer(label):
+    # the premise of running exchange-layer-dim once per quiver, on the base
+    base, cats = _categories(label)
+    sets = base.tilting_sets
+    for a, b in _sample(label, base.exchange_edges):
+        for one, two in ((sets[a], sets[b]), (sets[b], sets[a])):
+            swapped = tuple(set(two) - set(one))
+            at_base = cc.exchange_layer_dim(base, one, swapped)
+            for cat in cats:
+                m = cat.modulus
+                assert cc.exchange_layer_dim(cat, one, swapped) == _layer_by_pairs(cat, one, swapped) == m * at_base
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_memoized_endo_sums_equal_fresh_ones(label):
+    base, cats = _categories(label)
+    generators = [g for t in _sample(label, base.tilting_sets) for g in (t, (*t, t[0]), t[::-1])]
+    warm = {(cat.modulus, g): cc.endo_profile(cat, g) for cat in cats for g in generators}
+    for m in (1, 2, 3):
+        # a fresh base has an empty memo: each generator is summed anew
+        fresh = cc.DerivedCategory(cc.ARQuiver(QUIVERS[label])).orbit(m)
+        for g in generators:
+            assert warm[m, g] == cc.endo_profile(fresh, g), (m, g)
+            assert endo._SUMS[fresh.base][tuple(sorted(g))] == endo._sum_generator(base, g)
+
+
+def _flip(cat, p, j, both):
+    """Flip bit j of ext_zero_in[p] alone, or whether Ext^1 vanishes both ways
+    between X_p and X_j in both masks."""
+    cat.ext_zero_in[p] ^= 1 << j
+    if both and p != j:
+        cat.ext_zero_in[j] ^= 1 << p
+    if both:
+        cat.ext_zero_out[p] ^= 1 << j
+        cat.ext_zero_out[j] ^= 1 << p
+
+
+def test_flipped_ext_zero_bits_fail_complement_counts_as_before():
+    # every single flip of A3's masks at m = 2, and a sample of D4's, in
+    # ext_zero_in alone or both ways
+    details = Counter()
+    for text, stride in ((A3, 1), (D4, 13)):
+        cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(text))).orbit(2)
+        size = len(cat.catalog)
+        for k in range(0, size * size, stride):
+            for both in (False, True):
+                _flip(cat, *divmod(k, size), both)
+                try:
+                    detail = _detail(verify._check_complements, cat)
+                    assert detail == _detail(_complement_counts_as_it_was, cat), (text, k, both)
+                finally:
+                    _flip(cat, *divmod(k, size), both)
+                details[str(detail).split(" ")[0]] += 1
+    # passes, lost complements and non-rigid rests (the check raises)
+    assert {"None", "0", "check"} <= set(details)
+
+
+@pytest.mark.parametrize("extra", [[], [0], [0, 1]], ids=["none", "one", "two"])
+def test_complement_counts_reports_surplus_completions_as_before(monkeypatch, extra):
+    # a candidate test that finds too many completions, in the sweep and in
+    # complements alike: the first drop is reported, with the count found
+    completions = tilting.completions
+
+    def surplus(*args):
+        return completions(*args) + extra
+
+    monkeypatch.setattr(tilting, "completions", surplus)
+    monkeypatch.setattr(verify, "completions", surplus)
+    for m in (1, 2, 3):
+        cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A3))).orbit(m)
+        detail = _detail(verify._check_complements, cat)
+        assert detail == _detail(_complement_counts_as_it_was, cat)
+        found = (2 if m == 1 else 1) + len(extra)
+        assert detail is None if not extra else detail.startswith(f"{found} complements after dropping ")
+
+
+def test_flipped_ext_zero_in_bit_at_m2_fails_complement_counts(monkeypatch):
+    check = verify._check_complements
+
+    def flipped(cat):
+        if cat.modulus == 2 and cat.quiver_label.endswith("[(1, 2)]"):
+            cat.ext_zero_in[0] ^= 1 << 1
+        return check(cat)
+
+    monkeypatch.setattr(verify, "_check_complements", flipped)
+    report = run_verification(["A2"])
+    failed = [(c["quiver"], c["m"], ch["name"], ch["detail"]) for c in report["cells"] for ch in c["checks"] if not ch["passed"]]
+    detail = "0 complements after dropping m1[0] from ('m1[0]', 'm2[0]'), expected 1"
+    assert failed == [("A2#0", 2, "complement-counts", detail)]
+
+
+def test_dropped_tilting_set_fails_the_subset_scan():
+    base = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
+    assert verify._check_tilting_brute_force(base) is None
+    base.tilting_sets.pop(17)
+    assert verify._check_tilting_brute_force(base) == "brute-force subset scan found 50, enumeration 49"
+
+
+def test_corrupted_ext_entry_fails_the_oracle_that_reads_the_shared_matrix_homs(monkeypatch):
+    solved = Counter()
+    rep_hom_dim = arquiver.rep_hom_dim
+
+    def counted(q, a, b):
+        solved[q] += 1
+        return rep_hom_dim(q, a, b)
+
+    def corrupt(label, ar):
+        if label == "A3#2":
+            ar.ext_table[3][1] += 1
+
+    monkeypatch.setattr(arquiver, "rep_hom_dim", counted)
+    report = run_verification(["A3"], tamper=corrupt)
+    details = {(c["quiver"], ch["name"]): ch["detail"] for c in report["cells"] for ch in c["checks"] if c["m"] is None}
+    ar = cc.ARQuiver(BATTERY_QUIVERS["A3#2"])
+    ext = ar.ext_table[3][1]
+    assert details["A3#2", "oracle-ext-equivalence"] == f"ext(m4, m2): AR formula {ext + 1}, resolution oracle {ext}"
+    assert details["A3#2", "oracle-hom-equivalence"] is None
+    assert all(details[label, "oracle-ext-equivalence"] is None for label in ("A3#0", "A3#1", "A3#3"))
+    # one intertwiner system per ordered pair and one brick test per translate:
+    # the Ext^1 oracle reads the pairs the Hom oracle solved
+    assert all(count == 6 * 6 + 3 for count in solved.values()) and len(solved) == 4
+
+
+@pytest.mark.parametrize("label", ["A3#1", "A4#6", "D4#3"])
+def test_corrupted_derived_hom_fails_serre_derived_at_the_same_first_pair(label):
+    # the skipped pairs have a shift gap outside {0, 1} on both sides, where
+    # derived.hom is 0 by its gap rule (test_derived.test_hom_gap_rules)
+    ar = cc.ARQuiver(BATTERY_QUIVERS[label])
+    derived = cc.DerivedCategory(ar)
+    caught = 0
+    for table in (ar.hom_table, ar.ext_table):
+        for k, row in enumerate(table):
+            for l in range(k % 3, len(row), 3):
+                row[l] += 1
+                detail = verify._check_serre_derived(derived)
+                assert detail == _serre_derived_as_it_was(derived), (k, l)
+                row[l] -= 1
+                caught += detail is not None
+    assert caught and verify._check_serre_derived(derived) is None
+
+
+def test_default_battery_work_counts(monkeypatch):
+    # deterministic counts, not wall times: one matrix Hom per ordered pair
+    # plus one brick test per translate, exchange layers at m = 1 only, and
+    # one endo sum per (quiver, generator)
+    solved, layers, sums = Counter(), Counter(), Counter()
+    rep_hom_dim, layer_dim, sum_generator = arquiver.rep_hom_dim, verify.exchange_layer_dim, endo._sum_generator
+
+    def solving(q, a, b):
+        solved[q] += 1
+        return rep_hom_dim(q, a, b)
+
+    def layering(cat, gen1, gen2):
+        layers[cat.modulus] += 1
+        return layer_dim(cat, gen1, gen2)
+
+    def summing(base, gen):
+        sums[base.quiver_label, gen] += 1
+        return sum_generator(base, gen)
+
+    monkeypatch.setattr(arquiver, "rep_hom_dim", solving)
+    monkeypatch.setattr(verify, "exchange_layer_dim", layering)
+    monkeypatch.setattr(endo, "_sum_generator", summing)
+    assert run_verification()["passed"]
+    ars = [cc.ARQuiver(q) for q in BATTERY_QUIVERS.values()]
+    pairs = sum(len(ar.modules) ** 2 for ar in ars)
+    bricks = sum(len(ar.modules) - ar.quiver.vertex_count for ar in ars)
+    assert sum(solved.values()) == pairs + bricks == 2115 + 126
+    names = [label.split("#")[0] for label in BATTERY_QUIVERS]
+    edges = sum(TILTING_COUNTS[name] * int(name[1:]) // 2 for name in names)  # n-regular graphs
+    assert layers == {1: 2 * edges}
+    assert set(sums.values()) == {1} and len(sums) == sum(TILTING_COUNTS[name] for name in names)
