@@ -7,8 +7,8 @@ outputs are deterministic.
 
 A handler computes its result and returns ``(exit_code, result)``, where
 the result is a JSON payload dict or a list of text lines; ``main`` alone
-stamps ``schema_version`` first in every payload, encodes, writes once to
-stdout or ``--out`` and returns the exit code.
+stamps ``schema_version`` first in every payload, streams the encoding in
+chunks to stdout or ``--out`` and returns the exit code.
 A usage error the parser cannot see raises ``UsageError``, reported like
 an ingestion error.  A handler imports the layers past ``derived`` that it
 uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
@@ -17,15 +17,16 @@ uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arquiver import ARQuiver
 from .derived import MAX_DIGITS, DerivedCategory, ObjectSyntaxError
 from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, cluster_number, load_quiver, shown
 
 SCHEMA_VERSION = 1
+_FLUSH_PARTS = 4096  # encoded parts held before one write to the output
 
 
 class UsageError(Exception):
@@ -37,12 +38,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result = args.handler(args, parser)
-        if isinstance(result, dict):
-            text = json.dumps({"schema_version": SCHEMA_VERSION, **result}, indent=2)
-        else:
-            text = "\n".join(result)
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-            fh.write(text + "\n")
+            if isinstance(result, dict):
+                _write_json({"schema_version": SCHEMA_VERSION, **result}, fh)
+            else:
+                fh.write("\n".join(result) + "\n")
         return code
     except (QuiverError, ObjectSyntaxError, UsageError, OSError) as exc:
         if getattr(exc, "filename", None) is not None:  # a path as the user gave it
@@ -53,6 +53,49 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3
+
+
+def _write_json(payload, fh) -> None:
+    """Write payload to fh as ``json.dumps`` with ``indent=2`` and a final
+    newline would, never holding the whole text: _FLUSH_PARTS parts a write."""
+    parts: list[str] = []
+    put = parts.append
+
+    def emit(x, pad: str) -> None:
+        if isinstance(x, str):
+            put(_quote(x))
+        elif x is None or x is True or x is False:
+            put("null" if x is None else "true" if x else "false")
+        elif isinstance(x, (int, float)):
+            put(int.__repr__(x) if isinstance(x, int) else float.__repr__(x))
+        elif isinstance(x, (list, tuple, dict)) and not x:
+            put("{}" if isinstance(x, dict) else "[]")
+        elif isinstance(x, (list, tuple)):
+            inner = pad + "  "
+            kinds = set(map(type, x))
+            if kinds == {int} or kinds == {str}:  # a leaf list, one join; a bool or float is neither
+                encode = int.__repr__ if kinds == {int} else _quote
+                put("[\n" + inner + (",\n" + inner).join(map(encode, x)) + "\n" + pad + "]")
+            else:
+                for k, item in enumerate(x):
+                    put(",\n" + inner if k else "[\n" + inner)
+                    emit(item, inner)
+                put("\n" + pad + "]")
+        elif isinstance(x, dict):
+            inner = pad + "  "
+            for k, (key, item) in enumerate(x.items()):
+                put((",\n" if k else "{\n") + inner + _quote(key) + ": ")
+                emit(item, inner)
+            put("\n" + pad + "}")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        if len(parts) >= _FLUSH_PARTS:
+            fh.write("".join(parts))
+            parts.clear()
+
+    emit(payload, "")
+    put("\n")
+    fh.write("".join(parts))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,7 +23,7 @@ Only dimensions are computed here; no multiplication tables.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .derived import DObject
 from .orbit import MAX_TABLE_SIDE, OrbitCategory, mask_of
@@ -34,8 +34,7 @@ from .tilting import NotExchangeError
 _SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass
-class EndoProfile:
+class EndoProfile(NamedTuple):
     tiers: list[list[DObject]]
     block_dims: list[list[int]]
     dim_c: int | None
@@ -47,11 +46,10 @@ class EndoProfile:
         return sum(sum(row) for row in self.block_dims)
 
 
-@dataclass
-class PatternReport:
+class PatternReport(NamedTuple):
     ok: bool | None  # None when the check was skipped
-    deviations: list[dict] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
+    deviations: list[dict]
+    annotations: list[str]
 
 
 def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
@@ -104,6 +102,7 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
     if not profile.module_tier:
         return PatternReport(
             ok=None,
+            deviations=[],
             annotations=[
                 "generator is not a module-tier tilting object; block pattern "
                 "check skipped (a module-tier description over some derived-"
@@ -111,26 +110,24 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
             ],
         )
     m = len(profile.block_dims)
-    report = PatternReport(ok=True)
     pattern = _cyclic_blocks(m, profile.dim_c, profile.dim_e)
-    for i, (row, computed) in enumerate(zip(pattern, profile.block_dims)):
-        for j, (expected, got) in enumerate(zip(row, computed)):
-            if got != expected:
-                report.ok = False
-                report.deviations.append(
-                    {"block": [i, j], "expected": expected, "computed": got}
-                )
-    report.annotations.append(
+    deviations = [
+        {"block": [i, j], "expected": expected, "computed": got}
+        for i, (row, computed) in enumerate(zip(pattern, profile.block_dims))
+        for j, (expected, got) in enumerate(zip(row, computed))
+        if got != expected
+    ]
+    annotations = [
         "superdiagonal dimension computed as dim Hom(T, twist T) in the "
         "derived category; no bimodule identification is attempted"
-    )
+    ]
     if m >= 2 and profile.dim_e:
-        report.annotations.append(
+        annotations.append(
             f"wrap-around block (0, {m - 1}) carries dimension {profile.dim_e}; "
             "a strictly lower-triangular reading of the block matrix would "
             "miss it, so it is flagged here rather than normalized away"
         )
-    return report
+    return PatternReport(not deviations, deviations, annotations)
 
 
 def exchange_layer_dim(cat: OrbitCategory, gen1: tuple[int, ...], gen2: tuple[int, ...]) -> int:

@@ -6,8 +6,8 @@ denominators and eliminates fraction-free, dividing every reduced row by
 the gcd of its entries; it solves the intertwiner systems of the Hom
 oracle.  ``rref`` and ``QuotientSpace`` take dense rows of ints or
 Fractions and keep an entry an int until a division by a pivot other
-than 1 or -1 makes it a Fraction, so integral representations are
-reduced without building Fractions; the oracles' representations take
+than 1 or -1 makes it a Fraction; ``fractions`` (which loads ``decimal``)
+is imported only at such a pivot.  The oracles' representations take
 each cokernel of the knitted meshes with a ``QuotientSpace``.  The knit
 itself works on dimension vectors and imports nothing from here.  Shapes
 with zero rows or columns are legal everywhere.  ``KernelSpace``, the
@@ -17,10 +17,13 @@ for the benchmark tracer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
-Row = list[int | Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Row = list["int | Fraction"]
 Mat = list[Row]
 
 ZERO, ONE = 0, 1
@@ -40,6 +43,7 @@ def rref(rows: Mat, width: int) -> tuple[Mat, list[int]]:
         if piv == -1:
             m[r] = [-x for x in m[r]]
         elif piv != 1:
+            from fractions import Fraction  # loads decimal: only a non-unit pivot pays for it
             m[r] = [Fraction(x, piv) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:

@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercat
-from clustercat import arquiver, derived, orbit, quiver, verify
-from clustercat.cli import main
+from clustercat import arquiver, cli, derived, orbit, quiver, verify
+from clustercat.cli import _write_json, main
 
 from conftest import A2, A3, D4, TREES, oriented_trees
 
@@ -409,6 +411,112 @@ def test_out_flag_writes_file(tmp_path, capsys, a2_path):
             assert next(iter(json.loads(stdout))) == "schema_version", argv
 
 
+# -- the streamed emitter: the bytes of json.dumps(indent=2) plus a newline --
+
+# strings with quotes, backslashes, control and non-ASCII characters and lone surrogates
+_STRINGS = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfff\xe9\U0001f600'),
+    max_size=8,
+)
+_SCALARS = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+# leaf lists that a fast path must not take for all-int or all-str lists
+_MIXED = st.sampled_from(
+    [[1, True], [True, 1], [1, 1.0], [1.0, 1], [1, "1"], ["1", 1], [False], [0.5], ["a", None]]
+)
+_PAYLOADS = st.recursive(
+    _SCALARS | _MIXED,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(st.integers() | st.booleans(), max_size=5),
+        st.lists(_STRINGS, max_size=5),
+        st.dictionaries(_STRINGS, children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+def _emitted(payload) -> str:
+    fh = io.StringIO()
+    _write_json(payload, fh)
+    return fh.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_PAYLOADS)
+def test_emitter_writes_the_indent_2_dump(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emitter_leaf_lists_keep_bools_and_floats_apart():
+    for leaf in ([1, True], [True, False], [1, 1.0], [2.0, 3], [1, "1"], ["a", None], [-(10**30), 10**30]):
+        assert _emitted({"x": leaf}) == json.dumps({"x": leaf}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad", [{1, 2}, b"bytes", frozenset(), object()], ids=["set", "bytes", "frozenset", "object"]
+)
+def test_emitter_refuses_other_types(bad):
+    for payload in (bad, [1, bad], {"k": [bad]}):
+        with pytest.raises(TypeError):
+            _emitted(payload)
+
+
+def test_emitter_writes_in_chunks(monkeypatch):
+    # a payload of many parts reaches the output in several writes, the same bytes
+    monkeypatch.setattr(cli, "_FLUSH_PARTS", 16)
+    payload = {"rows": [{"id": f"x{k}", "members": [k, True]} for k in range(40)]}
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    _write_json(payload, Sink())
+    assert len(writes) > 10
+    assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_no_module_calls_json_dumps():
+    # every payload goes through the streamed emitter
+    package = Path(clustercat.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert "dumps" not in {f.attr for f in calls if isinstance(f, ast.Attribute)}, path.name
+
+
+@pytest.mark.parametrize("diagram", ["A3", "D4"])
+def test_every_json_output_is_the_indent_2_dump_byte_for_byte(tmp_path, capsys, diagram):
+    # each command's JSON equals the indent-2 dump of its own parse, and --out
+    # holds exactly the bytes of stdout for the same argv
+    path = tmp_path / f"{diagram}.quiver"
+    path.write_text({"A3": A3, "D4": D4}[diagram], encoding="utf-8")
+    target = tmp_path / "out.json"
+    argvs = [["ar", "--quiver", str(path)], ["verify", "--battery", diagram]]
+    argvs.append(["verify", "--battery", diagram, "--timings"])
+    for m in ("1", "2"):
+        for command, *extra in (["ind"], ["hom"], ["hom", "m1[0]", "m2[1]"], ["tilting"], ["graph"], ["endo", "1"]):
+            argvs.append([command, "--quiver", str(path), "--m", m, *extra])
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        target.unlink(missing_ok=True)
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", ""), argv
+        written, expected = target.read_bytes(), out.encode("utf-8")
+        if "--timings" in argv:  # the seconds differ from run to run
+            written, expected = (re.sub(rb'"seconds": [-+.e0-9]+', b'"seconds": 0', b) for b in (written, expected))
+        assert written == expected, argv
+
+
 def test_tilting_listing_past_the_member_cap_fails_fast_in_one_line(capsys, tmp_path):
     # 50 tilting objects of D4, each lifted to 4 * 6000 members: 1.2M texts
     p = tmp_path / "d4.quiver"
@@ -670,6 +778,31 @@ def test_ar_loads_neither_exact_nor_fractions(tmp_path):
     assert _fresh_stdout(code) == "False False\n"
 
 
+def test_verify_loads_neither_dataclasses_nor_fractions(tmp_path):
+    # the endo records are named tuples and the battery's matrices keep unit
+    # pivots, so neither dataclasses (and inspect) nor fractions is loaded
+    code = (
+        "import sys\n"
+        "from clustercat.cli import main\n"
+        f"assert main(['verify', '--battery', 'A2', '--out', {str(tmp_path / 'verify.json')!r}]) == 0\n"
+        "print(*(name in sys.modules for name in ('dataclasses', 'inspect', 'fractions')))\n"
+    )
+    assert _fresh_stdout(code) == "False False False\n"
+
+
+def test_rref_imports_fractions_at_the_first_non_unit_pivot():
+    code = (
+        "import sys\n"
+        "from clustercat import exact\n"
+        "assert exact.rref([[1, 2], [0, -1]], 2) == ([[1, 0], [0, 1]], [0, 1])\n"
+        "print('fractions' in sys.modules)\n"
+        "ech, pivots = exact.rref([[2, 1]], 2)\n"
+        "from fractions import Fraction\n"
+        "print(ech == [[Fraction(1), Fraction(1, 2)]], {type(x).__name__ for x in ech[0]}, pivots)\n"
+    )
+    assert _fresh_stdout(code) == "False\nTrue {'Fraction'} [0]\n"
+
+
 def test_verify_help_names_the_battery_diagrams(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -741,14 +874,30 @@ def test_fuzzed_input_exits_0_or_2_with_one_short_line(tmp_path_factory, text, c
         argv += ["--m", draw(st.sampled_from(["1", "2", "3", "4"]))]
     if data.draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "tsv", "dot"] if garbled else _FORMATS[command]))]
+    code, out, err = _main_captured(argv)
+    assert code in (0, 2), err
+    assert err.count("\n") <= 1 and err[-1:] in ("", "\n")
+    assert len(err.encode("utf-8", "backslashreplace")) <= 200, err
+    assert code == 0 or (out == "" and err != "")
+    # the same argv with --out: the file holds stdout's bytes, or is never created
+    target = tmp_path_factory.getbasetemp() / "fuzz.out"
+    target.unlink(missing_ok=True)
+    code_out, out_out, err_out = _main_captured([*argv, "--out", str(target)])
+    assert (code_out, out_out) == (code, ""), err_out
+    if code == 0:
+        assert err_out == err and target.read_bytes() == out.encode("utf-8")
+    else:
+        assert not target.exists()
+        assert err_out.count("\n") == 1 and err_out.endswith("\n")
+        assert len(err_out.encode("utf-8", "backslashreplace")) <= 200, err_out
+
+
+def _main_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), the parser's usage errors included."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # the parser's usage errors
             code = exc.code
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), err
-    assert err.count("\n") <= 1 and err[-1:] in ("", "\n")
-    assert len(err.encode("utf-8", "backslashreplace")) <= 200, err
-    assert code == 0 or (out == "" and err != "")
+    return code, out.getvalue(), err.getvalue()

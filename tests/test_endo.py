@@ -71,6 +71,23 @@ def test_a3_apr_tilt_m1_single_block(build):
     assert cc.block_pattern_report(profile).ok is True
 
 
+def test_block_deviations_are_reported_in_row_major_order(build):
+    # the A3 APR tilt at m = 3 with two blocks off the pattern: the report lists
+    # both, row by row, and is not ok; the profile itself is left as it was
+    dc = build(A3)
+    profile = cc.endo_profile(dc.orbit(3), tilting_by_dims(dc, [(1, 1, 1), (1, 0, 0), (0, 0, 1)]))
+    assert profile.block_dims == [[5, 0, 1], [1, 5, 0], [0, 1, 5]]
+    tampered = profile._replace(block_dims=[[5, 0, 1], [1, 5, 7], [2, 1, 5]])
+    report = cc.block_pattern_report(tampered)
+    assert report.ok is False
+    assert report.deviations == [
+        {"block": [1, 2], "expected": 0, "computed": 7},
+        {"block": [2, 0], "expected": 0, "computed": 2},
+    ]
+    assert any("wrap-around block (0, 2)" in a for a in report.annotations)
+    assert cc.block_pattern_report(profile) == (True, [], report.annotations)
+
+
 def test_non_module_tier_profile_skips_pattern(build):
     dc = build(A2)
     cat = dc.orbit(2)
