@@ -266,9 +266,9 @@ def _cmd_hom(args, parser):
         parser.error("hom takes exactly two objects, or none for the full tables")
     cat = _category(args)
     if args.objects:
-        i = cat.canonicalize(cat.derived.parse_object(args.objects[0]))
-        j = cat.canonicalize(cat.derived.parse_object(args.objects[1]))
-        x, y, hom, ext = cat.catalog[i], cat.catalog[j], cat.dim(i, j, 0), cat.dim(i, j, 1)
+        i, j = (cat.canonicalize(cat.derived.parse_object(text)) for text in args.objects)
+        x, y = (cat.derived.twist_power(cat.base.catalog[cat.project(p)], cat.tier_of(p)) for p in (i, j))
+        hom, ext = cat.dim(i, j, 0), cat.dim(i, j, 1)
         if args.format == "json":
             return 0, {"m": cat.modulus, "x": x.text, "y": y.text, "hom": hom, "ext": ext}
         return 0, ["x\ty\thom\text", f"{x.text}\t{y.text}\t{hom}\t{ext}"]

@@ -64,8 +64,8 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
             f"endo blocks of {cat.ar.dynkin} at m={m} need {m} tiers; at most {MAX_TABLE_SIDE} are supported"
         )
     # tier-major: the twist^i of gen fills slice i
-    positions = cat.build_twist_stable(gen)
-    tiers = [[cat.catalog[p] for p in positions[i * size : (i + 1) * size]] for i in range(m)]
+    summands = list(map(cat.catalog.__getitem__, cat.build_twist_stable(gen)))
+    tiers = [summands[i * size : (i + 1) * size] for i in range(m)]
     # no sum depends on the modulus: each generator's are taken once, on the base
     memo, key = _SUMS.setdefault(cat.base, {}), tuple(sorted(gen))
     if key not in memo:
@@ -79,19 +79,22 @@ def _sum_generator(base: OrbitCategory, gen: tuple[int, ...]) -> tuple[int, int,
     """(same, up, dim C, dim E) of a generator (a multiset of base positions): same
     and up from ``layers[0, 0]`` and ``layers[0, 1]``, dim C and dim E (None off
     the module tier) from the module and derived Hom."""
-    same, up = (sum(base.layers[0, s][k][l] for k in gen for l in gen) for s in (0, 1))
+    same, up = (sum(sum(map(layer[k].__getitem__, gen)) for k in gen) for layer in (base.layers[0, 0], base.layers[0, 1]))
     reps = [base.catalog[g] for g in gen]
-    if not all(x.shift == 0 for x in reps):
+    if any(x.shift for x in reps):
         return same, up, None, None
-    dim_c = sum(base.ar.hom_dim(x.module_id, y.module_id) for x in reps for y in reps)
+    ids, hom = [x.module_id - 1 for x in reps], base.ar.hom_table
+    dim_c = sum(sum(map(hom[k].__getitem__, ids)) for k in ids)
     twisted = [base.derived.twist(y) for y in reps]
     return same, up, dim_c, sum(base.derived.hom(x, y) for x in reps for y in twisted)
 
 
 def _cyclic_blocks(m: int, same: int, up: int) -> list[list[int]]:
     """The m x m two-layer pattern: same on the diagonal, up at (i, j) with
-    i = j + 1 mod m, zero elsewhere; at m = 1 both land in the one block."""
-    return [[same * (i == j) + up * ((i - j) % m == 1 % m) for j in range(m)] for i in range(m)]
+    i = j + 1 mod m, zero elsewhere; at m = 1 both land in the one block.
+    Row i is row 0 turned i places to the right."""
+    row = [same + up] if m == 1 else [same, *[0] * (m - 2), up]
+    return [row[m - i :] + row[: m - i] for i in range(m)]
 
 
 def block_pattern_report(profile: EndoProfile) -> PatternReport:
@@ -141,6 +144,6 @@ def exchange_layer_dim(cat: OrbitCategory, gen1: tuple[int, ...], gen2: tuple[in
     # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
     if (mask1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
         raise NotExchangeError("inputs are not the two sides of an exchange edge")
-    # each of the m tiers of gen1 meets one tier of gen2 at gap 0 and one at gap -1
+    # each of the m tiers of gen1 meets one tier of each copy of x2 at gap 0 and one at gap -1
     zero, down = cat.layers[1, 0], cat.layers[1, -1]
-    return cat.modulus * sum(zero[k][l] + down[k][l] for k in gen1 for l in gen2)
+    return cat.modulus * len(gen2) * sum(zero[k][x2] + down[k][x2] for k in gen1)

@@ -19,7 +19,10 @@ twist^t of base object k sits at position t*B + k and the twist acts on
 positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
 covering projection use this arithmetic instead of walking the twist; the
 battery's ``twist-free-orbits`` check asserts it against the walked
-``twist_permutation``.
+``twist_permutation``.  ``canonicalize`` reads it too: it walks x =
+twist^j(y) on plain (module id, shift) pairs into the base domain and
+returns (j mod m)*B + the base index of y, with no map over the m*B
+catalog and no walk back out of the base domain.
 
 An object of the orbit category is its catalog position: the catalog holds
 one ``DObject`` per twist-orbit, ``canonicalize`` sends any ``DObject`` to
@@ -33,9 +36,11 @@ summands out by tier where a caller needs their positions.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .derived import DerivedCategory, DObject
+from .derived import SHIFT_LIMIT, DerivedCategory, DObject
 from .quiver import QuiverTooLargeError, cluster_number
 
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
@@ -79,17 +84,19 @@ class OrbitCategory:
     # -- canonical forms ------------------------------------------------
 
     def canonicalize(self, x: DObject) -> int:
-        """Catalog position of the orbit of x: write x = twist^j(y) with y in
-        the base domain (the catalog's first tier), then look up twist^(j mod m)(y)."""
-        d, positions, size, j = self.derived, self._positions, self._tier_size, 0
-        while positions.get(x, size) >= size:
-            if x.shift >= 1:
-                x = d.twist_inv(x)
-                j += 1
-            else:
-                x = d.twist(x)
-                j -= 1
-        return positions[d.twist_power(x, j % self.modulus)]
+        """Catalog position of the orbit of x: walk the twist step tables on
+        (module id, shift) from x = twist^j(y) into the base domain, at y's base
+        index k, and read the position (j mod m)*B + k off the layout."""
+        home, (up, down) = self._home, self.derived._steps[2:]
+        (k, s), j = x, 0
+        while (k, s) not in home:
+            back = s >= 1  # down by the inverse twist, else up by the twist
+            k, step, checked = (down if back else up)[k]
+            j += 1 if back else -1
+            if abs(s + checked) > SHIFT_LIMIT:
+                raise ValueError(f"shift {s + checked} exceeds limit {SHIFT_LIMIT}")
+            s += step
+        return j % self.modulus * self._tier_size + home[k, s]
 
     def tier_of(self, i: int) -> int:
         return i // self._tier_size
@@ -107,8 +114,11 @@ class OrbitCategory:
         return reps
 
     @cached_property
-    def _positions(self) -> dict[DObject, int]:
-        return {x: i for i, x in enumerate(self.catalog)}
+    def _home(self) -> dict[DObject, int]:
+        """Base index of each object of the base domain (the first tier)."""
+        if self._base:
+            return self._base._home
+        return {x: k for k, x in enumerate(self.catalog)}
 
     def texts(self, positions: Iterable[int]) -> list[str]:
         """The catalog texts at the given positions, as output and messages print them."""
@@ -122,11 +132,18 @@ class OrbitCategory:
         domain X_0 .. X_{B-1}; no other (e, s) is nonzero there."""
         if self._base:
             return self._base.layers
-        d, base = self.derived, self.catalog[: self._tier_size]
-        out = {}
+        d, base, hom, ext = self.derived, self.catalog, self.ar.hom_table, self.ar.ext_table
+        size, out = len(hom), {}
         for e, s in ((0, 0), (0, 1), (1, -1), (1, 0)):
             column = [d.shift(d.twist_power(y, s), e) for y in base]
-            out[e, s] = [[d.hom(x, z) for z in column] for x in base]
+            # a row at a time: Hom_D(x, z) is x's module row of the Hom table at
+            # shift gap 0 and of the Ext^1 table at gap 1 (``derived.hom``), else 0;
+            # the row from x's shift t is read off hom + ext + [0] at these indices
+            read = [
+                itemgetter(*[z.module_id - 1 + size * (z.shift - t) if 0 <= z.shift - t <= 1 else 2 * size for z in column])
+                for t in (0, 1)
+            ]
+            out[e, s] = [list(read[x.shift](hom[x.module_id - 1] + ext[x.module_id - 1] + [0])) for x in base]
         return out
 
     def dim(self, i: int, j: int, e: int) -> int:
@@ -139,7 +156,7 @@ class OrbitCategory:
         return total + (self.layers[e, near][k][l] if gap == near % self.modulus else 0)
 
     def _table(self, e: int) -> list[list[int]]:
-        size = len(self.catalog)
+        size = self.modulus * self._tier_size
         if size > MAX_TABLE_SIDE:
             raise QuiverTooLargeError(
                 f"full Hom/Ext tables of {self.ar.dynkin} at m={self.modulus} need"
@@ -147,10 +164,12 @@ class OrbitCategory:
             )
         # as dim reads: the block at tier gap g is layer (e, 0) at 0 plus (e, 1 - 2e) at near
         m, near = self.modulus, (1 - 2 * e) % self.modulus
-        rows = list(zip(self.layers[e, 0], self.layers[e, 1 - 2 * e]))
-        blocks = [[[x * (g == 0) + y * (g == near) for x, y in zip(*r)] for r in rows] for g in range(m)]
-        tier = range(len(rows))
-        return [[v for b in range(m) for v in blocks[(b - a) % m][k]] for a in range(m) for k in tier]
+        same, other = self.layers[e, 0], self.layers[e, 1 - 2 * e]
+        blocks = [[[0] * len(same)] * len(same)] * m
+        blocks[0], blocks[near] = same, other if near else [list(map(add, x, y)) for x, y in zip(same, other)]
+        # row k of tier a joins row k of the blocks at tier gaps -a, 1 - a, ..., m - 1 - a
+        turned = [blocks[m - a :] + blocks[: m - a] for a in range(m)]
+        return [list(chain.from_iterable(map(itemgetter(k), gaps))) for gaps in turned for k in range(len(same))]
 
     @cached_property
     def hom_table(self) -> list[list[int]]:
@@ -193,19 +212,19 @@ class OrbitCategory:
         gen, size = sorted(generator), self._tier_size
         if gen and (gen[0] < 0 or gen[-1] >= size):
             raise ValueError(f"generator positions must lie in 0..{size - 1}, got {gen}")
-        return tuple(t * size + k for t in range(self.modulus) for k in gen)
+        return tuple([t + k for t in range(0, self.modulus * size, size) for k in gen])
 
     # -- compatibility bitmasks (ext-vanishing, used by tilting search) -------
 
     @cached_property
     def ext_zero_out(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[i], cat[j]) == 0."""
-        return [mask_of(j for j, e in enumerate(row) if e == 0) for row in self.ext_table]
+        return list(map(_zero_mask, self.ext_table))
 
     @cached_property
     def ext_zero_in(self) -> list[int]:
         """Bit j set in entry i iff ext1(cat[j], cat[i]) == 0."""
-        return [mask_of(j for j, e in enumerate(col) if e == 0) for col in zip(*self.ext_table)]
+        return list(map(_zero_mask, zip(*self.ext_table)))
 
     @cached_property
     def compat_mask(self) -> list[int]:
@@ -283,3 +302,8 @@ def mask_of(positions: Iterable[int]) -> int:
     for p in positions:
         mask |= 1 << p
     return mask
+
+
+def _zero_mask(row) -> int:
+    """Bitmask with bit j set where row[j] == 0, read off the whole row at once."""
+    return int("".join(["0" if e else "1" for e in reversed(row)]), 2)

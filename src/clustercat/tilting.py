@@ -18,7 +18,7 @@ rigid n-set that ``tilting_sets`` enumerates.
 
 from __future__ import annotations
 
-from .orbit import OrbitCategory, mask_of
+from .orbit import OrbitCategory
 from .quiver import reachable
 
 
@@ -56,22 +56,24 @@ def cluster_tilting_check(cat: OrbitCategory, positions) -> tuple[bool, int | No
     Members and the result are catalog positions; the first violating
     position, in catalog order, is returned otherwise.
     """
-    left, right = _ext_zero_with_all(cat, positions)
-    support = mask_of(positions)
+    support, left, right = _ext_zero_with_all(cat, positions)
     bad = (left ^ support) | (right ^ support)
     if bad:
         return False, (bad & -bad).bit_length() - 1
     return True, None
 
 
-def _ext_zero_with_all(cat: OrbitCategory, positions) -> tuple[int, int]:
-    """Masks of the X with ext1(X, every member) == 0 and with ext1(every member, X) == 0."""
-    left = right = (1 << len(cat.catalog)) - 1
+def _ext_zero_with_all(cat: OrbitCategory, positions) -> tuple[int, int, int]:
+    """Masks of the members, of the X with ext1(X, every member) == 0 and of
+    the X with ext1(every member, X) == 0, in one pass over the members."""
     zero_in, zero_out = cat.ext_zero_in, cat.ext_zero_out
+    left = right = (1 << len(zero_in)) - 1
+    support = 0
     for p in positions:
+        support |= 1 << p
         left &= zero_in[p]
         right &= zero_out[p]
-    return left, right
+    return support, left, right
 
 
 def complements(cat: OrbitCategory, positions) -> list[int]:
@@ -82,7 +84,7 @@ def complements(cat: OrbitCategory, positions) -> list[int]:
     summands; a rigid but non-extendable input yields the empty list
     (distinct from the error cases, which raise).
     """
-    return completions(cat, mask_of(positions), *_ext_zero_with_all(cat, positions))
+    return completions(cat, *_ext_zero_with_all(cat, positions))
 
 
 def completions(cat: OrbitCategory, support: int, left: int, right: int) -> list[int]:
@@ -97,11 +99,12 @@ def completions(cat: OrbitCategory, support: int, left: int, right: int) -> list
     if support & ~(left & right):
         raise NotRigidError("input is not rigid")
     candidates, out = left & right & ~support, []
+    zero_in, zero_out = cat.ext_zero_in, cat.ext_zero_out
     while candidates:
-        j = (candidates & -candidates).bit_length() - 1
-        candidates ^= 1 << j
-        grown = support | 1 << j
-        if (left & cat.ext_zero_in[j]) == grown == (right & cat.ext_zero_out[j]):
+        low = candidates & -candidates
+        candidates ^= low
+        j = low.bit_length() - 1
+        if (left & zero_in[j]) == support | low == (right & zero_out[j]):
             out.append(j)
     return out
 

@@ -13,21 +13,29 @@ almost tilting object once), ``graph-connected``, ``graph-shape`` and
 ``exchange-layer-dim`` (the layer at m is m times the one at 1).  A
 lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
-that checks each lift at modulus m.  ``hom-walk-oracle`` asks the derived
-category only for the pairs whose shifts allow a map (a gap of 0 or 1).
+that checks each lift at modulus m.  ``hom-walk-oracle`` walks each
+object's F^m-orbit through per-module F^{+-m} step tables and reads the
+module Hom and Ext^1 tables a whole row of the transpose (the Hom into
+one module) at a time, at shift gap 0 or 1, never the ``layers`` the
+tables are tiled from; ``serre-derived`` reads them a row at a time both
+ways.  The checks on whole tables compare rows and columns at once and
+search for the first mismatch only when there is one.  The expected
+tilting counts come from the Dynkin class (``cluster_number``), so the
+battery reads no diagram name past the orientations it builds.
 """
 
 from __future__ import annotations
 
 import time
 from functools import partial
+from typing import Iterator
 from itertools import accumulate, combinations
-from operator import and_
+from operator import add, and_, itemgetter
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
 from .orbit import OrbitCategory, mask_of
-from .quiver import DIAGRAMS, DynkinClass, Quiver, cluster_number, positive_root_count
+from .quiver import DIAGRAMS, Quiver, cluster_number, positive_root_count
 from .tilting import (
     cluster_tilting_check,
     completions,
@@ -37,8 +45,6 @@ from .tilting import (
     near_complements,
 )
 from .endo import block_pattern_report, endo_profile, exchange_layer_dim
-
-TILTING_COUNTS = {name: cluster_number(DynkinClass(name[0], int(name[1:]))) for name in DIAGRAMS}
 
 M_VALUES = (1, 2, 3)
 
@@ -70,17 +76,24 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
             raise ValueError(f"unknown diagram {name!r}; choose from {list(DIAGRAMS)}")
     cells = []
     for name in names:
+        # each orientation is knitted once; the reversal of one is another of the
+        # same diagram, so its shape is recorded before tamper can touch it
+        knitted, shapes = [], {}
         for label, q in orientations(name):
             ar = ARQuiver(q)
+            shapes[q] = len(ar.modules), sorted(m.dim_vector for m in ar.modules), ar.dynkin
             if tamper is not None:
                 tamper(label, ar)
+            knitted.append((label, q, ar))
+        for label, q, ar in knitted:
             derived = DerivedCategory(ar)
             once = {}  # the modulus-1 checks' details, shared by this quiver's cells
             cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
-            cells.append({**cell, "m": None, "checks": _quiver_checks(q, ar, derived, clock)})
+            checks = _quiver_checks(ar, shapes[q.reversed()], derived, clock)
+            cells.append({**cell, "m": None, "checks": checks})
             for m in M_VALUES:
                 cat = derived.orbit(m)  # held while the next m is built: one shared base
-                cells.append({**cell, "m": m, "checks": _orbit_checks(name, cat, once, clock)})
+                cells.append({**cell, "m": m, "checks": _orbit_checks(cat, once, clock)})
     results = [check for cell in cells for check in cell["checks"]]
     failed = sum(not check["passed"] for check in results)
     return {
@@ -115,7 +128,7 @@ def _run_check(checks: list, check_name: str, fn, clock=None) -> None:
         checks[-1]["seconds"] = round(clock() - start, 6)
 
 
-def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory, clock=None) -> list[dict]:
+def _quiver_checks(ar: ARQuiver, reversed_shape: tuple, derived: DerivedCategory, clock=None) -> list[dict]:
     checks = []
     run = partial(_run_check, checks, clock=clock)
     run("catalog-size-modules", lambda: _check_module_count(ar))
@@ -126,11 +139,11 @@ def _quiver_checks(q: Quiver, ar: ARQuiver, derived: DerivedCategory, clock=None
     run("ar-mesh-hom-identity", lambda: _check_mesh_hom_identity(ar))
     run("serre-derived", lambda: _check_serre_derived(derived))
     run("twist-shift-step", lambda: _check_twist_steps(derived))
-    run("orientation-reversal", lambda: _check_reversal(q, ar))
+    run("orientation-reversal", lambda: _check_reversal(ar, reversed_shape))
     return checks
 
 
-def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None, clock=None) -> list[dict]:
+def _orbit_checks(cat: OrbitCategory, once: dict | None = None, clock=None) -> list[dict]:
     """The per-(quiver, m) checks; a check given ``base`` reads only the modulus-1
     category, and its detail is kept in ``once`` for the quiver's other cells."""
     n = cat.ar.quiver.vertex_count
@@ -157,7 +170,7 @@ def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None, clock
     run("twist-hom-invariance", lambda: _check_twist_hom_invariance(cat))
     if n <= 3:
         run("orbit-count-criterion", lambda: _check_orbit_count_criterion(cat))
-    run("tilting-count", lambda: _check_tilting_count(name, cat.base), base=True)
+    run("tilting-count", lambda: _check_tilting_count(cat.base), base=True)
     run("tilting-brute-force", lambda: _check_tilting_brute_force(cat.base), base=True)
     run("lift-check", lambda: _check_lifts(cat))
     if n <= 3 and m <= 2:
@@ -165,7 +178,7 @@ def _orbit_checks(name: str, cat: OrbitCategory, once: dict | None = None, clock
     run("complement-counts", lambda: _check_complements(cat))
     run("near-complement-pairs", lambda: _check_near_complements(cat.base), base=True)
     run("graph-connected", lambda: _check_graph_connected(cat.base), base=True)
-    run("graph-shape", lambda: _check_graph_shape(name, cat.base), base=True)
+    run("graph-shape", lambda: _check_graph_shape(cat.base), base=True)
     run("exchange-layer-dim", lambda: _check_exchange_layers(cat.base), base=True)
     if m == 1:
         run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
@@ -238,15 +251,29 @@ def _check_mesh_hom_identity(ar: ARQuiver) -> str | None:
 
 
 def _check_serre_derived(derived: DerivedCategory) -> str | None:
-    ar = derived.ar
-    objs = [DObject(m.id, s) for m in ar.modules for s in range(-2, 3)]
+    # Hom_D(x, y) = D Hom_D(y, Sx) over the window of shifts -2..2, each side
+    # a whole row over the window's objects (module-major, shift-minor): a
+    # derived Hom needs a shift gap of 0 or 1, so Hom_D(x, -) is x's row of
+    # the module Hom table at x's shift and of the Ext^1 table one shift up,
+    # and Hom_D(-, Sx) the columns of Sx's module at Sx's shift and one below
+    ar, shifts = derived.ar, range(-2, 3)
+    hom_in, ext_in = list(zip(*ar.hom_table)), list(zip(*ar.ext_table))
+    objs = [DObject(m.id, s) for m in ar.modules for s in shifts]
+
+    def spread(parts) -> list[int]:
+        row = [0] * len(objs)
+        for s, values in parts:
+            if s in shifts:
+                row[s + 2 :: len(shifts)] = values
+        return row
+
     for x in objs:
-        sx = derived.serre(x)
-        # a derived Hom needs a shift gap of 0 or 1: every other y has both sides 0
-        near = {x.shift, x.shift + 1, sx.shift - 1, sx.shift}
-        for y in objs:
-            if y.shift in near and derived.hom(x, y) != derived.hom(y, sx):
-                return f"Serre duality fails at ({x.text}, {y.text})"
+        (k, s), (l, t) = x, derived.serre(x)
+        out = spread(((s, ar.hom_table[k - 1]), (s + 1, ar.ext_table[k - 1])))
+        into = spread(((t, hom_in[l - 1]), (t - 1, ext_in[l - 1])))
+        if out != into:
+            y = next(y for y, a, b in zip(objs, out, into) if a != b)
+            return f"Serre duality fails at ({x.text}, {y.text})"
     return None
 
 
@@ -264,15 +291,15 @@ def _check_twist_steps(derived: DerivedCategory) -> str | None:
     return None
 
 
-def _check_reversal(q: Quiver, ar: ARQuiver) -> str | None:
-    rev = ARQuiver(q.reversed())
-    if len(rev.modules) != len(ar.modules):
+def _check_reversal(ar: ARQuiver, reversed_shape: tuple) -> str | None:
+    # the reversed orientation's module count, sorted dimension vectors and
+    # Dynkin class, as knitted for its own cells
+    count, dims, dynkin = reversed_shape
+    if count != len(ar.modules):
         return "reversed orientation changes the catalog size"
-    if sorted(m.dim_vector for m in rev.modules) != sorted(
-        m.dim_vector for m in ar.modules
-    ):
+    if dims != sorted(m.dim_vector for m in ar.modules):
         return "reversed orientation changes the dimension-vector multiset"
-    if rev.dynkin != ar.dynkin:
+    if dynkin != ar.dynkin:
         return "reversed orientation changes the Dynkin class"
     return None
 
@@ -317,28 +344,36 @@ def _check_twist_orbits(cat: OrbitCategory) -> str | None:
 def _check_hom_walk(cat: OrbitCategory) -> str | None:
     # the definition the layered tables must match: Hom(x, y) sums Hom_D(x, w)
     # over the F^m-orbit of y, walked once per y across the catalog's shift
-    # window; Ext^1(x, y) is Hom(x, y[1]), read from the column of y[1]
-    d, m, catalog = cat.derived, cat.modulus, cat.catalog
+    # window by per-module F^{+-m} step tables; the x at shift t take column
+    # k of the module Hom table from the w of module k at shift t and that of
+    # the Ext^1 table from the w at t + 1 (a derived Hom needs a shift gap of
+    # 0 or 1); Ext^1(x, y) is Hom(x, y[1]), read from the column of y[1]
+    d, m, catalog, ar, size = cat.derived, cat.modulus, cat.catalog, cat.ar, len(cat.ar.modules)
+    up, down = ({k: d.twist_power(DObject(k, 0), t) for k in range(1, size + 1)} for t in (m, -m))
     low, high = min(x.shift for x in catalog), max(x.shift for x in catalog) + 1
-    at_shift = {}
-    for i, x in enumerate(catalog):
-        at_shift.setdefault(x.shift, []).append(i)
+    # module id 0 reads a zero column; the sums run by (shift, module) from low
+    zero = (0,) * size
+    hom_in, ext_in = [zero, *zip(*ar.hom_table)], [zero, *zip(*ar.ext_table)]
+    x_at = itemgetter(*[(x.shift - low) * size + x.module_id - 1 for x in catalog])
     walked = []
-    for y in catalog:
-        w, column = y, [0] * len(catalog)
-        while w.shift >= low:
-            w = d.twist_power(w, -m)
-        while w.shift <= high:
-            # a derived Hom into w needs a shift gap of 0 or 1
-            for i in at_shift.get(w.shift, []) + at_shift.get(w.shift - 1, []):
-                column[i] += d.hom(catalog[i], w)
-            w = d.twist_power(w, m)
-        walked.append(tuple(column))
-    columns = {"hom": list(zip(*cat.hom_table)), "ext1": list(zip(*cat.ext_table))}
+    for k, s in catalog:
+        while s >= low:
+            k, step = down[k]
+            s += step
+        orbit = {}  # the module of the orbit's object at each shift up to high
+        while s <= high:
+            orbit[s] = k
+            k, step = up[k]
+            s += step
+        sums = []
+        for t in range(low, high):
+            sums += map(add, hom_in[orbit.get(t, 0)], ext_in[orbit.get(t + 1, 0)])
+        walked.append(x_at(sums))
+    tables = {"hom": list(zip(*cat.hom_table)), "ext1": list(zip(*cat.ext_table))}
     for j, y in enumerate(catalog):
         shifted = walked[cat.canonicalize(d.shift(y, 1))]
         for name, ref in (("hom", walked[j]), ("ext1", shifted)):
-            if (col := columns[name][j]) != ref:
+            if (col := tables[name][j]) != ref:
                 i = next(i for i, (a, b) in enumerate(zip(col, ref)) if a != b)
                 return f"{name}({catalog[i].text}, {y.text}): table {col[i]}, walked {ref[i]}"
     return None
@@ -360,15 +395,16 @@ def _check_end_dims(cat: OrbitCategory) -> str | None:
 
 
 def _check_serre_orbit(cat: OrbitCategory) -> str | None:
-    serre_idx = cat.serre_permutation
-    table = cat.hom_table
-    for i in range(len(cat.catalog)):
-        for j in range(len(cat.catalog)):
-            if table[i][j] != table[j][serre_idx[i]]:
-                return (
-                    f"orbit Serre duality fails at ({cat.catalog[i].text},"
-                    f" {cat.catalog[j].text})"
-                )
+    # Hom(X_i, X_j) = D Hom(X_j, S X_i): row i against column S(i), whole
+    serre_idx, table = cat.serre_permutation, cat.hom_table
+    columns = list(zip(*table))
+    for i, row in enumerate(table):
+        if tuple(row) != (col := columns[serre_idx[i]]):
+            j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
+            return (
+                f"orbit Serre duality fails at ({cat.catalog[i].text},"
+                f" {cat.catalog[j].text})"
+            )
     return None
 
 
@@ -386,42 +422,49 @@ def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
 
 def _check_fractional_cy(cat: OrbitCategory) -> str | None:
     # the double shift by the modulus equals the modulus-th Serre power
-    serre_idx = cat.serre_permutation
-    for i, x in enumerate(cat.catalog):
-        j = i
-        for _ in range(cat.modulus):
-            j = serre_idx[j]
-        if cat.canonicalize(cat.derived.shift(x, 2 * cat.modulus)) != j:
+    serre_idx, power = cat.serre_permutation, range(len(cat.catalog))
+    for _ in range(cat.modulus):
+        power = itemgetter(*power)(serre_idx)
+    canonicalize, shift = cat.canonicalize, cat.derived.shift
+    for x, j in zip(cat.catalog, power):
+        if canonicalize(shift(x, 2 * cat.modulus)) != j:
             return f"fractional CY permutation fails at {x.text}"
     return None
 
 
 def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
     # pairs suffice: both sides of the transfer identity are sums over
-    # ordered pairs of generator summands
-    base, ext, orbits = cat.base, cat.ext_table, cat.twist_orbits
+    # ordered pairs of generator summands.  Orbit i's rows are ext[i::B]; their
+    # sum over orbit j is the slice [j::B] of the summed row.  A total of m
+    # times the base total is zero exactly when the base total is, so the
+    # identity carries the rigidity equivalence with it
+    base, ext, m = cat.base, cat.ext_table, cat.modulus
+    size = len(base.catalog)
     for i, a in enumerate(base.catalog):
-        for j, b in enumerate(base.catalog):
-            total = sum(ext[x][y] for x in orbits[i] for y in orbits[j])
-            base_total = base.ext_table[i][j]
-            if total != cat.modulus * base_total:
-                return (
-                    f"expansion ext total {total} != m * {base_total}"
-                    f" at ({a.text}, {b.text})"
-                )
-            if (total == 0) != (base_total == 0):
-                return f"rigidity transfer equivalence fails at ({a.text}, {b.text})"
+        summed = [sum(col) for col in zip(*ext[i::size])]
+        totals = [sum(summed[j::size]) for j in range(size)]
+        if totals != [m * v for v in base.ext_table[i]]:
+            j = next(j for j, (t, v) in enumerate(zip(totals, base.ext_table[i])) if t != m * v)
+            return (
+                f"expansion ext total {totals[j]} != m * {base.ext_table[i][j]}"
+                f" at ({a.text}, {base.catalog[j].text})"
+            )
     return None
 
 
 def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
-    # the twist is walked (twist_permutation), not read from the layout
-    twist, hom = cat.twist_permutation, cat.hom_table
+    # the twist is walked (twist_permutation), not read from the layout; the
+    # Hom into y from an orbit's rows hom[k::B] must not move along y's twist
+    # orbit, which holds exactly when it does not move under one twist
+    twist, hom, m = cat.twist_permutation, cat.hom_table, cat.modulus
+    size, twisted = len(cat.base.catalog), itemgetter(*twist)
     for k, g in enumerate(cat.base.catalog):
-        into = [sum(col) for col in zip(*(hom[s] for s in cat.twist_orbits[k]))]
+        into = tuple(map(sum, zip(*hom[k::size])))
+        if m == 1 or twisted(into) == into:
+            continue
         for y, target in enumerate(cat.catalog):
             z = y
-            for _ in range(cat.modulus - 1):
+            for _ in range(m - 1):
                 z = twist[z]
                 if into[z] != into[y]:
                     return f"twist Hom invariance fails at generator {g.text}, y {target.text}"
@@ -445,9 +488,9 @@ def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_tilting_count(name: str, base: OrbitCategory) -> str | None:
+def _check_tilting_count(base: OrbitCategory) -> str | None:
     tiltings = enumerate_cluster_tilting(base)
-    expected = TILTING_COUNTS[name]
+    expected = cluster_number(base.ar.dynkin)
     if len(tiltings) != expected:
         return f"{len(tiltings)} tilting objects, expected {expected}"
     return None
@@ -475,9 +518,10 @@ def _check_tilting_brute_force(base: OrbitCategory) -> str | None:
 def _check_lifts(cat: OrbitCategory) -> str | None:
     # the one modulus-m tilting check of each lift: the graph and the
     # completions are read in the modulus-1 category
+    build, summands = cat.build_twist_stable, cat.modulus * cat.ar.quiver.vertex_count
     for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
-        positions = cat.build_twist_stable(t)
-        if len(set(positions)) != cat.modulus * cat.ar.quiver.vertex_count:
+        positions = build(t)
+        if len(set(positions)) != summands:
             return f"{cat.quiver_label}: lift of {_key(cat, t)} does not have m*n distinct summands"
         ok, witness = cluster_tilting_check(cat, positions)
         if not ok:
@@ -498,13 +542,16 @@ def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
 
 
 def _check_complements(cat: OrbitCategory) -> str | None:
-    expected = 1 if cat.modulus >= 2 else 2
+    expected, build = 1 if cat.modulus >= 2 else 2, cat.build_twist_stable
+    # a position's ext_zero_in mask above its ext_zero_out mask, so that one
+    # sweep ANDs both; each half is cut back to the catalog's width
+    size, full = len(cat.catalog), (1 << len(cat.catalog)) - 1
+    paired = [left << size | right for left, right in zip(cat.ext_zero_in, cat.ext_zero_out)]
     for t in enumerate_cluster_tilting(cat.base):
-        members = cat.build_twist_stable(t)
+        members = build(t)
         support = mask_of(members)
-        lefts, rights = (_all_but_one(masks, members) for masks in (cat.ext_zero_in, cat.ext_zero_out))
-        for drop, left, right in zip(members, lefts, rights):
-            found = completions(cat, support & ~(1 << drop), left, right)
+        for drop, both in zip(members, _all_but_one(paired, members)):
+            found = completions(cat, support & ~(1 << drop), both >> size & full, both & full)
             if len(found) != expected:
                 return (
                     f"{len(found)} complements after dropping {cat.catalog[drop].text}"
@@ -515,11 +562,12 @@ def _check_complements(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _all_but_one(masks: list[int], members) -> list[int]:
-    """Per member, the AND of masks over all the other members: a prefix and a suffix sweep."""
-    row, full = [masks[p] for p in members], (1 << len(masks)) - 1
-    suffix = [*accumulate(reversed(row), and_, initial=full)][-2::-1]
-    return list(map(and_, accumulate(row, and_, initial=full), suffix))
+def _all_but_one(masks: list[int], members) -> Iterator[int]:
+    """Per member, the AND of masks over all the other members (-1, every bit,
+    when there is none): a prefix and a suffix sweep."""
+    row = [masks[p] for p in members]
+    suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
+    return map(and_, accumulate(row, and_, initial=-1), suffix)
 
 
 def _check_near_complements(base: OrbitCategory) -> str | None:
@@ -531,14 +579,14 @@ def _check_near_complements(base: OrbitCategory) -> str | None:
     found, completed = set(), {}
     for t in tiltings:
         for drop in t:
-            rest = tuple(g for g in t if g != drop)
+            rest = tuple(filter(drop.__ne__, t))
             if rest not in completed:
                 completed[rest] = near_complements(base, rest)
             elif t in completed[rest]:
                 continue  # both ends of an edge share rest; the first ran every comparison
             if t not in completed[rest]:
                 return f"near completion loses the original vertex at {_key(base, t)}"
-            edge = tuple(sorted(index.get(g, -1) for g in completed[rest]))
+            edge = tuple(sorted(map(index.get, completed[rest], (-1, -1))))
             if edge not in edges:
                 at = base.catalog[drop].text
                 return f"exchange of {at} at {_key(base, t)} is not a graph edge"
@@ -554,7 +602,7 @@ def _check_graph_connected(base: OrbitCategory) -> str | None:
     return None
 
 
-def _check_graph_shape(name: str, base: OrbitCategory) -> str | None:
+def _check_graph_shape(base: OrbitCategory) -> str | None:
     n = base.ar.quiver.vertex_count
     if bad := _bad_edge(base):
         return bad
@@ -566,7 +614,7 @@ def _check_graph_shape(name: str, base: OrbitCategory) -> str | None:
     if degrees and set(degrees) != {n}:
         return f"vertex degrees {sorted(set(degrees))} != {n}"
     # n-regular on the cluster number of vertices (A2: the pentagon)
-    expected = TILTING_COUNTS[name]
+    expected = cluster_number(base.ar.dynkin)
     if (shape := (count, len(edges))) != (expected, n * expected // 2):
         return f"(vertices, edges) = {shape}, expected {(expected, n * expected // 2)}"
     return None
@@ -575,9 +623,10 @@ def _check_graph_shape(name: str, base: OrbitCategory) -> str | None:
 def _bad_edge(base: OrbitCategory) -> str | None:
     """A detail naming the first edge whose endpoints do not differ in exactly one orbit."""
     sets = base.tilting_sets
+    masks = list(map(mask_of, sets))
     for a, b in base.exchange_edges:
         ga, gb = sets[a], sets[b]
-        if len(set(ga) - set(gb)) != 1 or len(set(gb) - set(ga)) != 1:
+        if (masks[a] & ~masks[b]).bit_count() != 1 or (masks[b] & ~masks[a]).bit_count() != 1:
             return (
                 f"edge T{a + 1} {_key(base, ga)} -- T{b + 1} {_key(base, gb)}:"
                 " endpoints do not differ in exactly one orbit"
@@ -614,8 +663,10 @@ def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
 
 def _check_endo_blocks(cat: OrbitCategory) -> str | None:
     # a passing pattern fixes the diagonal at dim C and the total at m(C+E)
-    projective_gen = None
-    for t in enumerate_cluster_tilting(cat.base):
+    projective_gen, base = None, cat.base
+    # kQ's generator: every summand a projective module at shift 0
+    projectives = {k for k, x in enumerate(base.catalog) if x.shift == 0 and cat.ar.module(x.module_id).is_projective}
+    for t in enumerate_cluster_tilting(base):
         profile = endo_profile(cat, t)
         report = block_pattern_report(profile)
         if not profile.module_tier:
@@ -624,8 +675,7 @@ def _check_endo_blocks(cat: OrbitCategory) -> str | None:
             continue
         if report.ok is not True:
             return f"block pattern deviations at {_key(cat, t)}: {report.deviations}"
-        reps = [cat.base.catalog[g] for g in t]
-        if all(cat.ar.module(x.module_id).is_projective and x.shift == 0 for x in reps):
+        if projectives.issuperset(t):
             projective_gen = profile
     if projective_gen is not None and projective_gen.dim_e != 0:
         return "projective generator has nonzero superdiagonal dimension"

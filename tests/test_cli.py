@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import clustercat
 from clustercat import arquiver, cli, derived, orbit, quiver, verify
 from clustercat.cli import _write_json, main
 
-from conftest import A2, A3, D4, TREES, oriented_trees
+from conftest import A2, A3, D4, D5, TREES, oriented_trees
 
 
 @pytest.fixture
@@ -100,6 +101,23 @@ def test_hom_pair(capsys, a2_path):
     assert code == 0
     assert payload["hom"] == 1
     assert payload["ext"] == 0
+
+
+def test_point_query_builds_no_catalog(capsys, monkeypatch, tmp_path):
+    # a D5 pair at m = 1000 with shifts near 10^5: canonicalize finds the tiers
+    # by arithmetic and the texts come from the base catalog, so none of the
+    # 25000 orbit objects is built; the answer is the one the catalog gives
+    path = tmp_path / "d5.quiver"
+    path.write_text(D5, encoding="utf-8")
+    made, category = [], cli._category
+    monkeypatch.setattr(cli, "_category", lambda args: made.append(category(args)) or made[-1])
+    code, out, _ = run(capsys, "hom", "--quiver", str(path), "--m", "1000", "m3[100213]", "m7[-98011]")
+    assert code == 0
+    (cat,) = made
+    assert "catalog" not in cat.__dict__ and "catalog" in cat.base.__dict__
+    i, j = (cat.canonicalize(cat.derived.parse_object(text)) for text in ("m3[100213]", "m7[-98011]"))
+    expected = {"m": 1000, "x": cat.catalog[i].text, "y": cat.catalog[j].text, "hom": cat.dim(i, j, 0), "ext": cat.dim(i, j, 1)}
+    assert json.loads(out) == {"schema_version": 1, **expected}
 
 
 def test_hom_pair_self_ext_zero_everywhere(capsys, a3_path):
@@ -340,6 +358,22 @@ def test_verify_timings_add_seconds_and_nothing_else(capsys):
     assert code == 0 and len(checks) == payload["checks_total"] == report["checks_total"]
     assert all(isinstance(check.pop("seconds"), float) for check in checks)
     assert json.dumps(payload, indent=2) + "\n" == plain
+
+
+# sha256 of verify's stdout as the battery printed it before its checks were
+# rewritten to read whole rows: a change that only speeds the battery up keeps
+# these bytes; one that adds or changes a check updates them and says so
+VERIFY_STDOUT_SHA256 = {
+    (): "d9aea568e922f8c17c31b444dace0307d5c93ffc516b4e1d248052521074601b",
+    ("--battery", "D4"): "720bed99b1f242429ef011998d9b9e33c3f0ca0b3e18e3489752245627db80fe",
+}
+
+
+@pytest.mark.parametrize("extra", VERIFY_STDOUT_SHA256, ids=["default", "D4"])
+def test_verify_stdout_is_byte_identical_to_the_pinned_digest(capsys, extra):
+    code, out, err = run(capsys, "verify", *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256[extra]
 
 
 def test_inject_fault_option_is_gone(capsys):

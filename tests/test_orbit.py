@@ -143,10 +143,13 @@ def test_twist_orbit_check_catches_a_shuffled_tier(build):
     cat = cc.OrbitCategory(build(A2), 2)
     b = len(cat.catalog) // 2
     cat.catalog[b], cat.catalog[b + 1] = cat.catalog[b + 1], cat.catalog[b]
-    # every walked orbit still has m members, so a size check alone would pass
+    # canonicalize finds each walked image's tier by arithmetic, so the walked
+    # twist is still a bijection of the positions: a permutation check alone
+    # would pass, though the swapped tier-1 objects step to the wrong base index
     perm = cat.twist_permutation
-    assert all(perm[i] != i and perm[perm[i]] == i for i in range(len(perm)))
-    assert "not one tier on" in _check_twist_orbits(cat)
+    assert sorted(perm) == list(range(len(perm)))
+    assert perm == [5, 6, 7, 8, 9, 1, 0, 2, 3, 4]
+    assert _check_twist_orbits(cat) == "twist sends catalog position 5 to 1, not one tier on"
 
 
 def test_self_hom_one_everywhere(build):
@@ -429,7 +432,7 @@ def test_categories_are_freed_without_the_cycle_collector():
         derived = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
         cats = [derived.orbit(m) for m in (1, 2, 3)]
         assert derived.orbit(1) is derived.orbit(1) is cats[0]
-        assert all(check["passed"] for cat in cats for check in _orbit_checks("D4", cat))
+        assert all(check["passed"] for cat in cats for check in _orbit_checks(cat))
         refs = [weakref.ref(x) for x in (derived, *cats)]
         del derived, cats
         assert [ref() for ref in refs] == [None] * 4

@@ -22,6 +22,17 @@ are taken once per generator on the base, exchange-layer-dim runs once
 per quiver and the matrix Hom is solved once per ordered pair.  Each
 rewritten check is compared with its old formulation, kept here, on
 intact and on corrupted tables.
+
+``canonicalize`` walks (module id, shift) pairs into the base domain and
+finds the tier by arithmetic, where it used to walk into a map over the
+whole catalog and back out; ``hom-walk-oracle`` adds whole columns of the
+module tables along each walked orbit instead of asking ``derived.hom``
+per pair; ``serre-orbit``, ``twist-hom-invariance`` and
+``rigidity-transfer`` compare whole rows; the zero masks are read off
+whole rows.  The old forms stay here as references.  Corrupted twist
+step tables are where the two ``canonicalize`` differ by design: the new
+one reads the layout that ``twist-free-orbits`` checks, so they are
+compared on intact step tables only.
 """
 
 import json
@@ -29,16 +40,20 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clustercat as cc
-from clustercat import arquiver, cli, endo, tilting, verify
+from clustercat import arquiver, cli, derived, endo, tilting, verify
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
-from clustercat.verify import TILTING_COUNTS, orientations, run_verification
+from clustercat.verify import DIAGRAMS, orientations, run_verification
 
 from conftest import A2, A3, BATTERY_QUIVERS, D4, E6
 
 QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
+# tilting objects per diagram: the cluster numbers of the Dynkin classes
+CLUSTER_NUMBERS = {name: cc.cluster_number(cc.DynkinClass(name[0], int(name[1:]))) for name in DIAGRAMS}
 
 
 def _categories(label):
@@ -298,7 +313,7 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     # one completion per edge of the n-regular graph, n * |vertices| / 2 edges,
     # once per orientation whatever the moduli
     n = {"A3": 3, "D4": 4}
-    assert calls["near"] == sum(quivers[d] * n[d] * TILTING_COUNTS[d] // 2 for d in diagrams)
+    assert calls["near"] == sum(quivers[d] * n[d] * CLUSTER_NUMBERS[d] // 2 for d in diagrams)
     assert calls["scan"] == sum(quivers.values())
     # a lift is its generator, shared as tilting_sets; its summands are laid
     # out once each by lift-check, complement-counts and endo-blocks, and at
@@ -315,7 +330,7 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
             assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles + (m == 1)
             lifted[cat.ar.dynkin] += 1
     cells = {d: quivers[d] * len(verify.M_VALUES) for d in diagrams}
-    assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * TILTING_COUNTS[d] for d in diagrams}
+    assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * CLUSTER_NUMBERS[d] for d in diagrams}
 
 
 def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
@@ -590,11 +605,16 @@ def test_corrupted_derived_hom_fails_serre_derived_at_the_same_first_pair(label)
 
 
 def test_default_battery_work_counts(monkeypatch):
-    # deterministic counts, not wall times: one matrix Hom per ordered pair
-    # plus one brick test per translate, exchange layers at m = 1 only, and
-    # one endo sum per (quiver, generator)
-    solved, layers, sums = Counter(), Counter(), Counter()
+    # deterministic counts, not wall times: one knit per orientation, one
+    # matrix Hom per ordered pair plus one brick test per translate, exchange
+    # layers at m = 1 only, and one endo sum per (quiver, generator)
+    knits, solved, layers, sums = Counter(), Counter(), Counter(), Counter()
     rep_hom_dim, layer_dim, sum_generator = arquiver.rep_hom_dim, verify.exchange_layer_dim, endo._sum_generator
+    init = cc.ARQuiver.__init__
+
+    def knitting(self, quiver):
+        knits[quiver] += 1
+        init(self, quiver)
 
     def solving(q, a, b):
         solved[q] += 1
@@ -611,12 +631,260 @@ def test_default_battery_work_counts(monkeypatch):
     monkeypatch.setattr(arquiver, "rep_hom_dim", solving)
     monkeypatch.setattr(verify, "exchange_layer_dim", layering)
     monkeypatch.setattr(endo, "_sum_generator", summing)
+    monkeypatch.setattr(cc.ARQuiver, "__init__", knitting)
     assert run_verification()["passed"]
+    assert sum(knits.values()) == len(BATTERY_QUIVERS) == 23 and set(knits.values()) == {1}
     ars = [cc.ARQuiver(q) for q in BATTERY_QUIVERS.values()]
     pairs = sum(len(ar.modules) ** 2 for ar in ars)
     bricks = sum(len(ar.modules) - ar.quiver.vertex_count for ar in ars)
     assert sum(solved.values()) == pairs + bricks == 2115 + 126
     names = [label.split("#")[0] for label in BATTERY_QUIVERS]
-    edges = sum(TILTING_COUNTS[name] * int(name[1:]) // 2 for name in names)  # n-regular graphs
+    edges = sum(CLUSTER_NUMBERS[name] * int(name[1:]) // 2 for name in names)  # n-regular graphs
     assert layers == {1: 2 * edges}
-    assert set(sums.values()) == {1} and len(sums) == sum(TILTING_COUNTS[name] for name in names)
+    assert set(sums.values()) == {1} and len(sums) == sum(CLUSTER_NUMBERS[name] for name in names)
+
+
+# -- the twist walked on integers, Hom read by rows, whole-row checks --------
+
+
+def _canonicalize_as_it_was(cat, positions, x):
+    """canonicalize as it was: walk x = twist^j(y) into the first tier of a map
+    over the whole catalog, then walk y forward j mod m twists and look it up."""
+    d, size, j = cat.derived, len(cat.catalog) // cat.modulus, 0
+    while positions.get(x, size) >= size:
+        if x.shift >= 1:
+            x = d.twist_inv(x)
+            j += 1
+        else:
+            x = d.twist(x)
+            j -= 1
+    return positions[d.twist_power(x, j % cat.modulus)]
+
+
+def _hom_walk_as_it_was(cat, positions):
+    """hom-walk-oracle as it was: a derived.hom per pair along each walked orbit."""
+    d, m, catalog = cat.derived, cat.modulus, cat.catalog
+    low, high = min(x.shift for x in catalog), max(x.shift for x in catalog) + 1
+    at_shift = {}
+    for i, x in enumerate(catalog):
+        at_shift.setdefault(x.shift, []).append(i)
+    walked = []
+    for y in catalog:
+        w, column = y, [0] * len(catalog)
+        while w.shift >= low:
+            w = d.twist_power(w, -m)
+        while w.shift <= high:
+            for i in at_shift.get(w.shift, []) + at_shift.get(w.shift - 1, []):
+                column[i] += d.hom(catalog[i], w)
+            w = d.twist_power(w, m)
+        walked.append(tuple(column))
+    columns = {"hom": list(zip(*cat.hom_table)), "ext1": list(zip(*cat.ext_table))}
+    for j, y in enumerate(catalog):
+        shifted = walked[_canonicalize_as_it_was(cat, positions, d.shift(y, 1))]
+        for name, ref in (("hom", walked[j]), ("ext1", shifted)):
+            if (col := columns[name][j]) != ref:
+                i = next(i for i, (a, b) in enumerate(zip(col, ref)) if a != b)
+                return f"{name}({catalog[i].text}, {y.text}): table {col[i]}, walked {ref[i]}"
+    return None
+
+
+def _serre_orbit_as_it_was(cat):
+    """serre-orbit as it was: every pair (i, j) on its own."""
+    serre_idx, table = cat.serre_permutation, cat.hom_table
+    for i in range(len(cat.catalog)):
+        for j in range(len(cat.catalog)):
+            if table[i][j] != table[j][serre_idx[i]]:
+                return f"orbit Serre duality fails at ({cat.catalog[i].text}, {cat.catalog[j].text})"
+    return None
+
+
+def _twist_hom_invariance_as_it_was(cat):
+    """twist-hom-invariance as it was: every twist power of every y."""
+    twist, hom = cat.twist_permutation, cat.hom_table
+    for k, g in enumerate(cat.base.catalog):
+        into = [sum(col) for col in zip(*(hom[s] for s in cat.twist_orbits[k]))]
+        for y, target in enumerate(cat.catalog):
+            z = y
+            for _ in range(cat.modulus - 1):
+                z = twist[z]
+                if into[z] != into[y]:
+                    return f"twist Hom invariance fails at generator {g.text}, y {target.text}"
+    return None
+
+
+def _rigidity_transfer_as_it_was(cat):
+    """rigidity-transfer as it was: a sum over the two orbits per pair."""
+    base, ext, orbits = cat.base, cat.ext_table, cat.twist_orbits
+    for i, a in enumerate(base.catalog):
+        for j, b in enumerate(base.catalog):
+            total = sum(ext[x][y] for x in orbits[i] for y in orbits[j])
+            base_total = base.ext_table[i][j]
+            if total != cat.modulus * base_total:
+                return f"expansion ext total {total} != m * {base_total} at ({a.text}, {b.text})"
+            if (total == 0) != (base_total == 0):
+                return f"rigidity transfer equivalence fails at ({a.text}, {b.text})"
+    return None
+
+
+def _zero_masks_as_they_were(cat):
+    """ext_zero_out and ext_zero_in as they were: one mask_of per row and column."""
+    ext = cat.ext_table
+    out = [mask_of(j for j, e in enumerate(row) if e == 0) for row in ext]
+    return out, [mask_of(j for j, e in enumerate(col) if e == 0) for col in zip(*ext)]
+
+
+_POSITIONED = {}
+
+
+def _positioned(label, m):
+    """label's orbit category at modulus m and its map from objects to positions, kept."""
+    if (label, m) not in _POSITIONED:
+        cat = cc.DerivedCategory(cc.ARQuiver(QUIVERS[label])).orbit(m)
+        _POSITIONED[label, m] = cat, {x: i for i, x in enumerate(cat.catalog)}
+    return _POSITIONED[label, m]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+WHOLE_ROW_CHECKS = {
+    "hom-walk-oracle": (verify._check_hom_walk, _hom_walk_as_it_was),
+    "serre-orbit": (verify._check_serre_orbit, _serre_orbit_as_it_was),
+    "twist-hom-invariance": (verify._check_twist_hom_invariance, _twist_hom_invariance_as_it_was),
+    "rigidity-transfer": (verify._check_rigidity_transfer, _rigidity_transfer_as_it_was),
+}
+
+
+def _compare_whole_row_checks(cat, positions, seen):
+    for name, (check, as_it_was) in WHOLE_ROW_CHECKS.items():
+        old = _detail(as_it_was, cat, positions) if name == "hom-walk-oracle" else _detail(as_it_was, cat)
+        assert _detail(check, cat) == old, (name, cat.quiver_label, cat.modulus)
+        seen[name, old is None] += 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("label", QUIVERS)
+def test_canonicalize_on_a_window_of_shifts_equals_the_walk_over_a_position_map(label, m):
+    cat, positions = _positioned(label, m)
+    for x in cat.base.catalog:
+        for shift in range(-7, 8):
+            y = DObject(x.module_id, x.shift + shift)
+            assert cat.canonicalize(y) == _canonicalize_as_it_was(cat, positions, y), y
+
+
+@settings(max_examples=60, deadline=None)
+@example(label="A1#0", m=2, module=1, shift=derived.SHIFT_LIMIT)
+@example(label="A1#0", m=2, module=1, shift=-derived.SHIFT_LIMIT)
+@example(label="A1#0", m=3, module=1, shift=derived.SHIFT_LIMIT + 2)
+@given(
+    label=st.sampled_from(sorted(QUIVERS)),
+    m=st.integers(1, 3),
+    module=st.integers(1, 36),
+    shift=st.one_of(
+        st.integers(-400, 400),
+        st.sampled_from([s * (derived.SHIFT_LIMIT + k) for s in (-1, 1) for k in (3, 4, 1000)]),
+    ),
+)
+def test_canonicalize_matches_the_walk_over_a_position_map(label, m, module, shift):
+    # A1 at +-SHIFT_LIMIT walks 5 * 10^5 twist steps (of 2 shifts each) into
+    # the base domain, in about a second for both walks; three or more past
+    # the limit, the first step's shift is already past it and the walk raises
+    cat, positions = _positioned(label, m)
+    x = DObject((module - 1) % len(cat.ar.modules) + 1, shift)
+    assert _outcome(cat.canonicalize, x) == _outcome(_canonicalize_as_it_was, cat, positions, x)
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_whole_row_checks_equal_their_per_pair_formulations(label):
+    # intact, then one entry at a time raised: in a Hom or Ext^1 table of the
+    # orbit category, in a layer the tables are tiled from (fresh tables), in
+    # a module Hom or Ext^1 table the walk reads, and in the walked twist and
+    # Serre permutations
+    seen = Counter()
+    for m in (1, 2, 3):
+        cat, positions = _positioned(label, m)
+        _compare_whole_row_checks(cat, positions, seen)
+        size, ar = len(cat.catalog), cat.ar
+        cells = [(i * 7) % size for i in range(1, 3)]
+        for table in (cat.hom_table, cat.ext_table, ar.hom_table, ar.ext_table):
+            for i in cells:
+                j = (i * 5 + 3) % len(table)
+                table[i % len(table)][j] += 1
+                try:
+                    _compare_whole_row_checks(cat, positions, seen)
+                finally:
+                    table[i % len(table)][j] -= 1
+        for key in ((0, 0), (0, 1), (1, -1), (1, 0)):
+            fresh = cc.OrbitCategory(cat.derived, m)
+            layer = fresh.layers[key]
+            k, l = cells[0] % len(layer), cells[1] % len(layer)
+            layer[k][l] += 1
+            try:
+                _compare_whole_row_checks(fresh, {x: i for i, x in enumerate(fresh.catalog)}, seen)
+            finally:
+                layer[k][l] -= 1
+        for perm in (cat.twist_permutation, cat.serre_permutation):
+            perm[0], perm[-1] = perm[-1], perm[0]
+            try:
+                _compare_whole_row_checks(cat, positions, seen)
+            finally:
+                perm[0], perm[-1] = perm[-1], perm[0]
+    # every rewritten check passed somewhere and was caught somewhere
+    assert {name for name, passed in seen if passed} == set(WHOLE_ROW_CHECKS)
+    assert {name for name, passed in seen if not passed} == set(WHOLE_ROW_CHECKS)
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_zero_masks_read_off_whole_rows_equal_the_mask_of_formulation(label):
+    derived_category = _positioned(label, 1)[0].derived
+    for m in (1, 2, 3):
+        for value in (None, 0, 1, 2, -1):
+            cat = cc.OrbitCategory(derived_category, m)
+            if value is not None:  # a corrupted entry on the diagonal and one off it
+                size = len(cat.ext_table)
+                for i, j in ((1, 1), (0, size - 1)):
+                    cat.ext_table[i][j] = value
+            assert (cat.ext_zero_out, cat.ext_zero_in) == _zero_masks_as_they_were(cat), (m, value)
+
+
+def test_orientation_reversal_reads_the_shape_knitted_before_tamper():
+    # A2#1 is A2#0 reversed: a corrupted dimension vector of A2#1 fails its own
+    # reversal check, while A2#0 compares with A2#1's shape as knitted
+    def corrupt(label, ar):
+        if label == "A2#1":
+            m = ar.modules[0]
+            ar.modules[0] = m._replace(dim_vector=tuple(d + 1 for d in m.dim_vector))
+
+    details = {
+        (cell["quiver"], check["name"]): check["detail"]
+        for cell in run_verification(["A2"], tamper=corrupt)["cells"]
+        for check in cell["checks"]
+        if cell["m"] is None
+    }
+    assert details["A2#0", "orientation-reversal"] is None
+    assert details["A2#1", "orientation-reversal"] == "reversed orientation changes the dimension-vector multiset"
+
+
+def test_orientation_reversal_compares_with_the_reversed_orientation(monkeypatch):
+    # a knit that loses a module of A2#1 only: A2#0 is compared with A2#1's
+    # knit and A2#1 with A2#0's, as when the check knitted the reversal itself
+    init, lossy = cc.ARQuiver.__init__, BATTERY_QUIVERS["A2#1"]
+
+    def knit(self, quiver):
+        init(self, quiver)
+        if quiver == lossy:
+            self.modules.pop()
+
+    monkeypatch.setattr(cc.ARQuiver, "__init__", knit)
+    details = {
+        cell["quiver"]: check["detail"]
+        for cell in run_verification(["A2"])["cells"]
+        for check in cell["checks"]
+        if check["name"] == "orientation-reversal"
+    }
+    assert details == dict.fromkeys(("A2#0", "A2#1"), "reversed orientation changes the catalog size")

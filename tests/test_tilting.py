@@ -466,6 +466,17 @@ def test_battery_names_an_edge_whose_ends_differ_in_two_orbits(monkeypatch):
     assert not report["passed"]
 
 
+def test_battery_names_an_edge_from_a_tilting_object_to_itself(monkeypatch):
+    # ends that differ in no orbit are as bad as ends that differ in two
+    _tamper_edges(monkeypatch, lambda edges: [(0, 0), *edges[1:]])
+    report = run_verification(["A2"])
+    details = [c["detail"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "graph-shape"]
+    assert len(details) == 6
+    for detail in details:
+        first, second = detail.removeprefix("edge T1 ").split(" -- T1 ")
+        assert second == first + ": endpoints do not differ in exactly one orbit"
+
+
 def test_enumeration_is_cached_per_category(build):
     # the battery enumerates each category about nine times
     cat1 = build(A3).orbit(1)
@@ -558,7 +569,7 @@ def test_lift_without_m_times_n_summands_names_quiver_and_generator():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
     # a generator repeating one summand has too few orbits
     cat.base.__dict__["tilting_sets"] = [(0, 0)]
-    details = {c["name"]: c["detail"] for c in verify._orbit_checks("A2", cat)}
+    details = {c["name"]: c["detail"] for c in verify._orbit_checks(cat)}
     assert details["lift-check"] == (
         "A2 quiver [(1, 2)]: lift of ('m1[0]', 'm1[0]') does not have m*n distinct summands"
     )
@@ -569,7 +580,7 @@ def test_lift_failing_the_tilting_check_names_quiver_and_index():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
     assert cat.compat_mask  # rigidity still holds; only the tilting check sees the tampering
     cat.__dict__["ext_zero_out"] = [0] * len(cat.catalog)
-    details = {c["name"]: c["detail"] for c in verify._orbit_checks("A2", cat)}
+    details = {c["name"]: c["detail"] for c in verify._orbit_checks(cat)}
     assert details["lift-check"] == (
         "A2 quiver [(1, 2)]: lift T1 of ('m1[0]', 'm2[0]') fails the tilting check at m1[0]"
     )
