@@ -158,7 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--battery",
         help=f"comma-separated diagrams (default all of {','.join(DIAGRAMS)})",
     )
-    p_verify.add_argument("--timings", action="store_true", help="add each check's wall time in seconds")
+    p_verify.add_argument(
+        "--timings",
+        action="store_true",
+        help="add each check's wall time in seconds, with the shared tables it is the first to build",
+    )
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 

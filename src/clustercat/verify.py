@@ -1,17 +1,18 @@
 """Verification battery: runs every invariant suite over small Dynkin cells.
 
-The default battery is every orientation of A_1..A_4 and D_4, each with
-modulus 1, 2 and 3.  Checks come in two groups: per-quiver (module and
-derived level, modulus independent) and per-(quiver, modulus).  Each
-check reports a name and an optional failure detail; the report is
-machine readable and deterministic.  The exchange graph is a modulus-1
-object at every m (the lift carries mutations to mutations), so the
-checks that read only the modulus-1 category run once per quiver and
-are reported at every m under the same name: ``tilting-count``,
-``tilting-brute-force``, ``near-complement-pairs`` (which completes each
-almost tilting object once), ``graph-connected``, ``graph-shape`` and
-``exchange-layer-dim`` (the layer at m is m times the one at 1).  A
-lift is its generator, one of the shared ``tilting_sets``; a check lays
+The default battery is every orientation of A_1..A_4 and D_4, each in the
+cells m = None, 1, 2 and 3.  Each check is one row of ``CHECKS``: name,
+scope, gate and function.  A ``quiver`` check reads the module and
+derived level and runs once, in the cell m = None.  A ``base`` check
+reads only the modulus-1 category; it runs once per quiver and its detail
+is reported in each of the quiver's cells, since the exchange graph is a
+modulus-1 object at every m (the lift carries mutations to mutations).  A
+``cell`` check reads the cell's own orbit category.  A gate, when given,
+is a predicate of (n, m): the cells where the check holds at all, or
+where its scan of subsets stays small.  Each check reports a name and an
+optional failure detail; the report is machine readable and deterministic.
+
+A lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
 that checks each lift at modulus m.  ``hom-walk-oracle`` walks each
 object's F^m-orbit through per-module F^{+-m} step tables and reads the
@@ -27,7 +28,6 @@ battery reads no diagram name past the orientations it builds.
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import Iterator
 from itertools import accumulate, combinations
 from operator import add, and_, itemgetter
@@ -64,13 +64,18 @@ def orientations(name: str) -> list[tuple[str, Quiver]]:
 def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
     """Run the full battery; returns a JSON-ready report dict.
 
-    tamper, when given, is called as tamper(label, ar) right after each
-    AR quiver is built; it exists so tests can corrupt internal tables
-    and confirm the battery notices.  timings adds each check's wall time
-    to its result as ``seconds``.
+    A diagram named twice runs once, where it is first named.  tamper, when
+    given, is called as tamper(label, ar) right after each AR quiver is
+    built; it exists so tests can corrupt internal tables and confirm the
+    battery notices.  timings adds each check's wall time to its result as
+    ``seconds``; a check's seconds include the shared structures it is the
+    first to read, which are built lazily: ``layers`` and the orbit Hom and
+    Ext^1 tables in ``hom-walk-oracle``, ``tilting_sets`` in
+    ``tilting-count``, ``twist_permutation`` in ``covering-fibers`` and
+    ``serre_permutation`` in ``serre-orbit``.
     """
     clock = time.perf_counter if timings else None
-    names = list(diagrams) if diagrams else list(DIAGRAMS)
+    names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
     for name in names:
         if name not in DIAGRAMS:
             raise ValueError(f"unknown diagram {name!r}; choose from {list(DIAGRAMS)}")
@@ -87,13 +92,11 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
             knitted.append((label, q, ar))
         for label, q, ar in knitted:
             derived = DerivedCategory(ar)
-            once = {}  # the modulus-1 checks' details, shared by this quiver's cells
-            cell = {"quiver": label, "arrows": [list(a) for a in q.arrows]}
-            checks = _quiver_checks(ar, shapes[q.reversed()], derived, clock)
-            cells.append({**cell, "m": None, "checks": checks})
-            for m in M_VALUES:
-                cat = derived.orbit(m)  # held while the next m is built: one shared base
-                cells.append({**cell, "m": m, "checks": _orbit_checks(cat, once, clock)})
+            derived.reversed_shape = shapes[q.reversed()]  # what orientation-reversal compares with
+            cell, memo = {"quiver": label, "arrows": [list(a) for a in q.arrows]}, {}
+            for m in (None, *M_VALUES):
+                cat = derived if m is None else derived.orbit(m)  # held while the next m is built: one shared base
+                cells.append({**cell, "m": m, "checks": _run_cell(cat, memo, clock)})
     results = [check for cell in cells for check in cell["checks"]]
     failed = sum(not check["passed"] for check in results)
     return {
@@ -111,122 +114,73 @@ def _key(cat: OrbitCategory, t: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(cat.base.texts(t))
 
 
-def _result(name: str, detail: str | None) -> dict:
-    return {"name": name, "passed": detail is None, "detail": detail}
+def _run_cell(cat, memo: dict | None = None, clock=None) -> list[dict]:
+    """One cell's check results in table order.  cat is the DerivedCategory in the
+    cell m = None, else the cell's OrbitCategory; memo keeps the quiver's base details."""
+    m = cat.modulus if isinstance(cat, OrbitCategory) else None
+    n, memo, results = cat.ar.quiver.vertex_count, {} if memo is None else memo, []
+    for name, scope, gate, check in CHECKS:
+        if (scope == "quiver") != (m is None) or gate and not gate(n, m):
+            continue
+        start = clock and clock()
+        if name in memo:
+            detail = memo[name]
+        else:
+            # a corrupted structure may make a check raise instead of returning a
+            # detail string; either way it must land in the report, not crash it
+            try:
+                detail = check(cat.base if scope == "base" else cat)
+            except Exception as exc:  # noqa: BLE001 - report and move on
+                detail = f"check raised {type(exc).__name__}: {exc}"
+            if scope == "base":
+                memo[name] = detail
+        results.append({"name": name, "passed": detail is None, "detail": detail})
+        if clock:
+            results[-1]["seconds"] = round(clock() - start, 6)
+    return results
 
 
-def _run_check(checks: list, check_name: str, fn, clock=None) -> None:
-    # a corrupted structure may make a check raise instead of returning a
-    # detail string; either way it must land in the report, not crash it
-    start = clock and clock()
-    try:
-        detail = fn()
-    except Exception as exc:  # noqa: BLE001 - report and move on
-        detail = f"check raised {type(exc).__name__}: {exc}"
-    checks.append(_result(check_name, detail))
-    if clock:
-        checks[-1]["seconds"] = round(clock() - start, 6)
+# -- quiver checks -------------------------------------------------------
 
 
-def _quiver_checks(ar: ARQuiver, reversed_shape: tuple, derived: DerivedCategory, clock=None) -> list[dict]:
-    checks = []
-    run = partial(_run_check, checks, clock=clock)
-    run("catalog-size-modules", lambda: _check_module_count(ar))
-    run("mesh-additivity", lambda: _check_mesh_additivity(ar))
-    run("arrow-multiplicity", lambda: _check_multiplicities(ar))
-    run("oracle-hom-equivalence", lambda: _check_hom_oracle(ar))
-    run("oracle-ext-equivalence", lambda: _check_ext_oracle(ar))
-    run("ar-mesh-hom-identity", lambda: _check_mesh_hom_identity(ar))
-    run("serre-derived", lambda: _check_serre_derived(derived))
-    run("twist-shift-step", lambda: _check_twist_steps(derived))
-    run("orientation-reversal", lambda: _check_reversal(ar, reversed_shape))
-    return checks
-
-
-def _orbit_checks(cat: OrbitCategory, once: dict | None = None, clock=None) -> list[dict]:
-    """The per-(quiver, m) checks; a check given ``base`` reads only the modulus-1
-    category, and its detail is kept in ``once`` for the quiver's other cells."""
-    n = cat.ar.quiver.vertex_count
-    m = cat.modulus
-    checks, once = [], {} if once is None else once
-
-    def run(check_name, fn, base=False):
-        known = base and check_name in once
-        _run_check(checks, check_name, (lambda: once[check_name]) if known else fn, clock)
-        if base:
-            once[check_name] = checks[-1]["detail"]
-
-    run("catalog-size-orbit", lambda: _check_orbit_count(cat))
-    run("covering-fibers", lambda: _check_covering(cat))
-    run("twist-free-orbits", lambda: _check_twist_orbits(cat))
-    run("hom-walk-oracle", lambda: _check_hom_walk(cat))
-    run("self-ext-vanishing", lambda: _check_self_ext(cat))
-    run("end-dim-one", lambda: _check_end_dims(cat))
-    run("serre-orbit", lambda: _check_serre_orbit(cat))
-    if m == 1:
-        run("cy-symmetry", lambda: _check_cy_symmetry(cat))
-    run("fractional-cy", lambda: _check_fractional_cy(cat))
-    run("rigidity-transfer", lambda: _check_rigidity_transfer(cat))
-    run("twist-hom-invariance", lambda: _check_twist_hom_invariance(cat))
-    if n <= 3:
-        run("orbit-count-criterion", lambda: _check_orbit_count_criterion(cat))
-    run("tilting-count", lambda: _check_tilting_count(cat.base), base=True)
-    run("tilting-brute-force", lambda: _check_tilting_brute_force(cat.base), base=True)
-    run("lift-check", lambda: _check_lifts(cat))
-    if n <= 3 and m <= 2:
-        run("direct-enumeration", lambda: _check_direct_enumeration(cat))
-    run("complement-counts", lambda: _check_complements(cat))
-    run("near-complement-pairs", lambda: _check_near_complements(cat.base), base=True)
-    run("graph-connected", lambda: _check_graph_connected(cat.base), base=True)
-    run("graph-shape", lambda: _check_graph_shape(cat.base), base=True)
-    run("exchange-layer-dim", lambda: _check_exchange_layers(cat.base), base=True)
-    if m == 1:
-        run("exchange-pair-ext", lambda: _check_exchange_pairs(cat))
-    run("endo-blocks", lambda: _check_endo_blocks(cat))
-    return checks
-
-
-# -- per-quiver checks ---------------------------------------------------
-
-
-def _check_module_count(ar: ARQuiver) -> str | None:
-    expected = positive_root_count(ar.dynkin)
-    if len(ar.modules) != expected:
-        return f"catalog has {len(ar.modules)} modules, expected {expected}"
+def _check_module_count(derived: DerivedCategory) -> str | None:
+    count, expected = len(derived.ar.modules), positive_root_count(derived.ar.dynkin)
+    if count != expected:
+        return f"catalog has {count} modules, expected {expected}"
     return None
 
 
-def _check_mesh_additivity(ar: ARQuiver) -> str | None:
+def _check_mesh_additivity(derived: DerivedCategory) -> str | None:
     # the knit adds dimension vectors along each mesh; the replay builds
     # every module as a matrix cokernel along the same meshes
-    for m, rep in zip(ar.modules, ar.reps):
+    for m, rep in zip(derived.ar.modules, derived.ar.reps):
         if rep.dims != m.dim_vector:
             return f"m{m.id}: knitted dimension vector {m.dim_vector}, cokernel {rep.dims}"
     return None
 
 
-def _check_multiplicities(ar: ARQuiver) -> str | None:
-    for s, t, mult in ar.arrow_multiplicities():
+def _check_multiplicities(derived: DerivedCategory) -> str | None:
+    for s, t, mult in derived.ar.arrow_multiplicities():
         if mult != 1:
             return f"arrow m{s} -> m{t} has multiplicity {mult}"
     return None
 
 
-def _check_hom_oracle(ar: ARQuiver) -> str | None:
+def _check_hom_oracle(derived: DerivedCategory) -> str | None:
+    ar = derived.ar
     for a in ar.modules:
         for b in ar.modules:
-            fast = ar.hom_dim(a.id, b.id)
-            oracle = ar.matrix_hom_dim(a.id, b.id)
+            fast, oracle = ar.hom_dim(a.id, b.id), ar.matrix_hom_dim(a.id, b.id)
             if fast != oracle:
                 return f"hom(m{a.id}, m{b.id}): recursion {fast}, matrix oracle {oracle}"
     return None
 
 
-def _check_ext_oracle(ar: ARQuiver) -> str | None:
+def _check_ext_oracle(derived: DerivedCategory) -> str | None:
+    ar = derived.ar
     for a in ar.modules:
         for b in ar.modules:
-            fast = ar.ext_dim(a.id, b.id)
-            oracle = ar.resolution_ext_dim(a.id, b.id)
+            fast, oracle = ar.ext_dim(a.id, b.id), ar.resolution_ext_dim(a.id, b.id)
             if fast != oracle:
                 return f"ext(m{a.id}, m{b.id}): AR formula {fast}, resolution oracle {oracle}"
             if fast < 0:
@@ -234,9 +188,10 @@ def _check_ext_oracle(ar: ARQuiver) -> str | None:
     return None
 
 
-def _check_mesh_hom_identity(ar: ARQuiver) -> str | None:
+def _check_mesh_hom_identity(derived: DerivedCategory) -> str | None:
     # along 0 -> tauN -> E -> N -> 0:
     # hom(M, tauN) - sum_E hom(M, E) + hom(M, N) = [M == N]
+    ar = derived.ar
     for nid, middles in ar.mesh_middles.items():
         xid = ar.tau_inverse[nid]
         for m in ar.modules:
@@ -291,10 +246,10 @@ def _check_twist_steps(derived: DerivedCategory) -> str | None:
     return None
 
 
-def _check_reversal(ar: ARQuiver, reversed_shape: tuple) -> str | None:
+def _check_reversal(derived: DerivedCategory) -> str | None:
     # the reversed orientation's module count, sorted dimension vectors and
-    # Dynkin class, as knitted for its own cells
-    count, dims, dynkin = reversed_shape
+    # Dynkin class, as run_verification records them before tamper
+    ar, (count, dims, dynkin) = derived.ar, derived.reversed_shape
     if count != len(ar.modules):
         return "reversed orientation changes the catalog size"
     if dims != sorted(m.dim_vector for m in ar.modules):
@@ -304,7 +259,7 @@ def _check_reversal(ar: ARQuiver, reversed_shape: tuple) -> str | None:
     return None
 
 
-# -- per-(quiver, m) checks ------------------------------------------------
+# -- base and cell checks -------------------------------------------------
 
 
 def _check_orbit_count(cat: OrbitCategory) -> str | None:
@@ -680,3 +635,43 @@ def _check_endo_blocks(cat: OrbitCategory) -> str | None:
     if projective_gen is not None and projective_gen.dim_e != 0:
         return "projective generator has nonzero superdiagonal dimension"
     return None
+
+
+# -- the battery -----------------------------------------------------------
+
+# (name, scope, gate, check) in report order; scopes and gates are as the
+# module docstring defines them
+CHECKS = (
+    ("catalog-size-modules", "quiver", None, _check_module_count),
+    ("mesh-additivity", "quiver", None, _check_mesh_additivity),
+    ("arrow-multiplicity", "quiver", None, _check_multiplicities),
+    ("oracle-hom-equivalence", "quiver", None, _check_hom_oracle),
+    ("oracle-ext-equivalence", "quiver", None, _check_ext_oracle),
+    ("ar-mesh-hom-identity", "quiver", None, _check_mesh_hom_identity),
+    ("serre-derived", "quiver", None, _check_serre_derived),
+    ("twist-shift-step", "quiver", None, _check_twist_steps),
+    ("orientation-reversal", "quiver", None, _check_reversal),
+    ("catalog-size-orbit", "cell", None, _check_orbit_count),
+    ("covering-fibers", "cell", None, _check_covering),
+    ("twist-free-orbits", "cell", None, _check_twist_orbits),
+    ("hom-walk-oracle", "cell", None, _check_hom_walk),
+    ("self-ext-vanishing", "cell", None, _check_self_ext),
+    ("end-dim-one", "cell", None, _check_end_dims),
+    ("serre-orbit", "cell", None, _check_serre_orbit),
+    ("cy-symmetry", "cell", lambda n, m: m == 1, _check_cy_symmetry),
+    ("fractional-cy", "cell", None, _check_fractional_cy),
+    ("rigidity-transfer", "cell", None, _check_rigidity_transfer),
+    ("twist-hom-invariance", "cell", None, _check_twist_hom_invariance),
+    ("orbit-count-criterion", "cell", lambda n, m: n <= 3, _check_orbit_count_criterion),
+    ("tilting-count", "base", None, _check_tilting_count),
+    ("tilting-brute-force", "base", None, _check_tilting_brute_force),
+    ("lift-check", "cell", None, _check_lifts),
+    ("direct-enumeration", "cell", lambda n, m: n <= 3 and m <= 2, _check_direct_enumeration),
+    ("complement-counts", "cell", None, _check_complements),
+    ("near-complement-pairs", "base", None, _check_near_complements),
+    ("graph-connected", "base", None, _check_graph_connected),
+    ("graph-shape", "base", None, _check_graph_shape),
+    ("exchange-layer-dim", "base", None, _check_exchange_layers),
+    ("exchange-pair-ext", "cell", lambda n, m: m == 1, _check_exchange_pairs),
+    ("endo-blocks", "cell", None, _check_endo_blocks),
+)

@@ -376,6 +376,12 @@ def test_verify_stdout_is_byte_identical_to_the_pinned_digest(capsys, extra):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256[extra]
 
 
+def test_verify_battery_runs_a_repeated_diagram_once(capsys):
+    code, once, _ = run(capsys, "verify", "--battery", "A2")
+    assert code == 0 and json.loads(once)["checks_total"] == 146
+    assert run(capsys, "verify", "--battery", "A2,a2, A2") == (0, once, "")
+
+
 def test_inject_fault_option_is_gone(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--battery", "A2", "--inject-fault", "hom-table"])
@@ -925,6 +931,30 @@ def test_fuzzed_input_exits_0_or_2_with_one_short_line(tmp_path_factory, text, c
         assert err_out.count("\n") == 1 and err_out.endswith("\n")
         assert len(err_out.encode("utf-8", "backslashreplace")) <= 200, err_out
 
+
+# battery tokens: A1-A3 in either case, padded or empty; A4 and D4 take
+# about 0.1 s each and are left to the digest tests
+_BATTERY_TOKEN = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["A1", "a1", "A2", "a2", "A3", "a3", ""]),
+    st.sampled_from(["", " ", "  "]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tokens=st.lists(_BATTERY_TOKEN | _GARBAGE, max_size=5), timings=st.booleans())
+def test_fuzzed_verify_battery_exits_0_or_2_with_one_short_line(tokens, timings):
+    battery = ",".join(tokens)
+    code, out, err = _main_captured(["verify", "--battery", battery, *["--timings"] * timings])
+    assert code in (0, 2), err
+    assert err.count("\n") <= 1 and err[-1:] in ("", "\n")
+    assert len(err.encode("utf-8", "backslashreplace")) <= 200, err
+    if code == 0:
+        named = [token.strip().upper() for token in battery.split(",") if token.strip()]
+        assert err == "" and json.loads(out)["battery"] == list(dict.fromkeys(named))
+    else:
+        assert out == "" and err != ""
 
 def _main_captured(argv):
     """(exit code, stdout, stderr) of main(argv), the parser's usage errors included."""

@@ -6,7 +6,7 @@ import pytest
 import clustercat as cc
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
-from clustercat.verify import _check_hom_walk, _check_twist_orbits, _orbit_checks
+from clustercat.verify import _check_hom_walk, _check_twist_orbits, _run_cell
 
 from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, module_id, module_obj
 
@@ -432,7 +432,7 @@ def test_categories_are_freed_without_the_cycle_collector():
         derived = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
         cats = [derived.orbit(m) for m in (1, 2, 3)]
         assert derived.orbit(1) is derived.orbit(1) is cats[0]
-        assert all(check["passed"] for cat in cats for check in _orbit_checks(cat))
+        assert all(check["passed"] for cat in cats for check in _run_cell(cat))
         refs = [weakref.ref(x) for x in (derived, *cats)]
         del derived, cats
         assert [ref() for ref in refs] == [None] * 4

@@ -49,7 +49,7 @@ from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import DIAGRAMS, orientations, run_verification
 
-from conftest import A2, A3, BATTERY_QUIVERS, D4, E6
+from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6
 
 QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
 # tilting objects per diagram: the cluster numbers of the Dynkin classes
@@ -276,6 +276,12 @@ def test_failed_brick_test_in_the_replay_is_a_failed_battery(monkeypatch, capsys
     assert details == {f"check raised KnittingError: A2: reps: mesh cokernel at m{k} is decomposable" for k in (1, 2)}
 
 
+def _patch_row(monkeypatch, name, wrap):
+    """Put wrap(check) in place of the named row's check in the battery's table."""
+    rows = tuple((n, scope, gate, wrap(check) if n == name else check) for n, scope, gate, check in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", rows)
+
+
 def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     calls, builds, checked = Counter(), Counter(), Counter()
 
@@ -301,8 +307,7 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     build = laying_out(cc.OrbitCategory.build_twist_stable)
     monkeypatch.setattr(cc.OrbitCategory, "build_twist_stable", build)
     monkeypatch.setattr(verify, "near_complements", counting("near", verify.near_complements))
-    scan = verify._check_tilting_brute_force
-    monkeypatch.setattr(verify, "_check_tilting_brute_force", counting("scan", scan))
+    _patch_row(monkeypatch, "tilting-brute-force", lambda scan: counting("scan", scan))
     check = tilting.cluster_tilting_check
     monkeypatch.setattr(tilting, "cluster_tilting_check", checking)
     monkeypatch.setattr(verify, "cluster_tilting_check", checking)
@@ -333,6 +338,71 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * CLUSTER_NUMBERS[d] for d in diagrams}
 
 
+# the check names of each cell of one D5 orientation, as the battery ran them
+# before its checks were declared in one table: no subset-scanning oracle at
+# n = 5, and cy-symmetry and exchange-pair-ext at m = 1 only
+_D5_CELL = [
+    "catalog-size-orbit", "covering-fibers", "twist-free-orbits", "hom-walk-oracle",
+    "self-ext-vanishing", "end-dim-one", "serre-orbit", "cy-symmetry", "fractional-cy",
+    "rigidity-transfer", "twist-hom-invariance", "tilting-count", "tilting-brute-force",
+    "lift-check", "complement-counts", "near-complement-pairs", "graph-connected",
+    "graph-shape", "exchange-layer-dim", "exchange-pair-ext", "endo-blocks",
+]
+D5_CHECK_NAMES = {
+    None: [
+        "catalog-size-modules", "mesh-additivity", "arrow-multiplicity", "oracle-hom-equivalence",
+        "oracle-ext-equivalence", "ar-mesh-hom-identity", "serre-derived", "twist-shift-step",
+        "orientation-reversal",
+    ],
+    1: _D5_CELL,
+    2: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
+    3: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
+}
+BASE_CHECKS = ["tilting-count", "tilting-brute-force", "near-complement-pairs", "graph-connected", "graph-shape", "exchange-layer-dim"]
+
+
+def _count_base_rows(monkeypatch):
+    """Wrap each base row of the battery's table in a counter of its runs."""
+    runs = Counter()
+
+    def counting(name, check):
+        def counted(base):
+            assert base.modulus == 1
+            runs[name] += 1
+            return check(base)
+
+        return counted
+
+    for name, scope, _, _ in verify.CHECKS:
+        if scope == "base":
+            _patch_row(monkeypatch, name, lambda check, name=name: counting(name, check))
+    return runs
+
+
+def test_d5_cells_run_the_pinned_checks_and_each_base_check_once(monkeypatch):
+    runs = _count_base_rows(monkeypatch)
+    q = cc.parse_quiver(D5)
+    derived, reversal = cc.DerivedCategory(cc.ARQuiver(q)), cc.ARQuiver(q.reversed())
+    derived.reversed_shape = len(reversal.modules), sorted(x.dim_vector for x in reversal.modules), reversal.dynkin
+    memo, cells = {}, {}
+    for m in D5_CHECK_NAMES:
+        cat = derived if m is None else derived.orbit(m)
+        cells[m] = verify._run_cell(cat, memo)
+    assert {m: [check["name"] for check in cell] for m, cell in cells.items()} == D5_CHECK_NAMES
+    assert all(check["passed"] for cell in cells.values() for check in cell)
+    assert runs == dict.fromkeys(BASE_CHECKS, 1)
+
+
+def test_battery_runs_each_base_check_once_per_quiver_and_reports_it_in_every_cell(monkeypatch):
+    runs = _count_base_rows(monkeypatch)
+    diagrams = ["A1", "A2", "A3"]
+    report = run_verification(diagrams)
+    quivers = sum(len(orientations(d)) for d in diagrams)
+    assert report["passed"] and runs == dict.fromkeys(BASE_CHECKS, quivers)
+    reported = Counter(check["name"] for cell in report["cells"] for check in cell["checks"])
+    assert all(reported[name] == quivers * len(verify.M_VALUES) for name in BASE_CHECKS)
+
+
 def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
     edges = cat1.exchange_edges
@@ -357,11 +427,13 @@ def test_layers_are_read_from_the_base_at_every_modulus():
 # -- the battery's rewritten oracles against the formulations they replace --
 
 
-def _detail(check, *args):
-    """A check's detail as the battery's runner reports it, raising checks included."""
-    checks = []
-    verify._run_check(checks, "check", lambda: check(*args))
-    return checks[0]["detail"]
+def _detail(check, cat, *args):
+    """A check's detail as the battery's runner reports it, raising checks included:
+    the runner runs a table of one cell row, check(cat, *args)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(verify, "CHECKS", (("check", "cell", None, lambda cat: check(cat, *args)),))
+        (result,) = verify._run_cell(cat)
+    return result["detail"]
 
 
 def _complement_counts_as_it_was(cat):
@@ -540,14 +612,15 @@ def test_complement_counts_reports_surplus_completions_as_before(monkeypatch, ex
 
 
 def test_flipped_ext_zero_in_bit_at_m2_fails_complement_counts(monkeypatch):
-    check = verify._check_complements
+    def flipping(check):
+        def flipped(cat):
+            if cat.modulus == 2 and cat.quiver_label.endswith("[(1, 2)]"):
+                cat.ext_zero_in[0] ^= 1 << 1
+            return check(cat)
 
-    def flipped(cat):
-        if cat.modulus == 2 and cat.quiver_label.endswith("[(1, 2)]"):
-            cat.ext_zero_in[0] ^= 1 << 1
-        return check(cat)
+        return flipped
 
-    monkeypatch.setattr(verify, "_check_complements", flipped)
+    _patch_row(monkeypatch, "complement-counts", flipping)
     report = run_verification(["A2"])
     failed = [(c["quiver"], c["m"], ch["name"], ch["detail"]) for c in report["cells"] for ch in c["checks"] if not ch["passed"]]
     detail = "0 complements after dropping m1[0] from ('m1[0]', 'm2[0]'), expected 1"

@@ -569,7 +569,7 @@ def test_lift_without_m_times_n_summands_names_quiver_and_generator():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
     # a generator repeating one summand has too few orbits
     cat.base.__dict__["tilting_sets"] = [(0, 0)]
-    details = {c["name"]: c["detail"] for c in verify._orbit_checks(cat)}
+    details = {c["name"]: c["detail"] for c in verify._run_cell(cat)}
     assert details["lift-check"] == (
         "A2 quiver [(1, 2)]: lift of ('m1[0]', 'm1[0]') does not have m*n distinct summands"
     )
@@ -580,7 +580,7 @@ def test_lift_failing_the_tilting_check_names_quiver_and_index():
     cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
     assert cat.compat_mask  # rigidity still holds; only the tilting check sees the tampering
     cat.__dict__["ext_zero_out"] = [0] * len(cat.catalog)
-    details = {c["name"]: c["detail"] for c in verify._orbit_checks(cat)}
+    details = {c["name"]: c["detail"] for c in verify._run_cell(cat)}
     assert details["lift-check"] == (
         "A2 quiver [(1, 2)]: lift T1 of ('m1[0]', 'm2[0]') fails the tilting check at m1[0]"
     )
