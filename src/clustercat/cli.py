@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .arquiver import ARQuiver
 from .derived import MAX_DIGITS, DerivedCategory, ObjectSyntaxError
-from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, cluster_number, load_quiver, shown
+from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, ascii_int, cluster_number, load_quiver, shown
 
 SCHEMA_VERSION = 1
 _FLUSH_PARTS = 4096  # encoded parts held before one write to the output
@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid positive integer {shown(text)!r}") from None
     if value < 1:
@@ -347,7 +347,7 @@ def _cmd_endo(args, parser):
     from .endo import block_pattern_report, endo_profile
     from .tilting import enumerate_cluster_tilting
 
-    vertex = int(args.vertex) if args.vertex.isdecimal() and len(args.vertex) <= MAX_DIGITS else 0
+    vertex = int(args.vertex) if len(args.vertex) <= MAX_DIGITS and args.vertex.isascii() and args.vertex.isdigit() else 0
     cat = _category(args)
     tiltings = enumerate_cluster_tilting(cat.base)
     if not 1 <= vertex <= len(tiltings):

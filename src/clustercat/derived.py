@@ -4,10 +4,10 @@ Since the algebra is hereditary, every indecomposable is a shifted module,
 so objects are just (catalog id, shift) pairs.  The AR translation is
 total here: it sends a projective P_i to I_i[-1].  The twist functor
 (inverse translation followed by the shift) is the automorphism whose
-powers get quotiented out in the orbit categories.  tau, its inverse, the
-twist and its inverse read per-module step tables built once from the AR
-quiver's translation, projectives and injectives; ``twist_power`` walks
-the table one step at a time without building the objects in between.
+powers get quotiented out in the orbit categories.  tau and tau_inv read
+per-module step tables built once from the AR quiver; the twist is a
+tau_inv step and [1].  ``twist_power`` reads F^h = [h + 2] (Keller): F^t
+shifts by q(h + 2) for q, r = divmod(t, h) and walks only r < h steps.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from typing import NamedTuple
 from .arquiver import ARQuiver
 from .quiver import shown
 
-SHIFT_LIMIT = 10**6
+SHIFT_LIMIT = 10**6  # the input bound, checked by ``object`` alone
 # no module id or shift in range needs more digits, and int() refuses past 4300
 MAX_DIGITS = 20
 
-_OBJECT_RE = re.compile(r"^m(\d+)\[(-?\d+)\]$")
+_OBJECT_RE = re.compile(r"^m([0-9]+)\[(-?[0-9]+)\]$")  # ASCII digits only
 
 
 class DObject(NamedTuple):
@@ -43,6 +43,7 @@ class ObjectSyntaxError(ValueError):
 class DerivedCategory:
     def __init__(self, ar: ARQuiver):
         self.ar = ar
+        self.coxeter_number = 2 * len(ar.modules) // ar.quiver.vertex_count  # h, with F^h = [h + 2]
         # weak, since each orbit category holds this one: no reference cycle
         self._orbit_cache = weakref.WeakValueDictionary()
 
@@ -63,22 +64,15 @@ class DerivedCategory:
         return self.object(int(module_id), int(shift))
 
     def shift(self, x: DObject, t: int) -> DObject:
-        s = x.shift + t
-        if abs(s) > SHIFT_LIMIT:
-            raise ValueError(f"shift {s} exceeds limit {SHIFT_LIMIT}")
-        return DObject(x.module_id, s)
+        return DObject(x.module_id, x.shift + t)
 
     @cached_property
-    def _steps(self) -> tuple[dict, ...]:
-        """Step tables of tau, tau_inv, twist and twist_inv by module id: (image
-        module id, shift change), plus for the twists the change whose result
-        ``shift`` would check against SHIFT_LIMIT in the composite."""
+    def _steps(self) -> tuple[dict, dict]:
+        """Step tables of tau and tau_inv by module id: (image module id, shift change)."""
         ar = self.ar
         tau = {m.id: (ar.injectives[m.projective_vertex], -1) if m.is_projective else (ar.tau[m.id], 0) for m in ar.modules}
         tau_inv = {m.id: (ar.projectives[m.injective_vertex], 1) if m.is_injective else (ar.tau_inverse[m.id], 0) for m in ar.modules}
-        # twist = shift(tau_inv(x), 1) checks its result, twist_inv = tau(shift(x, -1)) checks x[-1]
-        twist = {i: (k, s + 1, s + 1) for i, (k, s) in tau_inv.items()}
-        return tau, tau_inv, twist, {i: (k, s - 1, -1) for i, (k, s) in tau.items()}
+        return tau, tau_inv
 
     def tau(self, x: DObject) -> DObject:
         k, s = self._steps[0][x.module_id]
@@ -90,13 +84,21 @@ class DerivedCategory:
 
     def twist(self, x: DObject) -> DObject:
         """Inverse AR translation composed with the shift."""
-        return _walk(x, self._steps[2], 1)
+        k, s = self._steps[1][x.module_id]
+        return DObject(k, x.shift + s + 1)
 
     def twist_inv(self, x: DObject) -> DObject:
-        return _walk(x, self._steps[3], 1)
+        return self.twist_power(x, -1)
 
     def twist_power(self, x: DObject, t: int) -> DObject:
-        return _walk(x, self._steps[2 if t >= 0 else 3], abs(t))
+        """F^t(x): q whole periods F^h = [h + 2] as one shift, then r < h twist steps."""
+        h, table = self.coxeter_number, self._steps[1]
+        q, r = divmod(t, h)
+        k, s = x.module_id, x.shift + q * (h + 2)
+        for _ in range(r):
+            k, step = table[k]
+            s += step + 1
+        return DObject(k, s)
 
     def hom(self, x: DObject, y: DObject) -> int:
         """Hom dimension; nonzero only at shift gap 0 (Hom) or 1 (Ext^1)."""
@@ -120,13 +122,3 @@ class DerivedCategory:
         cat = cache[modulus] = cache.get(modulus) or OrbitCategory(self, modulus)
         return cat
 
-
-def _walk(x: DObject, table: list, count: int) -> DObject:
-    """count steps of a twist step table from x, one step at a time."""
-    k, s = x
-    for _ in range(count):
-        k, step, checked = table[k]
-        if abs(s + checked) > SHIFT_LIMIT:
-            raise ValueError(f"shift {s + checked} exceeds limit {SHIFT_LIMIT}")
-        s += step
-    return DObject(k, s)

@@ -19,10 +19,10 @@ twist^t of base object k sits at position t*B + k and the twist acts on
 positions as i -> (i + B) mod mB.  Lifts, tiers, twist-orbits and the
 covering projection use this arithmetic instead of walking the twist; the
 battery's ``twist-free-orbits`` check asserts it against the walked
-``twist_permutation``.  ``canonicalize`` reads it too: it walks x =
-twist^j(y) on plain (module id, shift) pairs into the base domain and
-returns (j mod m)*B + the base index of y, with no map over the m*B
-catalog and no walk back out of the base domain.
+``twist_permutation``.  ``canonicalize`` reads it too: it cuts x's shift
+into [0, h + 1] by periods F^h = [h + 2], walks x = twist^j(y) back on
+(module id, shift) pairs into the base domain in at most h + 1 steps, and
+returns (j mod m)*B + the base index of y, with no map over the catalog.
 
 An object of the orbit category is its catalog position: the catalog holds
 one ``DObject`` per twist-orbit, ``canonicalize`` sends any ``DObject`` to
@@ -40,7 +40,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .derived import SHIFT_LIMIT, DerivedCategory, DObject
+from .derived import DerivedCategory, DObject
 from .quiver import QuiverTooLargeError, cluster_number
 
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
@@ -84,18 +84,17 @@ class OrbitCategory:
     # -- canonical forms ------------------------------------------------
 
     def canonicalize(self, x: DObject) -> int:
-        """Catalog position of the orbit of x: walk the twist step tables on
-        (module id, shift) from x = twist^j(y) into the base domain, at y's base
-        index k, and read the position (j mod m)*B + k off the layout."""
-        home, (up, down) = self._home, self.derived._steps[2:]
-        (k, s), j = x, 0
+        """Catalog position of the orbit of x: cut x's shift into [0, h + 1] by
+        periods F^h = [h + 2], walk x = twist^j(y) back by tau after [-1] (each
+        step lowers the shift, and shift 0 is home) into the base domain, at
+        y's base index k, and read the position (j mod m)*B + k off the layout."""
+        h, home, tau = self.derived.coxeter_number, self._home, self.derived._steps[0]
+        q, s = divmod(x.shift, h + 2)
+        k, j = x.module_id, q * h
         while (k, s) not in home:
-            back = s >= 1  # down by the inverse twist, else up by the twist
-            k, step, checked = (down if back else up)[k]
-            j += 1 if back else -1
-            if abs(s + checked) > SHIFT_LIMIT:
-                raise ValueError(f"shift {s + checked} exceeds limit {SHIFT_LIMIT}")
-            s += step
+            k, step = tau[k]
+            s += step - 1
+            j += 1
         return j % self.modulus * self._tier_size + home[k, s]
 
     def tier_of(self, i: int) -> int:

@@ -87,7 +87,7 @@ def parse_quiver(text: str) -> Quiver:
             if tokens[0] != "vertices" or len(tokens) != 2:
                 raise QuiverSyntaxError("expected 'vertices <n>'", lineno)
             try:
-                vertex_count = int(tokens[1])
+                vertex_count = ascii_int(tokens[1])
             except ValueError:
                 raise QuiverSyntaxError(f"bad vertex count {shown(tokens[1])!r}", lineno) from None
             if vertex_count < 1:
@@ -98,7 +98,7 @@ def parse_quiver(text: str) -> Quiver:
         if tokens[0] != "arrow" or len(tokens) != 3:
             raise QuiverSyntaxError(f"expected 'arrow <i> <j>', got {shown(line)!r}", lineno)
         try:
-            src, tgt = int(tokens[1]), int(tokens[2])
+            src, tgt = ascii_int(tokens[1]), ascii_int(tokens[2])
         except ValueError:
             raise QuiverSyntaxError(f"bad vertex index in {shown(line)!r}", lineno) from None
         for v in (src, tgt):
@@ -188,6 +188,13 @@ def reachable(start, adjacency) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def ascii_int(text: str) -> int:
+    """int(text) of ASCII digits only; int() also reads signs, '_', spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("not ASCII digits")
+    return int(text)
 
 
 def shown(text: str) -> str:

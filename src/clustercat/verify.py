@@ -233,6 +233,7 @@ def _check_serre_derived(derived: DerivedCategory) -> str | None:
 
 
 def _check_twist_steps(derived: DerivedCategory) -> str | None:
+    # twist_inv is F^(h-1)[-(h+2)], so twist_inv(twist(x)) == x asserts F^h = [h + 2]
     for m in derived.ar.modules:
         x = DObject(m.id, 0)
         step = derived.twist(x).shift - x.shift

@@ -201,6 +201,20 @@ def test_modulus_past_the_int_limit_is_a_short_usage_error(capsys, a2_path):
     assert last == f"clustercat ind: error: argument --m: invalid positive integer '{'9' * 24}...'"
 
 
+@pytest.mark.parametrize("operand", ["m\u0661[\u0660]", "m1[+0]", "m1[1_0]", "m1[ 0]", "m\uff11[0]"])
+def test_hom_object_numbers_are_ascii_digits(capsys, a2_path, operand):
+    code, out, err = run(capsys, "hom", "--quiver", a2_path, operand, "m1[0]")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad object syntax {operand!r}; expected e.g. m3[-1]\n"
+
+
+@pytest.mark.parametrize("vertex", ["\u0663", "+3", "3 ", "0_3"])
+def test_endo_vertex_is_ascii_digits(capsys, a3_path, vertex):
+    code, out, err = run(capsys, "endo", "--quiver", a3_path, vertex)
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex index {vertex} out of range 1..14\n"
+
+
 def test_hom_single_object_usage_error(capsys, a2_path):
     with pytest.raises(SystemExit) as info:
         main(["hom", "--quiver", a2_path, "m1[0]"])
@@ -210,6 +224,11 @@ def test_hom_single_object_usage_error(capsys, a2_path):
 _USAGE_ERRORS = {
     "m-zero": (["ind", "--m", "0"], "clustercat ind: error: argument --m: must be a positive integer"),
     "m-text": (["ind", "--m", "abc"], "clustercat ind: error: argument --m: invalid positive integer 'abc'"),
+    "m-underscore": (["ind", "--m", "1_0"], "clustercat ind: error: argument --m: invalid positive integer '1_0'"),
+    "m-arabic-indic": (["ind", "--m", "\u0663"], "clustercat ind: error: argument --m: invalid positive integer '\u0663'"),
+    "m-plus": (["ind", "--m", "+3"], "clustercat ind: error: argument --m: invalid positive integer '+3'"),
+    "m-space": (["ind", "--m", " 3"], "clustercat ind: error: argument --m: invalid positive integer ' 3'"),
+    "m-negative": (["ind", "--m", "-3"], "clustercat ind: error: argument --m: invalid positive integer '-3'"),
     "no-quiver": (["ind"], "clustercat ind: error: the following arguments are required: --quiver"),
     "battery": (
         ["verify", "--battery", "Z9"],
@@ -856,7 +875,7 @@ _HUGE = st.integers(1, 5000).map(lambda k: "9" * k)  # past int()'s 4300-digit l
 _LONG = st.integers(100, 5000).map(lambda k: "x" * k)
 _GARBAGE = st.one_of(
     st.text(max_size=12),
-    st.sampled_from(["", "0", "-1", "7", "1_0", "\u0663", "arrow", "vertices", "#", "m1", "[0]"]),
+    st.sampled_from(["", "0", "-1", "7", "1_0", "+2", " 3", "\u0663", "\u0661\u0662", "arrow", "vertices", "#", "m1", "[0]"]),
     st.integers(-(10**30), 10**30).map(str),
     _HUGE,
     _LONG,
@@ -930,6 +949,51 @@ def test_fuzzed_input_exits_0_or_2_with_one_short_line(tmp_path_factory, text, c
         assert not target.exists()
         assert err_out.count("\n") == 1 and err_out.endswith("\n")
         assert len(err_out.encode("utf-8", "backslashreplace")) <= 200, err_out
+
+
+def _misspelled(draw, value, spaces=True):
+    """value as int() reads it but not as ASCII digits: one digit from another
+    script, an underscore, a plus sign, or (where no tokenizer splits on it) a space."""
+    digits = str(value)
+    how = draw(st.sampled_from(["script", "underscore", "plus"] + ["space"] * spaces))
+    if how == "script":  # Arabic-Indic, Devanagari and fullwidth digits
+        at, zero = draw(st.integers(0, len(digits) - 1)), ord(draw(st.sampled_from("\u0660\u0966\uff10")))
+        spelled = digits[:at] + chr(zero + int(digits[at])) + digits[at + 1 :]
+    else:
+        spelled = {"underscore": f"0_{digits}", "plus": f"+{digits}", "space": f" {digits}"}[how]
+    assert int(spelled) == value
+    return spelled
+
+
+# where a number is read, and the values the A3 quiver below accepts there
+_NUMBER_PLACES = {
+    "vertex-count": st.just(3),
+    "arrow": st.just(1),
+    "modulus": st.integers(1, 3),
+    "module-id": st.integers(1, 6),
+    "shift": st.integers(0, 6),
+    "endo": st.integers(1, 14),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(place=st.sampled_from(sorted(_NUMBER_PLACES)), data=st.data())
+def test_numbers_spelled_other_than_ascii_digits_exit_2_in_one_line(tmp_path_factory, place, data):
+    # the argv with the number at place in ASCII digits exits 0, and in another spelling 2
+    value = data.draw(_NUMBER_PLACES[place])
+    spelled = _misspelled(data.draw, value, spaces=place in ("modulus", "endo"))
+    path = tmp_path_factory.getbasetemp() / "spelled.quiver"
+
+    def argv(number):
+        at = {place: number}.get
+        path.write_text(f"vertices {at('vertex-count', 3)}\narrow {at('arrow', 1)} 2\narrow 2 3\n", encoding="utf-8")
+        operands = [at("endo", "1")] if place == "endo" else [f"m{at('module-id', 1)}[{at('shift', 0)}]", "m1[0]"]
+        return ["endo" if place == "endo" else "hom", *operands, "--quiver", str(path), "--m", at("modulus", "1")]
+
+    assert _main_captured(argv(str(value)))[0] == 0
+    code, out, err = _main_captured(argv(spelled))
+    assert (code, out) == (2, ""), err
+    assert err.count("\n") == 1 and len(err.encode()) <= 200, err
 
 
 # battery tokens: A1-A3 in either case, padded or empty; A4 and D4 take

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat.derived import DObject, ObjectSyntaxError, SHIFT_LIMIT
+from clustercat.verify import run_verification
 
-from conftest import A2, A3, BATTERY_QUIVERS, E6, E7, E8, module_id
+from conftest import A2, A3, BATTERY_QUIVERS, E6, E7, E8, module_id, oriented_trees
 
 
 def test_shift_group_action(build):
@@ -15,10 +18,16 @@ def test_shift_group_action(build):
     assert dc.shift(dc.shift(x, 2), 5) == dc.shift(x, 7)
 
 
-def test_shift_limit(build):
+def test_shift_limit_bounds_input_objects_only(build):
     dc = build(A2)
-    with pytest.raises(ValueError, match="limit"):
-        dc.shift(DObject(1, 0), SHIFT_LIMIT + 1)
+    assert dc.object(1, -SHIFT_LIMIT) == DObject(1, -SHIFT_LIMIT)
+    for shift in (SHIFT_LIMIT + 1, -SHIFT_LIMIT - 1):
+        with pytest.raises(ObjectSyntaxError, match=f"^shift {shift} of m1 exceeds limit {SHIFT_LIMIT}$"):
+            dc.object(1, shift)
+    with pytest.raises(ObjectSyntaxError, match="exceeds limit"):
+        dc.parse_object(f"m2[{SHIFT_LIMIT + 1}]")
+    # past the input, shifts are plain integers
+    assert dc.shift(DObject(1, SHIFT_LIMIT), 1) == DObject(1, SHIFT_LIMIT + 1)
 
 
 def test_tau_on_modules(build):
@@ -86,14 +95,16 @@ COXETER_QUIVERS = {
 
 @pytest.mark.parametrize("label", COXETER_QUIVERS)
 def test_coxeter_periodicity(label):
-    # F^h = [h + 2] with h the Coxeter number (Keller, math/0503240); the
-    # closed-form twist will rest on this, and h = 2 * |modules| / n
+    # F^h = [h + 2] with h the Coxeter number (Keller, math/0503240), walked
+    # one twist at a time: the closed-form twist_power rests on it
     dc = cc.DerivedCategory(cc.ARQuiver(COXETER_QUIVERS[label]))
     h, rem = divmod(2 * len(dc.ar.modules), dc.ar.quiver.vertex_count)
-    assert rem == 0
+    assert rem == 0 and dc.coxeter_number == h
     for m in dc.ar.modules:
-        x = DObject(m.id, 0)
-        assert dc.twist_power(x, h) == dc.shift(x, h + 2), m.id
+        x = y = DObject(m.id, 0)
+        for _ in range(h):
+            y = dc.twist(y)
+        assert y == dc.shift(x, h + 2), m.id
 
 
 def test_hom_gap_rules(build):
@@ -174,35 +185,71 @@ def test_step_tables_equal_the_definitions(label):
                 assert dc.twist_power(x, t) == defs.twist_power(x, t), (x, t)
 
 
-def _raised(fn, *args):
-    with pytest.raises(ValueError) as info:
-        fn(*args)
-    return str(info.value)
-
-
 @pytest.mark.parametrize("label", ["A2#0", "D4#5"])
-def test_step_tables_keep_the_shift_limit_and_its_message(label):
-    # twist checks its result, twist_inv the shift by -1 before tau; a
-    # projective's tau then steps one past the limit, as the composite does
+def test_far_shifts_return_and_a_period_moves_the_tier_by_h(label):
+    # no step checks a shift limit: at +-10^12 the twist powers and
+    # canonicalize return, and [p(h + 2)] = F^(ph) moves x's tier by ph mod m
     dc = cc.DerivedCategory(cc.ARQuiver(BATTERY_QUIVERS[label]))
-    defs = _Definitions(dc)
-    raised = 0
+    defs, h = _Definitions(dc), dc.coxeter_number
+    cats = [dc.orbit(m) for m in (1, 2, 3)]
     for m in dc.ar.modules:
-        for s in (SHIFT_LIMIT - 2, SHIFT_LIMIT - 1, SHIFT_LIMIT):
-            for x, step, count in ((DObject(m.id, s), 1, 3), (DObject(m.id, -s), -1, 3)):
-                try:
-                    expected = defs.twist_power(x, step * count)
-                except ValueError as exc:
-                    assert _raised(dc.twist_power, x, step * count) == str(exc)
-                    assert str(exc).endswith(f" exceeds limit {SHIFT_LIMIT}")
-                    raised += 1
-                else:
-                    assert dc.twist_power(x, step * count) == expected
-            top, bottom = DObject(m.id, SHIFT_LIMIT), DObject(m.id, -SHIFT_LIMIT)
-            assert _raised(dc.twist, top) == _raised(defs.twist, top)
-            assert _raised(dc.twist_inv, bottom) == _raised(defs.twist_inv, bottom)
-    assert raised
-    # past the limit by one: the inverse twist of a projective at -(limit - 1)
-    p = next(m.id for m in dc.ar.modules if m.is_projective)
-    x = DObject(p, 1 - SHIFT_LIMIT)
-    assert dc.twist_inv(x) == defs.twist_inv(x) and dc.twist_inv(x).shift == -SHIFT_LIMIT - 1
+        for s in (10**12, -(10**12)):
+            x = DObject(m.id, s)
+            for t in (-7, -1, 1, 7):
+                assert dc.twist_power(x, t) == defs.twist_power(x, t), (x, t)
+            assert dc.twist(dc.twist_inv(x)) == x == dc.twist_power(dc.twist_power(x, 10**12), -(10**12))
+        for cat in cats:
+            for s in range(-3, 4):
+                x = DObject(m.id, s)
+                i = cat.canonicalize(x)
+                for p in (-(10**12), -5, -1, 1, 5, 10**12):
+                    j = cat.canonicalize(dc.shift(x, p * (h + 2)))
+                    assert (cat.project(j), cat.tier_of(j)) == (cat.project(i), (cat.tier_of(i) + p * h) % cat.modulus)
+
+
+@pytest.mark.parametrize("delta", [1, -1, 2])
+def test_a_wrong_coxeter_number_fails_twist_shift_step(monkeypatch, delta):
+    # twist_inv is twist_power(x, -1) = F^(h-1)[-(h+2)], so twist_inv(twist(x)) == x
+    # holds exactly when F^h = [h + 2]: the battery's oracle for the period
+    init = cc.DerivedCategory.__init__
+
+    def wrong_period(self, ar):
+        init(self, ar)
+        self.coxeter_number += delta
+
+    monkeypatch.setattr(cc.DerivedCategory, "__init__", wrong_period)
+    report = run_verification(["A2", "D4"])
+    steps = [
+        check["passed"]
+        for cell in report["cells"]
+        if cell["m"] is None
+        for check in cell["checks"]
+        if check["name"] == "twist-shift-step"
+    ]
+    assert len(steps) == 2 + 8 and not any(steps)
+
+
+def _dynkin_trees():
+    """Edge lists of A_n (n <= 8), D_n (4 <= n <= 8) and E_6, E_7, E_8."""
+    chain = tuple((i, i + 1) for i in range(1, 8))
+    return (
+        [chain[: n - 1] for n in range(1, 9)]
+        + [chain[: n - 2] + ((n - 2, n),) for n in range(4, 9)]
+        + [chain[: n - 2] + ((3, n),) for n in (6, 7, 8)]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.sampled_from(_dynkin_trees()).flatmap(oriented_trees), data=st.data())
+def test_twist_power_equals_single_steps_on_random_orientations(q, data):
+    # |t| <= 3h single steps: twist reads the tau_inv table, and the inverse
+    # twist is tau after [-1], written out here
+    dc = cc.DerivedCategory(cc.ARQuiver(q))
+    h = dc.coxeter_number
+    assert h * q.vertex_count == 2 * len(dc.ar.modules)
+    module = data.draw(st.integers(1, len(dc.ar.modules)))
+    x = DObject(module, data.draw(st.integers(-50, 50)))
+    y = z = x
+    for t in range(1, 3 * h + 1):
+        y, z = dc.twist(y), dc.tau(dc.shift(z, -1))
+        assert dc.twist_power(x, t) == y and dc.twist_power(x, -t) == z, (x, t)

@@ -62,6 +62,13 @@ def test_parse_disconnected_rejected():
         ("vertices 2\nedge 1 2\n", "arrow"),
         ("vertices 2\narrow 1\n", "arrow"),
         ("vertices 2\narrow 1 5\n", "out of range"),
+        # numbers are ASCII digits only, though int() reads these spellings
+        ("vertices +2\narrow 1 2\n", "bad vertex count"),
+        ("vertices 1_0\n", "bad vertex count"),
+        ("vertices \u0662\narrow 1 2\n", "bad vertex count"),
+        ("vertices 2\narrow \u0661 \u0662\n", "bad vertex index"),
+        ("vertices 2\narrow +1 2\n", "bad vertex index"),
+        ("vertices 2\narrow -1 2\n", "bad vertex index"),
         ("arrow 1 2\n", "vertices"),
     ],
 )

@@ -23,8 +23,9 @@ per quiver and the matrix Hom is solved once per ordered pair.  Each
 rewritten check is compared with its old formulation, kept here, on
 intact and on corrupted tables.
 
-``canonicalize`` walks (module id, shift) pairs into the base domain and
-finds the tier by arithmetic, where it used to walk into a map over the
+``canonicalize`` cuts whole periods F^h = [h + 2] off the shift, walks
+(module id, shift) pairs into the base domain and finds the tier by
+arithmetic, where it used to walk into a map over the
 whole catalog and back out; ``hom-walk-oracle`` adds whole columns of the
 module tables along each walked orbit instead of asking ``derived.hom``
 per pair; ``serre-orbit``, ``twist-hom-invariance`` and
@@ -817,14 +818,6 @@ def _positioned(label, m):
     return _POSITIONED[label, m]
 
 
-def _outcome(fn, *args):
-    """fn's value, or the text of the ValueError it raises."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 WHOLE_ROW_CHECKS = {
     "hom-walk-oracle": (verify._check_hom_walk, _hom_walk_as_it_was),
     "serre-orbit": (verify._check_serre_orbit, _serre_orbit_as_it_was),
@@ -854,22 +847,26 @@ def test_canonicalize_on_a_window_of_shifts_equals_the_walk_over_a_position_map(
 @example(label="A1#0", m=2, module=1, shift=derived.SHIFT_LIMIT)
 @example(label="A1#0", m=2, module=1, shift=-derived.SHIFT_LIMIT)
 @example(label="A1#0", m=3, module=1, shift=derived.SHIFT_LIMIT + 2)
+@example(label="E6", m=3, module=5, shift=-(10**12) - 1)
 @given(
     label=st.sampled_from(sorted(QUIVERS)),
     m=st.integers(1, 3),
     module=st.integers(1, 36),
     shift=st.one_of(
         st.integers(-400, 400),
-        st.sampled_from([s * (derived.SHIFT_LIMIT + k) for s in (-1, 1) for k in (3, 4, 1000)]),
+        st.sampled_from([s * (derived.SHIFT_LIMIT + k) for s in (-1, 1) for k in (3, 4, 1000, 10**12)]),
     ),
 )
 def test_canonicalize_matches_the_walk_over_a_position_map(label, m, module, shift):
-    # A1 at +-SHIFT_LIMIT walks 5 * 10^5 twist steps (of 2 shifts each) into
-    # the base domain, in about a second for both walks; three or more past
-    # the limit, the first step's shift is already past it and the walk raises
+    # the walk takes a step per shift or two, so past |shift| 400 whole periods
+    # [p(h + 2)] = F^(ph) first bring x into [0, h + 1] and move the walk's
+    # tier by p*h (test_coxeter_periodicity walks F^h = [h + 2] step by step)
     cat, positions = _positioned(label, m)
+    h, size = cat.derived.coxeter_number, len(cat.catalog) // m
     x = DObject((module - 1) % len(cat.ar.modules) + 1, shift)
-    assert _outcome(cat.canonicalize, x) == _outcome(_canonicalize_as_it_was, cat, positions, x)
+    p = shift // (h + 2) if abs(shift) > 400 else 0
+    tier, k = divmod(_canonicalize_as_it_was(cat, positions, DObject(x.module_id, shift - p * (h + 2))), size)
+    assert cat.canonicalize(x) == (tier + p * h) % m * size + k
 
 
 @pytest.mark.parametrize("label", QUIVERS)
