@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--timings",
         action="store_true",
-        help="add each check's wall time in seconds, with the shared tables it is the first to build",
+        help="add each check's wall time in seconds, with the shared tables and the exchange walk it is the first to build",
     )
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
@@ -317,12 +317,14 @@ def _cmd_tilting(args, parser):
 
 
 def _cmd_graph(args, parser):
-    from .tilting import build_tilting_graph, enumerate_cluster_tilting, is_connected
+    from .tilting import build_tilting_graph, enumerate_cluster_tilting
 
     cat = _category(args)
     if args.format == "json":  # dot lists no members
         _refuse_long_listing(cat)
-    # the lift is a bijection carrying mutations to mutations: the modulus-1 graph at every m
+    # the lift is a bijection carrying mutations to mutations: the modulus-1 graph at every m;
+    # the walk that finds it reaches only its seed's component, so the graph is
+    # connected exactly when that component holds all cluster_number vertices
     vertices, edges = enumerate_cluster_tilting(cat.base), build_tilting_graph(cat)
     names = [f"T{i + 1}" for i in range(len(vertices))]
     if args.format == "json":
@@ -333,7 +335,7 @@ def _cmd_graph(args, parser):
                 for i, v in enumerate(vertices)
             ],
             "edges": [[names[a], names[b]] for a, b in edges],
-            "connected": is_connected(len(vertices), edges),
+            "connected": len(vertices) == cluster_number(cat.ar.dynkin),
         }
     return 0, [
         "graph tilting {",

@@ -81,7 +81,7 @@ def rank(rows: list[dict[int, int | Fraction]]) -> int:
 
 
 class KernelSpace:
-    """Solution space of A x = 0, with coordinates along the free columns.
+    """Solution space of A x = 0: one basis vector per free column.
 
     Nothing in the package calls it.  It is kept because the benchmark
     tracer (perfbench/tracing.py) wraps it as a class of the exact layer."""
@@ -89,10 +89,8 @@ class KernelSpace:
     def __init__(self, rows: Mat, width: int):
         ech, pivots = rref(rows, width)
         pivot_set = set(pivots)
-        self.width = width
-        self.free = [c for c in range(width) if c not in pivot_set]
         self.basis: list[Row] = []
-        for f in self.free:
+        for f in (c for c in range(width) if c not in pivot_set):
             v = [ZERO] * width
             v[f] = ONE
             for row, p in zip(ech, pivots):
@@ -102,18 +100,6 @@ class KernelSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coords(self, v: Row) -> Row:
-        """Coordinates of v in the kernel basis; v must lie in the kernel."""
-        c = [v[f] for f in self.free]
-        recon = [ZERO] * self.width
-        for coeff, b in zip(c, self.basis):
-            if coeff:
-                for j in range(self.width):
-                    recon[j] += coeff * b[j]
-        if recon != v:
-            raise ValueError("vector not in kernel")
-        return c
 
 
 class QuotientSpace:

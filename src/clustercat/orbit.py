@@ -30,14 +30,15 @@ the position of its orbit, and ``tier_of``, ``project``, ``twist_action``,
 ``serre_permutation`` and ``dim`` act on positions.  A tilting object is its
 generator's base positions (ascending, the (shift, module id) order of the
 base domain), and so is its lift: ``build_twist_stable`` lays the lift's
-summands out by tier where a caller needs their positions.
+summands out by tier where a caller needs their positions.  One walk of the
+mutations over ``compat_mask`` finds the tilting sets and the exchange edges.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
-from operator import add, itemgetter
+from itertools import accumulate, chain
+from operator import add, and_, itemgetter
 from typing import Iterable, Iterator
 
 from .derived import DerivedCategory, DObject
@@ -46,8 +47,9 @@ from .quiver import QuiverTooLargeError, cluster_number
 # the catalog holds m(modules + n) objects (A2 at m = 20000: 100000); a full
 # table holds N^2 entries and its JSON grows with them, so the side is capped;
 # listing every tilting object lifted to m tiers prints count * m * n member
-# texts (E8 at m = 2: 401280), so that total is capped too; the tilting
-# search walks every rigid set, so their count is capped (A12 has 742900)
+# texts (E8 at m = 2: 401280), so that total is capped too; the exchange walk
+# keeps each tilting set and its n neighbours: A11's 208012 take 4 to 7 s and
+# 290 MiB in graph --format dot (2-vCPU VM), so the count is capped (A12: 742900)
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
 MAX_LISTED_MEMBERS = 500_000
@@ -238,28 +240,34 @@ class OrbitCategory:
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
         """Every nonempty rigid set of at most n positions (n the number of
         vertices), ascending tuples in depth-first (hence lexicographic) order."""
-        compat = self.compat_mask
-        n = self.ar.quiver.vertex_count
+        compat, n = self.compat_mask, self.ar.quiver.vertex_count
 
         def extend(chosen: tuple[int, ...], candidates: int):
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                j = low.bit_length() - 1
-                grown = chosen + (j,)
-                yield grown
+            for j in _bits(candidates):
+                candidates ^= 1 << j
+                yield (grown := chosen + (j,))
                 if len(grown) < n:
                     yield from extend(grown, candidates & compat[j])
 
-        yield from extend((), sum(1 << j for j, c in enumerate(compat) if c >> j & 1))
+        yield from extend((), mask_of(j for j, c in enumerate(compat) if c >> j & 1))
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
-        """Position sets of the cluster tilting objects: the rigid n-sets, each
-        passing ``cluster_tilting_check`` (in a Dynkin cluster category every
-        one does).  Modulus 1 only."""
-        from .tilting import cluster_tilting_check  # tilting builds on this module
+        """Position sets of the cluster tilting objects in lexicographic order (modulus 1 only)."""
+        return self._exchange_walk[0]
 
+    @cached_property
+    def exchange_edges(self) -> list[tuple[int, int]]:
+        """Sorted index pairs (i < k) of tilting_sets that differ by one mutation."""
+        (sets, near), n = self._exchange_walk, self.ar.quiver.vertex_count
+        return [(i, k) for i in range(len(sets)) for k in sorted(near[i * n : i * n + n]) if k > i]
+
+    @cached_property
+    def _exchange_walk(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The tilting sets and their neighbours' indices, n to a set, walked over ``compat_mask``
+        from the greedy maximal rigid set: T - p has two complements (Buan-Marsh-Reineke-Reiten-
+        Todorov), p and the one self-compatible position outside T compatible with all of T - p.
+        The walk reaches its seed's component; ``tilting-brute-force`` shows that is every set."""
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
@@ -267,32 +275,47 @@ class OrbitCategory:
                 f"{self.ar.dynkin} has {count} cluster tilting objects;"
                 f" at most {MAX_TILTING_OBJECTS} are supported"
             )
-        n = self.ar.quiver.vertex_count
-        found = [chosen for chosen in self.rigid_position_sets() if len(chosen) == n]
-        if not all(cluster_tilting_check(self, chosen)[0] for chosen in found):
-            raise RuntimeError("rigid n-set is not cluster tilting; not a Dynkin situation")
-        return found
-
-    @cached_property
-    def exchange_edges(self) -> list[tuple[int, int]]:
-        """Index pairs (i < k) of tilting_sets that differ by one mutation.
-
-        An almost complete tilting set has exactly two complements
-        (Buan-Marsh-Reineke-Reiten-Todorov), so each T - p lies in exactly
-        two tilting sets, the ends of an edge.  Only tilting_sets is read;
-        the battery's oracle ``tilting.near_complements`` uses Ext^1.
-        """
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, t in enumerate(self.tilting_sets):
-            for j in range(len(t)):
-                groups.setdefault(t[:j] + t[j + 1 :], []).append(i)
-        for almost, found in groups.items():
-            if len(found) != 2:
+        compat, n, label, texts = self.compat_mask, self.ar.quiver.vertex_count, self.quiver_label, self.texts
+        loops = seed = mask_of(j for j, c in enumerate(compat) if c >> j & 1)
+        for j in range(len(compat)):  # keep each self-compatible j compatible with all kept
+            seed &= compat[j] if seed >> j & 1 else -1
+        if (size := seed.bit_count()) != n:
+            raise RuntimeError(f"{label}: greedy maximal rigid set {texts(_bits(seed))} has {size} members, expected {n}")
+        index, masks, found, near = {seed: 0}, [seed], [], []
+        for mask in masks:  # masks grows as the walk finds sets
+            found.append(members := tuple(_bits(mask)))
+            rests, free = list(all_but_one(compat, members)), loops & ~mask
+            if outside := rests[0] & compat[members[0]] & free:
                 raise RuntimeError(
-                    f"{self.quiver_label}: almost complete set {self.texts(almost)} lies in"
-                    f" {len(found)} tilting sets, expected 2"
+                    f"{label}: tilting set {texts(members)} is not maximal: {texts(_bits(outside))} compatible with all of it"
                 )
-        return sorted(tuple(found) for found in groups.values())
+            for p, rest in zip(members, rests):
+                if (partner := rest & free).bit_count() != 1:
+                    almost, count = texts(_bits(mask ^ 1 << p)), partner.bit_count() + 1
+                    raise RuntimeError(f"{label}: almost complete set {almost} lies in {count} tilting sets, expected 2")
+                if (k := index.setdefault(swapped := mask ^ 1 << p | partner, len(masks))) == len(masks):
+                    masks.append(swapped)
+                near.append(k)
+        del index, masks  # a mask per set (A11: 208012), freed before the ordering's lists
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        return [found[i] for i in order], [rank[k] for i in order for k in near[i * n : i * n + n]]
+
+
+def all_but_one(masks: list[int], members) -> Iterator[int]:
+    """Per member, the AND of masks over the other members (-1 if none): a prefix and a suffix sweep."""
+    row = [masks[p] for p in members]
+    suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
+    return map(and_, accumulate(row, and_, initial=-1), suffix)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def mask_of(positions: Iterable[int]) -> int:

@@ -1,19 +1,16 @@
 """Cluster tilting objects, their complements, and the exchange graph.
 
-A cluster tilting object is its generator's base positions: an ascending
-tuple of n modulus-1 catalog positions with ext-vanishing in both
-directions between all members (``OrbitCategory.tilting_sets``), and so
-is its lift to modulus m; ``build_twist_stable`` lays out the lift's
-summands.  The exchange graph is a modulus-1 object at every m: the lift
-T -> T + FT + ... + F^(m-1)T is a bijection that carries mutations to
-mutations (Buan-Marsh-Reineke-Reiten-Todorov), so the vertices are
-``tilting_sets`` and the edges ``exchange_edges`` of the base, which pairs
-the two tilting sets around each almost complete set and reads no Ext^1.
-The slow paths are the battery's oracles: ``near_complements`` re-derives
-every edge from Ext^1, sharing no code with that pairing; a direct scan
-over twist-orbit unions re-derives the lifts at small rank; and
-``cluster_tilting_check`` checks every lift at modulus m and accepts each
-rigid n-set that ``tilting_sets`` enumerates.
+A cluster tilting object is its generator's base positions, an ascending
+tuple of n modulus-1 catalog positions with ext-vanishing both ways
+between all members, and so is its lift to modulus m (``build_twist_stable``
+lays out the summands).  The exchange graph is a modulus-1 object at every
+m: the lift T -> T + FT + ... + F^(m-1)T is a bijection carrying mutations
+to mutations (Buan-Marsh-Reineke-Reiten-Todorov), so it is the base's
+``tilting_sets`` and ``exchange_edges``, found by one walk over
+``compat_mask``.  The battery's oracles are the slow paths:
+``near_complements`` re-derives every edge from Ext^1, a subset scan and
+(at small rank) a direct scan over twist-orbit unions re-derive the sets
+and the lifts, and ``cluster_tilting_check`` checks every lift at modulus m.
 """
 
 from __future__ import annotations

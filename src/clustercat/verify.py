@@ -14,27 +14,22 @@ optional failure detail; the report is machine readable and deterministic.
 
 A lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
-that checks each lift at modulus m.  ``hom-walk-oracle`` walks each
-object's F^m-orbit through per-module F^{+-m} step tables and reads the
-module Hom and Ext^1 tables a whole row of the transpose (the Hom into
-one module) at a time, at shift gap 0 or 1, never the ``layers`` the
-tables are tiled from; ``serre-derived`` reads them a row at a time both
-ways.  The checks on whole tables compare rows and columns at once and
-search for the first mismatch only when there is one.  The expected
-tilting counts come from the Dynkin class (``cluster_number``), so the
-battery reads no diagram name past the orientations it builds.
+that checks each lift at modulus m, at m = 1 too.  The checks on whole
+tables compare rows and columns at once and search for the first mismatch
+only when there is one.  The expected tilting counts come from the Dynkin
+class (``cluster_number``), so the battery reads no diagram name past the
+orientations it builds.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator
-from itertools import accumulate, combinations
-from operator import add, and_, itemgetter
+from itertools import combinations
+from operator import add, itemgetter
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, mask_of
+from .orbit import OrbitCategory, all_but_one, mask_of
 from .quiver import DIAGRAMS, Quiver, cluster_number, positive_root_count
 from .tilting import (
     cluster_tilting_check,
@@ -70,9 +65,9 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
     battery notices.  timings adds each check's wall time to its result as
     ``seconds``; a check's seconds include the shared structures it is the
     first to read, which are built lazily: ``layers`` and the orbit Hom and
-    Ext^1 tables in ``hom-walk-oracle``, ``tilting_sets`` in
-    ``tilting-count``, ``twist_permutation`` in ``covering-fibers`` and
-    ``serre_permutation`` in ``serre-orbit``.
+    Ext^1 tables in ``hom-walk-oracle``, the exchange walk (the tilting sets
+    and their neighbours) in ``tilting-count``, ``twist_permutation`` in
+    ``covering-fibers`` and ``serre_permutation`` in ``serre-orbit``.
     """
     clock = time.perf_counter if timings else None
     names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
@@ -357,22 +352,15 @@ def _check_serre_orbit(cat: OrbitCategory) -> str | None:
     for i, row in enumerate(table):
         if tuple(row) != (col := columns[serre_idx[i]]):
             j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
-            return (
-                f"orbit Serre duality fails at ({cat.catalog[i].text},"
-                f" {cat.catalog[j].text})"
-            )
+            return f"orbit Serre duality fails at ({cat.catalog[i].text}, {cat.catalog[j].text})"
     return None
 
 
 def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
-    table = cat.ext_table
-    for i in range(len(table)):
-        for j in range(len(table)):
-            if table[i][j] != table[j][i]:
-                return (
-                    f"ext not symmetric at ({cat.catalog[i].text},"
-                    f" {cat.catalog[j].text})"
-                )
+    for i, (row, col) in enumerate(zip(cat.ext_table, zip(*cat.ext_table))):
+        if tuple(row) != col:
+            j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
+            return f"ext not symmetric at ({cat.catalog[i].text}, {cat.catalog[j].text})"
     return None
 
 
@@ -429,8 +417,7 @@ def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
 
 def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     # twist-stable rigid objects are tilting exactly when they use n orbits
-    base = cat.base
-    n = cat.ar.quiver.vertex_count
+    base, n = cat.base, cat.ar.quiver.vertex_count
     for chosen in base.rigid_position_sets():
         stable = cat.build_twist_stable(chosen)
         if not cat.is_rigid(stable):
@@ -490,10 +477,7 @@ def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
     direct = enumerate_stable_tilting_direct(cat)
     lifted = sorted(cat.build_twist_stable(t) for t in enumerate_cluster_tilting(cat.base))
     if direct != lifted:
-        return (
-            f"direct in-category enumeration found {len(direct)} objects,"
-            f" lifts give {len(lifted)}"
-        )
+        return f"direct in-category enumeration found {len(direct)} objects, lifts give {len(lifted)}"
     return None
 
 
@@ -506,7 +490,7 @@ def _check_complements(cat: OrbitCategory) -> str | None:
     for t in enumerate_cluster_tilting(cat.base):
         members = build(t)
         support = mask_of(members)
-        for drop, both in zip(members, _all_but_one(paired, members)):
+        for drop, both in zip(members, all_but_one(paired, members)):
             found = completions(cat, support & ~(1 << drop), both >> size & full, both & full)
             if len(found) != expected:
                 return (
@@ -516,14 +500,6 @@ def _check_complements(cat: OrbitCategory) -> str | None:
             if drop not in found:
                 return f"dropped summand {cat.catalog[drop].text} not among its complements"
     return None
-
-
-def _all_but_one(masks: list[int], members) -> Iterator[int]:
-    """Per member, the AND of masks over all the other members (-1, every bit,
-    when there is none): a prefix and a suffix sweep."""
-    row = [masks[p] for p in members]
-    suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
-    return map(and_, accumulate(row, and_, initial=-1), suffix)
 
 
 def _check_near_complements(base: OrbitCategory) -> str | None:
@@ -553,6 +529,8 @@ def _check_near_complements(base: OrbitCategory) -> str | None:
 
 
 def _check_graph_connected(base: OrbitCategory) -> str | None:
+    # true by construction of the walk's edges: the theorem (the graph is connected) needs
+    # tilting-brute-force too, whose subset scan of every tilting set equals the walk's sets
     if not is_connected(len(base.tilting_sets), base.exchange_edges):
         return "tilting graph is disconnected"
     return None

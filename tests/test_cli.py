@@ -602,7 +602,7 @@ def test_member_listing_past_the_cap_is_refused_before_enumerating(capsys, a3_pa
     # the 14 tilting objects of A3 list 42 member texts at m = 1
     monkeypatch.setattr(orbit, "MAX_LISTED_MEMBERS", 41)
     with monkeypatch.context() as patched:
-        patched.setattr(orbit.OrbitCategory, "rigid_position_sets", _unreachable)
+        patched.setattr(orbit.OrbitCategory, "_exchange_walk", property(_unreachable))
         code, out, err = run(capsys, argv[0], "--quiver", a3_path, *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: the tilting objects of A3 at m=1 have 42 members; at most 41 are supported\n"
@@ -626,8 +626,9 @@ def test_cluster_number_cap_admits_a11_d10_and_e8():
     "argv", [["tilting"], ["graph"], ["graph", "--format", "dot"], ["endo", "1"]], ids=["tilting", "graph", "dot", "endo"]
 )
 def test_tilting_objects_past_the_cap_fail_fast_before_the_search(capsys, tmp_path, monkeypatch, argv):
-    # A12 has 742900 tilting objects; the search would walk them all first
-    monkeypatch.setattr(orbit.OrbitCategory, "rigid_position_sets", _unreachable)
+    # A12 has 742900 tilting objects; the exchange walk refuses them before
+    # it reads compat_mask, the one table it walks over
+    monkeypatch.setattr(orbit.OrbitCategory, "compat_mask", property(_unreachable))
     p = tmp_path / "a12.quiver"
     p.write_text("vertices 12\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 12)))
     code, out, err = run(capsys, argv[0], "--quiver", str(p), *argv[1:])

@@ -34,6 +34,11 @@ whole rows.  The old forms stay here as references.  Corrupted twist
 step tables are where the two ``canonicalize`` differ by design: the new
 one reads the layout that ``twist-free-orbits`` checks, so they are
 compared on intact step tables only.
+
+One walk of the mutations over ``compat_mask`` gives the tilting sets and
+the exchange edges.  It replaced the depth-first search over every rigid
+set (with a tilting check on each n-set) and the grouping of the tilting
+sets by almost complete set; both stay here as references.
 """
 
 import json
@@ -45,12 +50,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clustercat as cc
-from clustercat import arquiver, cli, derived, endo, tilting, verify
+from clustercat import arquiver, cli, derived, endo, orbit, tilting, verify
 from clustercat.derived import DObject
 from clustercat.orbit import mask_of
 from clustercat.verify import DIAGRAMS, orientations, run_verification
 
-from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6
+from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, TREES, oriented_trees
 
 QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
 # tilting objects per diagram: the cluster numbers of the Dynkin classes
@@ -150,7 +155,7 @@ def test_complements_make_no_tilting_checks(monkeypatch):
 
     dc = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4)))
     base, cat = dc.orbit(1), dc.orbit(2)
-    tiltings = cc.enumerate_cluster_tilting(base)  # the enumeration checks each set once
+    tiltings = cc.enumerate_cluster_tilting(base)
     monkeypatch.setattr(tilting, "cluster_tilting_check", counted)
     for t in tiltings:
         members = cat.build_twist_stable(t)
@@ -325,15 +330,15 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     # out once each by lift-check, complement-counts and endo-blocks, and at
     # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration; the
     # graph and the near completions lay out none.  lift-check is the one
-    # modulus-m tilting check of a lift, beside those two small-rank oracles;
-    # at m = 1 the lift is the generator, which the enumeration checks once
+    # modulus-m tilting check of a lift, beside those two small-rank oracles,
+    # at m = 1 too: the exchange walk reads compat_mask and checks no set
     lifted = Counter()
     for (cat, generator), count in list(builds.items()):
         if generator in cat.base.tilting_sets:
             n, m = len(generator), cat.modulus
             oracles = (n <= 3) + (n <= 3 and m <= 2)
             assert count == 3 + oracles, (cat.quiver_label, m)
-            assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles + (m == 1)
+            assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles
             lifted[cat.ar.dynkin] += 1
     cells = {d: quivers[d] * len(verify.M_VALUES) for d in diagrams}
     assert lifted == {cc.DynkinClass(d[0], int(d[1:])): cells[d] * CLUSTER_NUMBERS[d] for d in diagrams}
@@ -490,8 +495,8 @@ def test_complement_sweep_gives_the_complements_of_each_rest(label):
         for t in cat.base.tilting_sets:
             members = cat.build_twist_stable(t)
             support = mask_of(members)
-            lefts = verify._all_but_one(cat.ext_zero_in, members)
-            rights = verify._all_but_one(cat.ext_zero_out, members)
+            lefts = orbit.all_but_one(cat.ext_zero_in, members)
+            rights = orbit.all_but_one(cat.ext_zero_out, members)
             for drop, left, right in zip(members, lefts, rights):
                 rest = [x for x in members if x != drop]
                 swept = tilting.completions(cat, support & ~(1 << drop), left, right)
@@ -958,3 +963,49 @@ def test_orientation_reversal_compares_with_the_reversed_orientation(monkeypatch
         if check["name"] == "orientation-reversal"
     }
     assert details == dict.fromkeys(("A2#0", "A2#1"), "reversed orientation changes the catalog size")
+
+
+# -- the exchange walk against the face search and the grouping it replaced --
+
+
+def _tilting_sets_by_faces(base):
+    """tilting_sets as they were: the n-sets of the depth-first search over
+    the rigid sets, each passing the tilting check."""
+    n = base.ar.quiver.vertex_count
+    found = [chosen for chosen in base.rigid_position_sets() if len(chosen) == n]
+    assert all(cc.cluster_tilting_check(base, chosen)[0] for chosen in found)
+    return found
+
+
+def _edges_by_almost_complete_sets(sets):
+    """exchange_edges as they were: the two tilting sets around each almost complete set."""
+    groups = {}
+    for i, t in enumerate(sets):
+        for j in range(len(t)):
+            groups.setdefault(t[:j] + t[j + 1 :], []).append(i)
+    assert {len(found) for found in groups.values()} == {2}
+    return sorted(tuple(found) for found in groups.values())
+
+
+def _assert_walk_gives_the_references(q):
+    base = cc.DerivedCategory(cc.ARQuiver(q)).orbit(1)
+    sets = _tilting_sets_by_faces(base)
+    assert base.tilting_sets == sets
+    assert base.exchange_edges == _edges_by_almost_complete_sets(sets)
+
+
+@pytest.mark.parametrize("label", BATTERY_QUIVERS)
+def test_exchange_walk_gives_the_face_search_sets_and_the_grouped_edges(label):
+    _assert_walk_gives_the_references(BATTERY_QUIVERS[label])
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_exchange_walk_gives_the_references_on_random_orientations(data):
+    # a random orientation and vertex numbering of each tree
+    for diagram in ("A5", "D5", "A6", "D6", "E6"):
+        _assert_walk_gives_the_references(data.draw(oriented_trees(TREES[diagram])))
+
+
+def test_exchange_walk_gives_the_references_on_e7():
+    _assert_walk_gives_the_references(cc.parse_quiver(E7))

@@ -494,32 +494,72 @@ def test_rigid_position_sets_stop_at_n(build):
     assert all(cat1.is_rigid(list(s)) for s in sets)
 
 
-def test_exchange_without_single_partner_names_quiver_and_vertex():
-    cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
-    assert len(cat1.tilting_sets) == 5
-    # without T1, each set T1 - p lies in one tilting set only
-    first = cat1.tilting_sets.pop(0)
+def _walk_error(text, change):
+    """The exchange walk's RuntimeError once change(compat) has tampered a copy of
+    the modulus-1 category's compat_mask, the one table the walk reads."""
+    cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(text))).orbit(1)
+    compat = list(cat1.compat_mask)
+    change(compat)
+    cat1.__dict__["compat_mask"] = compat
     with pytest.raises(RuntimeError) as raised:
         cat1.exchange_edges
-    assert str(raised.value) in {
-        f"A2 quiver [(1, 2)]: almost complete set {cat1.texts([p])} lies in 1 tilting sets, expected 2"
-        for p in first
-    }
+    with pytest.raises(RuntimeError):
+        cat1.tilting_sets  # the walk gives both, so neither is left half built
+    return str(raised.value)
 
 
-def test_exchange_edges_read_only_the_tilting_sets(monkeypatch):
+def _toggle(compat, i, j):
+    """Flip whether positions i and j are compatible, both ways."""
+    compat[i] ^= 1 << j
+    if i != j:
+        compat[j] ^= 1 << i
+
+
+def test_exchange_without_single_partner_names_quiver_and_vertex():
+    # A2's positions m1[0], m2[0], m3[0], m1[1], m2[1] form a pentagon of
+    # compatible pairs; the walk starts at (m1[0], m2[0]), and {m1[0]} is
+    # completed by m2[0] and m3[0]
+    lone = _walk_error(A2, lambda compat: _toggle(compat, 2, 2))  # m3[0] not rigid
+    assert lone == "A2 quiver [(1, 2)]: almost complete set ['m1[0]'] lies in 1 tilting sets, expected 2"
+    extra = _walk_error(A2, lambda compat: _toggle(compat, 0, 4))  # m1[0] and m2[1] compatible
+    assert extra == "A2 quiver [(1, 2)]: almost complete set ['m1[0]'] lies in 3 tilting sets, expected 2"
+
+
+def test_exchange_walk_names_a_seed_without_n_members():
+    # m2[0] and m3[0] not rigid: the greedy seed stops at m1[0]; A1's two
+    # positions made compatible: the seed takes both
+    few = _walk_error(A2, lambda compat: [_toggle(compat, k, k) for k in (1, 2)])
+    assert few == "A2 quiver [(1, 2)]: greedy maximal rigid set ['m1[0]'] has 1 members, expected 2"
+    many = _walk_error(A1, lambda compat: _toggle(compat, 0, 1))
+    assert many == "A1 quiver []: greedy maximal rigid set ['m1[0]', 'm1[1]'] has 2 members, expected 1"
+
+
+def test_exchange_walk_names_a_tilting_set_that_is_not_maximal():
+    # compat_mask is symmetric by construction, and then a walk from a maximal
+    # seed meets only maximal sets; m1[0] reading m1[1] as compatible, one way
+    # only, leaves the seed (m1[1]) maximal and makes its partner (m1[0]) not
+    def one_way(compat):
+        compat[0] |= 1 << 1
+
+    detail = _walk_error(A1, one_way)
+    assert detail == "A1 quiver []: tilting set ['m1[0]'] is not maximal: ['m1[1]'] compatible with all of it"
+
+
+def test_exchange_walk_reads_only_the_compat_mask(monkeypatch):
     def fresh():
         return cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
 
-    expected, cat1 = fresh().exchange_edges, fresh()
-    assert len(cat1.tilting_sets) == 50 and len(expected) == 100
+    expected, cat1 = fresh(), fresh()
+    assert len(expected.tilting_sets) == 50 and len(expected.exchange_edges) == 100
+    assert cat1.compat_mask
 
     def unread(cat):
-        raise AssertionError("exchange_edges read an Ext^1 table or mask")
+        raise AssertionError("the exchange walk read an Ext^1 table or mask")
 
-    for name in ("compat_mask", "ext_zero_in", "ext_zero_out", "ext_table", "layers"):
+    for name in ("ext_zero_in", "ext_zero_out", "ext_table", "layers"):
         monkeypatch.setattr(cc.OrbitCategory, name, property(unread))
-    assert cat1.exchange_edges == expected
+    assert cat1.exchange_edges == expected.exchange_edges
+    assert cat1.tilting_sets == expected.tilting_sets
 
 
 @settings(max_examples=30, deadline=None)
