@@ -36,6 +36,7 @@ mutations over ``compat_mask`` finds the tilting sets and the exchange edges.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, and_, itemgetter
@@ -49,7 +50,7 @@ from .quiver import QuiverTooLargeError, cluster_number
 # listing every tilting object lifted to m tiers prints count * m * n member
 # texts (E8 at m = 2: 401280), so that total is capped too; the exchange walk
 # keeps each tilting set and its n neighbours: A11's 208012 take 4 to 7 s and
-# 290 MiB in graph --format dot (2-vCPU VM), so the count is capped (A12: 742900)
+# 280 MiB in graph --format dot (2-vCPU VM), so the count is capped (A12: 742900)
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
 MAX_LISTED_MEMBERS = 500_000
@@ -232,6 +233,11 @@ class OrbitCategory:
         """Bit j set in entry i iff ext1 vanishes both ways (including i == j)."""
         return [a & b for a, b in zip(self.ext_zero_out, self.ext_zero_in)]
 
+    @cached_property
+    def loops(self) -> int:
+        """Bitmask of the self-compatible positions (ext1(X, X) == 0): the members rigid sets draw on."""
+        return mask_of(j for j, c in enumerate(self.compat_mask) if c >> j & 1)
+
     def is_rigid(self, positions: list[int]) -> bool:
         """True iff ext1 vanishes both ways between the given positions, each with itself too."""
         mask = mask_of(positions)
@@ -240,34 +246,41 @@ class OrbitCategory:
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
         """Every nonempty rigid set of at most n positions (n the number of
         vertices), ascending tuples in depth-first (hence lexicographic) order."""
-        compat, n = self.compat_mask, self.ar.quiver.vertex_count
+        compat = self.compat_mask
+        n = self.ar.quiver.vertex_count
 
         def extend(chosen: tuple[int, ...], candidates: int):
-            for j in _bits(candidates):
-                candidates ^= 1 << j
-                yield (grown := chosen + (j,))
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                j = low.bit_length() - 1
+                grown = chosen + (j,)
+                yield grown
                 if len(grown) < n:
                     yield from extend(grown, candidates & compat[j])
 
-        yield from extend((), mask_of(j for j, c in enumerate(compat) if c >> j & 1))
+        yield from extend((), self.loops)
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
         """Position sets of the cluster tilting objects in lexicographic order (modulus 1 only)."""
-        return self._exchange_walk[0]
+        return sorted(self._exchange_walk[0])
 
     @cached_property
     def exchange_edges(self) -> list[tuple[int, int]]:
         """Sorted index pairs (i < k) of tilting_sets that differ by one mutation."""
-        (sets, near), n = self._exchange_walk, self.ar.quiver.vertex_count
-        return [(i, k) for i in range(len(sets)) for k in sorted(near[i * n : i * n + n]) if k > i]
+        (found, near), n = self._exchange_walk, self.ar.quiver.vertex_count
+        order = sorted(range(len(found)), key=found.__getitem__)  # index in tilting_sets -> in walk
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        return [(i, k) for i, w in enumerate(order) for k in sorted(rank[x] for x in near[w * n : w * n + n]) if k > i]
 
     @cached_property
-    def _exchange_walk(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The tilting sets and their neighbours' indices, n to a set, walked over ``compat_mask``
-        from the greedy maximal rigid set: T - p has two complements (Buan-Marsh-Reineke-Reiten-
-        Todorov), p and the one self-compatible position outside T compatible with all of T - p.
-        The walk reaches its seed's component; ``tilting-brute-force`` shows that is every set."""
+    def _exchange_walk(self) -> tuple[list[tuple[int, ...]], array]:
+        """The tilting sets in walk order and their neighbours' walk indices, n to a set, walked
+        over ``compat_mask`` from the greedy maximal rigid set: T - p has two complements (Buan-
+        Marsh-Reineke-Reiten-Todorov), p and the one self-compatible position outside T compatible
+        with all of T - p.  The walk reaches its seed's component; ``tilting-brute-force`` shows
+        that is every set."""
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
@@ -276,12 +289,12 @@ class OrbitCategory:
                 f" at most {MAX_TILTING_OBJECTS} are supported"
             )
         compat, n, label, texts = self.compat_mask, self.ar.quiver.vertex_count, self.quiver_label, self.texts
-        loops = seed = mask_of(j for j, c in enumerate(compat) if c >> j & 1)
+        loops = seed = self.loops
         for j in range(len(compat)):  # keep each self-compatible j compatible with all kept
             seed &= compat[j] if seed >> j & 1 else -1
         if (size := seed.bit_count()) != n:
             raise RuntimeError(f"{label}: greedy maximal rigid set {texts(_bits(seed))} has {size} members, expected {n}")
-        index, masks, found, near = {seed: 0}, [seed], [], []
+        index, masks, found, near = {seed: 0}, [seed], [], array("i")
         for mask in masks:  # masks grows as the walk finds sets
             found.append(members := tuple(_bits(mask)))
             rests, free = list(all_but_one(compat, members)), loops & ~mask
@@ -296,14 +309,12 @@ class OrbitCategory:
                 if (k := index.setdefault(swapped := mask ^ 1 << p | partner, len(masks))) == len(masks):
                     masks.append(swapped)
                 near.append(k)
-        del index, masks  # a mask per set (A11: 208012), freed before the ordering's lists
-        order = sorted(range(len(found)), key=found.__getitem__)
-        rank = sorted(range(len(order)), key=order.__getitem__)
-        return [found[i] for i in order], [rank[k] for i in order for k in near[i * n : i * n + n]]
+        return found, near
 
 
 def all_but_one(masks: list[int], members) -> Iterator[int]:
-    """Per member, the AND of masks over the other members (-1 if none): a prefix and a suffix sweep."""
+    """Per member, the AND of masks over all the other members (-1, every bit,
+    when there is none): a prefix and a suffix sweep."""
     row = [masks[p] for p in members]
     suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
     return map(and_, accumulate(row, and_, initial=-1), suffix)

@@ -14,11 +14,15 @@ optional failure detail; the report is machine readable and deterministic.
 
 A lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
-that checks each lift at modulus m, at m = 1 too.  The checks on whole
-tables compare rows and columns at once and search for the first mismatch
-only when there is one.  The expected tilting counts come from the Dynkin
-class (``cluster_number``), so the battery reads no diagram name past the
-orientations it builds.
+that checks each lift at modulus m.  ``hom-walk-oracle`` walks each
+object's F^m-orbit through per-module F^{+-m} step tables and reads the
+module Hom and Ext^1 tables a whole row of the transpose (the Hom into
+one module) at a time, at shift gap 0 or 1, never the ``layers`` the
+tables are tiled from; ``serre-derived`` reads them a row at a time both
+ways.  The checks on whole tables compare rows and columns at once and
+search for the first mismatch only when there is one.  The expected
+tilting counts come from the Dynkin class (``cluster_number``), so the
+battery reads no diagram name past the orientations it builds.
 """
 
 from __future__ import annotations
@@ -352,15 +356,22 @@ def _check_serre_orbit(cat: OrbitCategory) -> str | None:
     for i, row in enumerate(table):
         if tuple(row) != (col := columns[serre_idx[i]]):
             j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
-            return f"orbit Serre duality fails at ({cat.catalog[i].text}, {cat.catalog[j].text})"
+            return (
+                f"orbit Serre duality fails at ({cat.catalog[i].text},"
+                f" {cat.catalog[j].text})"
+            )
     return None
 
 
 def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
-    for i, (row, col) in enumerate(zip(cat.ext_table, zip(*cat.ext_table))):
-        if tuple(row) != col:
-            j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
-            return f"ext not symmetric at ({cat.catalog[i].text}, {cat.catalog[j].text})"
+    table = cat.ext_table
+    for i in range(len(table)):
+        for j in range(len(table)):
+            if table[i][j] != table[j][i]:
+                return (
+                    f"ext not symmetric at ({cat.catalog[i].text},"
+                    f" {cat.catalog[j].text})"
+                )
     return None
 
 
@@ -417,7 +428,8 @@ def _check_twist_hom_invariance(cat: OrbitCategory) -> str | None:
 
 def _check_orbit_count_criterion(cat: OrbitCategory) -> str | None:
     # twist-stable rigid objects are tilting exactly when they use n orbits
-    base, n = cat.base, cat.ar.quiver.vertex_count
+    base = cat.base
+    n = cat.ar.quiver.vertex_count
     for chosen in base.rigid_position_sets():
         stable = cat.build_twist_stable(chosen)
         if not cat.is_rigid(stable):
@@ -441,7 +453,7 @@ def _check_tilting_count(base: OrbitCategory) -> str | None:
 
 def _check_tilting_brute_force(base: OrbitCategory) -> str | None:
     n, size, compat = base.ar.quiver.vertex_count, len(base.catalog), base.compat_mask
-    full, loops = (1 << size) - 1, mask_of(j for j in range(size) if compat[j] >> j & 1)
+    full, loops = (1 << size) - 1, base.loops
     brute = []
     for combo in combinations(range(size), n):
         mask, common = 0, full
@@ -477,7 +489,10 @@ def _check_direct_enumeration(cat: OrbitCategory) -> str | None:
     direct = enumerate_stable_tilting_direct(cat)
     lifted = sorted(cat.build_twist_stable(t) for t in enumerate_cluster_tilting(cat.base))
     if direct != lifted:
-        return f"direct in-category enumeration found {len(direct)} objects, lifts give {len(lifted)}"
+        return (
+            f"direct in-category enumeration found {len(direct)} objects,"
+            f" lifts give {len(lifted)}"
+        )
     return None
 
 
