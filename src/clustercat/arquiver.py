@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .quiver import (
@@ -172,7 +172,6 @@ class ARQuiver:
         self.tau: dict[int, int] = {}
         self.tau_inverse: dict[int, int] = {}
         self.mesh_middles: dict[int, tuple[int, ...]] = {}
-        self._matrix_homs: dict[tuple[int, int], int] = {}
         self._knit()
 
     # -- access -------------------------------------------------------
@@ -239,14 +238,15 @@ class ARQuiver:
 
     # -- independent oracles -------------------------------------------
 
-    def matrix_hom_dim(self, a: int, b: int) -> int:
-        """Hom dimension from the explicit intertwiner system, solved once per ordered pair."""
-        if (a, b) not in self._matrix_homs:
-            self._matrix_homs[a, b] = rep_hom_dim(self.quiver, self.reps[a - 1], self.reps[b - 1])
-        return self._matrix_homs[a, b]
+    @cached_property
+    def matrix_hom_table(self) -> list[list[int]]:
+        """matrix_hom_table[a-1][b-1] = dim Hom(M_a, M_b) from the explicit intertwiner system."""
+        q, reps = self.quiver, self.reps
+        return [[rep_hom_dim(q, a, b) for b in reps] for a in reps]
 
-    def resolution_ext_dim(self, a: int, b: int) -> int:
-        """Ext^1 dimension from the standard projective resolution.
+    @cached_property
+    def resolution_ext_table(self) -> list[list[int]]:
+        """Ext^1 dimensions from the standard projective resolution.
 
         Over a hereditary algebra every module M has the resolution
         0 -> (+)_{arrows i->j} P_j^{m_i} -> (+)_v P_v^{m_v} -> M -> 0, and by
@@ -256,8 +256,9 @@ class ARQuiver:
         the explicit representations only, none of the tables or the
         translation that the AR formula of ``ext_table`` is built from.
         """
-        dims_a, dims_b = self.reps[a - 1].dims, self.reps[b - 1].dims
-        return self.matrix_hom_dim(a, b) - euler_form(self.quiver, dims_a, dims_b)
+        q, reps = self.quiver, self.reps
+        euler = [[euler_form(q, a.dims, b.dims) for b in reps] for a in reps]
+        return [list(map(sub, hom, row)) for hom, row in zip(self.matrix_hom_table, euler)]
 
     @cached_property
     def reps(self) -> list[Rep]:

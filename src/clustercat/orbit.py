@@ -246,20 +246,7 @@ class OrbitCategory:
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
         """Every nonempty rigid set of at most n positions (n the number of
         vertices), ascending tuples in depth-first (hence lexicographic) order."""
-        compat = self.compat_mask
-        n = self.ar.quiver.vertex_count
-
-        def extend(chosen: tuple[int, ...], candidates: int):
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                j = low.bit_length() - 1
-                grown = chosen + (j,)
-                yield grown
-                if len(grown) < n:
-                    yield from extend(grown, candidates & compat[j])
-
-        yield from extend((), self.loops)
+        return _rigid_extensions((), self.loops, self.compat_mask, self.ar.quiver.vertex_count)
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
@@ -318,6 +305,18 @@ def all_but_one(masks: list[int], members) -> Iterator[int]:
     row = [masks[p] for p in members]
     suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
     return map(and_, accumulate(row, and_, initial=-1), suffix)
+
+
+def _rigid_extensions(chosen: tuple[int, ...], candidates: int, compat: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """chosen grown by each candidate, then by the later ones compatible with it, up to n (no closure cycle)."""
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        j = low.bit_length() - 1
+        grown = chosen + (j,)
+        yield grown
+        if len(grown) < n:
+            yield from _rigid_extensions(grown, candidates & compat[j], compat, n)
 
 
 def _bits(mask: int) -> list[int]:

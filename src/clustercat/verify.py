@@ -19,7 +19,8 @@ object's F^m-orbit through per-module F^{+-m} step tables and reads the
 module Hom and Ext^1 tables a whole row of the transpose (the Hom into
 one module) at a time, at shift gap 0 or 1, never the ``layers`` the
 tables are tiled from; ``serre-derived`` reads them a row at a time both
-ways.  The checks on whole tables compare rows and columns at once and
+ways.  The checks on whole tables, the matrix oracles and the mesh identity
+at the quiver level among them, compare rows and columns at once and
 search for the first mismatch only when there is one.  The expected
 tilting counts come from the Dynkin class (``cluster_number``), so the
 battery reads no diagram name past the orientations it builds.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
@@ -68,10 +69,12 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
     built; it exists so tests can corrupt internal tables and confirm the
     battery notices.  timings adds each check's wall time to its result as
     ``seconds``; a check's seconds include the shared structures it is the
-    first to read, which are built lazily: ``layers`` and the orbit Hom and
-    Ext^1 tables in ``hom-walk-oracle``, the exchange walk (the tilting sets
-    and their neighbours) in ``tilting-count``, ``twist_permutation`` in
-    ``covering-fibers`` and ``serre_permutation`` in ``serre-orbit``.
+    first to read, which are built lazily: ``reps`` in ``mesh-additivity``,
+    the module and the matrix Hom tables in ``oracle-hom-equivalence``,
+    ``layers`` and the orbit Hom and Ext^1 tables in ``hom-walk-oracle``, the
+    exchange walk (the tilting sets and their neighbours) in
+    ``tilting-count``, ``twist_permutation`` in ``covering-fibers`` and
+    ``serre_permutation`` in ``serre-orbit``.
     """
     clock = time.perf_counter if timings else None
     names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
@@ -111,6 +114,11 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
 def _key(cat: OrbitCategory, t: tuple[int, ...]) -> tuple[str, ...]:
     """A modulus-1 tilting object's texts, as failure details print it."""
     return tuple(cat.base.texts(t))
+
+
+def _first_difference(a, b) -> int | None:
+    """The first index where rows a and b differ, or None; rows are compared whole before any search."""
+    return None if a == b else next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 def _run_cell(cat, memo: dict | None = None, clock=None) -> list[dict]:
@@ -167,40 +175,37 @@ def _check_multiplicities(derived: DerivedCategory) -> str | None:
 
 def _check_hom_oracle(derived: DerivedCategory) -> str | None:
     ar = derived.ar
-    for a in ar.modules:
-        for b in ar.modules:
-            fast, oracle = ar.hom_dim(a.id, b.id), ar.matrix_hom_dim(a.id, b.id)
-            if fast != oracle:
-                return f"hom(m{a.id}, m{b.id}): recursion {fast}, matrix oracle {oracle}"
+    for a, (fast, oracle) in enumerate(zip(ar.hom_table, ar.matrix_hom_table, strict=True), start=1):
+        if (b := _first_difference(fast, oracle)) is not None:
+            return f"hom(m{a}, m{b + 1}): recursion {fast[b]}, matrix oracle {oracle[b]}"
     return None
 
 
 def _check_ext_oracle(derived: DerivedCategory) -> str | None:
     ar = derived.ar
-    for a in ar.modules:
-        for b in ar.modules:
-            fast, oracle = ar.ext_dim(a.id, b.id), ar.resolution_ext_dim(a.id, b.id)
-            if fast != oracle:
-                return f"ext(m{a.id}, m{b.id}): AR formula {fast}, resolution oracle {oracle}"
-            if fast < 0:
-                return f"ext(m{a.id}, m{b.id}) negative: {fast}"
+    for a, (fast, oracle) in enumerate(zip(ar.ext_table, ar.resolution_ext_table, strict=True), start=1):
+        # the row's first entry that is off the oracle or negative (abs moves only the negative ones)
+        if off := {_first_difference(fast, oracle), _first_difference(fast, [*map(abs, fast)])} - {None}:
+            b = min(off)
+            if fast[b] != oracle[b]:
+                return f"ext(m{a}, m{b + 1}): AR formula {fast[b]}, resolution oracle {oracle[b]}"
+            return f"ext(m{a}, m{b + 1}) negative: {fast[b]}"
     return None
 
 
 def _check_mesh_hom_identity(derived: DerivedCategory) -> str | None:
-    # along 0 -> tauN -> E -> N -> 0:
+    # along 0 -> tauN -> E -> N -> 0, a sum of Hom-table columns:
     # hom(M, tauN) - sum_E hom(M, E) + hom(M, N) = [M == N]
     ar = derived.ar
+    hom_in, zero = list(zip(*ar.hom_table)), [0] * len(ar.hom_table)
     for nid, middles in ar.mesh_middles.items():
         xid = ar.tau_inverse[nid]
-        for m in ar.modules:
-            val = (
-                ar.hom_dim(m.id, nid)
-                - sum(ar.hom_dim(m.id, e) for e in middles)
-                + ar.hom_dim(m.id, xid)
-            )
-            if val != (1 if m.id == xid else 0):
-                return f"mesh Hom identity fails at M=m{m.id}, mesh of m{nid}"
+        val = [*map(add, hom_in[nid - 1], hom_in[xid - 1])]
+        for e in middles:
+            val = [*map(sub, val, hom_in[e - 1])]
+        val[xid - 1] -= 1
+        if (k := _first_difference(val, zero)) is not None:
+            return f"mesh Hom identity fails at M=m{k + 1}, mesh of m{nid}"
     return None
 
 
@@ -225,9 +230,8 @@ def _check_serre_derived(derived: DerivedCategory) -> str | None:
         (k, s), (l, t) = x, derived.serre(x)
         out = spread(((s, ar.hom_table[k - 1]), (s + 1, ar.ext_table[k - 1])))
         into = spread(((t, hom_in[l - 1]), (t - 1, ext_in[l - 1])))
-        if out != into:
-            y = next(y for y, a, b in zip(objs, out, into) if a != b)
-            return f"Serre duality fails at ({x.text}, {y.text})"
+        if (y := _first_difference(out, into)) is not None:
+            return f"Serre duality fails at ({x.text}, {objs[y].text})"
     return None
 
 
@@ -328,8 +332,7 @@ def _check_hom_walk(cat: OrbitCategory) -> str | None:
     for j, y in enumerate(catalog):
         shifted = walked[cat.canonicalize(d.shift(y, 1))]
         for name, ref in (("hom", walked[j]), ("ext1", shifted)):
-            if (col := tables[name][j]) != ref:
-                i = next(i for i, (a, b) in enumerate(zip(col, ref)) if a != b)
+            if (i := _first_difference(col := tables[name][j], ref)) is not None:
                 return f"{name}({catalog[i].text}, {y.text}): table {col[i]}, walked {ref[i]}"
     return None
 
@@ -354,8 +357,7 @@ def _check_serre_orbit(cat: OrbitCategory) -> str | None:
     serre_idx, table = cat.serre_permutation, cat.hom_table
     columns = list(zip(*table))
     for i, row in enumerate(table):
-        if tuple(row) != (col := columns[serre_idx[i]]):
-            j = next(j for j, (a, b) in enumerate(zip(row, col)) if a != b)
+        if (j := _first_difference(tuple(row), columns[serre_idx[i]])) is not None:
             return (
                 f"orbit Serre duality fails at ({cat.catalog[i].text},"
                 f" {cat.catalog[j].text})"
@@ -365,13 +367,12 @@ def _check_serre_orbit(cat: OrbitCategory) -> str | None:
 
 def _check_cy_symmetry(cat: OrbitCategory) -> str | None:
     table = cat.ext_table
-    for i in range(len(table)):
-        for j in range(len(table)):
-            if table[i][j] != table[j][i]:
-                return (
-                    f"ext not symmetric at ({cat.catalog[i].text},"
-                    f" {cat.catalog[j].text})"
-                )
+    for i, (row, col) in enumerate(zip(table, zip(*table))):
+        if (j := _first_difference(tuple(row), col)) is not None:
+            return (
+                f"ext not symmetric at ({cat.catalog[i].text},"
+                f" {cat.catalog[j].text})"
+            )
     return None
 
 
@@ -398,8 +399,7 @@ def _check_rigidity_transfer(cat: OrbitCategory) -> str | None:
     for i, a in enumerate(base.catalog):
         summed = [sum(col) for col in zip(*ext[i::size])]
         totals = [sum(summed[j::size]) for j in range(size)]
-        if totals != [m * v for v in base.ext_table[i]]:
-            j = next(j for j, (t, v) in enumerate(zip(totals, base.ext_table[i])) if t != m * v)
+        if (j := _first_difference(totals, [m * v for v in base.ext_table[i]])) is not None:
             return (
                 f"expansion ext total {totals[j]} != m * {base.ext_table[i][j]}"
                 f" at ({a.text}, {base.catalog[j].text})"
@@ -553,7 +553,7 @@ def _check_graph_connected(base: OrbitCategory) -> str | None:
 
 def _check_graph_shape(base: OrbitCategory) -> str | None:
     n = base.ar.quiver.vertex_count
-    if bad := _bad_edge(base):
+    if bad := _exchange_pairs(base)[0]:
         return bad
     edges, count = base.exchange_edges, len(base.tilting_sets)
     degrees = [0] * count
@@ -569,45 +569,43 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
     return None
 
 
-def _bad_edge(base: OrbitCategory) -> str | None:
-    """A detail naming the first edge whose endpoints do not differ in exactly one orbit."""
-    sets = base.tilting_sets
+def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, int]]]:
+    """(None, each edge's exchange pair (x1, x2), the positions only its first and only its second
+    end hold, read off the set masks), or (detail, []) naming an edge whose ends differ otherwise."""
+    sets, pairs = base.tilting_sets, []
     masks = list(map(mask_of, sets))
     for a, b in base.exchange_edges:
-        ga, gb = sets[a], sets[b]
-        if (masks[a] & ~masks[b]).bit_count() != 1 or (masks[b] & ~masks[a]).bit_count() != 1:
-            return (
-                f"edge T{a + 1} {_key(base, ga)} -- T{b + 1} {_key(base, gb)}:"
+        only_a, only_b = masks[a] & ~masks[b], masks[b] & ~masks[a]
+        if only_a.bit_count() != 1 or only_b.bit_count() != 1:
+            bad = (
+                f"edge T{a + 1} {_key(base, sets[a])} -- T{b + 1} {_key(base, sets[b])}:"
                 " endpoints do not differ in exactly one orbit"
             )
-    return None
+            return bad, []
+        pairs.append((only_a.bit_length() - 1, only_b.bit_length() - 1))
+    return None, pairs
 
 
 def _check_exchange_layers(cat: OrbitCategory) -> str | None:
     base = cat.base
-    if bad := _bad_edge(base):
-        return bad
-    for a, b in base.exchange_edges:
-        va, vb = base.tilting_sets[a], base.tilting_sets[b]
-        for one, two in ((va, vb), (vb, va)):
-            dim = exchange_layer_dim(cat, one, tuple(set(two) - set(one)))
+    bad, pairs = _exchange_pairs(base)
+    for (a, b), (x1, x2) in zip(base.exchange_edges, pairs):
+        for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
+            dim = exchange_layer_dim(cat, one, (other,))
             if dim != cat.modulus:
                 return f"exchange layer dimension {dim} != modulus on an edge"
-    return None
+    return bad
 
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     # an edge's two differing positions are its exchange pair (Buan-Marsh-Reineke-Reiten-Todorov)
-    if bad := _bad_edge(cat):
-        return bad
-    for a, b in cat.exchange_edges:
-        ga, gb = set(cat.tilting_sets[a]), set(cat.tilting_sets[b])
-        (x1,), (x2,) = ga - gb, gb - ga
+    bad, pairs = _exchange_pairs(cat)
+    for x1, x2 in pairs:
         for one, two in ((x1, x2), (x2, x1)):
             if cat.dim(one, two, 1) != 1:
                 one_text, two_text = cat.texts((one, two))
                 return f"exchange pair ({one_text}, {two_text}) not one-dimensional"
-    return None
+    return bad
 
 
 def _check_endo_blocks(cat: OrbitCategory) -> str | None:
@@ -665,6 +663,8 @@ CHECKS = (
     ("near-complement-pairs", "base", None, _check_near_complements),
     ("graph-connected", "base", None, _check_graph_connected),
     ("graph-shape", "base", None, _check_graph_shape),
+    # base scope, so it runs at m = 1 only, where it equals the Ext^1 that exchange-pair-ext reads;
+    # at m >= 2, exchange_layer_dim is m times that base sum by construction, not an m-level test
     ("exchange-layer-dim", "base", None, _check_exchange_layers),
     ("exchange-pair-ext", "cell", lambda n, m: m == 1, _check_exchange_pairs),
     ("endo-blocks", "cell", None, _check_endo_blocks),

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercat as cc
+from clustercat.arquiver import rep_hom_dim
 from clustercat.verify import orientations
 
 from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, E6, E7, E8, module_id
@@ -75,16 +76,16 @@ def test_ext_self_vanishes_a3(build):
     ar = ar_of(build, A3)
     for m in ar.modules:
         assert ar.ext_dim(m.id, m.id) == 0
-        assert ar.resolution_ext_dim(m.id, m.id) == 0
+        assert ar.resolution_ext_table[m.id - 1][m.id - 1] == 0
 
 
 def test_matrix_oracle_a2(build):
     ar = ar_of(build, A2)
     p1 = module_id(ar, (1, 1))
     p2 = module_id(ar, (0, 1))
-    assert ar.matrix_hom_dim(p1, p1) == 1
-    assert ar.matrix_hom_dim(p2, p1) == 1
-    assert ar.matrix_hom_dim(p1, p2) == 0
+    assert ar.matrix_hom_table[p1 - 1][p1 - 1] == 1
+    assert ar.matrix_hom_table[p2 - 1][p1 - 1] == 1
+    assert ar.matrix_hom_table[p1 - 1][p2 - 1] == 0
 
 
 def test_resolution_oracle_a2(build):
@@ -92,20 +93,17 @@ def test_resolution_oracle_a2(build):
     ar = ar_of(build, A2)
     s1 = module_id(ar, (1, 0))
     s2 = module_id(ar, (0, 1))
-    assert ar.resolution_ext_dim(s1, s2) == 1
-    assert ar.resolution_ext_dim(s1, s1) == 0
+    assert ar.resolution_ext_table[s1 - 1][s2 - 1] == 1
+    assert ar.resolution_ext_table[s1 - 1][s1 - 1] == 0
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
 def test_oracle_equivalence_all_orientations(name):
     for _, q in orientations(name):
         ar = cc.ARQuiver(q)
-        for a in ar.modules:
-            for b in ar.modules:
-                assert ar.hom_dim(a.id, b.id) == ar.matrix_hom_dim(a.id, b.id)
-                ext = ar.ext_dim(a.id, b.id)
-                assert ext >= 0
-                assert ext == ar.resolution_ext_dim(a.id, b.id)
+        assert ar.matrix_hom_table == ar.hom_table
+        assert ar.resolution_ext_table == ar.ext_table
+        assert min(map(min, ar.ext_table)) >= 0
 
 
 def test_mesh_additivity_and_multiplicity(build):
@@ -215,16 +213,14 @@ def test_e_type_catalog_is_the_positive_roots(e_type_ar, name):
 
 def test_e6_mesh_hom_matches_matrix_oracle(e_type_ar):
     ar = e_type_ar["E6"]
-    ids = [m.id for m in ar.modules]
-    assert [[ar.matrix_hom_dim(a, b) for b in ids] for a in ids] == ar.hom_table
+    assert ar.matrix_hom_table == ar.hom_table
 
 
 @pytest.mark.parametrize("name", ["E6", "E7"])
 def test_resolution_oracle_matches_the_ar_formula(e_type_ar, name):
     # E8's 14,400 intertwiner systems take seconds; E6 and E7 take a fraction of one
     ar = e_type_ar[name]
-    ids = [m.id for m in ar.modules]
-    assert [[ar.resolution_ext_dim(a, b) for b in ids] for a in ids] == ar.ext_table
+    assert ar.resolution_ext_table == ar.ext_table
 
 
 def test_e8_modules_are_rigid_bricks(e_type_ar):
@@ -263,8 +259,9 @@ def dynkin_quivers(draw):
 def test_replayed_representations_match_the_knit_and_the_hom_rows(q, data):
     # the matrix cokernels along the knitted meshes against the knit's
     # dimension vectors, and the row-form Hom table against the intertwiners
+    # of sampled pairs (the whole matrix_hom_table would solve every pair)
     ar = cc.ARQuiver(q)
     assert [rep.dims for rep in ar.reps] == [m.dim_vector for m in ar.modules]
     ids = st.integers(1, len(ar.modules))
     for a, b in data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12)):
-        assert ar.hom_table[a - 1][b - 1] == ar.matrix_hom_dim(a, b)
+        assert ar.hom_table[a - 1][b - 1] == rep_hom_dim(q, ar.reps[a - 1], ar.reps[b - 1])

@@ -445,3 +445,16 @@ def test_orbit_category_keeps_its_derived_category_and_base():
     assert cat.derived.orbit(2) is cat
     assert cat.base is cat.derived.orbit(1) and cat.base.base is cat.base
     assert len(cat.base.tilting_sets) == 14
+
+
+def test_rigid_position_sets_leave_no_reference_cycle():
+    # the recursive generator lives at module level: a nested one that calls
+    # itself through its closure cell leaves a function <-> cell cycle per call
+    base = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(base.rigid_position_sets())) > len(base.tilting_sets)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

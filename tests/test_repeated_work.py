@@ -2,9 +2,10 @@
 
 The endomorphism blocks and exchange layers are read from the four
 base-domain ``layers`` by tier gap, and ``complements`` AND-s the members'
-ext-vanishing masks once.  The Ext^1 oracle ``resolution_ext_dim`` reads
+ext-vanishing masks once.  The Ext^1 oracle ``resolution_ext_table`` reads
 the representations and the Euler form, never the AR-formula table it
-checks, and ``ar`` reaches neither oracle nor the representations.  The
+checks, and no command but ``verify`` reaches either oracle table or the
+representations.  The
 battery reads the exchange graph in the modulus-1 category: it completes
 each almost tilting object and scans subsets once per quiver, checks
 each lift once per modulus in ``lift-check`` only, and reads each
@@ -197,8 +198,8 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
     def unreachable(*args):
         raise AssertionError("ar reached a stage it does not need")
 
-    monkeypatch.setattr(cc.ARQuiver, "resolution_ext_dim", unreachable)
-    monkeypatch.setattr(cc.ARQuiver, "matrix_hom_dim", unreachable)
+    monkeypatch.setattr(cc.ARQuiver, "resolution_ext_table", property(unreachable))
+    monkeypatch.setattr(cc.ARQuiver, "matrix_hom_table", property(unreachable))
     monkeypatch.setattr(cc.ARQuiver, "reps", property(unreachable))
     monkeypatch.setattr(cc.OrbitCategory, "layers", property(unreachable))
     monkeypatch.setattr(tilting, "cluster_tilting_check", unreachable)
@@ -207,6 +208,22 @@ def test_ar_reaches_no_resolution_layer_tilting_or_endo(monkeypatch, tmp_path, c
     path.write_text(D4, encoding="utf-8")
     assert cli.main(["ar", "--quiver", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_commands_but_verify_build_neither_matrix_oracle(monkeypatch, tmp_path, capsys):
+    # the representations and the two matrix tables are the battery's oracles only
+    def unreachable(*args):
+        raise AssertionError("a command built a matrix oracle")
+
+    for name in ("reps", "matrix_hom_table", "resolution_ext_table"):
+        monkeypatch.setattr(cc.ARQuiver, name, property(unreachable))
+    path = tmp_path / "d4.quiver"
+    path.write_text(D4, encoding="utf-8")
+    commands = (["ind"], ["hom"], ["hom", "m1[0]", "m4[1]"], ["tilting"], ["graph"], ["endo", "1"])
+    for command in commands:
+        assert cli.main([command[0], "--quiver", str(path), "--m", "2", *command[1:]]) == 0, command
+        out, err = capsys.readouterr()
+        assert out and err == "", command
 
 
 def _failed_checks(report):
@@ -663,6 +680,52 @@ def test_corrupted_ext_entry_fails_the_oracle_that_reads_the_shared_matrix_homs(
     # one intertwiner system per ordered pair and one brick test per translate:
     # the Ext^1 oracle reads the pairs the Hom oracle solved
     assert all(count == 6 * 6 + 3 for count in solved.values()) and len(solved) == 4
+
+
+def test_matrix_oracles_solve_each_pair_once_and_name_the_first_mismatch(monkeypatch):
+    # the matrix Hom table is solved whole, one intertwiner system per ordered
+    # pair (plus one brick test per translate), even on an orientation whose
+    # tables are corrupted; each quiver-level check names the row-major first
+    # bad entry, whatever order the corruption was made in
+    solved = Counter()
+    rep_hom_dim = arquiver.rep_hom_dim
+
+    def counted(q, a, b):
+        solved[q] += 1
+        return rep_hom_dim(q, a, b)
+
+    def corrupt(label, ar):
+        if label == "D4#5":
+            ar.hom_table[7][2] += 1
+            ar.hom_table[3][9] += 1
+            ar.ext_table[5][1] = -1  # built from the corrupted Hom table
+
+    monkeypatch.setattr(arquiver, "rep_hom_dim", counted)
+    report = run_verification(["A3", "D4"], tamper=corrupt)
+    ars = [cc.ARQuiver(q) for label, q in BATTERY_QUIVERS.items() if label[:2] in ("A3", "D4")]
+    expected = sum(len(ar.modules) ** 2 + len(ar.modules) - ar.quiver.vertex_count for ar in ars)
+    assert sum(solved.values()) == expected == 1372 and len(solved) == 12
+    (cell,) = (c for c in report["cells"] if c["quiver"] == "D4#5" and c["m"] is None)
+    details = {check["name"]: check["detail"] for check in cell["checks"]}
+    assert details["oracle-hom-equivalence"] == "hom(m4, m10): recursion 2, matrix oracle 1"
+    assert details["oracle-ext-equivalence"] == "ext(m6, m2): AR formula -1, resolution oracle 0"
+    assert details["ar-mesh-hom-identity"] == "mesh Hom identity fails at M=m8, mesh of m3"
+
+
+@pytest.mark.parametrize(
+    "earlier, detail",
+    [(False, "ext(m3, m2) negative: -1"), (True, "ext(m3, m1): AR formula 1, resolution oracle 0")],
+    ids=["negative-first", "mismatch-first"],
+)
+def test_ext_oracle_names_the_first_entry_off_the_oracle_or_negative(earlier, detail):
+    # a negative entry the oracle shares, a mismatch later in the same row and,
+    # when earlier is set, a mismatch before both: the first of them is named
+    ar = cc.ARQuiver(BATTERY_QUIVERS["A3#1"])
+    derived = cc.DerivedCategory(ar)
+    ar.resolution_ext_table[2][1] = ar.ext_table[2][1] = -1
+    ar.ext_table[2][4] += 1
+    ar.ext_table[2][0] += earlier
+    assert verify._check_ext_oracle(derived) == detail
 
 
 @pytest.mark.parametrize("label", ["A3#1", "A4#6", "D4#3"])
