@@ -50,6 +50,7 @@ _HOME = {
             "endo_profile",
             "exchange_layer_dim",
         ),
+        "verify": ("run_verification",),
     }.items()
     for name in names
 }

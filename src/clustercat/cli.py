@@ -5,10 +5,24 @@ Subcommands: ar, ind, hom, tilting, graph, endo, verify.  Exit status is
 ingestion errors, 3 on internal errors (one ``error:`` line each).  All
 outputs are deterministic.
 
-A handler computes its result and returns ``(exit_code, result)``, where
-the result is a JSON payload dict or a list of text lines; ``main`` alone
-stamps ``schema_version`` first in every payload, streams the encoding in
-chunks to stdout or ``--out`` and returns the exit code.
+A handler checks its input, refuses what it must (every usage error, quiver
+error and cap), and returns ``(exit_code, result)``: a JSON payload dict or
+an iterable of text lines.  The long parts of a payload are iterators,
+produced as they are written: ``verify``'s cells, ``ind``'s rows, the rows
+of ``hom``'s tables, ``tilting``'s rows, and ``graph``'s vertices, edges and
+dot lines.  In a payload, an iterator stands for a JSON array and an
+``_Object`` for a JSON object, each written item by item, and a
+zero-argument callable for the value it returns when the writer reaches it
+(``verify``'s totals and exit code read its tally after the last cell).
+``main`` alone stamps ``schema_version`` first in every payload; only after
+the handler returns does it open ``--out``, and then it writes the result
+through one buffer of at most _FLUSH_PARTS parts and returns the exit code.
+So a refusal (exit 2) comes before the output is opened and before its
+first byte, and an unwritable ``--out`` fails before any of the work.  An
+internal error raised while the result is written exits 3 with one
+``error: internal:`` line and leaves the output truncated where it stopped;
+a write that fails (a full disk, a reader that closed the pipe) stops it
+there too, with exit 2.
 A usage error the parser cannot see raises ``UsageError``, reported like
 an ingestion error.  A handler imports the layers past ``derived`` that it
 uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
@@ -19,18 +33,27 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator
 
 from .arquiver import ARQuiver
 from .derived import MAX_DIGITS, DerivedCategory, ObjectSyntaxError
 from .quiver import DIAGRAMS, QuiverError, QuiverTooLargeError, ascii_int, cluster_number, load_quiver, shown
 
 SCHEMA_VERSION = 1
-_FLUSH_PARTS = 4096  # encoded parts held before one write to the output
+_FLUSH_PARTS = 256  # encoded parts held before one write to the output
 
 
 class UsageError(Exception):
     """A usage error only a handler can see (an index or list out of range)."""
+
+
+class _Object:
+    """A JSON object in a payload whose (key, value) items are produced as they are written."""
+
+    def __init__(self, items):
+        self.items = items
 
 
 def main(argv=None) -> int:
@@ -42,8 +65,8 @@ def main(argv=None) -> int:
             if isinstance(result, dict):
                 _write_json({"schema_version": SCHEMA_VERSION, **result}, fh)
             else:
-                fh.write("\n".join(result) + "\n")
-        return code
+                _write_lines(result, fh)
+        return code() if callable(code) else code
     except (QuiverError, ObjectSyntaxError, UsageError, OSError) as exc:
         if getattr(exc, "filename", None) is not None:  # a path as the user gave it
             exc.filename = shown(str(exc.filename))
@@ -57,7 +80,9 @@ def main(argv=None) -> int:
 
 def _write_json(payload, fh) -> None:
     """Write payload to fh as ``json.dumps`` with ``indent=2`` and a final
-    newline would, never holding the whole text: _FLUSH_PARTS parts a write."""
+    newline would, an iterator as the list of its items and an ``_Object``
+    as the dict of its items, made as they are written; a callable is the
+    value it returns.  Never holds the whole text: _FLUSH_PARTS parts a write."""
     parts: list[str] = []
     put = parts.append
 
@@ -68,34 +93,51 @@ def _write_json(payload, fh) -> None:
             put("null" if x is None else "true" if x else "false")
         elif isinstance(x, (int, float)):
             put(int.__repr__(x) if isinstance(x, int) else float.__repr__(x))
-        elif isinstance(x, (list, tuple, dict)) and not x:
-            put("{}" if isinstance(x, dict) else "[]")
         elif isinstance(x, (list, tuple)):
-            inner = pad + "  "
             kinds = set(map(type, x))
             if kinds == {int} or kinds == {str}:  # a leaf list, one join; a bool or float is neither
+                inner = pad + "  "
                 encode = int.__repr__ if kinds == {int} else _quote
                 put("[\n" + inner + (",\n" + inner).join(map(encode, x)) + "\n" + pad + "]")
             else:
-                for k, item in enumerate(x):
-                    put(",\n" + inner if k else "[\n" + inner)
-                    emit(item, inner)
-                put("\n" + pad + "]")
+                members(pad, x, False)
         elif isinstance(x, dict):
-            inner = pad + "  "
-            for k, (key, item) in enumerate(x.items()):
-                put((",\n" if k else "{\n") + inner + _quote(key) + ": ")
-                emit(item, inner)
-            put("\n" + pad + "}")
+            members(pad, x.items(), True)
+        elif isinstance(x, _Object):
+            members(pad, x.items, True)
+        elif isinstance(x, Iterator):
+            members(pad, x, False)
+        elif callable(x):
+            emit(x(), pad)
         else:
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
         if len(parts) >= _FLUSH_PARTS:
             fh.write("".join(parts))
             parts.clear()
 
+    def members(pad: str, items, keyed: bool) -> None:
+        # an object's (key, value) items or an array's values, read once
+        inner, k, brackets = pad + "  ", -1, "{}" if keyed else "[]"
+        first, rest = brackets[0] + "\n" + inner, ",\n" + inner
+        for k, item in enumerate(items):
+            if keyed:
+                key, item = item
+                put((rest if k else first) + _quote(key) + ": ")
+            else:
+                put(rest if k else first)
+            emit(item, inner)
+        put("\n" + pad + brackets[1] if k >= 0 else brackets)
+
     emit(payload, "")
     put("\n")
     fh.write("".join(parts))
+
+
+def _write_lines(lines, fh) -> None:
+    """Write each text line and a newline to fh as the lines are made, _FLUSH_PARTS lines a write."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _FLUSH_PARTS)):
+        fh.write("\n".join(batch) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,11 +229,11 @@ def _category(args):
     return derived.orbit(args.m)
 
 
-def _tsv_matrix(title: str, ids: list[str], table) -> list[str]:
-    lines = [f"# {title}", "\t".join(["."] + ids)]
+def _tsv_matrix(title: str, ids: list[str], table) -> Iterator[str]:
+    yield f"# {title}"
+    yield "\t".join(["."] + ids)
     for label, row in zip(ids, table):
-        lines.append("\t".join([label] + [str(v) for v in row]))
-    return lines
+        yield "\t".join([label] + [str(v) for v in row])
 
 
 # -- subcommands -----------------------------------------------------------
@@ -254,15 +296,14 @@ def _cmd_ar(args, parser):
 
 def _cmd_ind(args, parser):
     cat = _category(args)
-    rows = [
-        {"id": x.text, "module": f"m{x.module_id}", "shift": x.shift, "tier": cat.tier_of(i)}
-        for i, x in enumerate(cat.catalog)
-    ]
+
+    def rows():
+        for i, x in enumerate(cat.catalog):
+            yield {"id": x.text, "module": f"m{x.module_id}", "shift": x.shift, "tier": cat.tier_of(i)}
+
     if args.format == "json":
-        return 0, {"m": cat.modulus, "objects": rows}
-    return 0, ["id\tmodule\tshift\ttier"] + [
-        f"{r['id']}\t{r['module']}\t{r['shift']}\t{r['tier']}" for r in rows
-    ]
+        return 0, {"m": cat.modulus, "objects": rows()}
+    return 0, chain(["id\tmodule\tshift\ttier"], ("\t".join(map(str, row.values())) for row in rows()))
 
 
 def _cmd_hom(args, parser):
@@ -276,73 +317,84 @@ def _cmd_hom(args, parser):
         if args.format == "json":
             return 0, {"m": cat.modulus, "x": x.text, "y": y.text, "hom": hom, "ext": ext}
         return 0, ["x\ty\thom\text", f"{x.text}\t{y.text}\t{hom}\t{ext}"]
+    hom, ext = cat.hom_table, cat.ext_table  # refused here past MAX_TABLE_SIDE, before any output
     ids = [obj.text for obj in cat.catalog]
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
             "ids": ids,
-            "hom": {
-                ids[i]: dict(zip(ids, cat.hom_table[i])) for i in range(len(ids))
-            },
-            "ext": {
-                ids[i]: dict(zip(ids, cat.ext_table[i])) for i in range(len(ids))
-            },
+            "hom": _Object((x, dict(zip(ids, row))) for x, row in zip(ids, hom)),
+            "ext": _Object((x, dict(zip(ids, row))) for x, row in zip(ids, ext)),
         }
-    return 0, _tsv_matrix("hom", ids, cat.hom_table) + [""] + _tsv_matrix("ext", ids, cat.ext_table)
+    return 0, chain(_tsv_matrix("hom", ids, hom), [""], _tsv_matrix("ext", ids, ext))
 
 
-def _refuse_long_listing(cat) -> None:
-    """Refuse, before enumerating, a listing of more than MAX_LISTED_MEMBERS member texts."""
+def _refuse_tilting(cat, listing: bool) -> None:
+    """Refuse, before the walk, a listing (when listing) of more than
+    MAX_LISTED_MEMBERS member texts, and more than MAX_TILTING_OBJECTS tilting objects."""
     from .orbit import MAX_LISTED_MEMBERS
 
     members = cluster_number(cat.ar.dynkin) * cat.modulus * cat.ar.quiver.vertex_count
-    if members > MAX_LISTED_MEMBERS:
+    if listing and members > MAX_LISTED_MEMBERS:
         raise QuiverTooLargeError(
             f"the tilting objects of {cat.ar.dynkin} at m={cat.modulus} have {members} members;"
             f" at most {MAX_LISTED_MEMBERS} are supported"
         )
+    cat.base.refuse_large_walk()
 
 
 def _cmd_tilting(args, parser):
     from .tilting import enumerate_cluster_tilting
 
     cat = _category(args)
-    _refuse_long_listing(cat)
-    # each entry is the member-id list of one tilting object; the 1-based
-    # position in this array is the vertex index that cmd_endo consumes
-    rows = [cat.texts(cat.build_twist_stable(t)) for t in enumerate_cluster_tilting(cat.base)]
+    _refuse_tilting(cat, listing=True)
+
+    # each row is the member-id list of one tilting object; its 1-based
+    # position in the listing is the vertex index that cmd_endo consumes
+    def rows():
+        for t in enumerate_cluster_tilting(cat.base):
+            yield cat.texts(cat.build_twist_stable(t))
+
     if args.format == "json":
-        return 0, {"m": cat.modulus, "count": len(rows), "tilting_objects": rows}
-    return 0, ["id\tmembers"] + [f"T{i + 1}\t{','.join(members)}" for i, members in enumerate(rows)]
+        return 0, {
+            "m": cat.modulus,
+            "count": lambda: len(enumerate_cluster_tilting(cat.base)),
+            "tilting_objects": rows(),
+        }
+    return 0, chain(["id\tmembers"], (f"T{i}\t{','.join(members)}" for i, members in enumerate(rows(), 1)))
 
 
 def _cmd_graph(args, parser):
     from .tilting import build_tilting_graph, enumerate_cluster_tilting
 
     cat = _category(args)
-    if args.format == "json":  # dot lists no members
-        _refuse_long_listing(cat)
+    _refuse_tilting(cat, listing=args.format == "json")  # dot lists no members
     # the lift is a bijection carrying mutations to mutations: the modulus-1 graph at every m;
     # the walk that finds it reaches only its seed's component, so the graph is
     # connected exactly when that component holds all cluster_number vertices
-    vertices, edges = enumerate_cluster_tilting(cat.base), build_tilting_graph(cat)
-    names = [f"T{i + 1}" for i in range(len(vertices))]
+    def vertices():
+        for i, v in enumerate(enumerate_cluster_tilting(cat.base), 1):
+            yield {"id": f"T{i}", "members": cat.texts(cat.build_twist_stable(v))}
+
+    def edges():
+        for a, b in build_tilting_graph(cat):
+            yield f"T{a + 1}", f"T{b + 1}"
+
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
-            "vertices": [
-                {"id": names[i], "members": cat.texts(cat.build_twist_stable(v))}
-                for i, v in enumerate(vertices)
-            ],
-            "edges": [[names[a], names[b]] for a, b in edges],
-            "connected": len(vertices) == cluster_number(cat.ar.dynkin),
+            "vertices": vertices(),
+            "edges": edges(),
+            "connected": lambda: len(enumerate_cluster_tilting(cat.base)) == cluster_number(cat.ar.dynkin),
         }
-    return 0, [
-        "graph tilting {",
-        *(f"  {name};" for name in names),
-        *(f"  {names[a]} -- {names[b]};" for a, b in edges),
-        "}",
-    ]
+
+    def dot():
+        yield "graph tilting {"
+        yield from (f"  T{i + 1};" for i in range(len(enumerate_cluster_tilting(cat.base))))
+        yield from (f"  {a} -- {b};" for a, b in edges())
+        yield "}"
+
+    return 0, dot()
 
 
 def _cmd_endo(args, parser):
@@ -373,7 +425,7 @@ def _cmd_endo(args, parser):
 
 
 def _cmd_verify(args, parser):
-    from .verify import run_verification
+    from .verify import verification_report
 
     diagrams = None
     if args.battery is not None:
@@ -383,8 +435,8 @@ def _cmd_verify(args, parser):
         unknown = [d for d in diagrams if d not in DIAGRAMS]
         if unknown:
             parser.error(f"unknown diagrams {shown(str(unknown))}; choose from {list(DIAGRAMS)}")
-    report = run_verification(diagrams=diagrams, timings=args.timings)
-    return (0 if report["passed"] else 1), report
+    report = verification_report(diagrams=diagrams, timings=args.timings)
+    return (lambda: 0 if report["passed"]() else 1), report
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from .quiver import QuiverTooLargeError, cluster_number
 # listing every tilting object lifted to m tiers prints count * m * n member
 # texts (E8 at m = 2: 401280), so that total is capped too; the exchange walk
 # keeps each tilting set and its n neighbours: A11's 208012 take 4 to 7 s and
-# 280 MiB in graph --format dot (2-vCPU VM), so the count is capped (A12: 742900)
+# 81 MiB in graph --format dot (2-vCPU VM), so the count is capped (A12: 742900)
 MAX_CATALOG = 100_000
 MAX_TABLE_SIDE = 400
 MAX_LISTED_MEMBERS = 500_000
@@ -254,12 +254,22 @@ class OrbitCategory:
         return sorted(self._exchange_walk[0])
 
     @cached_property
-    def exchange_edges(self) -> list[tuple[int, int]]:
-        """Sorted index pairs (i < k) of tilting_sets that differ by one mutation."""
+    def exchange_edges(self) -> array:
+        """The index pairs (i < k) of tilting_sets that differ by one mutation, sorted, laid flat:
+        i, k of the first pair, then of the second, ...; ``pairs`` reads them back."""
         (found, near), n = self._exchange_walk, self.ar.quiver.vertex_count
         order = sorted(range(len(found)), key=found.__getitem__)  # index in tilting_sets -> in walk
         rank = sorted(range(len(order)), key=order.__getitem__)
-        return [(i, k) for i, w in enumerate(order) for k in sorted(rank[x] for x in near[w * n : w * n + n]) if k > i]
+        ends = (sorted(rank[x] for x in near[w * n : w * n + n]) for w in order)
+        return array("i", chain.from_iterable((i, k) for i, row in enumerate(ends) for k in row if k > i))
+
+    def refuse_large_walk(self) -> None:
+        """Raise QuiverTooLargeError, before any walk, past MAX_TILTING_OBJECTS tilting objects."""
+        if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
+            raise QuiverTooLargeError(
+                f"{self.ar.dynkin} has {count} cluster tilting objects;"
+                f" at most {MAX_TILTING_OBJECTS} are supported"
+            )
 
     @cached_property
     def _exchange_walk(self) -> tuple[list[tuple[int, ...]], array]:
@@ -270,11 +280,7 @@ class OrbitCategory:
         that is every set."""
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
-        if (count := cluster_number(self.ar.dynkin)) > MAX_TILTING_OBJECTS:
-            raise QuiverTooLargeError(
-                f"{self.ar.dynkin} has {count} cluster tilting objects;"
-                f" at most {MAX_TILTING_OBJECTS} are supported"
-            )
+        self.refuse_large_walk()
         compat, n, label, texts = self.compat_mask, self.ar.quiver.vertex_count, self.quiver_label, self.texts
         loops = seed = self.loops
         for j in range(len(compat)):  # keep each self-compatible j compatible with all kept
@@ -305,6 +311,12 @@ def all_but_one(masks: list[int], members) -> Iterator[int]:
     row = [masks[p] for p in members]
     suffix = [*accumulate(reversed(row), and_, initial=-1)][-2::-1]
     return map(and_, accumulate(row, and_, initial=-1), suffix)
+
+
+def pairs(flat: array) -> Iterator[tuple[int, int]]:
+    """The pairs (flat[0], flat[1]), (flat[2], flat[3]), ... of a flat pair array, as they are read."""
+    items = iter(flat)
+    return zip(items, items)
 
 
 def _rigid_extensions(chosen: tuple[int, ...], candidates: int, compat: list[int], n: int) -> Iterator[tuple[int, ...]]:

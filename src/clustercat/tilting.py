@@ -15,7 +15,9 @@ and the lifts, and ``cluster_tilting_check`` checks every lift at modulus m.
 
 from __future__ import annotations
 
-from .orbit import OrbitCategory
+from typing import Iterator
+
+from .orbit import OrbitCategory, pairs
 from .quiver import reachable
 
 
@@ -122,11 +124,11 @@ def near_complements(
     return tuple(tuple(sorted({*orbits, x})) for x in comps)
 
 
-def build_tilting_graph(cat: OrbitCategory) -> list[tuple[int, int]]:
+def build_tilting_graph(cat: OrbitCategory) -> Iterator[tuple[int, int]]:
     """The exchange graph's edges, index pairs into ``enumerate_cluster_tilting(cat.base)``:
-    the modulus-1 mutations, at every modulus, as a fresh list.  Kept as a
-    function because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
-    return list(cat.base.exchange_edges)
+    the modulus-1 mutations, at every modulus, read off the base's flat ``exchange_edges``.
+    Kept as a function because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
+    return pairs(cat.base.exchange_edges)
 
 
 def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:

@@ -11,6 +11,9 @@ modulus-1 object at every m (the lift carries mutations to mutations).  A
 is a predicate of (n, m): the cells where the check holds at all, or
 where its scan of subsets stays small.  Each check reports a name and an
 optional failure detail; the report is machine readable and deterministic.
+It is made a cell at a time (``verification_report``): an orientation's AR
+quiver and categories are let go once its cells are read, and the totals
+are read from a tally after the last cell.
 
 A lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
@@ -31,10 +34,11 @@ from __future__ import annotations
 import time
 from itertools import combinations
 from operator import add, itemgetter, sub
+from typing import Iterator
 
 from .arquiver import ARQuiver
 from .derived import DerivedCategory, DObject
-from .orbit import OrbitCategory, all_but_one, mask_of
+from .orbit import OrbitCategory, all_but_one, mask_of, pairs
 from .quiver import DIAGRAMS, Quiver, cluster_number, positive_root_count
 from .tilting import (
     cluster_tilting_check,
@@ -61,13 +65,17 @@ def orientations(name: str) -> list[tuple[str, Quiver]]:
     return out
 
 
-def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
-    """Run the full battery; returns a JSON-ready report dict.
+def verification_report(diagrams=None, tamper=None, timings=False) -> dict:
+    """The battery's report as it is written: ``cells`` is a generator that
+    runs each cell's checks as the cell is read, and ``checks_total``,
+    ``checks_failed`` and ``passed`` are zero-argument callables that read
+    the tally of the cells read so far, so they are read after the last.
 
-    A diagram named twice runs once, where it is first named.  tamper, when
-    given, is called as tamper(label, ar) right after each AR quiver is
-    built; it exists so tests can corrupt internal tables and confirm the
-    battery notices.  timings adds each check's wall time to its result as
+    A diagram named twice runs once, where it is first named; an unknown
+    one raises ValueError here, before any cell.  tamper, when given, is
+    called as tamper(label, ar) right after each AR quiver is built; it
+    exists so tests can corrupt internal tables and confirm the battery
+    notices.  timings adds each check's wall time to its result as
     ``seconds``; a check's seconds include the shared structures it is the
     first to read, which are built lazily: ``reps`` in ``mesh-additivity``,
     the module and the matrix Hom tables in ``oracle-hom-equivalence``,
@@ -76,15 +84,34 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
     ``tilting-count``, ``twist_permutation`` in ``covering-fibers`` and
     ``serre_permutation`` in ``serre-orbit``.
     """
-    clock = time.perf_counter if timings else None
     names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
     for name in names:
         if name not in DIAGRAMS:
             raise ValueError(f"unknown diagram {name!r}; choose from {list(DIAGRAMS)}")
-    cells = []
+    tally = {"total": 0, "failed": 0}
+    return {
+        "battery": names,
+        "m_values": list(M_VALUES),
+        "cells": _cells(names, tamper, time.perf_counter if timings else None, tally),
+        "checks_total": lambda: tally["total"],
+        "checks_failed": lambda: tally["failed"],
+        "passed": lambda: tally["failed"] == 0,
+    }
+
+
+def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
+    """Run the full battery; returns ``verification_report`` collected into a
+    JSON-ready dict: the cells read to the last, then the tally."""
+    report = verification_report(diagrams, tamper, timings)
+    report["cells"] = list(report["cells"])
+    return {key: value() if callable(value) else value for key, value in report.items()}
+
+
+def _cells(names: list[str], tamper, clock, tally: dict) -> Iterator[dict]:
+    """Each cell of the battery with its check results, counted into tally as it is made."""
     for name in names:
-        # each orientation is knitted once; the reversal of one is another of the
-        # same diagram, so its shape is recorded before tamper can touch it
+        # all orientations are knitted first; the reversal of one is another of
+        # the same diagram, so its shape is recorded before tamper can touch it
         knitted, shapes = [], {}
         for label, q in orientations(name):
             ar = ARQuiver(q)
@@ -92,23 +119,18 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
             if tamper is not None:
                 tamper(label, ar)
             knitted.append((label, q, ar))
-        for label, q, ar in knitted:
+        knitted.reverse()
+        while knitted:  # an orientation and its categories go once its four cells are read
+            label, q, ar = knitted.pop()
             derived = DerivedCategory(ar)
             derived.reversed_shape = shapes[q.reversed()]  # what orientation-reversal compares with
             cell, memo = {"quiver": label, "arrows": [list(a) for a in q.arrows]}, {}
             for m in (None, *M_VALUES):
                 cat = derived if m is None else derived.orbit(m)  # held while the next m is built: one shared base
-                cells.append({**cell, "m": m, "checks": _run_cell(cat, memo, clock)})
-    results = [check for cell in cells for check in cell["checks"]]
-    failed = sum(not check["passed"] for check in results)
-    return {
-        "battery": names,
-        "m_values": list(M_VALUES),
-        "cells": cells,
-        "checks_total": len(results),
-        "checks_failed": failed,
-        "passed": failed == 0,
-    }
+                checks = _run_cell(cat, memo, clock)
+                tally["total"] += len(checks)
+                tally["failed"] += sum(not check["passed"] for check in checks)
+                yield {**cell, "m": m, "checks": checks}
 
 
 def _key(cat: OrbitCategory, t: tuple[int, ...]) -> tuple[str, ...]:
@@ -522,7 +544,7 @@ def _check_near_complements(base: OrbitCategory) -> str | None:
     # (vertex, dropped orbit) pair, and the edge each one gives
     tiltings = enumerate_cluster_tilting(base)
     index = {v: i for i, v in enumerate(tiltings)}
-    edges = set(base.exchange_edges)
+    edges = set(pairs(base.exchange_edges))
     found, completed = set(), {}
     for t in tiltings:
         for drop in t:
@@ -546,7 +568,7 @@ def _check_near_complements(base: OrbitCategory) -> str | None:
 def _check_graph_connected(base: OrbitCategory) -> str | None:
     # true by construction of the walk's edges: the theorem (the graph is connected) needs
     # tilting-brute-force too, whose subset scan of every tilting set equals the walk's sets
-    if not is_connected(len(base.tilting_sets), base.exchange_edges):
+    if not is_connected(len(base.tilting_sets), pairs(base.exchange_edges)):
         return "tilting graph is disconnected"
     return None
 
@@ -557,14 +579,14 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
         return bad
     edges, count = base.exchange_edges, len(base.tilting_sets)
     degrees = [0] * count
-    for a, b in set(edges):
+    for a, b in set(pairs(edges)):
         degrees[a] += 1
         degrees[b] += 1
     if degrees and set(degrees) != {n}:
         return f"vertex degrees {sorted(set(degrees))} != {n}"
     # n-regular on the cluster number of vertices (A2: the pentagon)
     expected = cluster_number(base.ar.dynkin)
-    if (shape := (count, len(edges))) != (expected, n * expected // 2):
+    if (shape := (count, len(edges) // 2)) != (expected, n * expected // 2):
         return f"(vertices, edges) = {shape}, expected {(expected, n * expected // 2)}"
     return None
 
@@ -572,9 +594,9 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
 def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, int]]]:
     """(None, each edge's exchange pair (x1, x2), the positions only its first and only its second
     end hold, read off the set masks), or (detail, []) naming an edge whose ends differ otherwise."""
-    sets, pairs = base.tilting_sets, []
+    sets, exchanged = base.tilting_sets, []
     masks = list(map(mask_of, sets))
-    for a, b in base.exchange_edges:
+    for a, b in pairs(base.exchange_edges):
         only_a, only_b = masks[a] & ~masks[b], masks[b] & ~masks[a]
         if only_a.bit_count() != 1 or only_b.bit_count() != 1:
             bad = (
@@ -582,14 +604,14 @@ def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, in
                 " endpoints do not differ in exactly one orbit"
             )
             return bad, []
-        pairs.append((only_a.bit_length() - 1, only_b.bit_length() - 1))
-    return None, pairs
+        exchanged.append((only_a.bit_length() - 1, only_b.bit_length() - 1))
+    return None, exchanged
 
 
 def _check_exchange_layers(cat: OrbitCategory) -> str | None:
     base = cat.base
-    bad, pairs = _exchange_pairs(base)
-    for (a, b), (x1, x2) in zip(base.exchange_edges, pairs):
+    bad, exchanged = _exchange_pairs(base)
+    for (a, b), (x1, x2) in zip(pairs(base.exchange_edges), exchanged):
         for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
             dim = exchange_layer_dim(cat, one, (other,))
             if dim != cat.modulus:
@@ -599,8 +621,8 @@ def _check_exchange_layers(cat: OrbitCategory) -> str | None:
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     # an edge's two differing positions are its exchange pair (Buan-Marsh-Reineke-Reiten-Todorov)
-    bad, pairs = _exchange_pairs(cat)
-    for x1, x2 in pairs:
+    bad, exchanged = _exchange_pairs(cat)
+    for x1, x2 in exchanged:
         for one, two in ((x1, x2), (x2, x1)):
             if cat.dim(one, two, 1) != 1:
                 one_text, two_text = cat.texts((one, two))

@@ -123,7 +123,7 @@ def test_criterion_6_graph_connectivity_and_shape(report, contexts):
     for label, (name, dc) in contexts.items():
         for m in M_VALUES:
             cat = dc.orbit(m)
-            count, edges = len(enumerate_cluster_tilting(cat.base)), build_tilting_graph(cat)
+            count, edges = len(enumerate_cluster_tilting(cat.base)), list(build_tilting_graph(cat))
             if not is_connected(count, edges):
                 failures.append(f"{label} m={m}: disconnected")
             ends = Counter(v for edge in edges for v in edge)

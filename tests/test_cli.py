@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -8,8 +9,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +20,11 @@ from hypothesis import strategies as st
 
 import clustercat
 from clustercat import arquiver, cli, derived, orbit, quiver, verify
+from clustercat.arquiver import ARQuiver
 from clustercat.cli import _write_json, main
+from clustercat.derived import DerivedCategory
 
-from conftest import A2, A3, D4, D5, TREES, oriented_trees
+from conftest import A2, A3, D4, D5, E6, TREES, oriented_trees
 
 
 @pytest.fixture
@@ -349,8 +354,8 @@ def test_verify_fault_injection_fails_with_named_invariant(capsys, monkeypatch):
         if label == "A2#0":
             ar.hom_table[0][0] += 1
 
-    run_verification = verify.run_verification
-    monkeypatch.setattr(verify, "run_verification", lambda **kw: run_verification(**kw, tamper=tamper))
+    verification_report = verify.verification_report
+    monkeypatch.setattr(verify, "verification_report", lambda **kw: verification_report(**kw, tamper=tamper))
     code, out, _ = run(capsys, "verify", "--battery", "A2")
     payload = json.loads(out)
     assert code == 1
@@ -574,6 +579,186 @@ def test_every_json_output_is_the_indent_2_dump_byte_for_byte(tmp_path, capsys, 
         if "--timings" in argv:  # the seconds differ from run to run
             written, expected = (re.sub(rb'"seconds": [-+.e0-9]+', b'"seconds": 0', b) for b in (written, expected))
         assert written == expected, argv
+
+
+def _collected(x):
+    """A handler's payload with its iterators, lazy objects and callables read whole, in order."""
+    if isinstance(x, dict):
+        return {key: _collected(value) for key, value in x.items()}
+    if isinstance(x, cli._Object):
+        return {key: _collected(value) for key, value in x.items}
+    if isinstance(x, (list, tuple, Iterator)):
+        return [_collected(item) for item in x]
+    return _collected(x()) if callable(x) else x
+
+
+@pytest.mark.parametrize("diagram", ["A3", "D4", "E6"])
+def test_every_output_is_the_dump_of_its_collected_payload(tmp_path, capsys, monkeypatch, diagram):
+    # what main streams is json.dumps(indent=2) of the handler's payload read
+    # whole, or its text lines joined; the categories are shared by the runs,
+    # so that each quiver is knitted and walked once
+    path = tmp_path / f"{diagram}.quiver"
+    path.write_text({"A3": A3, "D4": D4, "E6": E6}[diagram], encoding="utf-8")
+    derived = DerivedCategory(ARQuiver(quiver.load_quiver(str(path))))
+    cats = {m: derived.orbit(m) for m in (1, 2)}
+    monkeypatch.setattr(cli, "_category", lambda args: cats[args.m])
+    argvs = [["ar", "--quiver", str(path), "--format", fmt] for fmt in ("json", "tsv")]
+    argvs += [["verify", "--battery", diagram]] if diagram in quiver.DIAGRAMS else []
+    for m in ("1", "2"):
+        for command, formats, *extra in (
+            ("ind", "json tsv"),
+            ("hom", "json tsv"),
+            ("hom", "json tsv", "m1[0]", "m2[1]"),
+            ("tilting", "json tsv"),
+            ("graph", "json dot"),
+            ("endo", "json", "3"),
+        ):
+            argvs += [[command, *extra, "--quiver", str(path), "--m", m, "--format", fmt] for fmt in formats.split()]
+    parser = cli._build_parser()
+    for argv in argvs:
+        code, result = (args := parser.parse_args(argv)).handler(args, parser)
+        if isinstance(result, dict):
+            expected = json.dumps({"schema_version": 1, **_collected(result)}, indent=2) + "\n"
+        else:
+            expected = "".join(line + "\n" for line in result)
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+# inputs refused with exit 2, by where they are refused; {a2} and the like name quiver files
+_REFUSED = {
+    "parser": ["ind", "--quiver", "{a2}", "--m", "0"],
+    "hom-operands": ["hom", "--quiver", "{a2}", "m1[0]"],
+    "battery": ["verify", "--battery", ","],
+    "missing-file": ["ind", "--quiver", "{absent}"],
+    "quiver-cycle": ["graph", "--quiver", "{cycle}"],
+    "object-syntax": ["hom", "--quiver", "{a2}", "m9[0]", "m1[0]"],
+    "catalog": ["ind", "--quiver", "{a2}", "--m", "20001"],
+    "table-side-json": ["hom", "--quiver", "{a2}", "--m", "100"],
+    "table-side-tsv": ["hom", "--quiver", "{a2}", "--m", "100", "--format", "tsv"],
+    "listed-members": ["tilting", "--quiver", "{a3}"],  # with the cap at 41 below
+    "tilting-objects": ["graph", "--quiver", "{a12}", "--format", "dot"],
+    "endo-range": ["endo", "15", "--quiver", "{a3}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_refusal_comes_before_the_output_is_opened(tmp_path, monkeypatch, case):
+    # the refusal's own line, with --out in a missing directory too, and an
+    # existing --out file keeps its bytes
+    monkeypatch.setattr(orbit, "MAX_LISTED_MEMBERS", 41)
+    texts = {
+        "a2": A2,
+        "a3": A3,
+        "cycle": "vertices 2\narrow 1 2\narrow 2 1\n",
+        "a12": "vertices 12\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 12)),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.quiver").write_text(text, encoding="utf-8")
+    argv = [arg.format_map({name: str(tmp_path / f"{name}.quiver") for name in [*texts, "absent"]}) for arg in _REFUSED[case]]
+    code, out, err = _main_captured(argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b'{"kept": true}\n')
+    assert _main_captured([*argv, "--out", str(kept)]) == (2, "", err)
+    assert kept.read_bytes() == b'{"kept": true}\n'
+    assert _main_captured([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["graph"], ["graph", "--format", "dot"], ["tilting", "--format", "tsv"], ["ind"]]
+)
+def test_an_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, a3_path, argv):
+    # the output is opened before the first check, the walk or the first row
+    # (hom reads its tables first: that is where it refuses them past MAX_TABLE_SIDE)
+    monkeypatch.setattr(verify, "_run_cell", _unreachable)
+    monkeypatch.setattr(orbit.OrbitCategory, "_exchange_walk", property(_unreachable))
+    monkeypatch.setattr(orbit.OrbitCategory, "catalog", property(_unreachable))
+    if argv != ["verify"]:
+        argv = [*argv, "--quiver", a3_path]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ") and err.count("\n") == 1
+
+
+def test_a_failing_check_exits_1_with_the_whole_report(capsys, monkeypatch):
+    # exit 1 means only "battery failed": a complete, parseable report whose totals count the failure
+    monkeypatch.setattr(verify, "CHECKS", (*verify.CHECKS, ("planted", "cell", None, lambda cat: "planted failure")))
+    code, out, err = run(capsys, "verify", "--battery", "A2")
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert payload["passed"] is False
+    assert (payload["checks_total"], payload["checks_failed"]) == (146 + 6, 6)  # 2 orientations, m = 1, 2, 3
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["verify", "--battery", "A2"], (verify, "_run_cell")), (["tilting", "--format", "tsv"], (orbit.OrbitCategory, "texts"))],
+    ids=["json", "text"],
+)
+def test_an_error_mid_stream_exits_3_with_the_output_cut_short(tmp_path, capsys, monkeypatch, a3_path, argv, target):
+    # every part is written as it is made; the third call of target raises
+    argv = argv if argv[0] == "verify" else [*argv, "--quiver", a3_path]
+    code, whole, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "_FLUSH_PARTS", 1)
+    made, calls = getattr(*target), iter(range(1 << 30))
+
+    def third_raises(*args):
+        if next(calls) == 2:
+            raise ZeroDivisionError("planted\nfault")
+        return made(*args)
+
+    monkeypatch.setattr(*target, third_raises)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "error: internal: ZeroDivisionError: planted fault\n")
+    assert 0 < len(out) < len(whole) and whole.startswith(out)
+    calls = iter(range(1 << 30))
+    written = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(written)) == (3, "", err)
+    assert written.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [(["verify"], 0.85), (["ind", "A2", "--m", "2000"], 2.5), (["graph", "E6", "--m", "10"], 2.5)],
+    ids=["verify", "ind", "graph"],
+)
+def test_no_command_holds_its_whole_output(tmp_path, argv, limit):
+    # traced peaks in MiB, after a small run of the same command has made its lazy
+    # imports; the parent commit, which held whole payloads, peaked at 1.10 (verify),
+    # 4.13 (A2 ind --m 2000) and 5.95 (E6 graph --m 10) on CPython 3.11
+    if len(argv) > 1:
+        path = tmp_path / "q.quiver"
+        path.write_text({"A2": A2, "E6": E6}[argv[1]], encoding="utf-8")
+        argv = [argv[0], "--quiver", str(path), *argv[2:]]
+    small = ["verify", "--battery", "A1"] if argv == ["verify"] else argv[:3]
+    assert main([*small, "--out", os.devnull]) == 0
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < limit * 2**20, peak / 2**20
+
+
+def test_verify_lets_each_orientation_go_once_its_cells_are_read():
+    # a diagram's orientations are all knitted before its first cell; each AR
+    # quiver is then freed, by reference counting alone, after its four cells
+    knitted = []
+    report = verify.verification_report(["A3", "D4"], tamper=lambda label, ar: knitted.append(weakref.ref(ar)))
+    alive, checks = [], 0
+    gc.disable()
+    try:
+        for k, cell in enumerate(report["cells"]):
+            checks += len(cell["checks"])
+            if k % 4 == 0:
+                alive.append(sum(ref() is not None for ref in knitted))
+    finally:
+        gc.enable()
+    assert alive == [4, 3, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert report["checks_total"]() == checks and report["passed"]()
 
 
 def test_tilting_listing_past_the_member_cap_fails_fast_in_one_line(capsys, tmp_path):

@@ -1,6 +1,7 @@
+from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat import verify
+from clustercat.orbit import pairs
 from clustercat.tilting import NotRigidError
 from clustercat.verify import run_verification
 
@@ -223,7 +225,7 @@ def _degrees(count, edges):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_graph_a2_is_pentagon(build, m):
     cat = build(A2).orbit(m)
-    sets, edges = cc.enumerate_cluster_tilting(cat.base), cc.build_tilting_graph(cat)
+    sets, edges = cc.enumerate_cluster_tilting(cat.base), list(cc.build_tilting_graph(cat))
     assert len(sets) == 5
     assert len(edges) == 5
     assert _degrees(5, edges) == [2] * 5
@@ -234,14 +236,14 @@ def test_graph_a2_is_pentagon(build, m):
 def test_graph_a1_single_edge(build, m):
     cat = build(A1).orbit(m)
     assert len(cc.enumerate_cluster_tilting(cat.base)) == 2
-    assert cc.build_tilting_graph(cat) == [(0, 1)]
+    assert list(cc.build_tilting_graph(cat)) == [(0, 1)]
     assert cc.is_connected(2, [(0, 1)])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_graph_a3_three_regular(build, m):
     cat = build(A3).orbit(m)
-    edges = cc.build_tilting_graph(cat)
+    edges = list(cc.build_tilting_graph(cat))
     assert len(cc.enumerate_cluster_tilting(cat.base)) == 14
     assert _degrees(14, edges) == [3] * 14
     assert cc.is_connected(14, edges)
@@ -275,12 +277,10 @@ def test_graphs_isomorphic_across_m(build):
     # to mutations, so the graph at every m is the modulus-1 graph itself
     dc = build(A3)
     base = dc.orbit(1)  # held, so that every modulus shares it
-    edges = cc.build_tilting_graph(base)
+    edges = list(cc.build_tilting_graph(base))
     for m in (2, 3):
-        assert cc.build_tilting_graph(dc.orbit(m)) == edges == base.exchange_edges
+        assert list(cc.build_tilting_graph(dc.orbit(m))) == edges == list(pairs(base.exchange_edges)) != []
         assert cc.enumerate_cluster_tilting(dc.orbit(m).base) is base.tilting_sets
-    edges.clear()  # the caller's own list: the base's edges stay
-    assert cc.build_tilting_graph(dc.orbit(2)) == base.exchange_edges != []
 
 
 def _exchange_pair(sets, a, b):
@@ -292,7 +292,7 @@ def _exchange_pair(sets, a, b):
 def test_exchange_pair_ext_is_one():
     # a fresh category: the check is tampered with below
     cat1 = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
-    sets, edges = cat1.tilting_sets, cat1.exchange_edges
+    sets, edges = cat1.tilting_sets, list(pairs(cat1.exchange_edges))
     for a, b in edges:
         x1, x2 = _exchange_pair(sets, a, b)
         assert cat1.dim(x1, x2, 1) == cat1.dim(x2, x1, 1) == 1
@@ -310,17 +310,17 @@ def test_exchange_pair_ext_matches_complements(build, text):
     # leaves the two complements x1 and x2; the pairs read off the edges are
     # exactly these, with Ext^1 one-dimensional both ways
     cat1 = build(text).orbit(1)
-    pairs = set()
+    exchanged = set()
     for t in cc.enumerate_cluster_tilting(cat1):
         for x1 in t:
             comps = cc.complements(cat1, [x for x in t if x != x1])
-            pairs |= {(x1, x2) for x2 in comps if x2 != x1}
+            exchanged |= {(x1, x2) for x2 in comps if x2 != x1}
     from_edges = set()
-    for a, b in cat1.exchange_edges:
+    for a, b in pairs(cat1.exchange_edges):
         x1, x2 = _exchange_pair(cat1.tilting_sets, a, b)
         from_edges |= {(x1, x2), (x2, x1)}
-    assert from_edges == pairs
-    assert all(cat1.dim(x1, x2, 1) == 1 for x1, x2 in pairs)
+    assert from_edges == exchanged
+    assert all(cat1.dim(x1, x2, 1) == 1 for x1, x2 in exchanged)
 
 
 @pytest.mark.parametrize("text", [A1, A2, A3])
@@ -390,8 +390,11 @@ def test_cluster_number_counts_the_tilting_sets(build, label):
 )
 def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
     cat = build(text).orbit(m)
-    edges = cc.build_tilting_graph(cat)
+    edges = list(cc.build_tilting_graph(cat))
     assert len(cat.base.tilting_sets) == vertices
+    # the base holds the edges laid flat, two ints an edge (E6: 2 x 2499)
+    flat = cat.base.exchange_edges
+    assert isinstance(flat, array) and flat.typecode == "i" and len(flat) == 2 * (n * vertices // 2)
     assert len(edges) == n * vertices // 2
     assert set(_degrees(vertices, edges)) == {n}
     assert cc.is_connected(vertices, edges)
@@ -416,13 +419,13 @@ def test_mutation_edges_equal_near_complement_edges(data):
         q = data.draw(oriented_trees(TREES[diagram]))
         cat = cc.DerivedCategory(cc.ARQuiver(q)).orbit(1)
         assert str(cat.ar.dynkin) == diagram
-        assert cc.build_tilting_graph(cat) == _near_complement_edges(cat)
+        assert list(cc.build_tilting_graph(cat)) == _near_complement_edges(cat)
 
 
 def _tamper_edges(monkeypatch, change):
-    """Let every category's exchange_edges be change(the mutation edges)."""
+    """Let every category's exchange_edges be change(the list of mutation edges), laid flat."""
     mutation_edges = cc.OrbitCategory.exchange_edges.func
-    prop = cached_property(lambda cat: change(mutation_edges(cat)))
+    prop = cached_property(lambda cat: array("i", chain.from_iterable(change(list(pairs(mutation_edges(cat)))))))
     prop.__set_name__(cc.OrbitCategory, "exchange_edges")
     monkeypatch.setattr(cc.OrbitCategory, "exchange_edges", prop)
 
@@ -550,7 +553,7 @@ def test_exchange_walk_reads_only_the_compat_mask(monkeypatch):
         return cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(D4))).orbit(1)
 
     expected, cat1 = fresh(), fresh()
-    assert len(expected.tilting_sets) == 50 and len(expected.exchange_edges) == 100
+    assert len(expected.tilting_sets) == 50 and len(expected.exchange_edges) == 2 * 100
     assert cat1.compat_mask
 
     def unread(cat):
