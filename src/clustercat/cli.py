@@ -14,15 +14,19 @@ dot lines.  In a payload, an iterator stands for a JSON array and an
 ``_Object`` for a JSON object, each written item by item, and a
 zero-argument callable for the value it returns when the writer reaches it
 (``verify``'s totals and exit code read its tally after the last cell).
+Each TSV table is ``_tsv`` over the rows that its JSON payload carries.
 ``main`` alone stamps ``schema_version`` first in every payload; only after
 the handler returns does it open ``--out``, and then it writes the result
 through one buffer of at most _FLUSH_PARTS parts and returns the exit code.
 So a refusal (exit 2) comes before the output is opened and before its
-first byte, and an unwritable ``--out`` fails before any of the work.  An
-internal error raised while the result is written exits 3 with one
-``error: internal:`` line and leaves the output truncated where it stopped;
-a write that fails (a full disk, a reader that closed the pipe) stops it
-there too, with exit 2.
+first byte, and an unwritable ``--out`` fails before the work done as the
+result is written (``verify``'s checks, the catalog, the exchange walk), but
+after a handler's own: the AR quiver, ``hom``'s full tables, and ``endo``'s
+exchange walk and profile.  An internal error raised while the result is
+written exits 3 with one ``error: internal:`` line and leaves the output
+truncated where it stopped; a failed write (a full disk) stops it there too,
+with exit 2, and a reader that closes the pipe early stops it quietly, with
+the command's exit code (``verify``'s reads the tally of the cells written).
 A usage error the parser cannot see raises ``UsageError``, reported like
 an ingestion error.  A handler imports the layers past ``derived`` that it
 uses itself, so ``ar`` loads none of orbit, tilting, endo and verify.
@@ -59,6 +63,7 @@ class _Object:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    fh = None
     try:
         code, result = args.handler(args, parser)
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
@@ -66,8 +71,15 @@ def main(argv=None) -> int:
                 _write_json({"schema_version": SCHEMA_VERSION, **result}, fh)
             else:
                 _write_lines(result, fh)
-        return code() if callable(code) else code
+            fh.flush()  # the last write fails here, not in the interpreter's final flush
     except (QuiverError, ObjectSyntaxError, UsageError, OSError) as exc:
+        if isinstance(exc, OSError) and fh is sys.stdout:  # a failed write: what stdout still holds goes to devnull
+            import os
+
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError) and fh is not None:  # the reader stopped early, and so does the output
+            return code() if callable(code) else code
         if getattr(exc, "filename", None) is not None:  # a path as the user gave it
             exc.filename = shown(str(exc.filename))
         print(f"error: {exc}", file=sys.stderr)
@@ -76,6 +88,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3
+    return code() if callable(code) else code
 
 
 def _write_json(payload, fh) -> None:
@@ -229,11 +242,34 @@ def _category(args):
     return derived.orbit(args.m)
 
 
+def _tsv(header, rows, title=None) -> Iterator[str]:
+    """A TSV table: ``# title`` when a title is given, the header, then a line
+    per row; a list is comma-joined, None is written ``-`` and anything else ``str``."""
+    if title is not None:
+        yield f"# {title}"
+    for row in chain([header], rows):
+        yield "\t".join(",".join(map(str, v)) if isinstance(v, list) else "-" if v is None else str(v) for v in row)
+
+
 def _tsv_matrix(title: str, ids: list[str], table) -> Iterator[str]:
-    yield f"# {title}"
-    yield "\t".join(["."] + ids)
-    for label, row in zip(ids, table):
-        yield "\t".join([label] + [str(v) for v in row])
+    return _tsv((".", *ids), ((label, *row) for label, row in zip(ids, table)), title)
+
+
+def _objects(keys, rows) -> Iterator[dict]:
+    """Each row as the JSON object of its cells keyed by the column names, made as it is written."""
+    return (dict(zip(keys, row)) for row in rows)
+
+
+def _tilting_objects(cat):
+    """The column names and the rows (T_i, member texts) of cat's tilting
+    objects, made as they are read; i is the 1-based index that ``endo`` takes."""
+    from .tilting import enumerate_cluster_tilting
+
+    def rows():
+        for i, t in enumerate(enumerate_cluster_tilting(cat.base), 1):
+            yield f"T{i}", cat.texts(cat.build_twist_stable(t))
+
+    return ("id", "members"), rows()
 
 
 # -- subcommands -----------------------------------------------------------
@@ -241,69 +277,40 @@ def _tsv_matrix(title: str, ids: list[str], table) -> Iterator[str]:
 
 def _cmd_ar(args, parser):
     ar = ARQuiver(load_quiver(args.quiver))
-    ids = [m.name for m in ar.modules]
+    # a section's column names and its rows, each made as it is written: an object in JSON, a line in TSV
+    modules = ("id", "dim_vector", "projective_vertex", "injective_vertex"), (
+        (m.name, list(m.dim_vector), m.projective_vertex, m.injective_vertex) for m in ar.modules
+    )
+    tau = ("from", "to"), ((f"m{src}", f"m{tgt}") for src, tgt in sorted(ar.tau.items()))
+    arrows = ("source", "target", "multiplicity"), ((f"m{s}", f"m{t}", mult) for s, t, mult in ar.arrow_multiplicities())
     if args.format == "json":
         return 0, {
-            "quiver": {
-                "vertices": ar.quiver.vertex_count,
-                "arrows": [list(a) for a in ar.quiver.arrows],
-            },
+            "quiver": {"vertices": ar.quiver.vertex_count, "arrows": [list(a) for a in ar.quiver.arrows]},
             "dynkin": {"family": ar.dynkin.family, "rank": ar.dynkin.rank},
-            "modules": [
-                {
-                    "id": m.name,
-                    "dim_vector": list(m.dim_vector),
-                    "projective_vertex": m.projective_vertex,
-                    "injective_vertex": m.injective_vertex,
-                }
-                for m in ar.modules
-            ],
-            "tau": [
-                {"from": f"m{src}", "to": f"m{tgt}"}
-                for src, tgt in sorted(ar.tau.items())
-            ],
-            "arrows": [
-                {"source": f"m{s}", "target": f"m{t}", "multiplicity": mult}
-                for s, t, mult in ar.arrow_multiplicities()
-            ],
+            "modules": _objects(*modules),
+            "tau": _objects(*tau),
+            "arrows": _objects(*arrows),
             "hom": ar.hom_table,
             "ext": ar.ext_table,
         }
-    lines = ["# modules", "id\tdim_vector\tprojective_vertex\tinjective_vertex"]
-    for m in ar.modules:
-        lines.append(
-            "\t".join(
-                [
-                    m.name,
-                    ",".join(str(d) for d in m.dim_vector),
-                    str(m.projective_vertex or "-"),
-                    str(m.injective_vertex or "-"),
-                ]
-            )
-        )
-    lines += ["", "# arrows", "source\ttarget\tmultiplicity"]
-    for s, t, mult in ar.arrow_multiplicities():
-        lines.append(f"m{s}\tm{t}\t{mult}")
-    lines += ["", "# tau", "from\tto"]
-    for src, tgt in sorted(ar.tau.items()):
-        lines.append(f"m{src}\tm{tgt}")
-    lines.append("")
-    lines += _tsv_matrix("hom", ids, ar.hom_table)
-    lines.append("")
-    lines += _tsv_matrix("ext", ids, ar.ext_table)
-    return 0, lines
+    ids = [m.name for m in ar.modules]
+    return 0, chain(
+        _tsv(*modules, "modules"), [""], _tsv(*arrows, "arrows"), [""], _tsv(*tau, "tau"), [""],
+        _tsv_matrix("hom", ids, ar.hom_table), [""], _tsv_matrix("ext", ids, ar.ext_table),
+    )
 
 
 def _cmd_ind(args, parser):
     cat = _category(args)
+    keys = ("id", "module", "shift", "tier")
 
     def rows():
         for i, x in enumerate(cat.catalog):
-            yield {"id": x.text, "module": f"m{x.module_id}", "shift": x.shift, "tier": cat.tier_of(i)}
+            yield x.text, f"m{x.module_id}", x.shift, cat.tier_of(i)
 
     if args.format == "json":
-        return 0, {"m": cat.modulus, "objects": rows()}
-    return 0, chain(["id\tmodule\tshift\ttier"], ("\t".join(map(str, row.values())) for row in rows()))
+        return 0, {"m": cat.modulus, "objects": _objects(keys, rows())}
+    return 0, _tsv(keys, rows())
 
 
 def _cmd_hom(args, parser):
@@ -313,10 +320,10 @@ def _cmd_hom(args, parser):
     if args.objects:
         i, j = (cat.canonicalize(cat.derived.parse_object(text)) for text in args.objects)
         x, y = (cat.derived.twist_power(cat.base.catalog[cat.project(p)], cat.tier_of(p)) for p in (i, j))
-        hom, ext = cat.dim(i, j, 0), cat.dim(i, j, 1)
+        row = {"x": x.text, "y": y.text, "hom": cat.dim(i, j, 0), "ext": cat.dim(i, j, 1)}
         if args.format == "json":
-            return 0, {"m": cat.modulus, "x": x.text, "y": y.text, "hom": hom, "ext": ext}
-        return 0, ["x\ty\thom\text", f"{x.text}\t{y.text}\t{hom}\t{ext}"]
+            return 0, {"m": cat.modulus, **row}
+        return 0, _tsv(row.keys(), [row.values()])
     hom, ext = cat.hom_table, cat.ext_table  # refused here past MAX_TABLE_SIDE, before any output
     ids = [obj.text for obj in cat.catalog]
     if args.format == "json":
@@ -348,20 +355,14 @@ def _cmd_tilting(args, parser):
 
     cat = _category(args)
     _refuse_tilting(cat, listing=True)
-
-    # each row is the member-id list of one tilting object; its 1-based
-    # position in the listing is the vertex index that cmd_endo consumes
-    def rows():
-        for t in enumerate_cluster_tilting(cat.base):
-            yield cat.texts(cat.build_twist_stable(t))
-
+    keys, rows = _tilting_objects(cat)
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
             "count": lambda: len(enumerate_cluster_tilting(cat.base)),
-            "tilting_objects": rows(),
+            "tilting_objects": (members for _, members in rows),
         }
-    return 0, chain(["id\tmembers"], (f"T{i}\t{','.join(members)}" for i, members in enumerate(rows(), 1)))
+    return 0, _tsv(keys, rows)
 
 
 def _cmd_graph(args, parser):
@@ -372,10 +373,6 @@ def _cmd_graph(args, parser):
     # the lift is a bijection carrying mutations to mutations: the modulus-1 graph at every m;
     # the walk that finds it reaches only its seed's component, so the graph is
     # connected exactly when that component holds all cluster_number vertices
-    def vertices():
-        for i, v in enumerate(enumerate_cluster_tilting(cat.base), 1):
-            yield {"id": f"T{i}", "members": cat.texts(cat.build_twist_stable(v))}
-
     def edges():
         for a, b in build_tilting_graph(cat):
             yield f"T{a + 1}", f"T{b + 1}"
@@ -383,7 +380,7 @@ def _cmd_graph(args, parser):
     if args.format == "json":
         return 0, {
             "m": cat.modulus,
-            "vertices": vertices(),
+            "vertices": _objects(*_tilting_objects(cat)),
             "edges": edges(),
             "connected": lambda: len(enumerate_cluster_tilting(cat.base)) == cluster_number(cat.ar.dynkin),
         }

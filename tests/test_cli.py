@@ -24,7 +24,7 @@ from clustercat.arquiver import ARQuiver
 from clustercat.cli import _write_json, main
 from clustercat.derived import DerivedCategory
 
-from conftest import A2, A3, D4, D5, E6, TREES, oriented_trees
+from conftest import A1, A2, A3, D4, D5, E6, TREES, oriented_trees
 
 
 @pytest.fixture
@@ -400,6 +400,48 @@ def test_verify_stdout_is_byte_identical_to_the_pinned_digest(capsys, extra):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256[extra]
 
 
+# sha256 of each TSV and dot output as it was printed before every table went
+# through one encoder; "hom-pair" is the point query hom m1[0] m2[1]
+TEXT_STDOUT_SHA256 = {
+    ("ar", "A1"): "af57f2c1a0d4fbd3fea7fe0360d3f8766f414a7a678fc2572188a65e93e8c2df",
+    ("ar", "A3"): "e61acccfe3dbae49c07c38d5479ebfadf123f5c3f41946420115e14968858d18",
+    ("ar", "D4"): "ad688ca82a36bf87a9c2d4298bec0a550fa6263ec785eccb261c91d205b132aa",
+    ("ar", "E6"): "22fa455d106264c1b7c77caaa027d161ea43b45065b01544f1c52f0174749ebb",
+    ("ind", "A3", "1"): "192ce0c435f83c28d4aabf2a0f3a4859463e511597aad06bc1054b507a873f99",
+    ("hom", "A3", "1"): "c2129020b4edf76b8ed7a54ba94724cf53f3da90a6a529cc94637c6d77029970",
+    ("hom-pair", "A3", "1"): "ff0a2d54b6bff0ae78d4e6b982438b6cb84c21817021908f2ea72e6172c03ea2",
+    ("tilting", "A3", "1"): "d355f1856613c35a401d775dc3d7372ea62a83bb679e90c5c0686deeabadf826",
+    ("graph", "A3", "1"): "fd9cc8a3e219a089ccc3c2bc63d66f94305bd44cb2665999dff4c9331753cf41",
+    ("ind", "A3", "2"): "469ec4ff4935c2871fe15eacebe6bf00f6e7589708cb53fd9c73250330de7056",
+    ("hom", "A3", "2"): "3dd310481598b501539c06946411087dba4525756116301daca7bf360d524bbd",
+    ("hom-pair", "A3", "2"): "b78db1d7b2a06e82a3605599856604e921e7d0fd13b53f5041a40886afabf88d",
+    ("tilting", "A3", "2"): "d580e84dc137a66e2c78942273a7eec124292e49ecd3d0a4c1cb16a469460571",
+    ("graph", "A3", "2"): "fd9cc8a3e219a089ccc3c2bc63d66f94305bd44cb2665999dff4c9331753cf41",
+    ("ind", "D4", "1"): "6a7bea5bd27344e37a1a5b302d170922628eaa690850766321fc9cd60ba94fbc",
+    ("hom", "D4", "1"): "6d9fe2a95b0d150ecf277ded056b4ec34ce7e49841ffa9e0829a49c5b6dd4960",
+    ("hom-pair", "D4", "1"): "b78db1d7b2a06e82a3605599856604e921e7d0fd13b53f5041a40886afabf88d",
+    ("tilting", "D4", "1"): "72b830012cfcb4deffa704d674fa788c3e8f8841a62a8c772fda153ef98146e3",
+    ("graph", "D4", "1"): "501d34d8daad1c76de0f98eea0ddc363d0d4ea6ce4f2a055491793d28329db05",
+    ("ind", "D4", "2"): "85a544ec7651f382947aa1bfa774f82539dfcc68fdb006d91dbf680762010475",
+    ("hom", "D4", "2"): "dde7c1096ffe8ceb57ac38653bca245818dc83c00b9f9412f81dec884983d640",
+    ("hom-pair", "D4", "2"): "b78db1d7b2a06e82a3605599856604e921e7d0fd13b53f5041a40886afabf88d",
+    ("tilting", "D4", "2"): "ec4e83d5ce06e5bfa9cccddc90a98bf92c8afcec3640ad7a689236ce61ffb0f3",
+    ("graph", "D4", "2"): "501d34d8daad1c76de0f98eea0ddc363d0d4ea6ce4f2a055491793d28329db05",
+}
+
+
+@pytest.mark.parametrize("case", TEXT_STDOUT_SHA256, ids=" ".join)
+def test_text_output_is_byte_identical_to_the_pinned_digest(tmp_path, capsys, case):
+    command, diagram, *m = case
+    path = tmp_path / f"{diagram}.quiver"
+    path.write_text({"A1": A1, "A3": A3, "D4": D4, "E6": E6}[diagram], encoding="utf-8")
+    argv = ["hom", "m1[0]", "m2[1]"] if command == "hom-pair" else [command]
+    fmt = "dot" if command == "graph" else "tsv"
+    code, out, err = run(capsys, *argv, "--quiver", str(path), "--format", fmt, *(["--m", *m] if m else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_STDOUT_SHA256[case]
+
+
 def test_verify_battery_runs_a_repeated_diagram_once(capsys):
     code, once, _ = run(capsys, "verify", "--battery", "A2")
     assert code == 0 and json.loads(once)["checks_total"] == 146
@@ -718,6 +760,37 @@ def test_an_error_mid_stream_exits_3_with_the_output_cut_short(tmp_path, capsys,
     assert written.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("m, fmt, read", [("20000", "tsv", 2), ("20000", "json", 2), ("2", "tsv", 0)])
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(tmp_path, m, fmt, read):
+    # at m = 20000 the output is far past a 64 KiB pipe buffer, so writes after
+    # the reader has gone fail with EPIPE; at m = 2 it is one small write from
+    # stdout's buffer, which fails if the reader has gone by then. Either way
+    # the command exits 0, with no error line
+    path = tmp_path / "a2.quiver"
+    path.write_text(A2, encoding="utf-8")
+    argv = [sys.executable, "-m", "clustercat.cli", "ind", "--quiver", str(path), "--m", m, "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env()) as proc:
+        head = [proc.stdout.readline() for _ in range(read)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    first = [b"id\tmodule\tshift\ttier\n", b"m1[0]\tm1\t0\t0\n"] if fmt == "tsv" else [b"{\n", b'  "schema_version": 1,\n']
+    assert head == first[:read]
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("m", ["2", "2000"])
+def test_a_full_disk_exits_2_in_one_line(tmp_path, m):
+    # under --out and on a redirected stdout, with the output in one buffer or past it
+    path = tmp_path / "a2.quiver"
+    path.write_text(A2, encoding="utf-8")
+    argv, line = ["ind", "--quiver", str(path), "--m", m, "--format", "tsv"], "error: [Errno 28] No space left on device\n"
+    assert _main_captured([*argv, "--out", "/dev/full"]) == (2, "", line)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "clustercat.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=_fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, line.encode())
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [(["verify"], 0.85), (["ind", "A2", "--m", "2000"], 2.5), (["graph", "E6", "--m", "10"], 2.5)],
@@ -970,12 +1043,18 @@ def test_full_tables_of_a_small_quiver_at_a_large_modulus(capsys, tmp_path):
     assert all(payload["hom"][x][x] == 1 and payload["ext"][x][x] == 0 for x in payload["ids"])
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports src/, with its
+    standard streams buffered as they are by default."""
+    src = str(Path(clustercat.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _fresh_stdout(code: str) -> str:
     """Standard output of code run in a fresh interpreter that imports src/."""
-    src = str(Path(clustercat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), check=True
     )
     return proc.stdout
 
