@@ -365,8 +365,13 @@ class ARQuiver:
         if len({m.dim_vector for m in self.modules}) != len(self.modules):
             raise self._error("knit", "duplicate dimension vectors in catalog")
 
+    @property
+    def quiver_label(self) -> str:
+        """The Dynkin type and arrows, naming the quiver in failure messages."""
+        return f"{self.dynkin} quiver {list(self.quiver.arrows)}"
+
     def _error(self, stage: str, text: str) -> KnittingError:
-        return KnittingError(f"{self.dynkin}: {stage}: {text}")
+        return KnittingError(f"{self.quiver_label}: {stage}: {text}")
 
 
 def _unit(size: int, at: int) -> list[int]:

@@ -14,24 +14,20 @@ carry E = Hom(T, twist T).  The profile reads every block from the orbit
 category's ``layers[0, 0]`` and ``layers[0, 1]`` by tier gap, summed over
 the generator (a multiset), and computes C and E from the module and
 derived Hom instead, so the block check compares two routes.  None of the
-four sums depends on the modulus, so they are taken once per generator on
-the base category and shared by every modulus.  The exchange layer is read
-from ``layers[1, 0]`` and ``layers[1, -1]`` the same way.
+four sums depends on the modulus, so the battery reads them once per quiver,
+on the base category; nothing is memoized.  The exchange layer is read from
+``layers[1, 0]`` and ``layers[1, -1]`` the same way.
 Only dimensions are computed here; no multiplication tables.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple
 
 from .derived import DObject
 from .orbit import MAX_TABLE_SIDE, OrbitCategory, mask_of
 from .quiver import QuiverTooLargeError
 from .tilting import NotExchangeError
-
-# endo_profile's memo of _sum_generator per base category, freed with it
-_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class EndoProfile(NamedTuple):
@@ -66,16 +62,12 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
     # tier-major: the twist^i of gen fills slice i
     summands = list(map(cat.catalog.__getitem__, cat.build_twist_stable(gen)))
     tiers = [summands[i * size : (i + 1) * size] for i in range(m)]
-    # no sum depends on the modulus: each generator's are taken once, on the base
-    memo, key = _SUMS.setdefault(cat.base, {}), tuple(sorted(gen))
-    if key not in memo:
-        memo[key] = _sum_generator(cat.base, key)
-    same, up, dim_c, dim_e = memo[key]
+    same, up, dim_c, dim_e = generator_sums(cat.base, gen)  # no sum depends on the modulus
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
     return EndoProfile(tiers, _cyclic_blocks(m, same, up), dim_c, dim_e, dim_c is not None)
 
 
-def _sum_generator(base: OrbitCategory, gen: tuple[int, ...]) -> tuple[int, int, int | None, int | None]:
+def generator_sums(base: OrbitCategory, gen: tuple[int, ...]) -> tuple[int, int, int | None, int | None]:
     """(same, up, dim C, dim E) of a generator (a multiset of base positions): same
     and up from ``layers[0, 0]`` and ``layers[0, 1]``, dim C and dim E (None off
     the module tier) from the module and derived Hom."""

@@ -79,11 +79,6 @@ class OrbitCategory:
         """The modulus-1 category this one covers (itself at m = 1)."""
         return self._base or self
 
-    @property
-    def quiver_label(self) -> str:
-        """The Dynkin type and arrows, naming the quiver in failure messages."""
-        return f"{self.ar.dynkin} quiver {list(self.ar.quiver.arrows)}"
-
     # -- canonical forms ------------------------------------------------
 
     def canonicalize(self, x: DObject) -> int:
@@ -281,7 +276,7 @@ class OrbitCategory:
         if self.modulus != 1:
             raise ValueError("enumeration runs in the modulus-1 category")
         self.refuse_large_walk()
-        compat, n, label, texts = self.compat_mask, self.ar.quiver.vertex_count, self.quiver_label, self.texts
+        compat, n, label, texts = self.compat_mask, self.ar.quiver.vertex_count, self.ar.quiver_label, self.texts
         loops = seed = self.loops
         for j in range(len(compat)):  # keep each self-compatible j compatible with all kept
             seed &= compat[j] if seed >> j & 1 else -1

@@ -130,7 +130,8 @@ def load_quiver(path) -> Quiver:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise QuiverSyntaxError(f"not UTF-8 text at byte {exc.start}", line) from None
-    return parse_quiver(text)
+    # a leading byte-order mark is dropped after decoding, so byte offsets stay the file's
+    return parse_quiver(text.removeprefix("\ufeff"))
 
 
 def validate_quiver(q: Quiver) -> DynkinClass:

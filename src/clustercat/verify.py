@@ -6,7 +6,8 @@ scope, gate and function.  A ``quiver`` check reads the module and
 derived level and runs once, in the cell m = None.  A ``base`` check
 reads only the modulus-1 category; it runs once per quiver and its detail
 is reported in each of the quiver's cells, since the exchange graph is a
-modulus-1 object at every m (the lift carries mutations to mutations).  A
+modulus-1 object at every m (the lift carries mutations to mutations) and
+no endomorphism block sum of a generator depends on m.  A
 ``cell`` check reads the cell's own orbit category.  A gate, when given,
 is a predicate of (n, m): the cells where the check holds at all, or
 where its scan of subsets stays small.  Each check reports a name and an
@@ -48,7 +49,7 @@ from .tilting import (
     is_connected,
     near_complements,
 )
-from .endo import block_pattern_report, endo_profile, exchange_layer_dim
+from .endo import exchange_layer_dim, generator_sums
 
 M_VALUES = (1, 2, 3)
 
@@ -499,11 +500,11 @@ def _check_lifts(cat: OrbitCategory) -> str | None:
     for i, t in enumerate(enumerate_cluster_tilting(cat.base)):
         positions = build(t)
         if len(set(positions)) != summands:
-            return f"{cat.quiver_label}: lift of {_key(cat, t)} does not have m*n distinct summands"
+            return f"{cat.ar.quiver_label}: lift of {_key(cat, t)} does not have m*n distinct summands"
         ok, witness = cluster_tilting_check(cat, positions)
         if not ok:
             at = cat.catalog[witness].text
-            return f"{cat.quiver_label}: lift T{i + 1} of {_key(cat, t)} fails the tilting check at {at}"
+            return f"{cat.ar.quiver_label}: lift T{i + 1} of {_key(cat, t)} fails the tilting check at {at}"
     return None
 
 
@@ -630,24 +631,17 @@ def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     return bad
 
 
-def _check_endo_blocks(cat: OrbitCategory) -> str | None:
-    # a passing pattern fixes the diagonal at dim C and the total at m(C+E)
-    projective_gen, base = None, cat.base
+def _check_endo_blocks(base: OrbitCategory) -> str | None:
+    # (same, up) = (dim C, dim E) is the cyclic block pattern at every m >= 2, and gives
+    # the one block same + up = C + E at m = 1
     # kQ's generator: every summand a projective module at shift 0
-    projectives = {k for k, x in enumerate(base.catalog) if x.shift == 0 and cat.ar.module(x.module_id).is_projective}
+    projectives = {k for k, x in enumerate(base.catalog) if x.shift == 0 and base.ar.module(x.module_id).is_projective}
     for t in enumerate_cluster_tilting(base):
-        profile = endo_profile(cat, t)
-        report = block_pattern_report(profile)
-        if not profile.module_tier:
-            if report.ok is not None:
-                return "pattern check ran on a non-module-tier generator"
-            continue
-        if report.ok is not True:
-            return f"block pattern deviations at {_key(cat, t)}: {report.deviations}"
-        if projectives.issuperset(t):
-            projective_gen = profile
-    if projective_gen is not None and projective_gen.dim_e != 0:
-        return "projective generator has nonzero superdiagonal dimension"
+        same, up, dim_c, dim_e = generator_sums(base, t)  # dim C and dim E are None off the module tier
+        if dim_c is not None and (same, up) != (dim_c, dim_e):
+            return f"block pattern deviations at {_key(base, t)}: layers give {(same, up)}, Hom gives {(dim_c, dim_e)}"
+        if dim_e and projectives.issuperset(t):
+            return "projective generator has nonzero superdiagonal dimension"
     return None
 
 
@@ -689,5 +683,6 @@ CHECKS = (
     # at m >= 2, exchange_layer_dim is m times that base sum by construction, not an m-level test
     ("exchange-layer-dim", "base", None, _check_exchange_layers),
     ("exchange-pair-ext", "cell", lambda n, m: m == 1, _check_exchange_pairs),
-    ("endo-blocks", "cell", None, _check_endo_blocks),
+    # base scope: none of a generator's four sums depends on the modulus
+    ("endo-blocks", "base", None, _check_endo_blocks),
 )

@@ -922,6 +922,22 @@ def test_non_utf8_quiver_file_exits_2_in_one_line(capsys, tmp_path):
     assert err == f"error: line 3: not UTF-8 text at byte {len(A2)}\n"
 
 
+def test_quiver_file_with_a_byte_order_mark_reads_as_the_plain_file(capsys, tmp_path, a2_path):
+    p = tmp_path / "bom.quiver"
+    p.write_bytes(b"\xef\xbb\xbf" + A2.encode())
+    plain, bom = run(capsys, "ar", "--quiver", a2_path), run(capsys, "ar", "--quiver", str(p))
+    assert bom == plain and plain[0] == 0 and plain[1]
+
+
+def test_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(capsys, tmp_path):
+    p = tmp_path / "bom-latin.quiver"
+    p.write_bytes(b"\xef\xbb\xbf" + A2.encode() + b"\xff\n")
+    code, out, err = run(capsys, "ind", "--quiver", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 3: not UTF-8 text at byte {3 + len(A2)}\n"
+
+
 def test_quiver_file_over_the_read_cap_exits_2_in_one_line(capsys, tmp_path):
     # a regular file one byte over the cap: valid text up to it, all read at once
     p = tmp_path / "big.quiver"
@@ -955,7 +971,7 @@ def test_knitting_error_exits_3_naming_type_and_mesh(capsys, a2_path, monkeypatc
     assert code == 3
     assert out == ""
     assert err == (
-        "error: internal: KnittingError: A2: knit: mesh at m2 produced dimension vector (1, 0),"
+        "error: internal: KnittingError: A2 quiver [(1, 2)]: knit: mesh at m2 produced dimension vector (1, 0),"
         " not a positive root\n"
     )
 

@@ -18,9 +18,9 @@ are checked against ``dim`` in test_orbit.py.
 
 The battery's own checks pay only for their work: complement-counts
 sweeps the lift's masks once, tilting-brute-force makes one pass per
-subset, serre-derived skips the pairs no shift gap allows, the endo sums
-are taken once per generator on the base, exchange-layer-dim runs once
-per quiver and the matrix Hom is solved once per ordered pair.  Each
+subset, serre-derived skips the pairs no shift gap allows, endo-blocks
+takes each generator's sums once, on the base, exchange-layer-dim runs
+once per quiver and the matrix Hom is solved once per ordered pair.  Each
 rewritten check is compared with its old formulation, kept here, on
 intact and on corrupted tables.
 
@@ -266,6 +266,31 @@ def test_both_oracles_catch_swapped_representations():
     assert report["checks_failed"] == 3 and not report["passed"]
 
 
+def test_an_extra_derived_ext_fails_endo_blocks_alone(monkeypatch):
+    # the module route to dim E is the package's only reader of DerivedCategory.hom;
+    # one more dimension at shift gap 1 breaks (same, up) = (dim C, dim E) for every
+    # module-tier generator, and the base row reports it in each of a quiver's cells
+    hom = cc.DerivedCategory.hom
+
+    def inflated(self, x, y):
+        return hom(self, x, y) + (y.shift - x.shift == 1)
+
+    monkeypatch.setattr(cc.DerivedCategory, "hom", inflated)
+    report = run_verification(["A2", "D4"])
+    failed = [
+        (cell["quiver"], cell["m"], check["name"], check["detail"])
+        for cell in report["cells"]
+        for check in cell["checks"]
+        if not check["passed"]
+    ]
+    labels = [label for d in ("A2", "D4") for label, _ in orientations(d)]
+    assert len(labels) == 10
+    assert [row[:3] for row in failed] == [(label, m, "endo-blocks") for label in labels for m in verify.M_VALUES]
+    assert report["checks_failed"] == 30 and not report["passed"]
+    # A2#0's first tilting set is its projective generator: Hom(T, FT) = 0 on the layers
+    assert failed[0][3] == "block pattern deviations at ('m1[0]', 'm2[0]'): layers give (3, 0), Hom gives (3, 2)"
+
+
 @pytest.mark.parametrize("index", [0, -1], ids=["projective", "translate"])
 def test_mesh_additivity_catches_a_corrupted_knitted_dimension_vector(index):
     # a projective's representation comes from the quiver's paths, a
@@ -296,7 +321,10 @@ def test_failed_brick_test_in_the_replay_is_a_failed_battery(monkeypatch, capsys
     }
     details = {c["detail"] for cell in report["cells"] for c in cell["checks"] if not c["passed"]}
     # the first mesh of A2#0 is at P_2 = m2, that of A2#1 at P_1 = m1
-    assert details == {f"check raised KnittingError: A2: reps: mesh cokernel at m{k} is decomposable" for k in (1, 2)}
+    assert details == {
+        f"check raised KnittingError: A2 quiver {arrows}: reps: mesh cokernel at m{k} is decomposable"
+        for arrows, k in (([(1, 2)], 2), ([(2, 1)], 1))
+    }
 
 
 def _patch_row(monkeypatch, name, wrap):
@@ -344,7 +372,7 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     assert calls["near"] == sum(quivers[d] * n[d] * CLUSTER_NUMBERS[d] // 2 for d in diagrams)
     assert calls["scan"] == sum(quivers.values())
     # a lift is its generator, shared as tilting_sets; its summands are laid
-    # out once each by lift-check, complement-counts and endo-blocks, and at
+    # out once each by lift-check and complement-counts, and at
     # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration; the
     # graph and the near completions lay out none.  lift-check is the one
     # modulus-m tilting check of a lift, beside those two small-rank oracles,
@@ -354,7 +382,7 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
         if generator in cat.base.tilting_sets:
             n, m = len(generator), cat.modulus
             oracles = (n <= 3) + (n <= 3 and m <= 2)
-            assert count == 3 + oracles, (cat.quiver_label, m)
+            assert count == 2 + oracles, (cat.ar.quiver_label, m)
             assert checked[cat, cat.build_twist_stable(generator)] == 1 + oracles
             lifted[cat.ar.dynkin] += 1
     cells = {d: quivers[d] * len(verify.M_VALUES) for d in diagrams}
@@ -381,7 +409,10 @@ D5_CHECK_NAMES = {
     2: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
     3: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
 }
-BASE_CHECKS = ["tilting-count", "tilting-brute-force", "near-complement-pairs", "graph-connected", "graph-shape", "exchange-layer-dim"]
+BASE_CHECKS = [
+    "tilting-count", "tilting-brute-force", "near-complement-pairs", "graph-connected", "graph-shape",
+    "exchange-layer-dim", "endo-blocks",
+]
 
 
 def _count_base_rows(monkeypatch):
@@ -571,19 +602,6 @@ def test_exchange_layer_at_m_is_m_times_the_base_layer(label):
                 assert cc.exchange_layer_dim(cat, one, swapped) == _layer_by_pairs(cat, one, swapped) == m * at_base
 
 
-@pytest.mark.parametrize("label", QUIVERS)
-def test_memoized_endo_sums_equal_fresh_ones(label):
-    base, cats = _categories(label)
-    generators = [g for t in _sample(label, base.tilting_sets) for g in (t, (*t, t[0]), t[::-1])]
-    warm = {(cat.modulus, g): cc.endo_profile(cat, g) for cat in cats for g in generators}
-    for m in (1, 2, 3):
-        # a fresh base has an empty memo: each generator is summed anew
-        fresh = cc.DerivedCategory(cc.ARQuiver(QUIVERS[label])).orbit(m)
-        for g in generators:
-            assert warm[m, g] == cc.endo_profile(fresh, g), (m, g)
-            assert endo._SUMS[fresh.base][tuple(sorted(g))] == endo._sum_generator(base, g)
-
-
 def _flip(cat, p, j, both):
     """Flip bit j of ext_zero_in[p] alone, or whether Ext^1 vanishes both ways
     between X_p and X_j in both masks."""
@@ -637,7 +655,7 @@ def test_complement_counts_reports_surplus_completions_as_before(monkeypatch, ex
 def test_flipped_ext_zero_in_bit_at_m2_fails_complement_counts(monkeypatch):
     def flipping(check):
         def flipped(cat):
-            if cat.modulus == 2 and cat.quiver_label.endswith("[(1, 2)]"):
+            if cat.modulus == 2 and cat.ar.quiver_label.endswith("[(1, 2)]"):
                 cat.ext_zero_in[0] ^= 1 << 1
             return check(cat)
 
@@ -749,9 +767,10 @@ def test_corrupted_derived_hom_fails_serre_derived_at_the_same_first_pair(label)
 def test_default_battery_work_counts(monkeypatch):
     # deterministic counts, not wall times: one knit per orientation, one
     # matrix Hom per ordered pair plus one brick test per translate, exchange
-    # layers at m = 1 only, and one endo sum per (quiver, generator)
+    # layers at m = 1 only, and one endo sum per (quiver, generator), read
+    # without a profile or a pattern report
     knits, solved, layers, sums = Counter(), Counter(), Counter(), Counter()
-    rep_hom_dim, layer_dim, sum_generator = arquiver.rep_hom_dim, verify.exchange_layer_dim, endo._sum_generator
+    rep_hom_dim, layer_dim, generator_sums = arquiver.rep_hom_dim, verify.exchange_layer_dim, endo.generator_sums
     init = cc.ARQuiver.__init__
 
     def knitting(self, quiver):
@@ -767,12 +786,18 @@ def test_default_battery_work_counts(monkeypatch):
         return layer_dim(cat, gen1, gen2)
 
     def summing(base, gen):
-        sums[base.quiver_label, gen] += 1
-        return sum_generator(base, gen)
+        sums[base.ar.quiver_label, gen] += 1
+        return generator_sums(base, gen)
+
+    def unreachable(*args):
+        raise AssertionError("the battery built an endo profile or a pattern report")
 
     monkeypatch.setattr(arquiver, "rep_hom_dim", solving)
     monkeypatch.setattr(verify, "exchange_layer_dim", layering)
-    monkeypatch.setattr(endo, "_sum_generator", summing)
+    for module in (endo, verify):
+        monkeypatch.setattr(module, "generator_sums", summing)
+    monkeypatch.setattr(endo, "endo_profile", unreachable)
+    monkeypatch.setattr(endo, "block_pattern_report", unreachable)
     monkeypatch.setattr(cc.ARQuiver, "__init__", knitting)
     assert run_verification()["passed"]
     assert sum(knits.values()) == len(BATTERY_QUIVERS) == 23 and set(knits.values()) == {1}
@@ -783,7 +808,7 @@ def test_default_battery_work_counts(monkeypatch):
     names = [label.split("#")[0] for label in BATTERY_QUIVERS]
     edges = sum(CLUSTER_NUMBERS[name] * int(name[1:]) // 2 for name in names)  # n-regular graphs
     assert layers == {1: 2 * edges}
-    assert set(sums.values()) == {1} and len(sums) == sum(CLUSTER_NUMBERS[name] for name in names)
+    assert set(sums.values()) == {1} and len(sums) == sum(CLUSTER_NUMBERS[name] for name in names) == 804
 
 
 # -- the twist walked on integers, Hom read by rows, whole-row checks --------
@@ -897,7 +922,7 @@ WHOLE_ROW_CHECKS = {
 def _compare_whole_row_checks(cat, positions, seen):
     for name, (check, as_it_was) in WHOLE_ROW_CHECKS.items():
         old = _detail(as_it_was, cat, positions) if name == "hom-walk-oracle" else _detail(as_it_was, cat)
-        assert _detail(check, cat) == old, (name, cat.quiver_label, cat.modulus)
+        assert _detail(check, cat) == old, (name, cat.ar.quiver_label, cat.modulus)
         seen[name, old is None] += 1
 
 
