@@ -602,6 +602,34 @@ def test_exchange_layer_at_m_is_m_times_the_base_layer(label):
                 assert cc.exchange_layer_dim(cat, one, swapped) == _layer_by_pairs(cat, one, swapped) == m * at_base
 
 
+@pytest.mark.parametrize("label", QUIVERS)
+def test_base_endo_sums_decide_the_block_pattern_at_every_modulus(label):
+    # the premise of running endo-blocks once per quiver, on the base: each
+    # modulus's profile is the cyclic pattern of the base sums, and the pattern
+    # holds at m >= 2 exactly when (same, up) = (dim C, dim E), which at m = 1
+    # only the totals must meet
+    base, cats = _categories(label)
+    generators = [g for t in _sample(label, base.tilting_sets) for g in (t, (*t, t[0]), t[::-1])]
+    warm = {(cat.modulus, g): cc.endo_profile(cat, g) for cat in cats for g in generators}
+    for m in (1, 2, 3):
+        # a fresh category carries nothing over from the shared one
+        fresh = cc.DerivedCategory(cc.ARQuiver(QUIVERS[label])).orbit(m)
+        for g in generators:
+            profile = cc.endo_profile(fresh, g)
+            same, up, dim_c, dim_e = endo.generator_sums(base, g)
+            assert warm[m, g] == profile, (m, g)
+            assert (profile.dim_c, profile.dim_e, profile.module_tier) == (dim_c, dim_e, dim_c is not None)
+            assert profile.block_dims == endo._cyclic_blocks(m, same, up)
+            report = cc.block_pattern_report(profile)
+            if dim_c is None:
+                assert report.ok is None, (m, g)
+                continue
+            assert (same, up) == (dim_c, dim_e) and report.ok, (m, g)
+            # one dimension moved from E to C keeps the m = 1 total only
+            moved = profile._replace(dim_c=dim_c + 1, dim_e=dim_e - 1)
+            assert cc.block_pattern_report(moved).ok is (m == 1), (m, g)
+
+
 def _flip(cat, p, j, both):
     """Flip bit j of ext_zero_in[p] alone, or whether Ext^1 vanishes both ways
     between X_p and X_j in both masks."""
