@@ -400,10 +400,11 @@ def _cmd_endo(args, parser):
 
     vertex = int(args.vertex) if len(args.vertex) <= MAX_DIGITS and args.vertex.isascii() and args.vertex.isdigit() else 0
     cat = _category(args)
-    tiltings = enumerate_cluster_tilting(cat.base)
-    if not 1 <= vertex <= len(tiltings):
-        raise UsageError(f"vertex index {shown(args.vertex)} out of range 1..{len(tiltings)}")
-    generator = tiltings[vertex - 1]
+    _refuse_tilting(cat, listing=False)  # past the cap, the walk's own refusal comes first
+    count = cluster_number(cat.ar.dynkin)  # the number of sets the walk finds (tilting-count)
+    if not 1 <= vertex <= count:  # judged before the walk
+        raise UsageError(f"vertex index {shown(args.vertex)} out of range 1..{count}")
+    generator = enumerate_cluster_tilting(cat.base)[vertex - 1]
     profile = endo_profile(cat, generator)
     report = block_pattern_report(profile)
     return 0, {

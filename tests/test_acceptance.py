@@ -72,7 +72,8 @@ def test_criterion_1_oracle_equivalence(report):
 
 
 def test_criterion_2_catalog_sizes(report, contexts):
-    failures = _failures(_collect(report, {"catalog-size-modules", "catalog-size-orbit"}))
+    # the rows that fail on a catalog a module short or out of its layout (test_tampers.py)
+    failures = _failures(_collect(report, {"orientation-reversal", "twist-free-orbits"}))
     expected_roots = {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "D4": 12}
     for label, (name, dc) in contexts.items():
         n = dc.ar.quiver.vertex_count
@@ -119,7 +120,8 @@ def test_criterion_5_complement_counts(report):
 
 
 def test_criterion_6_graph_connectivity_and_shape(report, contexts):
-    failures = _failures(_collect(report, {"graph-connected", "graph-shape"}))
+    # connected: the walk from one seed reaches every tilting set the subset scan finds
+    failures = _failures(_collect(report, {"tilting-count", "tilting-brute-force", "graph-shape"}))
     for label, (name, dc) in contexts.items():
         for m in M_VALUES:
             cat = dc.orbit(m)

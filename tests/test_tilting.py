@@ -1,7 +1,6 @@
 from array import array
 from collections import Counter
-from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ import clustercat as cc
 from clustercat import verify
 from clustercat.orbit import pairs
 from clustercat.tilting import NotRigidError
-from clustercat.verify import run_verification
 
 from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, TREES, module_obj, oriented_trees
 
@@ -420,64 +418,6 @@ def test_mutation_edges_equal_near_complement_edges(data):
         cat = cc.DerivedCategory(cc.ARQuiver(q)).orbit(1)
         assert str(cat.ar.dynkin) == diagram
         assert list(cc.build_tilting_graph(cat)) == _near_complement_edges(cat)
-
-
-def _tamper_edges(monkeypatch, change):
-    """Let every category's exchange_edges be change(the list of mutation edges), laid flat."""
-    mutation_edges = cc.OrbitCategory.exchange_edges.func
-    prop = cached_property(lambda cat: array("i", chain.from_iterable(change(list(pairs(mutation_edges(cat)))))))
-    prop.__set_name__(cc.OrbitCategory, "exchange_edges")
-    monkeypatch.setattr(cc.OrbitCategory, "exchange_edges", prop)
-
-
-def test_battery_notices_a_missing_graph_edge(monkeypatch):
-    _tamper_edges(monkeypatch, lambda edges: edges[1:])
-    report = run_verification(["A2"])
-    details = {c["name"]: c["detail"] for cell in report["cells"] for c in cell["checks"]}
-    assert "is not a graph edge" in details["near-complement-pairs"]
-    assert not report["passed"]
-
-
-def test_battery_notices_an_edge_count_off_the_cluster_number(monkeypatch):
-    # a repeated edge leaves every degree at n; only the n * V / 2 edge count sees it
-    _tamper_edges(monkeypatch, lambda edges: edges + edges[:1])
-    report = run_verification(["A2"])
-    failed = {(c["name"], c["detail"]) for cell in report["cells"] for c in cell["checks"] if not c["passed"]}
-    assert failed == {("graph-shape", "(vertices, edges) = (5, 6), expected (5, 5)")}
-    assert report["checks_failed"] == 6
-
-
-def test_battery_names_an_edge_whose_ends_differ_in_two_orbits(monkeypatch):
-    # edges read against T1 and T2 swapped: some ends then differ in two orbits
-    swap = {0: 1, 1: 0}
-    _tamper_edges(monkeypatch, lambda edges: [(swap.get(a, a), swap.get(b, b)) for a, b in edges])
-    report = run_verification(["A2"])
-    bad = ": endpoints do not differ in exactly one orbit"
-    # the exchange checks and graph-shape name the first bad edge instead of raising
-    named = {
-        (cell["quiver"], cell["m"], c["name"]): c["detail"]
-        for cell in report["cells"]
-        for c in cell["checks"]
-        if c["name"] in ("graph-shape", "exchange-layer-dim", "exchange-pair-ext")
-    }
-    assert len(named) == 14  # per orientation: shape and layer-dim at m = 1, 2, 3, pair-ext at m = 1
-    assert named["A2#0", 1, "exchange-pair-ext"] == f"edge T2 ('m1[0]', 'm3[0]') -- T3 ('m2[0]', 'm1[1]'){bad}"
-    assert named["A2#1", 3, "graph-shape"] == f"edge T2 ('m1[0]', 'm2[1]') -- T3 ('m2[0]', 'm3[0]'){bad}"
-    assert all(detail.startswith("edge T") and detail.endswith(bad) for detail in named.values())
-    # lift-check lifts every tilting object on its own and does not see the edges
-    assert all(c["passed"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "lift-check")
-    assert not report["passed"]
-
-
-def test_battery_names_an_edge_from_a_tilting_object_to_itself(monkeypatch):
-    # ends that differ in no orbit are as bad as ends that differ in two
-    _tamper_edges(monkeypatch, lambda edges: [(0, 0), *edges[1:]])
-    report = run_verification(["A2"])
-    details = [c["detail"] for cell in report["cells"] for c in cell["checks"] if c["name"] == "graph-shape"]
-    assert len(details) == 6
-    for detail in details:
-        first, second = detail.removeprefix("edge T1 ").split(" -- T1 ")
-        assert second == first + ": endpoints do not differ in exactly one orbit"
 
 
 def test_enumeration_is_cached_per_category(build):
