@@ -40,7 +40,6 @@ _HOME = {
             "complements",
             "enumerate_cluster_tilting",
             "enumerate_stable_tilting_direct",
-            "is_connected",
             "near_complements",
         ),
         "endo": (
@@ -48,7 +47,6 @@ _HOME = {
             "PatternReport",
             "block_pattern_report",
             "endo_profile",
-            "exchange_layer_dim",
         ),
         "verify": ("run_verification",),
     }.items()

@@ -15,9 +15,8 @@ category's ``layers[0, 0]`` and ``layers[0, 1]`` by tier gap, summed over
 the generator (a multiset), and computes C and E from the module and
 derived Hom instead, so the block check compares two routes.  None of the
 four sums depends on the modulus, so the battery reads them once per quiver,
-on the base category; nothing is memoized.  The exchange layer is read from
-``layers[1, 0]`` and ``layers[1, -1]`` the same way.
-Only dimensions are computed here; no multiplication tables.
+on the base category; nothing is memoized.  Only dimensions are computed
+here; no multiplication tables.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .derived import DObject
-from .orbit import MAX_TABLE_SIDE, OrbitCategory, mask_of
+from .orbit import MAX_TABLE_SIDE, OrbitCategory
 from .quiver import QuiverTooLargeError
-from .tilting import NotExchangeError
 
 
 class EndoProfile(NamedTuple):
@@ -124,18 +122,3 @@ def block_pattern_report(profile: EndoProfile) -> PatternReport:
         )
     return PatternReport(not deviations, deviations, annotations)
 
-
-def exchange_layer_dim(cat: OrbitCategory, gen1: tuple[int, ...], gen2: tuple[int, ...]) -> int:
-    """Total ext1 from a tilting lift into the expansion swapped in by an exchange
-    edge, by generators; one dimension per tier, hence equal to the modulus."""
-    if len(set(gen2)) != 1:
-        raise NotExchangeError("swapped part must be a single twist-orbit")
-    x2, mask1 = gen2[0], mask_of(gen1)
-    if mask1 >> x2 & 1:
-        raise NotExchangeError("swapped orbit already belongs to the tilting object")
-    # x2 replaces x1 iff x1 is the only member whose ext1 with x2 is nonzero
-    if (mask1 & ~cat.base.compat_mask[x2]).bit_count() != 1:
-        raise NotExchangeError("inputs are not the two sides of an exchange edge")
-    # each of the m tiers of gen1 meets one tier of each copy of x2 at gap 0 and one at gap -1
-    zero, down = cat.layers[1, 0], cat.layers[1, -1]
-    return cat.modulus * len(gen2) * sum(zero[k][x2] + down[k][x2] for k in gen1)

@@ -85,15 +85,17 @@ class OrbitCategory:
         """Catalog position of the orbit of x: cut x's shift into [0, h + 1] by
         periods F^h = [h + 2], walk x = twist^j(y) back by tau after [-1] (each
         step lowers the shift, and shift 0 is home) into the base domain, at
-        y's base index k, and read the position (j mod m)*B + k off the layout."""
+        y's base index k, and read the position (j mod m)*B + k off the layout.  A walk
+        that is still outside after h + 1 steps raises RuntimeError (a corrupted catalog)."""
         h, home, tau = self.derived.coxeter_number, self._home, self.derived._steps[0]
         q, s = divmod(x.shift, h + 2)
-        k, j = x.module_id, q * h
-        while (k, s) not in home:
+        k = x.module_id
+        for j in range(q * h, q * h + h + 2):
+            if (k, s) in home:
+                return j % self.modulus * self._tier_size + home[k, s]
             k, step = tau[k]
             s += step - 1
-            j += 1
-        return j % self.modulus * self._tier_size + home[k, s]
+        raise RuntimeError(f"{self.ar.quiver_label}: canonicalize: {x.text} still outside the base domain after {h + 1} steps")
 
     def tier_of(self, i: int) -> int:
         return i // self._tier_size

@@ -8,17 +8,18 @@ m: the lift T -> T + FT + ... + F^(m-1)T is a bijection carrying mutations
 to mutations (Buan-Marsh-Reineke-Reiten-Todorov), so it is the base's
 ``tilting_sets`` and ``exchange_edges``, found by one walk over
 ``compat_mask``.  The battery's oracles are the slow paths:
-``near_complements`` re-derives every edge from Ext^1, a subset scan and
-(at small rank) a direct scan over twist-orbit unions re-derive the sets
-and the lifts, and ``cluster_tilting_check`` checks every lift at modulus m.
+``near_complements`` re-derives every edge from Ext^1, sweeping a tilting
+set's masks once for every member's rest and that rest's two completions; a
+subset scan and (at small rank) a direct scan over twist-orbit unions
+re-derive the sets and the lifts; and ``cluster_tilting_check`` checks every
+lift at modulus m.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .orbit import OrbitCategory, pairs
-from .quiver import reachable
+from .orbit import OrbitCategory, all_but_one, mask_of, pairs
 
 
 class NotRigidError(ValueError):
@@ -27,17 +28,6 @@ class NotRigidError(ValueError):
 
 class NotExchangeError(ValueError):
     """The inputs do not form an exchange configuration."""
-
-
-def is_connected(count: int, edges) -> bool:
-    """True iff the graph on vertices 0 .. count-1 with these edges is connected."""
-    if not count:
-        return True
-    adjacency = [[] for _ in range(count)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return len(reachable(0, adjacency)) == count
 
 
 def enumerate_cluster_tilting(cat1: OrbitCategory) -> list[tuple[int, ...]]:
@@ -108,20 +98,28 @@ def completions(cat: OrbitCategory, support: int, left: int, right: int) -> list
     return out
 
 
-def near_complements(
-    cat1: OrbitCategory, almost: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The generators of the two twist-stable completions of an almost near tilting
-    generator: its two completions in the modulus-1 category ``cat1``."""
-    n, orbits = cat1.ar.quiver.vertex_count, set(almost)
-    if len(orbits) != n - 1:
-        raise ValueError(f"almost near tilting object needs {n - 1} orbits, got {len(orbits)}")
-    comps = complements(cat1, almost)  # raises NotRigidError unless the generator is rigid
-    if len(comps) != 2:
-        raise NotExchangeError(
-            f"generator is not an almost tilting object (found {len(comps)} complements)"
-        )
-    return tuple(tuple(sorted({*orbits, x})) for x in comps)
+def near_complements(cat1: OrbitCategory, generator) -> list[tuple[int, int, list[int]]]:
+    """Per member p of a tilting generator of the modulus-1 category ``cat1``, ascending:
+    (p, the mask of the rest, the rest's two completions), one of them p; the other
+    swapped in for p gives the neighbour across the exchange edge at p.  One
+    ``all_but_one`` sweep ANDs the other members' masks for every p at once."""
+    n, members = cat1.ar.quiver.vertex_count, sorted(set(generator))
+    if len(members) != n:
+        raise ValueError(f"tilting generator needs {n} orbits, got {len(members)}")
+    # a member's ext_zero_in mask above its ext_zero_out mask, so that one sweep
+    # ANDs both; each half is cut back to the catalog's width
+    size, support, zero_in, zero_out = len(cat1.catalog), mask_of(members), cat1.ext_zero_in, cat1.ext_zero_out
+    full, out = (1 << size) - 1, []
+    for p, both in zip(members, all_but_one({q: zero_in[q] << size | zero_out[q] for q in members}, members)):
+        rest = support & ~(1 << p)
+        comps = completions(cat1, rest, both >> size & full, both & full)  # raises NotRigidError unless the rest is rigid
+        if len(comps) != 2:
+            raise NotExchangeError(
+                f"generator less {cat1.catalog[p].text} is not an almost tilting object"
+                f" (found {len(comps)} complements)"
+            )
+        out.append((p, rest, comps))
+    return out
 
 
 def build_tilting_graph(cat: OrbitCategory) -> Iterator[tuple[int, int]]:

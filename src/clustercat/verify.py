@@ -56,7 +56,7 @@ from .tilting import (
     enumerate_stable_tilting_direct,
     near_complements,
 )
-from .endo import exchange_layer_dim, generator_sums
+from .endo import generator_sums
 
 M_VALUES = (1, 2, 3)
 
@@ -147,8 +147,13 @@ def _key(cat: OrbitCategory, t: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def _first_difference(a, b) -> int | None:
-    """The first index where rows a and b differ, or None; rows are compared whole before any search."""
-    return None if a == b else next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
+    """The first index where rows a and b differ, or None; rows are compared whole before any
+    search.  Rows of different lengths raise ValueError naming both, the check's detail."""
+    if a == b:
+        return None
+    if len(a) != len(b):
+        raise ValueError(f"rows of lengths {len(a)} and {len(b)} compared")
+    return next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 def _first_unshared(cat: OrbitCategory, a: list, b: list, names: tuple[str, str]) -> str:
@@ -527,19 +532,15 @@ def _check_near_complements(base: OrbitCategory) -> str | None:
     # the oracle for the exchange graph: both completions of every
     # (vertex, dropped orbit) pair, and the edge each one gives
     tiltings = enumerate_cluster_tilting(base)
-    index = {v: i for i, v in enumerate(tiltings)}
+    index = {mask_of(t): i for i, t in enumerate(tiltings)}
     edges = set(pairs(base.exchange_edges))
-    found, completed = set(), {}
-    for t in tiltings:
-        for drop in t:
-            rest = tuple(filter(drop.__ne__, t))
-            if rest not in completed:
-                completed[rest] = near_complements(base, rest)
-            elif t in completed[rest]:
-                continue  # both ends of an edge share rest; the first ran every comparison
-            if t not in completed[rest]:
+    found = set()
+    for i, t in enumerate(tiltings):
+        for drop, rest, comps in near_complements(base, t):
+            if drop not in comps:
                 return f"near completion loses the original vertex at {_key(base, t)}"
-            edge = tuple(sorted(map(index.get, completed[rest], (-1, -1))))
+            (partner,) = set(comps) - {drop}
+            edge = tuple(sorted((i, index.get(rest | 1 << partner, -1))))
             if edge not in edges:
                 at = base.catalog[drop].text
                 return f"exchange of {at} at {_key(base, t)} is not a graph edge"
@@ -584,13 +585,14 @@ def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, in
     return None, exchanged
 
 
-def _check_exchange_layers(cat: OrbitCategory) -> str | None:
-    base = cat.base
+def _check_exchange_layers(base: OrbitCategory) -> str | None:
+    # Ext^1 from one end's set into the other end's swapped-in summand, summed down the
+    # summand's column of layers[1, 0] + layers[1, -1] (both at tier gap 0 at m = 1)
     bad, exchanged = _exchange_pairs(base)
+    into = [[*map(add, *columns)] for columns in zip(zip(*base.layers[1, 0]), zip(*base.layers[1, -1]))]
     for (a, b), (x1, x2) in zip(pairs(base.exchange_edges), exchanged):
         for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
-            dim = exchange_layer_dim(cat, one, (other,))
-            if dim != cat.modulus:
+            if (dim := sum(map(into[other].__getitem__, one))) != 1:
                 return f"exchange layer dimension {dim} != modulus on an edge"
     return bad
 
@@ -650,8 +652,8 @@ CHECKS = (
     ("complement-counts", "cell", None, _check_complements),
     ("near-complement-pairs", "base", None, _check_near_complements),
     ("graph-shape", "base", None, _check_graph_shape),
-    # base scope, so it runs at m = 1 only, where it equals the Ext^1 that exchange-pair-ext reads;
-    # at m >= 2, exchange_layer_dim is m times that base sum by construction, not an m-level test
+    # base scope: at m = 1 an edge's Ext^1 from one end's set into the other end's swapped-in
+    # summand, read down that summand's layer columns; exchange-pair-ext reads the pair through dim
     ("exchange-layer-dim", "base", None, _check_exchange_layers),
     ("exchange-pair-ext", "cell", lambda n, m: m == 1, _check_exchange_pairs),
     # base scope: none of a generator's four sums depends on the modulus

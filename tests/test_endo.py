@@ -1,10 +1,7 @@
-import pytest
-
 import clustercat as cc
 from clustercat.derived import DObject
-from clustercat.tilting import NotExchangeError
 
-from conftest import A2, A3, D4, module_id
+from conftest import A2, A3, module_id
 
 
 def tilting_by_dims(dc, dims):
@@ -137,62 +134,3 @@ def test_single_end_dim_m1_also_one(build):
     cat = build(A3).orbit(1)
     for i in range(len(cat.catalog)):
         assert cat.dim(i, i, 0) == 1
-
-
-def _edges_with_swaps(cat):
-    sets = cc.enumerate_cluster_tilting(cat.base)
-    for a, b in cc.build_tilting_graph(cat):
-        va, vb = sets[a], sets[b]
-        swapped_b = tuple(set(vb) - set(va))
-        swapped_a = tuple(set(va) - set(vb))
-        yield va, vb, swapped_a, swapped_b
-
-
-def test_exchange_layer_dim_a2(build):
-    dc = build(A2)
-    for m, expected in ((1, 1), (2, 2)):
-        cat = dc.orbit(m)
-        for va, vb, swapped_a, swapped_b in _edges_with_swaps(cat):
-            assert cc.exchange_layer_dim(cat, va, swapped_b) == expected
-            # symmetric with the roles of the endpoints swapped
-            assert cc.exchange_layer_dim(cat, vb, swapped_a) == expected
-
-
-def test_exchange_layer_dim_a3_m2_symmetric(build):
-    cat = build(A3).orbit(2)
-    for va, vb, swapped_a, swapped_b in _edges_with_swaps(cat):
-        assert (
-            cc.exchange_layer_dim(cat, va, swapped_b)
-            == cc.exchange_layer_dim(cat, vb, swapped_a)
-            == 2
-        )
-
-
-def test_exchange_layer_dim_rejects_non_edges(build):
-    dc = build(A2)
-    cat = dc.orbit(2)
-    tiltings = cc.enumerate_cluster_tilting(dc.orbit(1))
-    t = tiltings[0]
-    with pytest.raises(NotExchangeError):
-        cc.exchange_layer_dim(cat, t, t[:1])
-    # a two-orbit stable object is not a single exchange layer
-    with pytest.raises(NotExchangeError):
-        cc.exchange_layer_dim(cat, t, tiltings[1])
-
-
-@pytest.mark.parametrize("text", [A3, D4])
-def test_exchange_layer_dim_matches_complements(build, text):
-    # oracle: x2 is swapped in iff it completes some T - x1 besides x1
-    dc = build(text)
-    base, cat = dc.orbit(1), dc.orbit(2)
-    for t in cc.enumerate_cluster_tilting(base):
-        partners = set()
-        for x1 in t:
-            comps = cc.complements(base, [x for x in t if x != x1])
-            partners |= set(comps) - {x1}
-        for x2 in range(len(base.catalog)):
-            if x2 in partners:
-                assert cc.exchange_layer_dim(cat, t, (x2,)) == 2
-            else:
-                with pytest.raises(NotExchangeError):
-                    cc.exchange_layer_dim(cat, t, (x2,))

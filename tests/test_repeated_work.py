@@ -100,9 +100,20 @@ def _blocks_by_pairs(cat, generator):
 
 
 def _layer_by_pairs(cat, gen1, gen2):
-    """exchange_layer_dim's sum as it was: dim over every pair of summands."""
+    """The exchange layer's sum as it was: dim over every pair of summands."""
     lift1, lift2 = cat.build_twist_stable(gen1), cat.build_twist_stable(gen2)
     return sum(cat.dim(s, t, 1) for s in lift1 for t in lift2)
+
+
+def _exchange_layers_by_pairs(base):
+    """exchange-layer-dim as it was: each end's set against the other end's swapped-in
+    summand, summed by _layer_by_pairs."""
+    bad, exchanged = verify._exchange_pairs(base)
+    for (a, b), (x1, x2) in zip(pairs(base.exchange_edges), exchanged):
+        for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
+            if (dim := _layer_by_pairs(base, one, (other,))) != 1:
+                return f"exchange layer dimension {dim} != modulus on an edge"
+    return bad
 
 
 @pytest.mark.parametrize("label", QUIVERS)
@@ -123,7 +134,7 @@ def test_complements_match_the_per_candidate_check(label):
 
 
 @pytest.mark.parametrize("label", QUIVERS)
-def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
+def test_endo_blocks_match_pair_sums(label):
     base, cats = _categories(label)
     tiltings = _sample(label, cc.enumerate_cluster_tilting(base))
     for cat in cats:
@@ -137,13 +148,34 @@ def test_endo_blocks_and_exchange_layers_match_pair_sums(label):
                 ids = [base.catalog[g].module_id for g in t]
                 dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
                 assert cc.endo_profile(cat, t).dim_e == dim_e
-        for a, b in _sample(label, list(pairs(base.exchange_edges))):
-            va, vb = base.tilting_sets[a], base.tilting_sets[b]
-            for one, two in ((va, vb), (vb, va)):
-                (x2,) = set(two) - set(one)
-                for swapped in ((x2,), (x2, x2)):
-                    got = cc.exchange_layer_dim(cat, one, swapped)
-                    assert got == _layer_by_pairs(cat, one, swapped) == cat.modulus * len(swapped)
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_exchange_layer_column_sums_match_pair_sums(label):
+    # exchange-layer-dim's column sums against the pair sums, on every edge of the intact
+    # category, and with one entry raised in layers[1, 0] or layers[1, -1]: a sampled
+    # edge's exchange pair either way, or another member of its first end and the summand
+    # swapped in
+    base, _ = _categories(label)  # a fresh category, so its layers may move
+    sets, edges = base.tilting_sets, list(pairs(base.exchange_edges))
+    assert verify._check_exchange_layers(base) is None
+    for a, b in edges:
+        for one, other in ((sets[a], sets[b]), (sets[b], sets[a])):
+            assert _layer_by_pairs(base, one, tuple(set(other) - set(one))) == 1
+    base.ext_table  # built, as the walk was, before the layers move
+    raised = set()
+    for a, b in edges[:: 250 if label == "E6" else 10]:
+        (x1,), (x2,) = set(sets[a]) - set(sets[b]), set(sets[b]) - set(sets[a])
+        raised |= {(x1, x2), (x2, x1), *((k, x2) for k in sets[a][:2] if k != x1)}
+    caught = 0
+    for layer in (base.layers[1, 0], base.layers[1, -1]):
+        for k, l in sorted(raised):
+            layer[k][l] += 1
+            detail = verify._check_exchange_layers(base)
+            assert detail == _exchange_layers_by_pairs(base), (k, l)
+            layer[k][l] -= 1
+            caught += detail is not None
+    assert caught == 2 * len(raised) and verify._check_exchange_layers(base) is None
 
 
 def test_complements_make_no_tilting_checks(monkeypatch):
@@ -164,7 +196,7 @@ def test_complements_make_no_tilting_checks(monkeypatch):
             cc.complements(cat, [x for x in members if x != drop])
     # nor do near completions: they are read in the modulus-1 category
     for t in tiltings:
-        cc.near_complements(base, t[1:])
+        cc.near_complements(base, t)
     assert calls["check"] == 0
     # the counter is live: the direct scan checks every union of n of the 16 twist-orbits
     cc.enumerate_stable_tilting_direct(cat)
@@ -186,8 +218,7 @@ def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
     tiltings = cc.enumerate_cluster_tilting(base)
     for t in tiltings:
         cc.endo_profile(cat, t)
-    for a, b in pairs(base.exchange_edges):
-        cc.exchange_layer_dim(cat, tiltings[a], tuple(set(tiltings[b]) - set(tiltings[a])))
+    assert verify._check_exchange_layers(base) is None
     assert calls["dim"] == 0
     # the counter is live: a point query reads one entry
     cat.dim(0, 1, 0)
@@ -319,11 +350,9 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     diagrams = ["A3", "D4"]
     assert run_verification(diagrams)["passed"]
     quivers = {d: len(orientations(d)) for d in diagrams}
-    # each almost tilting object is the rest of exactly two tilting objects, so
-    # one completion per edge of the n-regular graph, n * |vertices| / 2 edges,
-    # once per orientation whatever the moduli
-    n = {"A3": 3, "D4": 4}
-    assert calls["near"] == sum(quivers[d] * n[d] * CLUSTER_NUMBERS[d] // 2 for d in diagrams)
+    # one sweep per tilting set gives every rest's completions, once per
+    # orientation whatever the moduli
+    assert calls["near"] == sum(quivers[d] * CLUSTER_NUMBERS[d] for d in diagrams)
     assert calls["scan"] == sum(quivers.values())
     # a lift is its generator, shared as tilting_sets; its summands are laid
     # out once each by lift-check and complement-counts, and at
@@ -542,20 +571,6 @@ def test_one_pass_subset_scan_equals_the_old_formulation_on_corrupted_tables(mon
 
 
 @pytest.mark.parametrize("label", QUIVERS)
-def test_exchange_layer_at_m_is_m_times_the_base_layer(label):
-    # the premise of running exchange-layer-dim once per quiver, on the base
-    base, cats = _categories(label)
-    sets = base.tilting_sets
-    for a, b in _sample(label, list(pairs(base.exchange_edges))):
-        for one, two in ((sets[a], sets[b]), (sets[b], sets[a])):
-            swapped = tuple(set(two) - set(one))
-            at_base = cc.exchange_layer_dim(base, one, swapped)
-            for cat in cats:
-                m = cat.modulus
-                assert cc.exchange_layer_dim(cat, one, swapped) == _layer_by_pairs(cat, one, swapped) == m * at_base
-
-
-@pytest.mark.parametrize("label", QUIVERS)
 def test_base_endo_sums_decide_the_block_pattern_at_every_modulus(label):
     # the premise of running endo-blocks once per quiver, on the base: each
     # modulus's profile is the cyclic pattern of the base sums, and the pattern
@@ -749,11 +764,10 @@ def test_corrupted_derived_hom_fails_serre_derived_at_the_same_first_pair(label)
 
 def test_default_battery_work_counts(monkeypatch):
     # deterministic counts, not wall times: one knit per orientation, one
-    # matrix Hom per ordered pair plus one brick test per translate, exchange
-    # layers at m = 1 only, and one endo sum per (quiver, generator), read
-    # without a profile or a pattern report
-    knits, solved, layers, sums = Counter(), Counter(), Counter(), Counter()
-    rep_hom_dim, layer_dim, generator_sums = arquiver.rep_hom_dim, verify.exchange_layer_dim, endo.generator_sums
+    # matrix Hom per ordered pair plus one brick test per translate, and one
+    # endo sum per (quiver, generator), read without a profile or a pattern report
+    knits, solved, sums = Counter(), Counter(), Counter()
+    rep_hom_dim, generator_sums = arquiver.rep_hom_dim, endo.generator_sums
     init = cc.ARQuiver.__init__
 
     def knitting(self, quiver):
@@ -764,10 +778,6 @@ def test_default_battery_work_counts(monkeypatch):
         solved[q] += 1
         return rep_hom_dim(q, a, b)
 
-    def layering(cat, gen1, gen2):
-        layers[cat.modulus] += 1
-        return layer_dim(cat, gen1, gen2)
-
     def summing(base, gen):
         sums[base.ar.quiver_label, gen] += 1
         return generator_sums(base, gen)
@@ -776,7 +786,6 @@ def test_default_battery_work_counts(monkeypatch):
         raise AssertionError("the battery built an endo profile or a pattern report")
 
     monkeypatch.setattr(arquiver, "rep_hom_dim", solving)
-    monkeypatch.setattr(verify, "exchange_layer_dim", layering)
     for module in (endo, verify):
         monkeypatch.setattr(module, "generator_sums", summing)
     monkeypatch.setattr(endo, "endo_profile", unreachable)
@@ -789,8 +798,6 @@ def test_default_battery_work_counts(monkeypatch):
     bricks = sum(len(ar.modules) - ar.quiver.vertex_count for ar in ars)
     assert sum(solved.values()) == pairs + bricks == 2115 + 126
     names = [label.split("#")[0] for label in BATTERY_QUIVERS]
-    edges = sum(CLUSTER_NUMBERS[name] * int(name[1:]) // 2 for name in names)  # n-regular graphs
-    assert layers == {1: 2 * edges}
     assert set(sums.values()) == {1} and len(sums) == sum(CLUSTER_NUMBERS[name] for name in names) == 804
 
 

@@ -182,8 +182,8 @@ TAMPERS = {
         entries=59,
         details={("A3#0", None, "orientation-reversal"): "reversed orientation changes the catalog size"},
     ),
-    # the tier-major layout broken three ways: the walked twist swapped at two positions,
-    # a tier-1 object doubled, the catalog one object short
+    # the tier-major layout broken four ways: the walked twist swapped at two positions,
+    # a tier-1 object doubled, the catalog one object short at m = 2 and at m = 1
     "swapped-twist": Tamper(
         "twist-free-orbits", "A2#0", lambda twist: _swap(twist, 0, 1), prop="twist_permutation", m=2,
         failed="twist-free-orbits twist-hom-invariance",
@@ -198,6 +198,25 @@ TAMPERS = {
         "twist-free-orbits", "A2#0", lambda catalog: catalog[:-1], prop="catalog", m=2,
         failed="complement-counts fractional-cy hom-walk-oracle serre-orbit twist-free-orbits",
         entries=5,
+        details={("A2#0", 2, "hom-walk-oracle"): "check raised ValueError: rows of lengths 10 and 9 compared"},
+    ),
+    # the base domain one object short: P_2[1]'s orbit has no home, and every walk into it
+    # stops after h + 1 steps
+    "short-base-catalog": Tamper(
+        "twist-free-orbits", "A2#0", lambda catalog: catalog[:-1], prop="catalog",
+        failed=(
+            "complement-counts direct-enumeration end-dim-one endo-blocks exchange-layer-dim "
+            "exchange-pair-ext fractional-cy graph-shape hom-walk-oracle lift-check near-complement-pairs "
+            "orbit-count-criterion self-ext-vanishing serre-orbit tilting-brute-force tilting-count "
+            "twist-free-orbits twist-hom-invariance"
+        ),
+        entries=46,
+        details={
+            ("A2#0", 1, "hom-walk-oracle"): (
+                "check raised RuntimeError: A2 quiver [(1, 2)]: canonicalize: m2[1] still outside"
+                " the base domain after 4 steps"
+            ),
+        },
     ),
     # here and in three more layers tampers, the hom-walk-oracle detail pinned at m = 2
     # names the raised entry, read at tier gap 0 or 1

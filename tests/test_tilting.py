@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import clustercat as cc
 from clustercat import verify
-from clustercat.orbit import pairs
+from clustercat.orbit import mask_of, pairs
+from clustercat.quiver import reachable
 from clustercat.tilting import NotRigidError
 
 from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, TREES, module_obj, oriented_trees
@@ -194,30 +195,62 @@ def test_near_complements_a2_m2(build):
     cat = dc.orbit(2)
     base = dc.orbit(1)
     for t in cc.enumerate_cluster_tilting(base):
-        for drop in t:
-            rest = tuple(g for g in t if g != drop)
-            one, two = cc.near_complements(base, rest)
+        for drop, rest, comps in cc.near_complements(base, t):
+            assert rest == mask_of(t) & ~(1 << drop) and drop in comps
+            one, two = (tuple(sorted(set(t) - {drop} | {x})) for x in comps)
             assert one != two
             assert t in (one, two)
             for completion in (one, two):
                 ok, _ = cc.cluster_tilting_check(cat, cat.build_twist_stable(completion))
                 assert ok
-            # the swapped orbits match the two modulus-1 complements
-            swapped = {next(iter(set(g) - set(rest))) for g in (one, two)}
-            comps = cc.complements(base, rest)
-            assert swapped == set(comps)
 
 
-def test_near_complements_rejects_full_orbit_count(build):
-    base = build(A2).orbit(1)
-    vertex = cc.enumerate_cluster_tilting(base)[0]
-    with pytest.raises(ValueError, match="orbits"):
-        cc.near_complements(base, vertex)
+@pytest.mark.parametrize("label", [*BATTERY_QUIVERS, "E6"])
+def test_near_complements_sweep_every_rest_of_a_tilting_set(label):
+    # one sweep per set gives each member's rest and the completions complements finds for it
+    q = BATTERY_QUIVERS[label] if label in BATTERY_QUIVERS else cc.parse_quiver(E6)
+    base = cc.DerivedCategory(cc.ARQuiver(q)).orbit(1)
+    n = base.ar.quiver.vertex_count
+    for t in base.tilting_sets:
+        triples = cc.near_complements(base, t)
+        assert [p for p, _, _ in triples] == list(t)
+        for drop, rest, comps in triples:
+            others = [p for p in t if p != drop]
+            assert rest == mask_of(others)
+            assert comps == cc.complements(base, others) and len(comps) == 2
+    # a generator one orbit short, or with a member repeated in place of one, is refused
+    t = base.tilting_sets[0]
+    for short in (t[1:], t[1:] + t[1:2]):
+        with pytest.raises(ValueError, match=f"tilting generator needs {n} orbits, got {n - 1}"):
+            cc.near_complements(base, short)
+
+
+def test_near_complements_refuse_a_rest_that_is_not_almost_tilting(build):
+    base = build(A3).orbit(1)
+    x, y = next((i, j) for i, j in combinations(range(len(base.catalog)), 2) if base.ext_table[i][j])
+    with pytest.raises(NotRigidError):
+        cc.near_complements(base, (x, y, next(z for z in range(len(base.catalog)) if z not in (x, y))))
+    # a fresh A2 whose P_2 row forgets Ext^1 vanishes from P_1: P_2 has one completion left
+    fresh = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(1)
+    t = fresh.tilting_sets[0]
+    assert t == (0, 1)
+    fresh.ext_zero_in[1] &= ~1
+    with pytest.raises(cc.NotExchangeError, match=r"less m1\[0\] is not an almost tilting object \(found 1 complements\)"):
+        cc.near_complements(fresh, t)
 
 
 def _degrees(count, edges):
     ends = Counter(v for edge in edges for v in edge)
     return [ends[v] for v in range(count)]
+
+
+def _connected(count, edges):
+    """True iff the graph on vertices 0 .. count-1 with these edges is connected."""
+    adjacency = [[] for _ in range(count)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return not count or len(reachable(0, adjacency)) == count
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -227,7 +260,7 @@ def test_graph_a2_is_pentagon(build, m):
     assert len(sets) == 5
     assert len(edges) == 5
     assert _degrees(5, edges) == [2] * 5
-    assert cc.is_connected(5, edges)
+    assert _connected(5, edges)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -235,7 +268,7 @@ def test_graph_a1_single_edge(build, m):
     cat = build(A1).orbit(m)
     assert len(cc.enumerate_cluster_tilting(cat.base)) == 2
     assert list(cc.build_tilting_graph(cat)) == [(0, 1)]
-    assert cc.is_connected(2, [(0, 1)])
+    assert _connected(2, [(0, 1)])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -244,21 +277,21 @@ def test_graph_a3_three_regular(build, m):
     edges = list(cc.build_tilting_graph(cat))
     assert len(cc.enumerate_cluster_tilting(cat.base)) == 14
     assert _degrees(14, edges) == [3] * 14
-    assert cc.is_connected(14, edges)
+    assert _connected(14, edges)
 
 
 def test_graph_connected_d4(build):
     for m in (1, 2):
         cat = build(D4).orbit(m)
         assert len(cat.base.tilting_sets) == 50
-        assert cc.is_connected(50, cc.build_tilting_graph(cat))
+        assert _connected(50, cc.build_tilting_graph(cat))
 
 
-def test_is_connected_sees_a_missing_bridge():
-    assert cc.is_connected(0, []) and cc.is_connected(1, [])
-    assert cc.is_connected(4, [(0, 1), (1, 2), (2, 3)])
-    assert not cc.is_connected(4, [(0, 1), (2, 3)])
-    assert not cc.is_connected(3, [(0, 1)])
+def test_connectivity_oracle_sees_a_missing_bridge():
+    assert _connected(0, []) and _connected(1, [])
+    assert _connected(4, [(0, 1), (1, 2), (2, 3)])
+    assert not _connected(4, [(0, 1), (2, 3)])
+    assert not _connected(3, [(0, 1)])
 
 
 def test_graph_edges_differ_in_one_orbit(build):
@@ -395,16 +428,16 @@ def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
     assert isinstance(flat, array) and flat.typecode == "i" and len(flat) == 2 * (n * vertices // 2)
     assert len(edges) == n * vertices // 2
     assert set(_degrees(vertices, edges)) == {n}
-    assert cc.is_connected(vertices, edges)
+    assert _connected(vertices, edges)
 
 
 def _near_complement_edges(cat):
-    index = {t: i for i, t in enumerate(cc.enumerate_cluster_tilting(cat))}
-    edges = set()
-    for generator in index:
-        for drop in generator:
-            a, b = cc.near_complements(cat, tuple(g for g in generator if g != drop))
-            edges.add(tuple(sorted((index[a], index[b]))))
+    sets = cc.enumerate_cluster_tilting(cat)
+    index, edges = {mask_of(t): i for i, t in enumerate(sets)}, set()
+    for i, t in enumerate(sets):
+        for drop, rest, comps in cc.near_complements(cat, t):
+            (partner,) = set(comps) - {drop}
+            edges.add(tuple(sorted((i, index[rest | 1 << partner]))))
     return sorted(edges)
 
 
