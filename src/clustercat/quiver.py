@@ -78,7 +78,9 @@ def parse_quiver(text: str) -> Quiver:
     vertex_count: int | None = None
     arrows: list[tuple[int, int]] = []
     arrow_lines: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at LF only, as load_quiver counts them: str.splitlines would also break at
+    # U+2028, U+0085, \v, \f and \x1c-\x1e, even inside a comment; strip drops a CRLF's CR
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

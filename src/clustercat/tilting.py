@@ -7,12 +7,11 @@ lays out the summands).  The exchange graph is a modulus-1 object at every
 m: the lift T -> T + FT + ... + F^(m-1)T is a bijection carrying mutations
 to mutations (Buan-Marsh-Reineke-Reiten-Todorov), so it is the base's
 ``tilting_sets`` and ``exchange_edges``, found by one walk over
-``compat_mask``.  The battery's oracles are the slow paths:
-``near_complements`` re-derives every edge from Ext^1, sweeping a tilting
-set's masks once for every member's rest and that rest's two completions; a
-subset scan and (at small rank) a direct scan over twist-orbit unions
-re-derive the sets and the lifts; and ``cluster_tilting_check`` checks every
-lift at modulus m.
+``compat_mask``.  The battery's oracles are the slow paths: a subset scan
+and (at small rank) a direct scan over twist-orbit unions re-derive the
+sets and the lifts, ``completions`` counts every rest's complements, and
+``cluster_tilting_check`` checks every lift at modulus m.  The battery does
+not run ``near_complements``, which re-derives every edge from Ext^1.
 """
 
 from __future__ import annotations
@@ -102,7 +101,9 @@ def near_complements(cat1: OrbitCategory, generator) -> list[tuple[int, int, lis
     """Per member p of a tilting generator of the modulus-1 category ``cat1``, ascending:
     (p, the mask of the rest, the rest's two completions), one of them p; the other
     swapped in for p gives the neighbour across the exchange edge at p.  One
-    ``all_but_one`` sweep ANDs the other members' masks for every p at once."""
+    ``all_but_one`` sweep ANDs the other members' masks for every p at once.  It stays
+    for the benchmark tracer's ``tilting.near_complements_calls`` counter and as the
+    oracle the tests hold the exchange walk's edges to."""
     n, members = cat1.ar.quiver.vertex_count, sorted(set(generator))
     if len(members) != n:
         raise ValueError(f"tilting generator needs {n} orbits, got {len(members)}")

@@ -12,9 +12,10 @@ no endomorphism block sum of a generator depends on m.  A
 is a predicate of (n, m): the cells where the check holds at all, or
 where its scan of subsets stays small.  Each check reports a name and an
 optional failure detail; the report is machine readable and deterministic.
-It is made a cell at a time (``verification_report``): an orientation's AR
-quiver and categories are let go once its cells are read, and the totals
-are read from a tally after the last cell.
+It is made a cell at a time (``verification_report``): an orientation is
+knitted as its first cell is read, its AR quiver and categories are let go
+once its cells are read, and the totals are read from a tally after the
+last cell.
 
 A lift is its generator, one of the shared ``tilting_sets``; a check lays
 out the summands it needs itself, and ``lift-check`` is the one place
@@ -34,7 +35,10 @@ connected; at every m it is the modulus-1 graph) is checked by two rows:
 ``tilting-count``, since the walk from one seed set, along the graph's
 edges, reaches ``cluster_number`` sets (``graph``'s ``connected`` field
 reads the same thing), and ``tilting-brute-force``, since no tilting set
-lies outside the walk.  tests/test_tampers.py holds, for every row, a
+lies outside the walk.  With those, ``complement-counts`` at m = 1 (each
+rest has two completions) and ``graph-shape`` (an n-regular list of
+distinct edges whose ends differ in one orbit) prove the edge set is the
+whole exchange graph.  tests/test_tampers.py holds, for every row, a
 tamper that fails it, and pins the rows each tamper fails.
 """
 
@@ -54,7 +58,6 @@ from .tilting import (
     completions,
     enumerate_cluster_tilting,
     enumerate_stable_tilting_direct,
-    near_complements,
 )
 from .endo import generator_sums
 
@@ -80,17 +83,19 @@ def verification_report(diagrams=None, tamper=None, timings=False) -> dict:
     the tally of the cells read so far, so they are read after the last.
 
     A diagram named twice runs once, where it is first named; an unknown
-    one raises ValueError here, before any cell.  tamper, when given, is
-    called as tamper(label, ar) right after each AR quiver is built; it
-    exists so tests can corrupt internal tables and confirm the battery
-    notices.  timings adds each check's wall time to its result as
-    ``seconds``; a check's seconds include the shared structures it is the
-    first to read, which are built lazily: ``reps`` in ``mesh-additivity``,
-    the module and the matrix Hom tables in ``oracle-hom-equivalence``,
-    ``layers`` and the orbit Hom and Ext^1 tables in ``hom-walk-oracle``, the
-    exchange walk (the tilting sets and their neighbours) in
-    ``tilting-count``, the cell's catalog and ``twist_permutation`` in
-    ``twist-free-orbits`` and ``serre_permutation`` in ``serre-orbit``.
+    one raises ValueError here, before any cell.  An orientation is knitted
+    as its first cell is read, and tamper, when given, is called as
+    tamper(label, ar) right after its AR quiver is built; it exists so tests
+    can corrupt internal tables and confirm the battery notices.  timings
+    adds each check's wall time to its result as ``seconds``; a check's
+    seconds include the shared structures it is the first to read, which
+    are built lazily: ``reps`` in ``mesh-additivity``, the module and the
+    matrix Hom tables in ``oracle-hom-equivalence``, ``layers`` and the
+    orbit Hom and Ext^1 tables in ``hom-walk-oracle``, the exchange walk
+    (the tilting sets and their neighbours) in ``tilting-count``, its
+    ``exchange_edges`` in ``graph-shape``, the cell's catalog and
+    ``twist_permutation`` in ``twist-free-orbits`` and ``serre_permutation``
+    in ``serre-orbit``.
     """
     names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
     for name in names:
@@ -116,22 +121,15 @@ def run_verification(diagrams=None, tamper=None, timings=False) -> dict:
 
 
 def _cells(names: list[str], tamper, clock, tally: dict) -> Iterator[dict]:
-    """Each cell of the battery with its check results, counted into tally as it is made."""
+    """Each cell of the battery with its check results, counted into tally as it is made.
+    One orientation at a time is knitted, tampered and read: its AR quiver and categories
+    go once its four cells are read."""
     for name in names:
-        # all orientations are knitted first; the reversal of one is another of
-        # the same diagram, so its shape is recorded before tamper can touch it
-        knitted, shapes = [], {}
         for label, q in orientations(name):
             ar = ARQuiver(q)
-            shapes[q] = len(ar.modules), sorted(m.dim_vector for m in ar.modules), ar.dynkin
             if tamper is not None:
                 tamper(label, ar)
-            knitted.append((label, q, ar))
-        knitted.reverse()
-        while knitted:  # an orientation and its categories go once its four cells are read
-            label, q, ar = knitted.pop()
             derived = DerivedCategory(ar)
-            derived.reversed_shape = shapes[q.reversed()]  # what orientation-reversal compares with
             cell, memo = {"quiver": label, "arrows": [list(a) for a in q.arrows]}, {}
             for m in (None, *M_VALUES):
                 cat = derived if m is None else derived.orbit(m)  # held while the next m is built: one shared base
@@ -283,19 +281,6 @@ def _check_twist_steps(derived: DerivedCategory) -> str | None:
             return f"twist inverse fails at m{m.id}"
         if derived.tau_inv(derived.tau(x)) != x:
             return f"tau inverse fails at m{m.id}"
-    return None
-
-
-def _check_reversal(derived: DerivedCategory) -> str | None:
-    # the reversed orientation's module count, sorted dimension vectors and
-    # Dynkin class, as run_verification records them before tamper
-    ar, (count, dims, dynkin) = derived.ar, derived.reversed_shape
-    if count != len(ar.modules):
-        return "reversed orientation changes the catalog size"
-    if dims != sorted(m.dim_vector for m in ar.modules):
-        return "reversed orientation changes the dimension-vector multiset"
-    if dynkin != ar.dynkin:
-        return "reversed orientation changes the Dynkin class"
     return None
 
 
@@ -528,29 +513,11 @@ def _check_complements(cat: OrbitCategory) -> str | None:
     return None
 
 
-def _check_near_complements(base: OrbitCategory) -> str | None:
-    # the oracle for the exchange graph: both completions of every
-    # (vertex, dropped orbit) pair, and the edge each one gives
-    tiltings = enumerate_cluster_tilting(base)
-    index = {mask_of(t): i for i, t in enumerate(tiltings)}
-    edges = set(pairs(base.exchange_edges))
-    found = set()
-    for i, t in enumerate(tiltings):
-        for drop, rest, comps in near_complements(base, t):
-            if drop not in comps:
-                return f"near completion loses the original vertex at {_key(base, t)}"
-            (partner,) = set(comps) - {drop}
-            edge = tuple(sorted((i, index.get(rest | 1 << partner, -1))))
-            if edge not in edges:
-                at = base.catalog[drop].text
-                return f"exchange of {at} at {_key(base, t)} is not a graph edge"
-            found.add(edge)
-    if found != edges:
-        return f"near completions give {len(found)} edges, the graph has {len(edges)}"
-    return None
-
-
 def _check_graph_shape(base: OrbitCategory) -> str | None:
+    # the whole exchange graph: tilting-count and tilting-brute-force show the sets, and
+    # complement-counts at m = 1 that every rest has two completions, so each set has exactly
+    # n neighbours (Buan-Marsh-Reineke-Reiten-Todorov).  Two tilting sets that differ in one
+    # orbit are neighbours, so an n-regular list of distinct one-orbit edges misses none
     n = base.ar.quiver.vertex_count
     if bad := _exchange_pairs(base)[0]:
         return bad
@@ -565,6 +532,12 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
     expected = cluster_number(base.ar.dynkin)
     if (shape := (count, len(edges) // 2)) != (expected, n * expected // 2):
         return f"(vertices, edges) = {shape}, expected {(expected, n * expected // 2)}"
+    # distinct as unordered pairs too, as exchange_edges lists them: ascending ends, in sorted
+    # order; an edge listed both ways keeps every degree at n
+    listed = list(pairs(edges))
+    for (a, b), before in zip(listed, [(-1, -1), *listed]):
+        if a >= b or (a, b) <= before:
+            return f"edge T{a + 1} -- T{b + 1} breaks the ascending order of the edge list"
     return None
 
 
@@ -583,18 +556,6 @@ def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, in
             return bad, []
         exchanged.append((only_a.bit_length() - 1, only_b.bit_length() - 1))
     return None, exchanged
-
-
-def _check_exchange_layers(base: OrbitCategory) -> str | None:
-    # Ext^1 from one end's set into the other end's swapped-in summand, summed down the
-    # summand's column of layers[1, 0] + layers[1, -1] (both at tier gap 0 at m = 1)
-    bad, exchanged = _exchange_pairs(base)
-    into = [[*map(add, *columns)] for columns in zip(zip(*base.layers[1, 0]), zip(*base.layers[1, -1]))]
-    for (a, b), (x1, x2) in zip(pairs(base.exchange_edges), exchanged):
-        for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
-            if (dim := sum(map(into[other].__getitem__, one))) != 1:
-                return f"exchange layer dimension {dim} != modulus on an edge"
-    return bad
 
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
@@ -634,7 +595,6 @@ CHECKS = (
     ("ar-mesh-hom-identity", "quiver", None, _check_mesh_hom_identity),
     ("serre-derived", "quiver", None, _check_serre_derived),
     ("twist-shift-step", "quiver", None, _check_twist_steps),
-    ("orientation-reversal", "quiver", None, _check_reversal),
     ("twist-free-orbits", "cell", None, _check_twist_orbits),
     ("hom-walk-oracle", "cell", None, _check_hom_walk),
     ("self-ext-vanishing", "cell", None, _check_self_ext),
@@ -650,11 +610,7 @@ CHECKS = (
     ("lift-check", "cell", None, _check_lifts),
     ("direct-enumeration", "cell", lambda n, m: n <= 3 and m <= 2, _check_direct_enumeration),
     ("complement-counts", "cell", None, _check_complements),
-    ("near-complement-pairs", "base", None, _check_near_complements),
     ("graph-shape", "base", None, _check_graph_shape),
-    # base scope: at m = 1 an edge's Ext^1 from one end's set into the other end's swapped-in
-    # summand, read down that summand's layer columns; exchange-pair-ext reads the pair through dim
-    ("exchange-layer-dim", "base", None, _check_exchange_layers),
     ("exchange-pair-ext", "cell", lambda n, m: m == 1, _check_exchange_pairs),
     # base scope: none of a generator's four sums depends on the modulus
     ("endo-blocks", "base", None, _check_endo_blocks),

@@ -73,8 +73,8 @@ def test_criterion_1_oracle_equivalence(report):
 
 
 def test_criterion_2_catalog_sizes(report, contexts):
-    # the rows that fail on a catalog a module short or out of its layout (test_tampers.py)
-    failures = _failures(_collect(report, {"orientation-reversal", "twist-free-orbits"}))
+    # a row that fails on a catalog a module short or out of its layout (test_tampers.py)
+    failures = _failures(_collect(report, {"twist-free-orbits"}))
     expected_roots = {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "D4": 12}
     for label, (name, dc) in contexts.items():
         n = dc.ar.quiver.vertex_count
@@ -116,8 +116,8 @@ def test_criterion_4_rigidity_twist_orbitcount_suites(report):
 
 
 def test_criterion_5_complement_counts(report):
-    hits = _collect(report, {"complement-counts", "near-complement-pairs"})
-    _criterion(5, "one complement for m >= 2, two for m = 1, two near completions", _failures(hits))
+    hits = _collect(report, {"complement-counts", "graph-shape"})
+    _criterion(5, "one complement for m >= 2, two for m = 1, n exchange edges at each set", _failures(hits))
 
 
 def test_criterion_6_graph_connectivity_and_shape(report, contexts):
@@ -144,7 +144,7 @@ def test_criterion_6_graph_connectivity_and_shape(report, contexts):
 
 def test_criterion_7_endo_dimension_suite(report, contexts):
     failures = _failures(
-        _collect(report, {"exchange-layer-dim", "endo-blocks"})
+        _collect(report, {"endo-blocks", "exchange-pair-ext"})
     )
     failures += _failures(
         _collect(report, {"end-dim-one"}, m_filter=lambda m: m is not None and m >= 2)
@@ -163,7 +163,7 @@ def test_criterion_7_endo_dimension_suite(report, contexts):
                     failures.append(f"{label}: nonzero twist layer without a flag")
     if not flagged:
         failures.append("no module-tier generator with nonzero twist layer was flagged")
-    _criterion(7, "endomorphism dimensions: fields, exchange layers, block pattern", failures)
+    _criterion(7, "endomorphism dimensions: fields, exchange pairs, block pattern", failures)
 
 
 def test_criterion_8_serre_and_cy_suite(report):

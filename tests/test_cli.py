@@ -390,8 +390,8 @@ def test_verify_timings_add_seconds_and_nothing_else(capsys):
 # rewritten to read whole rows: a change that only speeds the battery up keeps
 # these bytes; one that adds or changes a check updates them and says so
 VERIFY_STDOUT_SHA256 = {
-    (): "2a152abc812a97d4e7405e1afec3bb20686de9ca2e546db980c112847d546dec",
-    ("--battery", "D4"): "c11fa5861df62f3fa4a569e9e75e9789a7bfa2b7775678791708a95e2cc297d8",
+    (): "8aacc2609ab3e8f5c32ff5968d07e824e1839e1452fe864044cbfd492b6c4e21",
+    ("--battery", "D4"): "1a066659738d6120d8542ab7735616a542afe2978ab09cc99defc65d5d23ce9e",
 }
 
 
@@ -446,7 +446,7 @@ def test_text_output_is_byte_identical_to_the_pinned_digest(tmp_path, capsys, ca
 
 def test_verify_battery_runs_a_repeated_diagram_once(capsys):
     code, once, _ = run(capsys, "verify", "--battery", "A2")
-    assert code == 0 and json.loads(once)["checks_total"] == 126
+    assert code == 0 and json.loads(once)["checks_total"] == 112
     assert run(capsys, "verify", "--battery", "A2,a2, A2") == (0, once, "")
 
 
@@ -731,7 +731,7 @@ def test_a_failing_check_exits_1_with_the_whole_report(capsys, monkeypatch):
     payload = json.loads(out)
     assert (code, err) == (1, "")
     assert payload["passed"] is False
-    assert (payload["checks_total"], payload["checks_failed"]) == (126 + 6, 6)  # 2 orientations, m = 1, 2, 3
+    assert (payload["checks_total"], payload["checks_failed"]) == (112 + 6, 6)  # 2 orientations, m = 1, 2, 3
 
 
 @pytest.mark.parametrize(
@@ -819,8 +819,8 @@ def test_no_command_holds_its_whole_output(tmp_path, argv, limit):
 
 
 def test_verify_lets_each_orientation_go_once_its_cells_are_read():
-    # a diagram's orientations are all knitted before its first cell; each AR
-    # quiver is then freed, by reference counting alone, after its four cells
+    # an orientation is knitted as its first cell is read, and its AR quiver is
+    # freed, by reference counting alone, after its four cells
     knitted = []
     report = verify.verification_report(["A3", "D4"], tamper=lambda label, ar: knitted.append(weakref.ref(ar)))
     alive, checks = [], 0
@@ -832,7 +832,7 @@ def test_verify_lets_each_orientation_go_once_its_cells_are_read():
                 alive.append(sum(ref() is not None for ref in knitted))
     finally:
         gc.enable()
-    assert alive == [4, 3, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert alive == [1] * 12
     assert report["checks_total"]() == checks and report["passed"]()
 
 

@@ -83,6 +83,19 @@ def test_syntax_error_carries_line_number():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_only_a_line_feed_ends_a_line(sep):
+    # str.splitlines breaks at each of these; inside a comment they stay in it
+    assert cc.parse_quiver(f"vertices 2\narrow 1 2 # caf\u00e9{sep}done\n") == cc.Quiver(2, ((1, 2),))
+    with pytest.raises(QuiverSyntaxError) as info:
+        cc.parse_quiver(f"vertices 2\n# a{sep}b{sep}c\narrow 1 9\n")
+    assert str(info.value) == "line 3: vertex 9 out of range 1..2"
+    assert cc.parse_quiver("vertices 2\r\narrow 1 2\r\n") == cc.Quiver(2, ((1, 2),))
+    # a lone CR ends no line: the first line then holds the whole file
+    with pytest.raises(QuiverSyntaxError, match="line 1: expected 'vertices <n>'"):
+        cc.parse_quiver("vertices 2\rarrow 1 2\r")
+
+
 def test_classify_path_is_a3():
     q = cc.parse_quiver(A3)
     assert cc.classify_dynkin(q) == cc.DynkinClass("A", 3)

@@ -1,28 +1,26 @@
 """Fast paths that skip repeated work, against the definitions they replace.
 
-The endomorphism blocks and exchange layers are read from the four
-base-domain ``layers`` by tier gap, and ``complements`` AND-s the members'
-ext-vanishing masks once.  The Ext^1 oracle ``resolution_ext_table`` reads
-the representations and the Euler form, never the AR-formula table it
-checks, and no command but ``verify`` reaches either oracle table or the
-representations.  The
-battery reads the exchange graph in the modulus-1 category: it completes
-each almost tilting object and scans subsets once per quiver, checks
-each lift once per modulus in ``lift-check`` only, and reads each
-exchange pair's Ext^1 at the two positions where the edge's ends differ,
-without scanning the tilting objects.  A lift is its generator; each
-check lays out the summands it needs with ``build_twist_stable``.  The
-old definitions stay here, inline, as oracles; the work-count tests pin
-the calls the fast paths no longer make.  The tables tiled by tier gap
-are checked against ``dim`` in test_orbit.py.
+The endomorphism blocks are read from the four base-domain ``layers`` by
+tier gap, and ``complements`` AND-s the members' ext-vanishing masks once.
+The Ext^1 oracle ``resolution_ext_table`` reads the representations and the
+Euler form, never the AR-formula table it checks, and no command but
+``verify`` reaches either oracle table or the representations.  The battery
+reads the exchange graph in the modulus-1 category: it scans subsets once
+per quiver, completes each lift's almost tilting objects in
+``complement-counts`` and checks each lift in ``lift-check`` once per
+modulus, and reads each exchange pair's Ext^1 at the two positions where
+the edge's ends differ, without scanning the tilting objects.  A lift is
+its generator; each check lays out the summands it needs with
+``build_twist_stable``.  The old definitions stay here, inline, as
+oracles; the work-count tests pin the calls the fast paths no longer make.
+The tables tiled by tier gap are checked against ``dim`` in test_orbit.py.
 
 The battery's own checks pay only for their work: complement-counts
 sweeps the lift's masks once, tilting-brute-force makes one pass per
 subset, serre-derived skips the pairs no shift gap allows, endo-blocks
-takes each generator's sums once, on the base, exchange-layer-dim runs
-once per quiver and the matrix Hom is solved once per ordered pair.  Each
-rewritten check is compared with its old formulation, kept here, on
-intact and on corrupted tables.
+takes each generator's sums once, on the base, and the matrix Hom is
+solved once per ordered pair.  Each rewritten check is compared with its
+old formulation, kept here, on intact and on corrupted tables.
 
 ``canonicalize`` cuts whole periods F^h = [h + 2] off the shift, walks
 (module id, shift) pairs into the base domain and finds the tier by
@@ -99,23 +97,6 @@ def _blocks_by_pairs(cat, generator):
     ]
 
 
-def _layer_by_pairs(cat, gen1, gen2):
-    """The exchange layer's sum as it was: dim over every pair of summands."""
-    lift1, lift2 = cat.build_twist_stable(gen1), cat.build_twist_stable(gen2)
-    return sum(cat.dim(s, t, 1) for s in lift1 for t in lift2)
-
-
-def _exchange_layers_by_pairs(base):
-    """exchange-layer-dim as it was: each end's set against the other end's swapped-in
-    summand, summed by _layer_by_pairs."""
-    bad, exchanged = verify._exchange_pairs(base)
-    for (a, b), (x1, x2) in zip(pairs(base.exchange_edges), exchanged):
-        for one, other in ((base.tilting_sets[a], x2), (base.tilting_sets[b], x1)):
-            if (dim := _layer_by_pairs(base, one, (other,))) != 1:
-                return f"exchange layer dimension {dim} != modulus on an edge"
-    return bad
-
-
 @pytest.mark.parametrize("label", QUIVERS)
 def test_complements_match_the_per_candidate_check(label):
     base, cats = _categories(label)
@@ -148,34 +129,6 @@ def test_endo_blocks_match_pair_sums(label):
                 ids = [base.catalog[g].module_id for g in t]
                 dim_e = sum(d.hom(DObject(a, 0), d.twist(DObject(b, 0))) for a in ids for b in ids)
                 assert cc.endo_profile(cat, t).dim_e == dim_e
-
-
-@pytest.mark.parametrize("label", QUIVERS)
-def test_exchange_layer_column_sums_match_pair_sums(label):
-    # exchange-layer-dim's column sums against the pair sums, on every edge of the intact
-    # category, and with one entry raised in layers[1, 0] or layers[1, -1]: a sampled
-    # edge's exchange pair either way, or another member of its first end and the summand
-    # swapped in
-    base, _ = _categories(label)  # a fresh category, so its layers may move
-    sets, edges = base.tilting_sets, list(pairs(base.exchange_edges))
-    assert verify._check_exchange_layers(base) is None
-    for a, b in edges:
-        for one, other in ((sets[a], sets[b]), (sets[b], sets[a])):
-            assert _layer_by_pairs(base, one, tuple(set(other) - set(one))) == 1
-    base.ext_table  # built, as the walk was, before the layers move
-    raised = set()
-    for a, b in edges[:: 250 if label == "E6" else 10]:
-        (x1,), (x2,) = set(sets[a]) - set(sets[b]), set(sets[b]) - set(sets[a])
-        raised |= {(x1, x2), (x2, x1), *((k, x2) for k in sets[a][:2] if k != x1)}
-    caught = 0
-    for layer in (base.layers[1, 0], base.layers[1, -1]):
-        for k, l in sorted(raised):
-            layer[k][l] += 1
-            detail = verify._check_exchange_layers(base)
-            assert detail == _exchange_layers_by_pairs(base), (k, l)
-            layer[k][l] -= 1
-            caught += detail is not None
-    assert caught == 2 * len(raised) and verify._check_exchange_layers(base) is None
 
 
 def test_complements_make_no_tilting_checks(monkeypatch):
@@ -218,7 +171,6 @@ def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
     tiltings = cc.enumerate_cluster_tilting(base)
     for t in tiltings:
         cc.endo_profile(cat, t)
-    assert verify._check_exchange_layers(base) is None
     assert calls["dim"] == 0
     # the counter is live: a point query reads one entry
     cat.dim(0, 1, 0)
@@ -342,7 +294,6 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
 
     build = laying_out(cc.OrbitCategory.build_twist_stable)
     monkeypatch.setattr(cc.OrbitCategory, "build_twist_stable", build)
-    monkeypatch.setattr(verify, "near_complements", counting("near", verify.near_complements))
     _patch_row(monkeypatch, "tilting-brute-force", lambda scan: counting("scan", scan))
     check = tilting.cluster_tilting_check
     monkeypatch.setattr(tilting, "cluster_tilting_check", checking)
@@ -350,16 +301,13 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
     diagrams = ["A3", "D4"]
     assert run_verification(diagrams)["passed"]
     quivers = {d: len(orientations(d)) for d in diagrams}
-    # one sweep per tilting set gives every rest's completions, once per
-    # orientation whatever the moduli
-    assert calls["near"] == sum(quivers[d] * CLUSTER_NUMBERS[d] for d in diagrams)
     assert calls["scan"] == sum(quivers.values())
     # a lift is its generator, shared as tilting_sets; its summands are laid
-    # out once each by lift-check and complement-counts, and at
-    # n <= 3 by orbit-count-criterion and (m <= 2) direct-enumeration; the
-    # graph and the near completions lay out none.  lift-check is the one
-    # modulus-m tilting check of a lift, beside those two small-rank oracles,
-    # at m = 1 too: the exchange walk reads compat_mask and checks no set
+    # out once each by lift-check and complement-counts, and at n <= 3 by
+    # orbit-count-criterion and (m <= 2) direct-enumeration; the graph lays
+    # out none.  lift-check is the one modulus-m tilting check of a lift,
+    # beside those two small-rank oracles, at m = 1 too: the exchange walk
+    # reads compat_mask and checks no set
     lifted = Counter()
     for (cat, generator), count in list(builds.items()):
         if generator in cat.base.tilting_sets:
@@ -379,22 +327,19 @@ def test_battery_shares_completions_lifts_and_the_subset_scan(monkeypatch):
 _D5_CELL = [
     "twist-free-orbits", "hom-walk-oracle", "self-ext-vanishing", "end-dim-one", "serre-orbit",
     "cy-symmetry", "fractional-cy", "rigidity-transfer", "twist-hom-invariance", "tilting-count",
-    "tilting-brute-force", "lift-check", "complement-counts", "near-complement-pairs", "graph-shape",
-    "exchange-layer-dim", "exchange-pair-ext", "endo-blocks",
+    "tilting-brute-force", "lift-check", "complement-counts", "graph-shape", "exchange-pair-ext",
+    "endo-blocks",
 ]
 D5_CHECK_NAMES = {
     None: [
         "mesh-additivity", "arrow-multiplicity", "oracle-hom-equivalence", "oracle-ext-equivalence",
-        "ar-mesh-hom-identity", "serre-derived", "twist-shift-step", "orientation-reversal",
+        "ar-mesh-hom-identity", "serre-derived", "twist-shift-step",
     ],
     1: _D5_CELL,
     2: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
     3: [name for name in _D5_CELL if name not in ("cy-symmetry", "exchange-pair-ext")],
 }
-BASE_CHECKS = [
-    "tilting-count", "tilting-brute-force", "near-complement-pairs", "graph-shape",
-    "exchange-layer-dim", "endo-blocks",
-]
+BASE_CHECKS = ["tilting-count", "tilting-brute-force", "graph-shape", "endo-blocks"]
 
 
 def _count_base_rows(monkeypatch):
@@ -418,8 +363,7 @@ def _count_base_rows(monkeypatch):
 def test_d5_cells_run_the_pinned_checks_and_each_base_check_once(monkeypatch):
     runs = _count_base_rows(monkeypatch)
     q = cc.parse_quiver(D5)
-    derived, reversal = cc.DerivedCategory(cc.ARQuiver(q)), cc.ARQuiver(q.reversed())
-    derived.reversed_shape = len(reversal.modules), sorted(x.dim_vector for x in reversal.modules), reversal.dynkin
+    derived = cc.DerivedCategory(cc.ARQuiver(q))
     memo, cells = {}, {}
     for m in D5_CHECK_NAMES:
         cat = derived if m is None else derived.orbit(m)
@@ -1003,26 +947,6 @@ def test_zero_masks_read_off_whole_rows_equal_the_mask_of_formulation(label):
                 for i, j in ((1, 1), (0, size - 1)):
                     cat.ext_table[i][j] = value
             assert (cat.ext_zero_out, cat.ext_zero_in) == _zero_masks_as_they_were(cat), (m, value)
-
-
-def test_orientation_reversal_compares_with_the_reversed_orientation(monkeypatch):
-    # a knit that loses a module of A2#1 only: A2#0 is compared with A2#1's
-    # knit and A2#1 with A2#0's, as when the check knitted the reversal itself
-    init, lossy = cc.ARQuiver.__init__, BATTERY_QUIVERS["A2#1"]
-
-    def knit(self, quiver):
-        init(self, quiver)
-        if quiver == lossy:
-            self.modules.pop()
-
-    monkeypatch.setattr(cc.ARQuiver, "__init__", knit)
-    details = {
-        cell["quiver"]: check["detail"]
-        for cell in run_verification(["A2"])["cells"]
-        for check in cell["checks"]
-        if check["name"] == "orientation-reversal"
-    }
-    assert details == dict.fromkeys(("A2#0", "A2#1"), "reversed orientation changes the catalog size")
 
 
 # -- the exchange walk against the face search and the grouping it replaced --

@@ -80,13 +80,13 @@ def _edges(change):
 
 
 _T1_T2 = {0: 1, 1: 0}
+_SQUARE = {(0, 5): (1, 0), (1, 6): (6, 5)}
 _NOT_ONE_ORBIT = ": endpoints do not differ in exactly one orbit"
 _SELF_EDGE = f"edge T1 ('m1[0]', 'm2[0]') -- T1 ('m1[0]', 'm2[0]'){_NOT_ONE_ORBIT}"
 _EXCHANGE_EDGES = {
     "A2#0": f"edge T2 ('m1[0]', 'm3[0]') -- T3 ('m2[0]', 'm1[1]'){_NOT_ONE_ORBIT}",
     "A2#1": f"edge T2 ('m1[0]', 'm2[1]') -- T3 ('m2[0]', 'm3[0]'){_NOT_ONE_ORBIT}",
 }
-_NOT_AN_EDGE = "exchange of m2[0] at ('m1[0]', 'm2[0]') is not a graph edge"
 
 # in the order of the rows they are witnesses for.  A2#0 (1 -> 2) has the base
 # catalog m1[0], m2[0], m3[0], m1[1], m2[1] (P_1, P_2, S_1, P_1[1], P_2[1]) and
@@ -97,21 +97,30 @@ TAMPERS = {
     "projective-dim-vector": Tamper(
         "mesh-additivity", "A2#0", _with_dim_vector_raised(0),
         failed=(
-            "ar-mesh-hom-identity cy-symmetry end-dim-one exchange-layer-dim exchange-pair-ext "
-            "hom-walk-oracle mesh-additivity oracle-hom-equivalence orientation-reversal serre-derived "
-            "serre-orbit"
+            "ar-mesh-hom-identity cy-symmetry end-dim-one exchange-pair-ext hom-walk-oracle mesh-additivity "
+            "oracle-hom-equivalence serre-derived serre-orbit"
         ),
-        entries=18,
+        entries=14,
     ),
     "translate-dim-vector": Tamper(
         "mesh-additivity", "A2#0", _with_dim_vector_raised(-1),
         failed=(
             "ar-mesh-hom-identity complement-counts cy-symmetry direct-enumeration endo-blocks "
-            "exchange-layer-dim exchange-pair-ext graph-shape hom-walk-oracle lift-check mesh-additivity "
-            "near-complement-pairs oracle-ext-equivalence oracle-hom-equivalence orientation-reversal "
-            "serre-derived serre-orbit tilting-brute-force tilting-count"
+            "exchange-pair-ext graph-shape hom-walk-oracle lift-check mesh-additivity oracle-ext-equivalence "
+            "oracle-hom-equivalence serre-derived serre-orbit tilting-brute-force tilting-count"
         ),
-        entries=39,
+        entries=32,
+    ),
+    # m1 of A2#1 (2 -> 1) is the simple projective: raised, it breaks the walk's two completions too
+    "reversed-dim-vector": Tamper(
+        "mesh-additivity", "A2#1", _with_dim_vector_raised(0),
+        failed=(
+            "ar-mesh-hom-identity complement-counts cy-symmetry direct-enumeration end-dim-one endo-blocks "
+            "exchange-pair-ext graph-shape hom-walk-oracle lift-check mesh-additivity oracle-ext-equivalence "
+            "oracle-hom-equivalence serre-derived serre-orbit tilting-brute-force tilting-count"
+        ),
+        entries=35,
+        details={("A2#1", None, "mesh-additivity"): "m1: knitted dimension vector (2, 1), cokernel (1, 0)"},
     ),
     "repeated-arrow": Tamper(
         "arrow-multiplicity", "A2#0", lambda ar: ar.arrows.append(ar.arrows[0]),
@@ -128,11 +137,11 @@ TAMPERS = {
     "swapped-ext-rows": Tamper(
         "oracle-ext-equivalence", "A2#0", lambda ar: _swap(ar.ext_table, 0, -1),
         failed=(
-            "complement-counts cy-symmetry direct-enumeration endo-blocks exchange-layer-dim "
-            "exchange-pair-ext graph-shape hom-walk-oracle lift-check near-complement-pairs "
-            "oracle-ext-equivalence serre-derived serre-orbit tilting-brute-force tilting-count"
+            "complement-counts cy-symmetry direct-enumeration endo-blocks exchange-pair-ext graph-shape "
+            "hom-walk-oracle lift-check oracle-ext-equivalence serre-derived serre-orbit tilting-brute-force "
+            "tilting-count"
         ),
-        entries=35,
+        entries=29,
     ),
     "dropped-mesh-middle": Tamper(
         "ar-mesh-hom-identity", "A2#0", _drop_a_mesh_middle,
@@ -150,37 +159,23 @@ TAMPERS = {
     "swapped-projectives": Tamper(
         "twist-shift-step", "A2#0", lambda ar: _swap(ar.projectives, 1, 2),
         failed=(
-            "complement-counts cy-symmetry direct-enumeration endo-blocks exchange-layer-dim "
-            "exchange-pair-ext fractional-cy graph-shape hom-walk-oracle lift-check near-complement-pairs "
-            "orbit-count-criterion self-ext-vanishing serre-orbit tilting-brute-force tilting-count "
-            "twist-free-orbits twist-hom-invariance twist-shift-step"
+            "complement-counts cy-symmetry direct-enumeration endo-blocks exchange-pair-ext fractional-cy "
+            "graph-shape hom-walk-oracle lift-check orbit-count-criterion self-ext-vanishing serre-orbit "
+            "tilting-brute-force tilting-count twist-free-orbits twist-hom-invariance twist-shift-step"
         ),
-        entries=45,
-    ),
-    # A2#1 is A2#0 reversed: A2#0 compares with A2#1's shape as knitted, before the tamper
-    "reversed-dim-vector": Tamper(
-        "orientation-reversal", "A2#1", _with_dim_vector_raised(0),
-        failed=(
-            "ar-mesh-hom-identity complement-counts cy-symmetry direct-enumeration end-dim-one endo-blocks "
-            "exchange-layer-dim exchange-pair-ext graph-shape hom-walk-oracle lift-check mesh-additivity "
-            "near-complement-pairs oracle-ext-equivalence oracle-hom-equivalence orientation-reversal "
-            "serre-derived serre-orbit tilting-brute-force tilting-count"
-        ),
-        entries=42,
-        details={("A2#1", "orientation-reversal"): "reversed orientation changes the dimension-vector multiset"},
+        entries=39,
     ),
     # the knit's own module count check cannot see a module lost after it
     "popped-module": Tamper(
-        "orientation-reversal", "A3#0", lambda ar: ar.modules.pop(),
+        "twist-shift-step", "A3#0", lambda ar: ar.modules.pop(),
         failed=(
             "ar-mesh-hom-identity complement-counts cy-symmetry direct-enumeration end-dim-one endo-blocks "
-            "exchange-layer-dim exchange-pair-ext fractional-cy graph-shape hom-walk-oracle lift-check "
-            "near-complement-pairs orbit-count-criterion orientation-reversal rigidity-transfer "
-            "self-ext-vanishing serre-derived serre-orbit tilting-brute-force tilting-count twist-free-orbits "
-            "twist-hom-invariance twist-shift-step"
+            "exchange-pair-ext fractional-cy graph-shape hom-walk-oracle lift-check orbit-count-criterion "
+            "rigidity-transfer self-ext-vanishing serre-derived serre-orbit tilting-brute-force tilting-count "
+            "twist-free-orbits twist-hom-invariance twist-shift-step"
         ),
-        entries=59,
-        details={("A3#0", None, "orientation-reversal"): "reversed orientation changes the catalog size"},
+        entries=52,
+        details={("A3#0", None, "twist-shift-step"): "twist inverse fails at m1"},
     ),
     # the tier-major layout broken four ways: the walked twist swapped at two positions,
     # a tier-1 object doubled, the catalog one object short at m = 2 and at m = 1
@@ -205,12 +200,11 @@ TAMPERS = {
     "short-base-catalog": Tamper(
         "twist-free-orbits", "A2#0", lambda catalog: catalog[:-1], prop="catalog",
         failed=(
-            "complement-counts direct-enumeration end-dim-one endo-blocks exchange-layer-dim "
-            "exchange-pair-ext fractional-cy graph-shape hom-walk-oracle lift-check near-complement-pairs "
-            "orbit-count-criterion self-ext-vanishing serre-orbit tilting-brute-force tilting-count "
-            "twist-free-orbits twist-hom-invariance"
+            "complement-counts direct-enumeration end-dim-one endo-blocks exchange-pair-ext fractional-cy "
+            "graph-shape hom-walk-oracle lift-check orbit-count-criterion self-ext-vanishing serre-orbit "
+            "tilting-brute-force tilting-count twist-free-orbits twist-hom-invariance"
         ),
-        entries=46,
+        entries=40,
         details={
             ("A2#0", 1, "hom-walk-oracle"): (
                 "check raised RuntimeError: A2 quiver [(1, 2)]: canonicalize: m2[1] still outside"
@@ -229,11 +223,10 @@ TAMPERS = {
     "diagonal-ext-layer": Tamper(
         "self-ext-vanishing", "A2#0", lambda layers: _bump(layers, (1, 0), 0, 0), prop="layers",
         failed=(
-            "complement-counts direct-enumeration endo-blocks exchange-layer-dim exchange-pair-ext "
-            "graph-shape hom-walk-oracle lift-check near-complement-pairs self-ext-vanishing "
-            "tilting-brute-force tilting-count"
+            "complement-counts direct-enumeration endo-blocks exchange-pair-ext graph-shape hom-walk-oracle "
+            "lift-check self-ext-vanishing tilting-brute-force tilting-count"
         ),
-        entries=33,
+        entries=27,
     ),
     "diagonal-hom-layer": Tamper(
         "end-dim-one", "A2#0", lambda layers: _bump(layers, (0, 0), 0, 0), prop="layers",
@@ -248,8 +241,8 @@ TAMPERS = {
     ),
     "off-diagonal-ext-layer": Tamper(
         "cy-symmetry", "A2#0", lambda layers: _bump(layers, (1, 0), 2, 1), prop="layers",
-        failed="cy-symmetry exchange-layer-dim exchange-pair-ext hom-walk-oracle",
-        entries=8,
+        failed="cy-symmetry exchange-pair-ext hom-walk-oracle",
+        entries=5,
         details={("A2#0", 2, "hom-walk-oracle"): "ext1(m3[0], m2[0]): table 2, walked 1"},
     ),
     "swapped-serre-m2": Tamper(
@@ -276,20 +269,17 @@ TAMPERS = {
     ),
     "walk-one-set-short": Tamper(
         "tilting-count", "A2#0", lambda sets: sets[:-1], prop="tilting_sets",
-        failed=(
-            "direct-enumeration exchange-layer-dim exchange-pair-ext graph-shape near-complement-pairs "
-            "tilting-brute-force tilting-count"
-        ),
-        entries=18,
+        failed="direct-enumeration exchange-pair-ext graph-shape tilting-brute-force tilting-count",
+        entries=12,
     ),
     # P_1 + P_2 traded for P_1 + P_1[1], which is not rigid: the counts alone cannot tell
     "swapped-tilting-set": Tamper(
         "tilting-brute-force", "A2#0", lambda sets: sorted([(0, 3), *sets[1:]]), prop="tilting_sets",
         failed=(
-            "complement-counts direct-enumeration exchange-layer-dim exchange-pair-ext graph-shape lift-check "
-            "near-complement-pairs tilting-brute-force"
+            "complement-counts direct-enumeration exchange-pair-ext graph-shape lift-check "
+            "tilting-brute-force"
         ),
-        entries=21,
+        entries=15,
         details={
             ("A2#0", "tilting-brute-force"): (
                 "brute-force subset scan found 5, enumeration 5; ('m1[0]', 'm2[0]') only in the scan"
@@ -325,10 +315,13 @@ TAMPERS = {
         entries=4,
     ),
     "missing-edge": Tamper(
-        "near-complement-pairs", "A2", _edges(lambda edges: edges[1:]), prop="exchange_edges",
-        failed="graph-shape near-complement-pairs",
-        entries=12,
-        details={("A2#0", "near-complement-pairs"): _NOT_AN_EDGE, ("A2#1", "near-complement-pairs"): _NOT_AN_EDGE},
+        "graph-shape", "A2", _edges(lambda edges: edges[1:]), prop="exchange_edges",
+        failed="graph-shape",
+        entries=6,
+        details={
+            ("A2#0", "graph-shape"): "vertex degrees [1, 2] != 2",
+            ("A2#1", "graph-shape"): "vertex degrees [1, 2] != 2",
+        },
     ),
     # a repeated edge leaves every degree at n; only the n * V / 2 edge count sees it
     "repeated-edge": Tamper(
@@ -343,32 +336,50 @@ TAMPERS = {
     # ends that differ in no orbit are as bad as ends that differ in two
     "edge-to-itself": Tamper(
         "graph-shape", "A2", _edges(lambda edges: [(0, 0), *edges[1:]]), prop="exchange_edges",
-        failed="exchange-layer-dim exchange-pair-ext graph-shape near-complement-pairs",
-        entries=20,
+        failed="exchange-pair-ext graph-shape",
+        entries=8,
         details={("A2#0", "graph-shape"): _SELF_EDGE, ("A2#1", "graph-shape"): _SELF_EDGE},
     ),
     "vertex-0-cut-off": Tamper(
         "graph-shape", "A3#0", _edges(lambda edges: [e for e in edges if 0 not in e]), prop="exchange_edges",
-        failed="graph-shape near-complement-pairs",
-        entries=6,
+        failed="graph-shape",
+        entries=3,
+    ),
+    # every degree and the edge count stay right: only the order of the list breaks
+    "edges-out-of-order": Tamper(
+        "graph-shape", "A3#0", _edges(lambda edges: edges[::-1]), prop="exchange_edges",
+        failed="graph-shape",
+        entries=3,
+        details={("A3#0", "graph-shape"): "edge T12 -- T13 breaks the ascending order of the edge list"},
+    ),
+    # A3#0's 4-cycle T1 - T2 - T7 - T6 with (T1, T6) and (T2, T7) traded for the other two
+    # edges reversed, (T2, T1) and (T7, T6): a repeat that keeps every degree at n
+    "square-for-reversed-pairs": Tamper(
+        "graph-shape", "A3#0", _edges(lambda edges: [_SQUARE.get(e, e) for e in edges]), prop="exchange_edges",
+        failed="graph-shape",
+        entries=3,
+        details={("A3#0", "graph-shape"): "edge T2 -- T1 breaks the ascending order of the edge list"},
     ),
     "ext-layer-down": Tamper(
-        "exchange-layer-dim", "A2#0", lambda layers: _bump(layers, (1, -1), 0, 3), prop="layers",
-        failed="cy-symmetry exchange-layer-dim exchange-pair-ext hom-walk-oracle",
-        entries=8,
-        details={("A2#0", 2, "hom-walk-oracle"): "ext1(m2[2], m1[1]): table 2, walked 1"},
+        "exchange-pair-ext", "A2#0", lambda layers: _bump(layers, (1, -1), 0, 3), prop="layers",
+        failed="cy-symmetry exchange-pair-ext hom-walk-oracle",
+        entries=5,
+        details={
+            ("A2#0", 1, "exchange-pair-ext"): "exchange pair (m1[0], m1[1]) not one-dimensional",
+            ("A2#0", 2, "hom-walk-oracle"): "ext1(m2[2], m1[1]): table 2, walked 1",
+        },
     ),
     # edges read against T1 and T2 swapped: some ends then differ in two orbits, and the
     # exchange rows and graph-shape name the first bad edge instead of raising
     "edge-ends-swapped": Tamper(
         "exchange-pair-ext", "A2",
         _edges(lambda edges: [(_T1_T2.get(a, a), _T1_T2.get(b, b)) for a, b in edges]), prop="exchange_edges",
-        failed="exchange-layer-dim exchange-pair-ext graph-shape near-complement-pairs",
-        entries=20,
+        failed="exchange-pair-ext graph-shape",
+        entries=8,
         details={
             (label, row): edge
             for label, edge in _EXCHANGE_EDGES.items()
-            for row in ("graph-shape", "exchange-layer-dim", "exchange-pair-ext")
+            for row in ("graph-shape", "exchange-pair-ext")
         },
     ),
     "hom-layer-up-in-a-generator": Tamper(
