@@ -37,12 +37,15 @@ compared on intact step tables only.
 One walk of the mutations over ``compat_mask`` gives the tilting sets and
 the exchange edges.  It replaced the depth-first search over every rigid
 set (with a tilting check on each n-set) and the grouping of the tilting
-sets by almost complete set; both stay here as references.
+sets by almost complete set; both stay here as references.  The edges
+are every pair of tilting sets that differ in one orbit, and
+``graph-shape`` passes them only ascending and in sorted order.
 """
 
 import json
+from array import array
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,6 +399,30 @@ def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
     monkeypatch.setattr(cc.OrbitCategory, "dim", counted)
     assert verify._check_exchange_pairs(cat1) is None
     assert calls == {1: 2 * len(edges)} and len(edges) == 100
+
+
+def _one_orbit_pairs(base):
+    """The exchange graph by its definition: every pair of tilting sets that differ in one orbit."""
+    masks = list(map(mask_of, base.tilting_sets))
+    return [(i, k) for i, k in combinations(range(len(masks)), 2) if (masks[i] & ~masks[k]).bit_count() == 1]
+
+
+@pytest.mark.parametrize("label", QUIVERS)
+def test_graph_shape_passes_the_one_orbit_pairs_in_order_only(label):
+    # graph-shape where near-complement-pairs was: the intact list is every one-orbit pair,
+    # ascending and sorted, and a list that keeps every degree at n but flips an edge, trades
+    # two neighbours or runs backwards fails on the order alone, at the first edge out of place
+    base, _ = _categories(label)
+    edges = list(pairs(base.exchange_edges))
+    assert edges == _one_orbit_pairs(base) and verify._check_graph_shape(base) is None
+    (a, b), *rest = edges
+    arranged = [((b, a), [(b, a), *rest])]
+    if rest:
+        arranged += [((a, b), [rest[0], (a, b), *rest[1:]]), (edges[-2], edges[::-1])]
+    for (i, k), listed in arranged:
+        base.exchange_edges = array("i", chain.from_iterable(listed))
+        detail = f"edge T{i + 1} -- T{k + 1} breaks the ascending order of the edge list"
+        assert verify._check_graph_shape(base) == detail, listed[:3]
 
 
 def test_layers_are_read_from_the_base_at_every_modulus():
