@@ -395,7 +395,7 @@ def _cmd_graph(args, parser):
 
 
 def _cmd_endo(args, parser):
-    from .endo import block_pattern_report, endo_profile
+    from .endo import block_pattern_report, endo_profile, refuse_many_tiers
     from .tilting import enumerate_cluster_tilting
 
     vertex = int(args.vertex) if len(args.vertex) <= MAX_DIGITS and args.vertex.isascii() and args.vertex.isdigit() else 0
@@ -404,6 +404,7 @@ def _cmd_endo(args, parser):
     count = cluster_number(cat.ar.dynkin)  # the number of sets the walk finds (tilting-count)
     if not 1 <= vertex <= count:  # judged before the walk
         raise UsageError(f"vertex index {shown(args.vertex)} out of range 1..{count}")
+    refuse_many_tiers(cat)  # before the walk, as the vertex range is
     generator = enumerate_cluster_tilting(cat.base)[vertex - 1]
     profile = endo_profile(cat, generator)
     report = block_pattern_report(profile)

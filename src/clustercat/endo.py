@@ -53,16 +53,19 @@ def endo_profile(cat: OrbitCategory, gen: tuple[int, ...]) -> EndoProfile:
     i.e. maps from tier j into tier i.
     """
     m, size = cat.modulus, len(gen)
-    if m > MAX_TABLE_SIDE:  # the block matrix is m x m
-        raise QuiverTooLargeError(
-            f"endo blocks of {cat.ar.dynkin} at m={m} need {m} tiers; at most {MAX_TABLE_SIDE} are supported"
-        )
+    refuse_many_tiers(cat)
     # tier-major: the twist^i of gen fills slice i
     summands = list(map(cat.catalog.__getitem__, cat.build_twist_stable(gen)))
     tiers = [summands[i * size : (i + 1) * size] for i in range(m)]
     same, up, dim_c, dim_e = generator_sums(cat.base, gen)  # no sum depends on the modulus
     # the block from tier j into tier i reads the layers at tier gap (i - j) mod m
     return EndoProfile(tiers, _cyclic_blocks(m, same, up), dim_c, dim_e, dim_c is not None)
+
+
+def refuse_many_tiers(cat: OrbitCategory) -> None:
+    """Raise QuiverTooLargeError past MAX_TABLE_SIDE tiers: the block matrix is m x m."""
+    if (m := cat.modulus) > MAX_TABLE_SIDE:
+        raise QuiverTooLargeError(f"endo blocks of {cat.ar.dynkin} at m={m} need {m} tiers; at most {MAX_TABLE_SIDE} are supported")
 
 
 def generator_sums(base: OrbitCategory, gen: tuple[int, ...]) -> tuple[int, int, int | None, int | None]:

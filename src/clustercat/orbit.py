@@ -241,8 +241,10 @@ class OrbitCategory:
         return all(self.compat_mask[p] & mask == mask for p in positions)
 
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
-        """Every nonempty rigid set of at most n positions (n the number of
-        vertices), ascending tuples in depth-first (hence lexicographic) order."""
+        """Every nonempty rigid set of at most n positions (n the number of vertices), ascending tuples
+        in depth-first (hence lexicographic) order.  None is missed: rigidity passes to subsets, so each
+        prefix of a rigid set is a face.  A face grows one way only, by its earlier members' ``compat_mask``
+        rows, so over a mask that is not symmetric it may yield a set rigid one way only."""
         return _rigid_extensions((), self.loops, self.compat_mask, self.ar.quiver.vertex_count)
 
     @cached_property
@@ -259,6 +261,17 @@ class OrbitCategory:
         rank = sorted(range(len(order)), key=order.__getitem__)
         ends = (sorted(rank[x] for x in near[w * n : w * n + n]) for w in order)
         return array("i", chain.from_iterable((i, k) for i, row in enumerate(ends) for k in row if k > i))
+
+    @cached_property
+    def exchange_pairs(self) -> list[tuple[int, int] | None]:
+        """Per edge of ``exchange_edges``, in order, its exchange pair: the one position only its first
+        end holds and the one only its second holds, or None where the ends differ otherwise."""
+        masks, out = list(map(mask_of, self.tilting_sets)), []
+        for a, b in pairs(self.exchange_edges):
+            only_a, only_b = masks[a] & ~masks[b], masks[b] & ~masks[a]
+            one = only_a.bit_count() == only_b.bit_count() == 1
+            out.append((only_a.bit_length() - 1, only_b.bit_length() - 1) if one else None)
+        return out
 
     def refuse_large_walk(self) -> None:
         """Raise QuiverTooLargeError, before any walk, past MAX_TILTING_OBJECTS tilting objects."""

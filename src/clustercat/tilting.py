@@ -7,11 +7,12 @@ lays out the summands).  The exchange graph is a modulus-1 object at every
 m: the lift T -> T + FT + ... + F^(m-1)T is a bijection carrying mutations
 to mutations (Buan-Marsh-Reineke-Reiten-Todorov), so it is the base's
 ``tilting_sets`` and ``exchange_edges``, found by one walk over
-``compat_mask``.  The battery's oracles are the slow paths: a subset scan
-and (at small rank) a direct scan over twist-orbit unions re-derive the
-sets and the lifts, ``completions`` counts every rest's complements, and
-``cluster_tilting_check`` checks every lift at modulus m.  The battery does
-not run ``near_complements``, which re-derives every edge from Ext^1.
+``compat_mask``.  The battery's oracles are the slow paths: a search over
+every rigid set (``rigid_position_sets``) and (at small rank) a direct scan
+over twist-orbit unions re-derive the sets and the lifts, ``completions``
+counts every rest's complements, and ``cluster_tilting_check`` checks every
+lift at modulus m.  The battery does not run ``near_complements``, which
+re-derives every edge from Ext^1.
 """
 
 from __future__ import annotations

@@ -30,22 +30,24 @@ search for the first mismatch only when there is one.  The expected
 tilting counts come from the Dynkin class (``cluster_number``), so the
 battery reads no diagram name past the orientations it builds.
 
-The paper's connectivity theorem (the tilting graph of C_{F^m} is
-connected; at every m it is the modulus-1 graph) is checked by two rows:
+The paper's connectivity theorem (the tilting graph of C_{F^m} is connected;
+at every m it is the modulus-1 graph) is checked by two rows:
 ``tilting-count``, since the walk from one seed set, along the graph's
 edges, reaches ``cluster_number`` sets (``graph``'s ``connected`` field
 reads the same thing), and ``tilting-brute-force``, since no tilting set
-lies outside the walk.  With those, ``complement-counts`` at m = 1 (each
-rest has two completions) and ``graph-shape`` (an n-regular list of
-distinct edges whose ends differ in one orbit) prove the edge set is the
-whole exchange graph.  tests/test_tampers.py holds, for every row, a
-tamper that fails it, and pins the rows each tamper fails.
+lies outside the walk: it keeps the maximal rigid n-sets of the face search
+``rigid_position_sets`` (``orbit-count-criterion`` reads it too), and a
+rigid n-set is tilting (Buan-Marsh-Reineke-Reiten-Todorov).  With those,
+``complement-counts`` at m = 1 (each rest has two completions) and
+``graph-shape`` (an n-regular list of distinct edges whose ends differ in
+one orbit) prove the edge set is the whole exchange graph.
+tests/test_tampers.py holds, for every row, a tamper that fails it, and pins
+the rows each tamper fails.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
 from operator import add, itemgetter, sub
 from typing import Iterator
 
@@ -90,12 +92,12 @@ def verification_report(diagrams=None, tamper=None, timings=False) -> dict:
     adds each check's wall time to its result as ``seconds``; a check's
     seconds include the shared structures it is the first to read, which
     are built lazily: ``reps`` in ``mesh-additivity``, the module and the
-    matrix Hom tables in ``oracle-hom-equivalence``, ``layers`` and the
-    orbit Hom and Ext^1 tables in ``hom-walk-oracle``, the exchange walk
-    (the tilting sets and their neighbours) in ``tilting-count``, its
-    ``exchange_edges`` in ``graph-shape``, the cell's catalog and
-    ``twist_permutation`` in ``twist-free-orbits`` and ``serre_permutation``
-    in ``serre-orbit``.
+    matrix Hom tables in ``oracle-hom-equivalence``, ``layers`` and the orbit
+    Hom and Ext^1 tables in ``hom-walk-oracle``, the exchange walk (the
+    tilting sets and their neighbours) in ``tilting-count``, its
+    ``exchange_edges`` and ``exchange_pairs`` in ``graph-shape``, the cell's
+    catalog and ``twist_permutation`` in ``twist-free-orbits`` and
+    ``serre_permutation`` in ``serre-orbit``.
     """
     names = list(dict.fromkeys(diagrams)) if diagrams else list(DIAGRAMS)
     for name in names:
@@ -449,22 +451,23 @@ def _check_tilting_count(base: OrbitCategory) -> str | None:
 
 
 def _check_tilting_brute_force(base: OrbitCategory) -> str | None:
-    n, size, compat = base.ar.quiver.vertex_count, len(base.catalog), base.compat_mask
-    full, loops = (1 << size) - 1, base.loops
-    brute = []
-    for combo in combinations(range(size), n):
-        mask, common = 0, full
-        for p in combo:
-            mask |= 1 << p
-            common &= compat[p]
-        # rigid: each member is compatible with all; maximal: (compat is symmetric)
-        # no self-compatible position outside is compatible with all members
-        if mask & ~common == 0 and common & loops & ~mask == 0:
-            brute.append(combo)
+    # a rigid n-set is tilting (Buan-Marsh-Reineke-Reiten-Todorov) and an n-face of the search; a face
+    # grows through its earlier members' compat bits only, so each is tested both ways here, and for
+    # maximality (compat is symmetric): no self-compatible position outside is compatible with all
+    n, compat, loops = base.ar.quiver.vertex_count, base.compat_mask, base.loops
+    found = []
+    for face in base.rigid_position_sets():
+        if len(face) == n:
+            mask, common = 0, -1
+            for p in face:
+                mask |= 1 << p
+                common &= compat[p]
+            if mask & ~common == 0 and common & loops & ~mask == 0:
+                found.append(face)
     fast = enumerate_cluster_tilting(base)
-    if sorted(brute) != sorted(fast):
-        found = _first_unshared(base, brute, fast, ("scan", "enumeration"))
-        return f"brute-force subset scan found {len(brute)}, enumeration {len(fast)}{found}"
+    if sorted(found) != sorted(fast):
+        unshared = _first_unshared(base, found, fast, ("search", "enumeration"))
+        return f"rigid-set search found {len(found)}, enumeration {len(fast)}{unshared}"
     return None
 
 
@@ -519,7 +522,7 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
     # n neighbours (Buan-Marsh-Reineke-Reiten-Todorov).  Two tilting sets that differ in one
     # orbit are neighbours, so an n-regular list of distinct one-orbit edges misses none
     n = base.ar.quiver.vertex_count
-    if bad := _exchange_pairs(base)[0]:
+    if bad := _bad_edge(base):
         return bad
     edges, count = base.exchange_edges, len(base.tilting_sets)
     degrees = [0] * count
@@ -541,32 +544,24 @@ def _check_graph_shape(base: OrbitCategory) -> str | None:
     return None
 
 
-def _exchange_pairs(base: OrbitCategory) -> tuple[str | None, list[tuple[int, int]]]:
-    """(None, each edge's exchange pair (x1, x2), the positions only its first and only its second
-    end hold, read off the set masks), or (detail, []) naming an edge whose ends differ otherwise."""
-    sets, exchanged = base.tilting_sets, []
-    masks = list(map(mask_of, sets))
-    for a, b in pairs(base.exchange_edges):
-        only_a, only_b = masks[a] & ~masks[b], masks[b] & ~masks[a]
-        if only_a.bit_count() != 1 or only_b.bit_count() != 1:
-            bad = (
-                f"edge T{a + 1} {_key(base, sets[a])} -- T{b + 1} {_key(base, sets[b])}:"
-                " endpoints do not differ in exactly one orbit"
-            )
-            return bad, []
-        exchanged.append((only_a.bit_length() - 1, only_b.bit_length() - 1))
-    return None, exchanged
+def _bad_edge(base: OrbitCategory) -> str | None:
+    """A detail naming the first edge whose ends do not differ in exactly one orbit, or None."""
+    if None not in (exchanged := base.exchange_pairs):
+        return None
+    sets, (a, b) = base.tilting_sets, list(pairs(base.exchange_edges))[exchanged.index(None)]
+    return f"edge T{a + 1} {_key(base, sets[a])} -- T{b + 1} {_key(base, sets[b])}: endpoints do not differ in exactly one orbit"
 
 
 def _check_exchange_pairs(cat: OrbitCategory) -> str | None:
     # an edge's two differing positions are its exchange pair (Buan-Marsh-Reineke-Reiten-Todorov)
-    bad, exchanged = _exchange_pairs(cat)
-    for x1, x2 in exchanged:
+    if bad := _bad_edge(cat):
+        return bad
+    for x1, x2 in cat.exchange_pairs:
         for one, two in ((x1, x2), (x2, x1)):
             if cat.dim(one, two, 1) != 1:
                 one_text, two_text = cat.texts((one, two))
                 return f"exchange pair ({one_text}, {two_text}) not one-dimensional"
-    return bad
+    return None
 
 
 def _check_endo_blocks(base: OrbitCategory) -> str | None:

@@ -14,6 +14,7 @@ A3 = "vertices 3\narrow 1 2\narrow 2 3\n"
 A4 = "vertices 4\narrow 1 2\narrow 2 3\narrow 3 4\n"
 D4 = "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4\n"
 D5 = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n"
+A7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 7))
 # E_n: the chain 1 -> 2 -> ... -> n-1 plus the arrow 3 -> n
 E6 = "vertices 6\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 5)) + "arrow 3 6\n"
 E7 = "vertices 7\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 6)) + "arrow 3 7\n"

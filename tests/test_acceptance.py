@@ -121,7 +121,7 @@ def test_criterion_5_complement_counts(report):
 
 
 def test_criterion_6_graph_connectivity_and_shape(report, contexts):
-    # connected: the walk from one seed reaches every tilting set the subset scan finds
+    # connected: the walk from one seed reaches every tilting set the rigid-set search finds
     failures = _failures(_collect(report, {"tilting-count", "tilting-brute-force", "graph-shape"}))
     for label, (name, dc) in contexts.items():
         for m in M_VALUES:

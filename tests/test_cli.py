@@ -321,7 +321,9 @@ def test_endo_vertex_out_of_range(capsys, a2_path, monkeypatch, vertex, m):
     assert err == f"error: vertex index {vertex} out of range 1..5\n"
 
 
-def test_endo_past_the_side_cap_fails_fast_in_one_line(capsys, a2_path):
+def test_endo_past_the_side_cap_fails_fast_in_one_line(capsys, a2_path, monkeypatch):
+    # the tier cap is judged after the vertex range and, like it, before the exchange walk
+    monkeypatch.setattr(orbit.OrbitCategory, "_exchange_walk", property(_unreachable))
     start = time.perf_counter()
     m = str(orbit.MAX_TABLE_SIDE + 1)
     code, out, err = run(capsys, "endo", "1", "--quiver", a2_path, "--m", m)
@@ -332,6 +334,7 @@ def test_endo_past_the_side_cap_fails_fast_in_one_line(capsys, a2_path):
         f"error: endo blocks of A2 at m={m} need {m} tiers;"
         f" at most {orbit.MAX_TABLE_SIDE} are supported\n"
     )
+    assert run(capsys, "endo", "6", "--quiver", a2_path, "--m", m) == (2, "", "error: vertex index 6 out of range 1..5\n")
 
 
 def test_endo_at_the_side_cap(capsys, a2_path):

@@ -5,8 +5,8 @@ tier gap, and ``complements`` AND-s the members' ext-vanishing masks once.
 The Ext^1 oracle ``resolution_ext_table`` reads the representations and the
 Euler form, never the AR-formula table it checks, and no command but
 ``verify`` reaches either oracle table or the representations.  The battery
-reads the exchange graph in the modulus-1 category: it scans subsets once
-per quiver, completes each lift's almost tilting objects in
+reads the exchange graph in the modulus-1 category: it searches the rigid
+sets once per quiver, completes each lift's almost tilting objects in
 ``complement-counts`` and checks each lift in ``lift-check`` once per
 modulus, and reads each exchange pair's Ext^1 at the two positions where
 the edge's ends differ, without scanning the tilting objects.  A lift is
@@ -16,10 +16,11 @@ oracles; the work-count tests pin the calls the fast paths no longer make.
 The tables tiled by tier gap are checked against ``dim`` in test_orbit.py.
 
 The battery's own checks pay only for their work: complement-counts
-sweeps the lift's masks once, tilting-brute-force makes one pass per
-subset, serre-derived skips the pairs no shift gap allows, endo-blocks
-takes each generator's sums once, on the base, and the matrix Hom is
-solved once per ordered pair.  Each rewritten check is compared with its
+sweeps the lift's masks once, tilting-brute-force tests each n-face of
+the rigid-set search once, serre-derived skips the pairs no shift gap
+allows, endo-blocks takes each generator's sums once, on the base, the
+exchange pairs are read off the sets once per quiver, and the matrix Hom
+is solved once per ordered pair.  Each rewritten check is compared with its
 old formulation, kept here, on intact and on corrupted tables.
 
 ``canonicalize`` cuts whole periods F^h = [h + 2] off the shift, walks
@@ -45,6 +46,7 @@ are every pair of tilting sets that differ in one orbit, and
 import json
 from array import array
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations
 
 import pytest
@@ -57,7 +59,7 @@ from clustercat.derived import DObject
 from clustercat.orbit import mask_of, pairs
 from clustercat.verify import DIAGRAMS, orientations, run_verification
 
-from conftest import A2, A3, BATTERY_QUIVERS, D4, D5, E6, E7, TREES, oriented_trees
+from conftest import A2, A3, A7, BATTERY_QUIVERS, D4, D5, E6, E7, TREES, oriented_trees
 
 QUIVERS = {**BATTERY_QUIVERS, "E6": cc.parse_quiver(E6)}
 # tilting objects per diagram: the cluster numbers of the Dynkin classes
@@ -376,6 +378,19 @@ def test_d5_cells_run_the_pinned_checks_and_each_base_check_once(monkeypatch):
     assert runs == dict.fromkeys(BASE_CHECKS, 1)
 
 
+@pytest.mark.parametrize("text, moduli", [(E6, (1, 2)), (A7, (1, 2)), (E7, (1,))], ids=["E6", "A7", "E7"])
+def test_every_row_passes_past_the_default_battery(build, text, moduli):
+    # every row the gates let run at rank 6 and 7, tilting-brute-force among them: all but the
+    # two n <= 3 oracles, and cy-symmetry and exchange-pair-ext only at m = 1
+    derived, memo = build(text), {}
+    ran = set()
+    for m in (None, *moduli):
+        checks = verify._run_cell(derived if m is None else derived.orbit(m), memo)
+        assert [c["detail"] for c in checks if not c["passed"]] == [], m
+        ran |= {c["name"] for c in checks}
+    assert ran == {name for name, *_ in verify.CHECKS} - {"orbit-count-criterion", "direct-enumeration"}
+
+
 def test_battery_runs_each_base_check_once_per_quiver_and_reports_it_in_every_cell(monkeypatch):
     runs = _count_base_rows(monkeypatch)
     diagrams = ["A1", "A2", "A3"]
@@ -399,6 +414,23 @@ def test_exchange_pair_check_reads_two_dims_per_edge(monkeypatch):
     monkeypatch.setattr(cc.OrbitCategory, "dim", counted)
     assert verify._check_exchange_pairs(cat1) is None
     assert calls == {1: 2 * len(edges)} and len(edges) == 100
+
+
+def test_exchange_pairs_are_read_off_the_sets_once_per_quiver(monkeypatch):
+    # graph-shape (base) and exchange-pair-ext (the m = 1 cell, whose category is the base)
+    # share the pairs: A3's four orientations derive them four times, not eight
+    derived_for = Counter()
+    build = cc.OrbitCategory.exchange_pairs.func
+
+    def counted(cat):
+        derived_for[cat.ar.quiver_label] += 1
+        return build(cat)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cc.OrbitCategory, "exchange_pairs")
+    monkeypatch.setattr(cc.OrbitCategory, "exchange_pairs", prop)
+    assert run_verification(["A3"])["passed"]
+    assert sorted(derived_for.values()) == [1] * 4
 
 
 def _one_orbit_pairs(base):
@@ -475,6 +507,20 @@ def _brute_force_as_it_was(base):
     return brute
 
 
+def _one_pass_scan_as_it_was(base):
+    """tilting-brute-force's subset scan before the face search: one AND of the members'
+    compat_mask rows per subset, read for rigidity and for maximality alike."""
+    n, size, compat = base.ar.quiver.vertex_count, len(base.catalog), base.compat_mask
+    found = []
+    for combo in combinations(range(size), n):
+        mask, common = mask_of(combo), -1
+        for p in combo:
+            common &= compat[p]
+        if mask & ~common == 0 and common & base.loops & ~mask == 0:
+            found.append(combo)
+    return found
+
+
 def _serre_derived_as_it_was(derived):
     """serre-derived as it was: every pair of the window, both sides asked."""
     objs = [DObject(m.id, s) for m in derived.ar.modules for s in range(-2, 3)]
@@ -539,6 +585,15 @@ def test_one_pass_subset_scan_equals_the_old_formulation_on_corrupted_tables(mon
     for base in toggled + outsiders:
         assert verify._check_tilting_brute_force(base) is None
     assert {len(_brute_force_as_it_was(base)) for base in toggled} != {len(tiltings)}
+    # a compat_mask bit flipped one way only: the face search grows a face through its earlier
+    # members' rows alone, and its leaf test keeps the n-sets the subset scan kept.  The old
+    # formulation reads an outsider's own row for maximality, so the two part on these
+    monkeypatch.setattr(verify, "enumerate_cluster_tilting", _one_pass_scan_as_it_was)
+    one_way = [_corrupted_a3() for _ in range(size * size)]
+    for k, base in enumerate(one_way):
+        base.compat_mask[k // size] ^= 1 << k % size
+        assert verify._check_tilting_brute_force(base) is None, divmod(k, size)
+    assert {len(_one_pass_scan_as_it_was(base)) for base in one_way} != {len(tiltings)}
 
 
 @pytest.mark.parametrize("label", QUIVERS)
@@ -640,7 +695,7 @@ def test_dropped_tilting_set_fails_the_subset_scan():
     assert verify._check_tilting_brute_force(base) is None
     base.tilting_sets.pop(17)
     assert verify._check_tilting_brute_force(base) == (
-        "brute-force subset scan found 50, enumeration 49; ('m2[0]', 'm5[0]', 'm6[0]', 'm7[0]') only in the scan"
+        "rigid-set search found 50, enumeration 49; ('m2[0]', 'm5[0]', 'm6[0]', 'm7[0]') only in the search"
     )
 
 

@@ -282,7 +282,7 @@ TAMPERS = {
         entries=15,
         details={
             ("A2#0", "tilting-brute-force"): (
-                "brute-force subset scan found 5, enumeration 5; ('m1[0]', 'm2[0]') only in the scan"
+                "rigid-set search found 5, enumeration 5; ('m1[0]', 'm2[0]') only in the search"
             ),
             ("A2#0", 1, "direct-enumeration"): (
                 "direct in-category enumeration found 5 objects, lifts give 5;"

@@ -1,6 +1,7 @@
 from array import array
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from clustercat.orbit import mask_of, pairs
 from clustercat.quiver import reachable
 from clustercat.tilting import NotRigidError
 
-from conftest import A1, A2, A3, A4, BATTERY_QUIVERS, D4, D5, E6, E7, E8, TREES, module_obj, oriented_trees
+from conftest import A1, A2, A3, A4, A7, BATTERY_QUIVERS, D4, D5, E6, E7, E8, TREES, module_obj, oriented_trees
 
 
 EXPECTED_COUNTS = {A1: 2, A2: 5, A3: 14, A4: 42, D4: 50}
@@ -394,7 +395,7 @@ def _path(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, n)]
 
 
-A5, A7 = _text(5, _path(5)), _text(7, _path(7))
+A5 = _text(5, _path(5))
 
 # one orientation each; D_n is the path to n - 1 with the arrow n - 2 -> n
 CLUSTER_NUMBER_QUIVERS = {
@@ -429,6 +430,34 @@ def test_graph_matches_cluster_numbers(build, text, n, vertices, m):
     assert len(edges) == n * vertices // 2
     assert set(_degrees(vertices, edges)) == {n}
     assert _connected(vertices, edges)
+
+
+# the W-Narayana numbers h_0..h_n of each type (Athanasiadis, Trans. AMS 357 (2005)); E6 and E7
+# by the antichains of the root poset, counted by size
+NARAYANA = {
+    **{f"A{n}": [comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in range(n + 1)] for n in (5, 7)},
+    **{
+        f"D{n}": [comb(n, k) ** 2 - (n * comb(n - 1, k) * comb(n - 1, k - 1) // (n - 1) if k else 0) for k in range(n + 1)]
+        for n in (5, 6)
+    },
+    "E6": [1, 36, 204, 351, 204, 36, 1],
+    "E7": [1, 63, 546, 1470, 1470, 546, 63, 1],
+}
+FACE_TREES = {**TREES, "A7": tuple(_path(7)), "E7": (*_path(6), (3, 7))}
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("diagram", NARAYANA)
+def test_rigid_sets_count_the_faces_of_the_cluster_complex(data, diagram):
+    # the face search's sets of each size k are the cluster complex's f_k = sum_i C(n - i, k - i) h_i
+    # (Fomin-Reading, math/0505518), under a random orientation and vertex numbering
+    cat = cc.DerivedCategory(cc.ARQuiver(data.draw(oriented_trees(FACE_TREES[diagram])))).orbit(1)
+    assert str(cat.ar.dynkin) == diagram
+    h, n = NARAYANA[diagram], cat.ar.quiver.vertex_count
+    assert sum(h) == cc.cluster_number(cat.ar.dynkin)
+    sizes = Counter(map(len, cat.rigid_position_sets()))
+    assert sizes == {k: sum(comb(n - i, k - i) * h[i] for i in range(k + 1)) for k in range(1, n + 1)}
 
 
 def _near_complement_edges(cat):
