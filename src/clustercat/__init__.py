@@ -39,7 +39,6 @@ _HOME = {
             "cluster_tilting_check",
             "complements",
             "enumerate_cluster_tilting",
-            "enumerate_stable_tilting_direct",
             "near_complements",
         ),
         "endo": (

@@ -197,12 +197,6 @@ class OrbitCategory:
         """Catalog position of the walked twist of each object: the layout's reference."""
         return [self.twist_action(i) for i in range(len(self.catalog))]
 
-    @cached_property
-    def twist_orbits(self) -> list[tuple[int, ...]]:
-        """Catalog positions split into twist-orbits {k, k + B, ..., k + (m-1)B}, by k."""
-        step = self._tier_size
-        return [tuple(range(k, step * self.modulus, step)) for k in range(step)]
-
     # -- twist-stable objects ------------------------------------------------
 
     def build_twist_stable(self, generator: Iterable[int]) -> tuple[int, ...]:
@@ -241,11 +235,12 @@ class OrbitCategory:
         return all(self.compat_mask[p] & mask == mask for p in positions)
 
     def rigid_position_sets(self) -> Iterator[tuple[int, ...]]:
-        """Every nonempty rigid set of at most n positions (n the number of vertices), ascending tuples
-        in depth-first (hence lexicographic) order.  None is missed: rigidity passes to subsets, so each
-        prefix of a rigid set is a face.  A face grows one way only, by its earlier members' ``compat_mask``
-        rows, so over a mask that is not symmetric it may yield a set rigid one way only."""
-        return _rigid_extensions((), self.loops, self.compat_mask, self.ar.quiver.vertex_count)
+        """Every nonempty rigid set of at most mn positions (n the number of vertices, m the modulus: a
+        cluster tilting object has mn summands), ascending tuples in depth-first (hence lexicographic)
+        order.  None is missed: rigidity passes to subsets, so each prefix of a rigid set is a face.  A
+        face grows one way only, by its earlier members' ``compat_mask`` rows, so over a mask that is not
+        symmetric it may yield a set rigid one way only."""
+        return _rigid_extensions((), self.loops, self.compat_mask, self.modulus * self.ar.quiver.vertex_count)
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:

@@ -165,8 +165,15 @@ def _check_acyclic(q: Quiver) -> None:
             if indeg[w] == 0:
                 queue.append(w)
     if seen != q.vertex_count:
-        cyclic = [v for v in indeg if indeg[v] > 0]
-        raise QuiverCycleError(f"oriented cycle through vertices {_few(cyclic)}")
+        # the peel leaves each vertex with a predecessor it leaves too (indeg > 0),
+        # so walking back from one must repeat a vertex: the walk's loop is a cycle
+        back = {t: s for s, t in q.arrows if indeg[s] > 0}
+        walk, v = {}, min(v for v in indeg if indeg[v] > 0)
+        while v not in walk:
+            walk[v] = len(walk)
+            v = back[v]
+        cycle = sorted(list(walk)[walk[v] :])
+        raise QuiverCycleError(f"oriented cycle through vertices {_few(cycle)}")
 
 
 def _check_connected(q: Quiver) -> None:

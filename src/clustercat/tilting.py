@@ -7,11 +7,11 @@ lays out the summands).  The exchange graph is a modulus-1 object at every
 m: the lift T -> T + FT + ... + F^(m-1)T is a bijection carrying mutations
 to mutations (Buan-Marsh-Reineke-Reiten-Todorov), so it is the base's
 ``tilting_sets`` and ``exchange_edges``, found by one walk over
-``compat_mask``.  The battery's oracles are the slow paths: a search over
-every rigid set (``rigid_position_sets``) and (at small rank) a direct scan
-over twist-orbit unions re-derive the sets and the lifts, ``completions``
-counts every rest's complements, and ``cluster_tilting_check`` checks every
-lift at modulus m.  The battery does not run ``near_complements``, which
+``compat_mask``.  The battery's oracles are the slow paths: the search over
+every rigid set (``rigid_position_sets``) re-derives the sets at modulus 1
+and (at small rank) the lifts at modulus m, ``completions`` counts every
+rest's complements, and ``cluster_tilting_check`` checks every lift at
+modulus m.  The battery does not run ``near_complements``, which
 re-derives every edge from Ext^1.
 """
 
@@ -130,17 +130,3 @@ def build_tilting_graph(cat: OrbitCategory) -> Iterator[tuple[int, int]]:
     Kept as a function because the benchmark tracer (perfbench/tracing.py) times it as a stage."""
     return pairs(cat.base.exchange_edges)
 
-
-def enumerate_stable_tilting_direct(cat: OrbitCategory) -> list[tuple[int, ...]]:
-    """Independent oracle: scan twist-orbit unions inside the category itself.
-
-    Enumerates all unions of n twist-orbits of the catalog that pass the
-    two-sided add-characterization, without using the modulus-1 detour,
-    as ascending position tuples.  Intended for small rank; cost grows as
-    C(#orbits, n).
-    """
-    from itertools import combinations
-
-    combos = combinations(cat.twist_orbits, cat.ar.quiver.vertex_count)
-    unions = (sorted(j for orbit in combo for j in orbit) for combo in combos)
-    return sorted(tuple(u) for u in unions if cluster_tilting_check(cat, u)[0])

@@ -241,6 +241,14 @@ def test_cycle_message_lists_a_few_vertices_and_the_total():
     )
 
 
+def test_cycle_message_names_only_the_cycle():
+    # vertex 4 lies downstream of the cycle 1 -> 2 -> 3 -> 1, not on it
+    text = "vertices 4\narrow 1 2\narrow 2 3\narrow 3 1\narrow 3 4\n"
+    with pytest.raises(QuiverCycleError) as info:
+        cc.parse_quiver(text)
+    assert str(info.value) == "oriented cycle through vertices [1, 2, 3]"
+
+
 def test_disconnected_message_lists_a_few_vertices_and_the_total():
     # two 15-vertex paths, plus a chord 1 -> 3 so there are n - 1 arrows
     arrows = [(i, i + 1) for i in range(1, 15)] + [(i, i + 1) for i in range(16, 30)] + [(1, 3)]

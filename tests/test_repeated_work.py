@@ -156,9 +156,10 @@ def test_complements_make_no_tilting_checks(monkeypatch):
     for t in tiltings:
         cc.near_complements(base, t)
     assert calls["check"] == 0
-    # the counter is live: the direct scan checks every union of n of the 16 twist-orbits
-    cc.enumerate_stable_tilting_direct(cat)
-    assert calls["check"] == 1820
+    # the counter is live: direct-enumeration checks each of the 50 rigid 8-sets once
+    monkeypatch.setattr(verify, "cluster_tilting_check", counted)
+    assert verify._check_direct_enumeration(cat) is None
+    assert calls["check"] == 50
 
 
 def test_tables_endo_blocks_and_exchange_layers_make_no_dim_reads(monkeypatch):
@@ -885,7 +886,7 @@ def _twist_hom_invariance_as_it_was(cat):
     """twist-hom-invariance as it was: every twist power of every y."""
     twist, hom = cat.twist_permutation, cat.hom_table
     for k, g in enumerate(cat.base.catalog):
-        into = [sum(col) for col in zip(*(hom[s] for s in cat.twist_orbits[k]))]
+        into = [sum(col) for col in zip(*(hom[s] for s in range(k, len(hom), len(cat.base.catalog))))]
         for y, target in enumerate(cat.catalog):
             z = y
             for _ in range(cat.modulus - 1):
@@ -897,7 +898,8 @@ def _twist_hom_invariance_as_it_was(cat):
 
 def _rigidity_transfer_as_it_was(cat):
     """rigidity-transfer as it was: a sum over the two orbits per pair."""
-    base, ext, orbits = cat.base, cat.ext_table, cat.twist_orbits
+    base, ext = cat.base, cat.ext_table
+    orbits = [range(k, len(ext), len(base.catalog)) for k in range(len(base.catalog))]
     for i, a in enumerate(base.catalog):
         for j, b in enumerate(base.catalog):
             total = sum(ext[x][y] for x in orbits[i] for y in orbits[j])

@@ -261,11 +261,12 @@ TAMPERS = {
         failed="hom-walk-oracle serre-orbit twist-hom-invariance",
         entries=3,
     ),
-    # at m >= 2 compat_mask is read only by the rigidity test of the criterion
+    # at m >= 2 compat_mask is read only by the rigidity test of the criterion and the face search
+    # of direct-enumeration
     "compat-bit-m2": Tamper(
         "orbit-count-criterion", "A2#0", lambda compat: _flip(compat, 0, 1), prop="compat_mask", m=2,
-        failed="orbit-count-criterion",
-        entries=1,
+        failed="direct-enumeration orbit-count-criterion",
+        entries=2,
     ),
     "walk-one-set-short": Tamper(
         "tilting-count", "A2#0", lambda sets: sets[:-1], prop="tilting_sets",
@@ -295,11 +296,10 @@ TAMPERS = {
         failed="complement-counts direct-enumeration lift-check orbit-count-criterion",
         entries=4,
     ),
-    # the second tiers of the first two orbits traded: twist_orbits is read by the direct scan only
-    "mixed-twist-orbits-m2": Tamper(
-        "direct-enumeration", "A2#0",
-        lambda orbits: [(orbits[0][0], orbits[1][1]), (orbits[1][0], orbits[0][1]), *orbits[2:]],
-        prop="twist_orbits", m=2,
+    # m3[0] (position 2) dropped from the self-compatible positions: at m >= 2 loops is read by the
+    # face search of direct-enumeration only, which then misses the two lifts through m3[0]
+    "loops-bit-m2": Tamper(
+        "direct-enumeration", "A2#0", lambda loops: loops & ~(1 << 2), prop="loops", m=2,
         failed="direct-enumeration",
         entries=1,
         details={

@@ -355,16 +355,28 @@ def test_exchange_pair_ext_matches_complements(build, text):
     assert all(cat1.dim(x1, x2, 1) == 1 for x1, x2 in exchanged)
 
 
-@pytest.mark.parametrize("text", [A1, A2, A3])
-@pytest.mark.parametrize("m", [1, 2])
-def test_direct_enumeration_agrees(build, text, m):
-    dc = build(text)
-    cat = dc.orbit(m)
-    direct = cc.enumerate_stable_tilting_direct(cat)
-    lifted = sorted(
-        cat.build_twist_stable(t) for t in cc.enumerate_cluster_tilting(dc.orbit(1))
-    )
-    assert direct == lifted
+# the row past the battery's gate (n <= 3 and m <= 2) too: the battery's orientations of rank 3 or
+# less at m = 3, those of A4 and D4 at m = 2, and D5 at m = 2
+_DIRECT_QUIVERS = {**BATTERY_QUIVERS, "D5": cc.parse_quiver(D5)}
+_DIRECT_CELLS = [(label, m) for label, q in BATTERY_QUIVERS.items() if q.vertex_count <= 3 for m in (1, 2, 3)]
+_DIRECT_CELLS += [(label, 2) for label in _DIRECT_QUIVERS if label[:2] in ("A4", "D4", "D5")]
+
+
+@pytest.mark.parametrize("label,m", _DIRECT_CELLS)
+def test_direct_enumeration_agrees(label, m):
+    # the cluster tilting objects of C_{F^m} with mn summands are the lifts
+    cat = cc.DerivedCategory(cc.ARQuiver(_DIRECT_QUIVERS[label])).orbit(m)
+    assert verify._check_direct_enumeration(cat) is None
+
+
+def test_direct_enumeration_keeps_only_the_faces_that_pass_the_tilting_check():
+    # every pair marked compatible makes every 4-set of A2's 10 positions at m = 2 a face; the
+    # tilting check reads ext_zero_in and ext_zero_out, not compat_mask, and keeps the 5 lifts
+    cat = cc.DerivedCategory(cc.ARQuiver(cc.parse_quiver(A2))).orbit(2)
+    size = len(cat.catalog)
+    cat.__dict__["compat_mask"] = [(1 << size) - 1] * size
+    assert sum(len(face) == 4 for face in cat.rigid_position_sets()) == comb(size, 4)
+    assert verify._check_direct_enumeration(cat) is None
 
 
 def test_orbit_count_criterion_a2(build):
@@ -490,13 +502,18 @@ def test_enumeration_is_cached_per_category(build):
     assert first == cat1.tilting_sets
 
 
-def test_rigid_position_sets_stop_at_n(build):
-    cat1 = build(A3).orbit(1)
-    sets = list(cat1.rigid_position_sets())
-    assert max(map(len, sets)) == 3
-    assert [s for s in sets if len(s) == 3] == cat1.tilting_sets
+@pytest.mark.parametrize("m", [1, 2])
+def test_rigid_position_sets_stop_at_n(build, m):
+    # faces grow to mn members; the longest are the lifts, and each passes the tilting check
+    dc = build(A3)
+    cat = dc.orbit(m)
+    sets = list(cat.rigid_position_sets())
+    longest = [s for s in sets if len(s) == 3 * m]
+    assert max(map(len, sets)) == 3 * m
+    assert longest == [cat.build_twist_stable(t) for t in dc.orbit(1).tilting_sets]
+    assert all(cc.cluster_tilting_check(cat, s)[0] for s in longest)
     assert sets == sorted(sets)
-    assert all(cat1.is_rigid(list(s)) for s in sets)
+    assert all(cat.is_rigid(list(s)) for s in sets)
 
 
 def _walk_error(text, change):
